@@ -332,8 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_serve(args) -> int:
     import asyncio
 
-    from .serve import DecisionService, ServeServer
-    from .serve.ring import DEFAULT_RING_CAPACITY
+    from .serve import DEFAULT_RING_CAPACITY, DecisionService, ServeServer
     from .sim.distributed import parse_address
     from .sim.metrics import DEFAULT_OUTAGE_DBW, DEFAULT_WINDOW_KM
 

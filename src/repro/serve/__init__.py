@@ -12,8 +12,8 @@ Layers, bottom-up:
 
 * :mod:`~repro.serve.protocol` — length-prefixed JSON/pickle frames and
   the :class:`~repro.serve.protocol.Report` message;
-* :mod:`~repro.serve.ring` / :mod:`~repro.serve.epochs` — per-UE report
-  buffering and deterministic epoch close semantics;
+* :mod:`~repro.serve.epochs` — epoch-indexed report buckets and
+  deterministic epoch close semantics;
 * :mod:`~repro.serve.engine` — the per-epoch vectorised decision sweep
   with streaming metric counters;
 * :mod:`~repro.serve.service` — the in-process service (counters,
@@ -24,7 +24,7 @@ Layers, bottom-up:
 """
 
 from .engine import HandoverCommand, StreamingFleetEngine
-from .epochs import EpochScheduler
+from .epochs import DEFAULT_RING_CAPACITY, EpochScheduler
 from .protocol import (
     CODECS,
     FrameError,
@@ -44,7 +44,6 @@ from .replay import (
     service_for_trace,
     spawned_server,
 )
-from .ring import DEFAULT_RING_CAPACITY, ReportRing
 from .server import ServeClient, ServeServer
 from .service import (
     DEFAULT_LISTENER_CAPACITY,
@@ -66,7 +65,6 @@ __all__ = [
     "HandoverCommand",
     "MAX_FRAME_BYTES",
     "Report",
-    "ReportRing",
     "ServeClient",
     "ServeServer",
     "ServiceStats",

@@ -1,23 +1,35 @@
-"""Deterministic epoch scheduling over per-UE report rings.
+"""Deterministic epoch scheduling over epoch-indexed report buckets.
 
 The :class:`EpochScheduler` is the pure (asyncio-free) core of the
 service's epoch semantics: UEs subscribe and unsubscribe, reports are
-offered into per-UE :class:`~repro.serve.ring.ReportRing` buffers, and
-the *current* epoch closes either on the **watermark** (every currently
+offered into per-epoch buckets (``{epoch: {ue: Report}}``), and the
+*current* epoch closes either on the **watermark** (every currently
 subscribed UE has reported it) or when the caller forces a close (the
 server's deadline timer, an explicit ``close_epoch`` request).
 
-Semantics pinned by the ``serve`` test suite:
+Each UE may buffer reports for the current epoch and up to
+``ring_capacity - 1`` epochs ahead.  Every offer is classified as a
+pure function of ``(report, current epoch, buffered reports,
+subscriptions)``, so any replay of the same call sequence yields the
+same verdicts:
 
-* out-of-order and ahead-of-time reports within the ring window are
-  buffered and processed when their epoch closes;
-* duplicates within an epoch: first report wins, later ones counted;
-* late reports (epoch already closed): dropped and counted;
+* out-of-order and ahead-of-time reports within the window are
+  buffered (``accepted``) and processed when their epoch closes;
+* duplicates within an epoch: first report wins, later ones counted
+  (``duplicate``);
+* late reports (epoch already closed): dropped and counted (``late``);
+* reports beyond the look-ahead window: dropped and counted
+  (``overflow``);
 * unsubscribe removes a UE from the watermark immediately, but reports
   it already buffered stay and are processed when their epochs close
   (so a UE can stream its full trace and leave without losing its tail);
 * reports from never-subscribed or unsubscribed UEs are rejected and
   counted (``rejected``).
+
+Two counters stay current through every call — the subscribed UEs still
+missing from the current epoch, and the total buffered — so the
+watermark and occupancy queries cost O(1) and a close costs only the
+closed epoch's reports, at any fleet size.
 
 Everything is a deterministic function of the call sequence — no
 clocks, no tasks — which is what makes the watermark/timer semantics
@@ -27,9 +39,11 @@ testable without real time.
 from __future__ import annotations
 
 from .protocol import Report
-from .ring import DEFAULT_RING_CAPACITY, ReportRing
 
-__all__ = ["EpochScheduler"]
+__all__ = ["DEFAULT_RING_CAPACITY", "EpochScheduler"]
+
+#: Default per-UE look-ahead window, in epochs.
+DEFAULT_RING_CAPACITY = 64
 
 
 class EpochScheduler:
@@ -49,9 +63,12 @@ class EpochScheduler:
         self.ring_capacity = int(ring_capacity)
         self.current_epoch = int(start_epoch)
         self._subscribed: set[int] = set()
-        # rings persist past unsubscribe so already-buffered reports
-        # still close with their epochs
-        self._rings: dict[int, ReportRing] = {}
+        # only non-empty buckets exist; a bucket outlives its UEs'
+        # subscriptions so already-buffered reports still close with
+        # their epochs
+        self._buckets: dict[int, dict[int, Report]] = {}
+        self._missing = 0  # subscribed UEs not yet in the current bucket
+        self._pending = 0  # reports buffered across all buckets
         self.accepted = 0
         self.late = 0
         self.duplicate = 0
@@ -70,6 +87,9 @@ class EpochScheduler:
     def is_subscribed(self, ue: int) -> bool:
         return ue in self._subscribed
 
+    def _reported_current(self, ue: int) -> bool:
+        return ue in self._buckets.get(self.current_epoch, ())
+
     def subscribe(self, ue: int) -> None:
         ue = int(ue)
         if ue < 0:
@@ -77,8 +97,8 @@ class EpochScheduler:
         if ue in self._subscribed:
             raise ValueError(f"UE {ue} is already subscribed")
         self._subscribed.add(ue)
-        if ue not in self._rings:
-            self._rings[ue] = ReportRing(self.ring_capacity)
+        if not self._reported_current(ue):
+            self._missing += 1
 
     def unsubscribe(self, ue: int) -> bool:
         """Remove ``ue`` from the watermark; its buffered reports stay.
@@ -87,6 +107,8 @@ class EpochScheduler:
         if ue not in self._subscribed:
             return False
         self._subscribed.discard(ue)
+        if not self._reported_current(ue):
+            self._missing -= 1
         return True
 
     # ------------------------------------------------------------------
@@ -97,36 +119,48 @@ class EpochScheduler:
         / ``rejected`` (the last for UEs not currently subscribed) and
         bumps the matching counter.
         """
-        if report.ue not in self._subscribed:
+        ue, epoch = report.ue, report.epoch
+        if ue not in self._subscribed:
             self.rejected += 1
             return "rejected"
-        status = self._rings[report.ue].push(report, self.current_epoch)
-        setattr(self, status, getattr(self, status) + 1)
-        return status
+        current = self.current_epoch
+        if epoch < current:
+            self.late += 1
+            return "late"
+        if epoch >= current + self.ring_capacity:
+            self.overflow += 1
+            return "overflow"
+        bucket = self._buckets.get(epoch)
+        if bucket is None:
+            self._buckets[epoch] = bucket = {}
+        elif ue in bucket:
+            self.duplicate += 1
+            return "duplicate"
+        bucket[ue] = report
+        self._pending += 1
+        if epoch == current:
+            self._missing -= 1
+        self.accepted += 1
+        return "accepted"
 
     def watermark_reached(self) -> bool:
         """Every currently subscribed UE has reported the current epoch
         (``False`` with no subscribers — an empty fleet never closes
         epochs on its own)."""
-        if not self._subscribed:
-            return False
-        epoch = self.current_epoch
-        return all(self._rings[ue].has(epoch) for ue in self._subscribed)
+        return self._missing == 0 and bool(self._subscribed)
 
     def has_current_reports(self) -> bool:
         """At least one report is buffered for the current epoch."""
-        epoch = self.current_epoch
-        return any(ring.has(epoch) for ring in self._rings.values())
+        return self.current_epoch in self._buckets
 
     def pending_reports(self) -> int:
-        """Total buffered reports across all rings (any epoch)."""
-        return sum(ring.pending() for ring in self._rings.values())
+        """Total buffered reports across all epochs."""
+        return self._pending
 
     def current_report_count(self) -> int:
         """How many reports are buffered for the current epoch (the
         count a close would collect right now)."""
-        epoch = self.current_epoch
-        return sum(1 for ring in self._rings.values() if ring.has(epoch))
+        return len(self._buckets.get(self.current_epoch, ()))
 
     # ------------------------------------------------------------------
     def close_epoch(self) -> tuple[int, list[Report]]:
@@ -135,21 +169,14 @@ class EpochScheduler:
         advance.  Empty closes are legal (a forced close before anyone
         reported)."""
         epoch = self.current_epoch
-        reports = []
-        for ue in sorted(self._rings):
-            report = self._rings[ue].pop(epoch)
-            if report is not None:
-                reports.append(report)
+        bucket = self._buckets.pop(epoch, {})
+        reports = [bucket[ue] for ue in sorted(bucket)]
+        self._pending -= len(bucket)
         self.current_epoch = epoch + 1
-        # drop rings that are empty and no longer subscribed, so a
-        # churning fleet doesn't accumulate dead buffers
-        dead = [
-            ue
-            for ue, ring in self._rings.items()
-            if ue not in self._subscribed and not ring.pending()
-        ]
-        for ue in dead:
-            del self._rings[ue]
+        subscribed = self._subscribed
+        self._missing = len(subscribed) - sum(
+            ue in subscribed for ue in self._buckets.get(epoch + 1, ())
+        )
         return epoch, reports
 
     def counters(self) -> dict[str, int]:
@@ -165,5 +192,5 @@ class EpochScheduler:
         return (
             f"EpochScheduler(epoch={self.current_epoch}, "
             f"subscribed={len(self._subscribed)}, "
-            f"pending={self.pending_reports()})"
+            f"pending={self._pending})"
         )

@@ -32,6 +32,8 @@ from typing import Optional
 
 import numpy as np
 
+from ..sim.distributed import MAX_FRAME_BYTES
+
 __all__ = [
     "FrameError",
     "Report",
@@ -44,11 +46,6 @@ __all__ = [
 ]
 
 _LEN = struct.Struct(">I")
-
-#: Hard ceiling on one frame's payload — a measurement report is a few
-#: hundred bytes, a full-fleet metrics reply a few MiB; anything larger
-#: is a corrupt or hostile length prefix.
-MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 _TAG_JSON = b"J"
 _TAG_PICKLE = b"P"

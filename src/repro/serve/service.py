@@ -30,9 +30,8 @@ from ..sim.config import SimulationParameters
 from ..sim.metrics import DEFAULT_OUTAGE_DBW, DEFAULT_WINDOW_KM, FleetMetrics
 from ..sim.population import PolicyConfig
 from .engine import HandoverCommand, StreamingFleetEngine
-from .epochs import EpochScheduler
+from .epochs import DEFAULT_RING_CAPACITY, EpochScheduler
 from .protocol import Report
-from .ring import DEFAULT_RING_CAPACITY
 
 __all__ = [
     "CommandListener",

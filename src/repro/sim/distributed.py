@@ -30,6 +30,11 @@ Worker→client messages::
     ("result", id, value)          task id finished
     ("error", id, exc)             fn(arg) raised exc (application error)
 
+A length prefix above :data:`MAX_FRAME_BYTES` (the cap the serve wire
+enforces too) is refused before its body is read.  A worker drops a
+client that sends an oversize, undecodable or unknown frame, logs why,
+and goes back to accepting the next one.
+
 While a task computes in a worker thread, the worker's connection loop
 emits ``heartbeat`` frames every ``hb_s`` seconds — the client treats
 prolonged *silence* (no frame within ``heartbeat_timeout``) as a dead
@@ -68,6 +73,7 @@ same server with a seeded multi-rule schedule instead.
 from __future__ import annotations
 
 import io
+import logging
 import os
 import pickle
 import socket
@@ -88,6 +94,7 @@ __all__ = [
     "WorkerServer",
     "FaultSpec",
     "FaultPlan",
+    "MAX_FRAME_BYTES",
     "parse_address",
     "parse_hosts",
     "local_worker_pool",
@@ -96,7 +103,15 @@ __all__ = [
 T = TypeVar("T")
 R = TypeVar("R")
 
+logger = logging.getLogger(__name__)
+
 _LEN = struct.Struct(">I")
+
+#: Hard ceiling on one frame's payload on both wires (worker frames and
+#: the serve protocol): a measurement report is a few hundred bytes, a
+#: fleet shard or a full-fleet metrics reply a few MiB; anything larger
+#: is a corrupt or hostile length prefix.
+MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 #: Default client-side knobs (also the CLI defaults).
 DEFAULT_HEARTBEAT_INTERVAL_S = 0.5
@@ -118,11 +133,16 @@ def send_frame(sock: socket.socket, message: object) -> None:
 def recv_frame(sock: socket.socket) -> object:
     """Read one length-prefixed pickle frame.
 
-    Raises :class:`ConnectionError` on a cleanly closed peer and
+    Raises :class:`ConnectionError` on a cleanly closed peer or a length
+    prefix above :data:`MAX_FRAME_BYTES` (the body is never read), and
     :class:`socket.timeout` when the socket's timeout elapses first.
     """
     header = _recv_exact(sock, _LEN.size)
     (length,) = _LEN.unpack(header)
+    if length > MAX_FRAME_BYTES:
+        raise ConnectionError(
+            f"frame length {length} exceeds the {MAX_FRAME_BYTES}-byte limit"
+        )
     return pickle.loads(_recv_exact(sock, length))
 
 
@@ -249,16 +269,25 @@ class WorkerServer:
         while not self._stop.is_set():
             if self.max_tasks is not None and self._done >= self.max_tasks:
                 return
+            # every way a frame can fail costs this client only; back to
+            # accept() for the next one
             try:
                 message = recv_frame(conn)
-            except (ConnectionError, OSError):
-                return  # client went away; back to accept()
-            kind = message[0]
+            except (ConnectionError, OSError) as exc:
+                # the client went away, or sent an oversize length prefix
+                logger.warning("dropping worker client: %s", exc)
+                return
+            except Exception:  # noqa: BLE001 - any unpickling failure
+                logger.warning(
+                    "dropping worker client: undecodable frame", exc_info=True
+                )
+                return
+            kind = message[0] if isinstance(message, tuple) and message else None
             if kind == "ping":
                 send_frame(conn, ("pong",))
             elif kind == "shutdown":
                 return
-            elif kind == "task":
+            elif kind == "task" and len(message) == 5:
                 _, task_id, fn, arg, hb_s = message
                 self.tasks_seen += 1
                 rule = (
@@ -276,7 +305,10 @@ class WorkerServer:
                     return  # client vanished mid-task
                 self._done += 1
             else:
-                raise ValueError(f"unknown message {kind!r}")
+                logger.warning(
+                    "dropping worker client: unknown message %.80r", message
+                )
+                return
 
     def _run_task(
         self,

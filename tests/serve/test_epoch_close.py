@@ -15,12 +15,7 @@ import numpy as np
 import pytest
 
 from repro.sim import SimulationParameters
-from repro.serve import (
-    DecisionService,
-    EpochScheduler,
-    Report,
-    ReportRing,
-)
+from repro.serve import DecisionService, EpochScheduler, Report
 
 pytestmark = pytest.mark.serve
 
@@ -40,30 +35,42 @@ def make_report(ue: int, epoch: int, power: float = -80.0) -> Report:
 
 
 # ----------------------------------------------------------------------
-# ring classification
+# look-ahead window classification
 # ----------------------------------------------------------------------
 def test_ring_statuses_are_deterministic():
-    ring = ReportRing(capacity=4)
-    assert ring.push(make_report(0, 0), current_epoch=0) == "accepted"
-    assert ring.push(make_report(0, 0), current_epoch=0) == "duplicate"
-    assert ring.push(make_report(0, 3), current_epoch=0) == "accepted"
-    assert ring.push(make_report(0, 4), current_epoch=0) == "overflow"
-    assert ring.push(make_report(0, 1), current_epoch=2) == "late"
-    assert ring.pending() == 2
+    sched = EpochScheduler(ring_capacity=4)
+    sched.subscribe(0)
+    assert sched.offer(make_report(0, 0)) == "accepted"
+    assert sched.offer(make_report(0, 0)) == "duplicate"
+    assert sched.offer(make_report(0, 3)) == "accepted"
+    assert sched.offer(make_report(0, 4)) == "overflow"
+    assert sched.pending_reports() == 2
+    sched.close_epoch()
+    sched.close_epoch()
+    assert sched.current_epoch == 2
+    assert sched.offer(make_report(0, 1)) == "late"
+    assert sched.pending_reports() == 1
+    assert sched.counters() == {
+        "accepted": 2, "late": 1, "duplicate": 1, "overflow": 1,
+        "rejected": 0,
+    }
 
 
 def test_ring_duplicate_first_wins():
-    ring = ReportRing(capacity=4)
+    sched = EpochScheduler(ring_capacity=4)
+    sched.subscribe(0)
     first = make_report(0, 1, power=-70.0)
     second = make_report(0, 1, power=-60.0)
-    ring.push(first, current_epoch=0)
-    ring.push(second, current_epoch=0)
-    assert ring.pop(1) is first
+    sched.offer(first)
+    sched.offer(second)
+    assert sched.close_epoch() == (0, [])
+    _, reports = sched.close_epoch()
+    assert len(reports) == 1 and reports[0] is first
 
 
 def test_ring_rejects_bad_capacity():
     with pytest.raises(ValueError):
-        ReportRing(capacity=0)
+        EpochScheduler(ring_capacity=0)
 
 
 # ----------------------------------------------------------------------
@@ -133,7 +140,7 @@ def test_unsubscribed_reports_rejected_but_buffered_tail_survives():
     sched.offer(make_report(1, 1))
     _, reports = sched.close_epoch()
     assert [r.ue for r in reports] == [0, 1]
-    # tail consumed; the dead ring is garbage-collected
+    # tail consumed; only the subscribed UE reports from here on
     sched.offer(make_report(1, 2))
     _, reports = sched.close_epoch()
     assert [r.ue for r in reports] == [1]

@@ -8,7 +8,9 @@ end-to-end test exercises real ``python -m repro worker`` subprocesses
 through :func:`local_worker_pool`.
 """
 
+import pickle
 import socket
+import struct
 import threading
 import time
 from contextlib import contextmanager
@@ -27,6 +29,7 @@ from repro.sim import (
     run_fleet,
 )
 from repro.sim.distributed import (
+    MAX_FRAME_BYTES,
     parse_address,
     recv_frame,
     send_frame,
@@ -111,6 +114,17 @@ class TestProtocol:
         finally:
             b.close()
 
+    def test_recv_refuses_oversize_length_before_the_body(self):
+        a, b = socket.socketpair()
+        b.settimeout(1.0)  # reading the (never sent) body would time out
+        try:
+            a.sendall(struct.pack(">I", MAX_FRAME_BYTES + 1))
+            with pytest.raises(ConnectionError, match="exceeds"):
+                recv_frame(b)
+        finally:
+            a.close()
+            b.close()
+
     @pytest.mark.parametrize(
         "addr", ["localhost", "host:", ":123", "host:port"]
     )
@@ -173,6 +187,35 @@ class TestDistributedMap:
             while servers[0]._done < 2 and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert servers[0]._done == 2
+
+
+def _frame(body: bytes) -> bytes:
+    return struct.pack(">I", len(body)) + body
+
+
+class TestWorkerSurvivesBadFrames:
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            struct.pack(">I", MAX_FRAME_BYTES + 1),
+            _frame(b"hello"),
+            _frame(pickle.dumps(("bogus",))),
+            _frame(pickle.dumps(("task", 1))),
+            _frame(pickle.dumps(42)),
+        ],
+        ids=["oversize", "undecodable", "unknown-kind", "short-task",
+             "not-a-tuple"],
+    )
+    def test_bad_frame_costs_only_its_connection(self, frame, caplog):
+        with worker_servers(1) as (servers, _):
+            address = servers[0].address
+            with socket.create_connection(address, timeout=5.0) as bad:
+                bad.sendall(frame)
+                assert bad.recv(1) == b""  # the worker hung up on it
+            with socket.create_connection(address, timeout=5.0) as good:
+                send_frame(good, ("ping",))
+                assert recv_frame(good) == ("pong",)
+        assert "dropping worker client" in caplog.text
 
 
 # ----------------------------------------------------------------------
