@@ -8,12 +8,12 @@ checkpoint file at tile boundaries.  A run killed at *any* point — even
 finishes **byte-identical** to the uninterrupted run, because every
 piece of state the epoch loop carries is captured exactly:
 
-* the :class:`~repro.sim.metrics.FleetMetricsAccumulator` per-UE
-  reduction arrays (integer counters, float partial sums — restored
+* the kernel's :class:`~repro.sim.kernel.EpochState`: per UE the
+  serving cell, CSSP history window and length, local epoch, speed
+  penalty and the :class:`~repro.sim.metrics.FleetMetricsAccumulator`
+  counters (integer counters, float partial sums — restored
   bit-for-bit, so the remaining epochs extend the same accumulation
   sequence);
-* the drive loop's per-UE serving cell, CSSP history window, and
-  history length;
 * each :class:`~repro.radio.fading.ShadowFadingStream`'s generator bit
   state and AR(1) boundary row, so resumed fading continues the exact
   draw sequence;
@@ -24,16 +24,13 @@ Checkpoint file format (``<dir>/fleet.ckpt``, an atomically replaced
 pickle)::
 
     {
-      "version":     1,
+      "version":     2,
       "fingerprint": sha256 of (spec, n_shards, window, outage, tile),
       "n_shards":    int,
       "completed":   {shard_index: FleetMetrics, ...},
       "in_progress": None | {"shard": int, "snapshot": {
                        "next_epoch":   int   (tile boundary),
-                       "serving":      (n,) intp,
-                       "hist":         (n, lag) float,
-                       "hist_len":     (n,) intp,
-                       "consumer":     FleetMetricsAccumulator.state_dict(),
+                       "state":        EpochState.state_dict(),
                        "fading_state": None | [ShadowFadingStream.state_dict()],
                      }},
       "result":      None | FleetMetrics (set once merged),
@@ -41,7 +38,9 @@ pickle)::
 
 The fingerprint binds a checkpoint to one exact workload; resuming with
 a different spec, shard count, metrics window, or tile size raises
-:class:`CheckpointError` instead of silently merging foreign state.
+:class:`CheckpointError` instead of silently merging foreign state, and
+so does a file of another format version (version 1 stored the loop's
+``serving``/``hist``/``hist_len`` and the accumulator's arrays apart).
 
 Writes are atomic (tmp file + fsync + ``os.replace``), so the file is
 always either the previous or the next consistent snapshot — never a
@@ -67,7 +66,6 @@ from ..sim.metrics import (
     DEFAULT_OUTAGE_DBW,
     DEFAULT_WINDOW_KM,
     FleetMetrics,
-    FleetMetricsAccumulator,
     merge_fleet_metrics,
 )
 from .faults import FaultPlan
@@ -82,7 +80,7 @@ __all__ = [
     "run_fleet_checkpointed",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 CHECKPOINT_FILENAME = "fleet.ckpt"
 
 
@@ -240,10 +238,9 @@ def run_fleet_checkpointed(
 
         stream = shard.measure_tiled(tile_k)
         sim = BatchSimulator(system, speed_kmh=shard.ue_speeds())
-        acc = FleetMetricsAccumulator(window, outage)
         boundaries = 0
 
-        def on_tile_end(next_epoch, serving, hist, hist_len):
+        def on_tile_end(next_epoch, epoch_state):
             nonlocal boundaries
             boundaries += 1
             if boundaries % checkpoint_every_tiles != 0:
@@ -262,18 +259,19 @@ def run_fleet_checkpointed(
                 "shard": idx,
                 "snapshot": {
                     "next_epoch": int(next_epoch),
-                    "serving": serving.copy(),
-                    "hist": hist.copy(),
-                    "hist_len": hist_len.copy(),
-                    "consumer": acc.state_dict(),
+                    "state": epoch_state.state_dict(),
                     "fading_state": stream.fading_state(),
                 },
             }
             _atomic_write(path, state)
 
-        metrics = sim.drive_metrics(
-            stream, acc, resume=resume, on_tile_end=on_tile_end
-        )
+        metrics = sim.drive(
+            stream,
+            window_km=window,
+            outage_dbw=outage,
+            resume=resume,
+            on_tile_end=on_tile_end,
+        ).metrics.finalize()
         state["completed"][idx] = metrics
         state["in_progress"] = None
         _atomic_write(path, state)

@@ -3,8 +3,10 @@ the last epoch boundary.
 
 :class:`SupervisedDecisionService` is a drop-in
 :class:`~repro.serve.service.DecisionService` that snapshots the
-decision engine after every successful epoch close (and after every
-registration), and rolls the engine back to that snapshot when an epoch
+decision engine — every policy group's
+:meth:`~repro.sim.kernel.EpochState.state_dict` and the UE registry —
+after every successful epoch close (and after every registration), and
+rolls the engine back to that snapshot when an epoch
 sweep raises — whether from a real defect or an ``"epoch"``-scope
 ``"crash"`` rule in the service's :class:`~repro.resilience.faults.
 FaultPlan`.  The crashed epoch's reports are lost (counted in

@@ -4,30 +4,18 @@
 :class:`~repro.sim.batch.BatchSimulator`: instead of sweeping a
 materialised measurement series epoch by epoch, it consumes one batch
 of per-UE :class:`~repro.serve.protocol.Report` objects per closed
-service epoch and advances exactly the same per-UE state — serving
-cell, CSSP history window, streaming metric counters.
-
-**Byte-identity argument.**  Every per-UE quantity in the offline epoch
-loop (``BatchSimulator._drive``) is elementwise in the UE: the
-serving-power gather, the stage masks, the FLC inputs
-(``reference``/``previous`` from the UE's own history, the neighbour
-argmax over the UE's own power row, ``cssp``/``ssn``/``dmb``), the
-guard-banded ``decision_outputs_batch`` call, the PRTLC test, the
-history-window slide and all :class:`~repro.sim.metrics.
-FleetMetricsAccumulator` counter updates.  The offline loop's global
-epoch index ``k`` only ever appears per UE (dwell gaps, the
-``prev_strongest`` comparison), and every UE starts at epoch 0 — so
-replacing ``k`` by a per-UE local epoch counter and grouping UEs into
-service epochs in *any* combination reproduces the offline per-UE
-state and metrics bit-for-bit, as long as each UE's reports arrive in
-its own epoch order and none are skipped.  The ``serve`` identity
-suite pins this against ``BatchSimulator.run_metrics``.
+service epoch and advances the reporting UEs through the same kernel
+:func:`~repro.sim.kernel.step` on the same
+:class:`~repro.sim.kernel.EpochState` — serving cell, CSSP history
+window, local epoch, streaming metric counters.  Why that reproduces
+the offline engine bit-for-bit, whatever the service epochs a UE's
+reports land in, is argued in :mod:`repro.sim.kernel`.
 
 Heterogeneous policies follow the population layer's policy-group
 scheme: each distinct :class:`~repro.core.system.FuzzyHandoverSystem`
-configuration owns one vectorised state block, and a closed epoch's
-reports are partitioned per group — one ``decision_outputs_batch``
-call per group per epoch.
+configuration owns one ``EpochState``, and a closed epoch's reports are
+partitioned per group — one ``step`` (one ``decision_outputs_batch``
+call) per group per epoch.
 """
 
 from __future__ import annotations
@@ -39,12 +27,13 @@ import numpy as np
 
 from ..core.system import FuzzyHandoverSystem
 from ..geometry.layout import CellLayout
-from ..radio.fading import speed_penalty_db
+from ..sim.kernel import EpochState, step
 from ..sim.metrics import (
     DEFAULT_OUTAGE_DBW,
     DEFAULT_WINDOW_KM,
     FleetMetrics,
 )
+from ..sim.population import _reassemble
 from .protocol import Report
 
 __all__ = ["HandoverCommand", "StreamingFleetEngine"]
@@ -55,9 +44,10 @@ class HandoverCommand:
     """One handover decision emitted by the decision loop.
 
     ``epoch`` is the service epoch the decision was made in;
-    ``local_epoch`` the UE's own epoch index (equal to the replayed
-    report's ``epoch``); ``source``/``target`` are BS indices in the
-    layout, with the axial cell coordinates alongside.
+    ``local_epoch`` the UE's own epoch index (its count of earlier
+    reports; equal to ``epoch`` in a lockstep replay); ``source``/
+    ``target`` are BS indices in the layout, with the axial cell
+    coordinates alongside.
     """
 
     ue: int
@@ -83,70 +73,6 @@ class HandoverCommand:
         }
 
 
-class _PolicyGroup:
-    """One policy's vectorised per-UE state block (a growable,
-    slot-addressed mini ``BatchSimulator`` + metrics accumulator)."""
-
-    #: every mutable per-slot array — the snapshot/restore unit
-    _STATE_ARRAYS = (
-        "speeds", "penalty", "serving", "hist", "hist_len", "epochs",
-        "handovers", "ping_pongs", "necessary", "wrong", "outage",
-        "dwell_sum", "dwell_count", "last_event", "prev_src", "prev_tgt",
-        "prev_dist", "out_sum", "out_count", "out_max", "prev_strongest",
-    )
-
-    def __init__(self, system: FuzzyHandoverSystem) -> None:
-        self.system = system
-        self.lag = int(system.cssp_lag)
-        self.n = 0
-        self.ue_ids: list[int] = []
-        self._cap = 0
-        self._allocate(8)
-
-    def _allocate(self, cap: int) -> None:
-        def grown(old, shape, dtype, fill):
-            new = np.full(shape, fill, dtype=dtype)
-            if old is not None and self.n:
-                new[: self.n] = old[: self.n]
-            return new
-
-        old = self.__dict__ if self._cap else {}
-        self.speeds = grown(old.get("speeds"), cap, float, 0.0)
-        self.penalty = grown(old.get("penalty"), cap, float, 0.0)
-        self.serving = grown(old.get("serving"), cap, np.intp, -1)
-        self.hist = grown(old.get("hist"), (cap, self.lag), float, 0.0)
-        self.hist_len = grown(old.get("hist_len"), cap, np.intp, 0)
-        self.epochs = grown(old.get("epochs"), cap, np.intp, 0)
-        self.handovers = grown(old.get("handovers"), cap, np.intp, 0)
-        self.ping_pongs = grown(old.get("ping_pongs"), cap, np.intp, 0)
-        self.necessary = grown(old.get("necessary"), cap, np.intp, 0)
-        self.wrong = grown(old.get("wrong"), cap, np.intp, 0)
-        self.outage = grown(old.get("outage"), cap, np.intp, 0)
-        self.dwell_sum = grown(old.get("dwell_sum"), cap, np.intp, 0)
-        self.dwell_count = grown(old.get("dwell_count"), cap, np.intp, 0)
-        self.last_event = grown(old.get("last_event"), cap, np.intp, 0)
-        self.prev_src = grown(old.get("prev_src"), cap, np.intp, -1)
-        self.prev_tgt = grown(old.get("prev_tgt"), cap, np.intp, -1)
-        self.prev_dist = grown(old.get("prev_dist"), cap, float, 0.0)
-        self.out_sum = grown(old.get("out_sum"), cap, float, 0.0)
-        self.out_count = grown(old.get("out_count"), cap, np.intp, 0)
-        self.out_max = grown(old.get("out_max"), cap, float, -np.inf)
-        self.prev_strongest = grown(
-            old.get("prev_strongest"), cap, np.intp, -1
-        )
-        self._cap = cap
-
-    def add(self, ue: int, speed_kmh: float) -> int:
-        if self.n == self._cap:
-            self._allocate(self._cap * 2)
-        slot = self.n
-        self.n += 1
-        self.ue_ids.append(ue)
-        self.speeds[slot] = float(speed_kmh)
-        self.penalty[slot] = speed_penalty_db(float(speed_kmh))
-        return slot
-
-
 class StreamingFleetEngine:
     """Per-epoch batched FLC decisions over an online fleet."""
 
@@ -158,18 +84,16 @@ class StreamingFleetEngine:
         window_km: float = DEFAULT_WINDOW_KM,
         outage_dbw: float = DEFAULT_OUTAGE_DBW,
     ) -> None:
-        if window_km <= 0:
-            raise ValueError(f"window_km must be positive, got {window_km}")
         self.layout = layout
         self.window_km = float(window_km)
         self.outage_dbw = float(outage_dbw)
-        self._nbr_idx, self._nbr_mask, self._nbr_deg = layout.neighbor_table()
-        self._bs = layout.bs_positions
-        default = system if system is not None else FuzzyHandoverSystem()
-        self._groups: list[_PolicyGroup] = [_PolicyGroup(default)]
-        self._ues: dict[int, tuple[int, int]] = {}  # ue -> (group, slot)
-        self._order: list[int] = []  # subscription order
-        self._cohorts: dict[int, Optional[str]] = {}
+        self._groups: list[EpochState] = []
+        # the default group's accumulator validates window and outage
+        self.add_policy(
+            system if system is not None else FuzzyHandoverSystem()
+        )
+        # ue -> (group, row, cohort), in subscription order
+        self._ues: dict[int, tuple[int, int, Optional[str]]] = {}
         self.epochs_processed = 0
 
     # ------------------------------------------------------------------
@@ -177,17 +101,20 @@ class StreamingFleetEngine:
     def n_ues(self) -> int:
         return len(self._ues)
 
-    @property
-    def default_system(self) -> FuzzyHandoverSystem:
-        return self._groups[0].system
-
     def knows(self, ue: int) -> bool:
         return ue in self._ues
 
     def add_policy(self, system: FuzzyHandoverSystem) -> int:
         """Register a policy group; returns its group id (0 is the
         default system's group)."""
-        self._groups.append(_PolicyGroup(system))
+        self._groups.append(
+            EpochState(
+                system,
+                self.layout,
+                window_km=self.window_km,
+                outage_dbw=self.outage_dbw,
+            )
+        )
         return len(self._groups) - 1
 
     def add_ue(
@@ -208,12 +135,7 @@ class StreamingFleetEngine:
                 f"unknown policy group {group} "
                 f"(have {len(self._groups)})"
             )
-        if speed_kmh < 0:
-            raise ValueError(f"speed_kmh must be >= 0, got {speed_kmh}")
-        slot = self._groups[group].add(ue, speed_kmh)
-        self._ues[ue] = (group, slot)
-        self._order.append(ue)
-        self._cohorts[ue] = cohort
+        self._ues[ue] = (group, self._groups[group].add(speed_kmh), cohort)
 
     # ------------------------------------------------------------------
     def step_epoch(
@@ -244,220 +166,66 @@ class StreamingFleetEngine:
                     f"UE {report.ue} reported {report.power_dbw.shape[0]} "
                     f"cells, layout has {n_cells}"
                 )
-            g, slot = entry
-            slots, reps, positions = by_group.setdefault(g, ([], [], []))
-            slots.append(slot)
+            g, row, _ = entry
+            rows, reps, positions = by_group.setdefault(g, ([], [], []))
+            rows.append(row)
             reps.append(report)
             positions.append(pos)
 
+        cells = self.layout.cells
         ordered: list[tuple[int, HandoverCommand]] = []
-        for g, (slots, reps, positions) in by_group.items():
-            commands = self._step_group(
+        for g, (rows, reps, positions) in by_group.items():
+            handed = step(
                 self._groups[g],
-                np.asarray(slots, dtype=np.intp),
-                reps,
-                service_epoch,
+                np.asarray(rows, dtype=np.intp),
+                np.stack([r.power_dbw for r in reps]),
+                np.stack([r.position_km for r in reps]),
+                np.array([r.distance_km for r in reps]),
             )
-            ordered.extend(
-                (positions[i], cmd) for i, cmd in commands
-            )
+            for i, s, t, o, k in zip(*handed):
+                ordered.append(
+                    (
+                        positions[i],
+                        HandoverCommand(
+                            ue=reps[i].ue,
+                            epoch=service_epoch,
+                            local_epoch=int(k),
+                            source=int(s),
+                            target=int(t),
+                            source_cell=tuple(cells[s]),
+                            target_cell=tuple(cells[t]),
+                            output=float(o),
+                        ),
+                    )
+                )
         self.epochs_processed += 1
         ordered.sort(key=lambda item: item[0])
         return [cmd for _, cmd in ordered]
-
-    def _step_group(
-        self,
-        group: _PolicyGroup,
-        slots: np.ndarray,
-        reports: list[Report],
-        service_epoch: int,
-    ) -> list[tuple[int, HandoverCommand]]:
-        """One group's epoch sweep — the ``BatchSimulator._drive`` epoch
-        body over the reporting subset, with per-UE local epoch indices
-        in place of the global ``k``."""
-        sys = group.system
-        m = slots.shape[0]
-        if m == 0:
-            return []
-        arange = np.arange(m)
-        pos_km = np.stack([r.position_km for r in reports])
-        dist_km = np.array([r.distance_km for r in reports])
-        power = np.stack([r.power_dbw for r in reports])
-        local_k = group.epochs[slots].copy()
-
-        serving = group.serving[slots].copy()
-        unset = serving < 0
-        if unset.any():
-            # a UE's first epoch: serve the strongest BS (the offline
-            # engine's first-tile argmax initialisation, per UE)
-            serving[unset] = power[unset].argmax(axis=1)
-
-        p_serv = power[arange, serving]
-        hist = group.hist[slots].copy()
-        hist_len = group.hist_len[slots].copy()
-        penalty = group.penalty[slots]
-
-        warm = hist_len == 0
-        considered = ~warm
-        no_nbr = (self._nbr_deg[serving] == 0) & considered
-        considered &= ~no_nbr
-        gated = (p_serv >= sys.potlc_gate_dbw) & considered
-        flc_mask = ~gated & considered
-
-        remembered = np.ones(m, dtype=bool)
-        commands: list[tuple[int, HandoverCommand]] = []
-        if flc_mask.any():
-            idx = np.nonzero(flc_mask)[0]
-            mm = idx.shape[0]
-            reference = hist[idx, 0]
-            previous = hist[idx, hist_len[idx] - 1]
-            srv = serving[idx]
-            nb = self._nbr_idx[srv]
-            nb_p = np.where(
-                self._nbr_mask[srv], power[idx[:, None], nb], -np.inf
-            )
-            best_col = nb_p.argmax(axis=1)  # first max: the scalar
-            best_idx = nb[np.arange(mm), best_col]  # tie-break
-            best_p = nb_p[np.arange(mm), best_col]
-            delta = pos_km[idx] - self._bs[srv]
-            d_serv = np.hypot(delta[:, 0], delta[:, 1])
-
-            cssp = p_serv[idx] - reference
-            ssn = best_p - penalty[idx]
-            dmb = d_serv / sys.cell_radius_km
-            out = sys.decision_outputs_batch(cssp, ssn, dmb)
-
-            rej_flc = out <= sys.threshold
-            rej_prtlc = ~rej_flc
-            if sys.prtlc_enabled:
-                rej_prtlc &= p_serv[idx] >= previous
-            else:
-                rej_prtlc &= False
-            handed = ~rej_flc & ~rej_prtlc
-
-            # on_flc counter updates (same order as the offline loop)
-            gsl = slots[idx]
-            finite = np.isfinite(out)
-            group.out_sum[gsl] += np.where(finite, out, 0.0)
-            group.out_count[gsl] += finite
-            group.out_max[gsl] = np.maximum(
-                group.out_max[gsl], np.where(finite, out, -np.inf)
-            )
-
-            if handed.any():
-                ho = idx[handed]
-                sources = serving[ho].copy()
-                targets = best_idx[handed]
-                outs = out[handed]
-                dists = dist_km[ho]
-                hsl = slots[ho]
-                k_h = local_k[ho]
-                # on_handover bookkeeping
-                group.handovers[hsl] += 1
-                bounce = (
-                    (group.prev_tgt[hsl] == sources)
-                    & (group.prev_src[hsl] == targets)
-                    & (dists - group.prev_dist[hsl] <= self.window_km)
-                )
-                group.ping_pongs[hsl] += bounce
-                group.prev_src[hsl] = sources
-                group.prev_tgt[hsl] = targets
-                group.prev_dist[hsl] = dists
-                gap = k_h - group.last_event[hsl]
-                positive = gap > 0
-                group.dwell_sum[hsl] += np.where(positive, gap, 0)
-                group.dwell_count[hsl] += positive
-                group.last_event[hsl] = k_h
-
-                cells = self.layout.cells
-                for pos_i, s, t, o, kk in zip(
-                    ho, sources, targets, outs, k_h
-                ):
-                    commands.append(
-                        (
-                            int(pos_i),
-                            HandoverCommand(
-                                ue=reports[int(pos_i)].ue,
-                                epoch=service_epoch,
-                                local_epoch=int(kk),
-                                source=int(s),
-                                target=int(t),
-                                source_cell=tuple(cells[int(s)]),
-                                target_cell=tuple(cells[int(t)]),
-                                output=float(o),
-                            ),
-                        )
-                    )
-                serving[ho] = targets
-                hist_len[ho] = 0  # history restarts; the handover
-                remembered[ho] = False  # epoch is not remembered
-
-        # _remember(): slide the lag window for non-handover epochs
-        lag = group.lag
-        full = (hist_len == lag) & remembered
-        if full.any():
-            hist[full, :-1] = hist[full, 1:]
-            hist[full, -1] = p_serv[full]
-        short = (hist_len < lag) & remembered
-        if short.any():
-            rows = np.nonzero(short)[0]
-            hist[rows, hist_len[rows]] = p_serv[rows]
-            hist_len[rows] += 1
-
-        # end_epoch counters, on the *post-handover* serving assignment
-        strongest = power.argmax(axis=1)
-        group.wrong[slots] += serving != strongest
-        group.outage[slots] += power[arange, serving] < self.outage_dbw
-        prev_strongest = group.prev_strongest[slots]
-        had_prev = prev_strongest >= 0  # -1: the UE's first epoch
-        group.necessary[slots] += (strongest != prev_strongest) & had_prev
-        group.prev_strongest[slots] = strongest
-
-        group.serving[slots] = serving
-        group.hist[slots] = hist
-        group.hist_len[slots] = hist_len
-        group.epochs[slots] = local_k + 1
-        return commands
 
     # ------------------------------------------------------------------
     # crash-recovery snapshots (the supervisor's restore unit)
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """A deep snapshot of every mutable per-UE array and registry.
+        """A deep snapshot of every policy group's
+        :meth:`EpochState.state_dict` and the UE registry.
 
         Policy-group *systems* are configuration, not state, and stay
         attached to the live engine; :meth:`load_state_dict` restores
-        into the same engine instance (same group structure), which is
+        into the same engine instance (same groups and UEs), which is
         exactly the supervisor's restart-from-last-epoch-boundary path.
         """
-        groups = []
-        for group in self._groups:
-            k = group.n
-            groups.append(
-                {
-                    "n": k,
-                    "ue_ids": list(group.ue_ids),
-                    "arrays": {
-                        name: getattr(group, name)[:k].copy()
-                        for name in _PolicyGroup._STATE_ARRAYS
-                    },
-                }
-            )
         return {
             "epochs_processed": self.epochs_processed,
             "ues": dict(self._ues),
-            "order": list(self._order),
-            "cohorts": dict(self._cohorts),
-            "groups": groups,
+            "groups": [group.state_dict() for group in self._groups],
         }
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot in place.
 
-        The engine must have the same policy-group structure the
-        snapshot was taken under (it always does on the supervisor's
-        restart path — groups are only ever appended, and the
-        supervisor re-snapshots after every registration)."""
+        The engine must hold the policy groups and UEs the snapshot was
+        taken over (it always does on the supervisor's restart path —
+        the supervisor re-snapshots after every registration)."""
         groups = state["groups"]
         if len(groups) != len(self._groups):
             raise ValueError(
@@ -465,25 +233,8 @@ class StreamingFleetEngine:
                 f"engine has {len(self._groups)}"
             )
         for group, snap in zip(self._groups, groups):
-            k = int(snap["n"])
-            cap = 8
-            while cap < k:
-                cap *= 2
-            # reallocate from scratch so slots beyond the snapshot's n
-            # come back with pristine fill values (serving=-1, ...)
-            group.n = 0
-            group._cap = 0
-            group._allocate(cap)
-            group.n = k
-            group.ue_ids = list(snap["ue_ids"])
-            for name in _PolicyGroup._STATE_ARRAYS:
-                getattr(group, name)[:k] = snap["arrays"][name]
-        self._ues = {
-            int(ue): (int(g), int(slot))
-            for ue, (g, slot) in state["ues"].items()
-        }
-        self._order = list(state["order"])
-        self._cohorts = dict(state["cohorts"])
+            group.load_state_dict(snap)
+        self._ues = dict(state["ues"])
         self.epochs_processed = int(state["epochs_processed"])
 
     # ------------------------------------------------------------------
@@ -495,56 +246,18 @@ class StreamingFleetEngine:
         byte-identical to ``BatchSimulator.run_metrics`` over the same
         measurements.
         """
-        if not self._order:
+        if not self._ues:
             raise ValueError("no UEs registered")
-        n = len(self._order)
-        sub_pos = {ue: i for i, ue in enumerate(self._order)}
-        fields = {
-            "epochs": np.zeros(n, dtype=np.intp),
-            "handovers": np.zeros(n, dtype=np.intp),
-            "ping_pongs": np.zeros(n, dtype=np.intp),
-            "necessary": np.zeros(n, dtype=np.intp),
-            "wrong_epochs": np.zeros(n, dtype=np.intp),
-            "outage_epochs": np.zeros(n, dtype=np.intp),
-            "dwell_epochs": np.zeros(n, dtype=np.intp),
-            "dwell_counts": np.zeros(n, dtype=np.intp),
-            "output_sums": np.zeros(n, dtype=float),
-            "output_counts": np.zeros(n, dtype=np.intp),
-            "output_maxes": np.full(n, -np.inf),
-        }
-        for group in self._groups:
-            if group.n == 0:
-                continue
-            k = group.n
-            dest = np.array(
-                [sub_pos[ue] for ue in group.ue_ids], dtype=np.intp
-            )
-            # dwell tail: the accumulator's finalize(), on copies
-            dwell_sum = group.dwell_sum[:k].copy()
-            dwell_count = group.dwell_count[:k].copy()
-            tail = group.epochs[:k] - group.last_event[:k]
-            has_tail = tail > 0
-            dwell_sum[has_tail] += tail[has_tail]
-            dwell_count[has_tail] += 1
-            fields["epochs"][dest] = group.epochs[:k]
-            fields["handovers"][dest] = group.handovers[:k]
-            fields["ping_pongs"][dest] = group.ping_pongs[:k]
-            fields["necessary"][dest] = group.necessary[:k]
-            fields["wrong_epochs"][dest] = group.wrong[:k]
-            fields["outage_epochs"][dest] = group.outage[:k]
-            fields["dwell_epochs"][dest] = dwell_sum
-            fields["dwell_counts"][dest] = dwell_count
-            fields["output_sums"][dest] = group.out_sum[:k]
-            fields["output_counts"][dest] = group.out_count[:k]
-            fields["output_maxes"][dest] = group.out_max[:k]
-        if int(fields["epochs"].sum()) == 0:
+        parts = [group.metrics.per_ue() for group in self._groups]
+        if not any(part["epochs"].any() for part in parts):
             raise ValueError("no epochs processed yet")
-        metrics = FleetMetrics.from_per_ue(
-            window_km=self.window_km,
-            outage_dbw=self.outage_dbw,
-            **fields,
+        dests = [np.empty(group.n, dtype=np.intp) for group in self._groups]
+        for pos, (g, row, _) in enumerate(self._ues.values()):
+            dests[g][row] = pos
+        metrics = _reassemble(
+            parts, dests, len(self._ues), self.window_km, self.outage_dbw
         )
-        labels = [self._cohorts[ue] for ue in self._order]
+        labels = [cohort for _, _, cohort in self._ues.values()]
         if all(label is not None for label in labels):
             names = tuple(sorted(set(labels)))
             ids = np.array(

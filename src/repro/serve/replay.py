@@ -39,20 +39,6 @@ __all__ = [
     "spawned_server",
 ]
 
-_PER_UE_FIELDS = (
-    "handovers_per_ue",
-    "ping_pongs_per_ue",
-    "necessary_per_ue",
-    "epochs_per_ue",
-    "wrong_epochs_per_ue",
-    "outage_epochs_per_ue",
-    "dwell_epochs_per_ue",
-    "dwell_count_per_ue",
-    "output_sum_per_ue",
-    "output_count_per_ue",
-    "output_max_per_ue",
-)
-
 
 def iter_epoch_reports(
     trace: FleetTrace,
@@ -188,8 +174,9 @@ def identity_report(a: FleetMetrics, b: FleetMetrics) -> list[str]:
         problems.append(
             f"scalar summary differs: {a.as_dict()} != {b.as_dict()}"
         )
-    for name in _PER_UE_FIELDS:
-        x, y = getattr(a, name), getattr(b, name)
+    theirs = b.per_ue()
+    for name, x in a.per_ue().items():
+        y = theirs[name]
         if x.shape != y.shape or not np.array_equal(x, y):
             problems.append(f"per-UE field {name!r} differs")
     if a.cohort_names != b.cohort_names:

@@ -28,7 +28,8 @@ from ..core.system import FuzzyHandoverSystem
 from ..resilience.faults import FaultPlan, make_clock
 from ..sim.config import SimulationParameters
 from ..sim.metrics import DEFAULT_OUTAGE_DBW, DEFAULT_WINDOW_KM, FleetMetrics
-from ..sim.population import PolicyConfig
+from ..sim.kernel import speed_penalties
+from ..sim.population import PolicyConfig, policy_system
 from .engine import HandoverCommand, StreamingFleetEngine
 from .epochs import DEFAULT_RING_CAPACITY, EpochScheduler
 from .protocol import Report
@@ -221,10 +222,7 @@ class DecisionService:
     ) -> None:
         self.params = params if params is not None else SimulationParameters()
         if system is None:
-            system = FuzzyHandoverSystem(
-                cell_radius_km=self.params.cell_radius_km,
-                flc_backend=self.params.flc_backend,
-            )
+            system = policy_system(None, self.params)
         if epoch_deadline_s is not None and epoch_deadline_s <= 0:
             raise ValueError(
                 f"epoch_deadline_s must be positive, got {epoch_deadline_s}"
@@ -287,6 +285,9 @@ class DecisionService:
         """
         ue = int(ue)
         if not self.engine.knows(ue):
+            # reject a bad speed before a policy group is created, so a
+            # refused subscribe leaves the engine untouched
+            speed_penalties(speed_kmh)
             group = 0
             if policy is not None:
                 if isinstance(policy, dict):
@@ -299,10 +300,7 @@ class DecisionService:
                 group = self._policy_groups.get(policy, -1)
                 if group < 0:
                     group = self.engine.add_policy(
-                        policy.make_system(
-                            self.params.cell_radius_km,
-                            flc_backend=self.params.flc_backend,
-                        )
+                        policy_system(policy, self.params)
                     )
                     self._policy_groups[policy] = group
             self.engine.add_ue(

@@ -2,10 +2,11 @@
 
 :class:`BatchSimulator` advances N UEs in lockstep over a
 :class:`~repro.sim.measurement.BatchMeasurementSeries`: per epoch it
-applies the full POTLC → FLC → PRTLC pipeline of
+runs the kernel's :func:`~repro.sim.kernel.step` over every UE still
+walking — the full POTLC → FLC → PRTLC pipeline of
 :class:`~repro.core.system.FuzzyHandoverSystem` *across the whole
-fleet* — masked NumPy stage gates, one batched FLC call for every UE
-that reaches the controller, vectorised serving-cell bookkeeping.
+fleet*, with masked NumPy stage gates, one batched FLC call for every
+UE that reaches the controller and vectorised serving-cell bookkeeping.
 
 The per-UE semantics are exactly the scalar
 :class:`~repro.sim.engine.Simulator` driving a fresh
@@ -31,37 +32,20 @@ import numpy as np
 
 from ..core.inputs import HandoverInputs
 from ..core.system import Decision, FuzzyHandoverSystem, Stage
-from ..geometry.layout import CellLayout
-from ..radio.fading import speed_penalty_db
 from .engine import HandoverEvent, SimulationResult
-from .measurement import (
-    BatchMeasurementSeries,
-    MeasurementTile,
-    TiledBatchMeasurement,
+from .kernel import EpochState, speed_penalties, step
+from .metrics import (
+    DEFAULT_OUTAGE_DBW,
+    DEFAULT_WINDOW_KM,
+    compute_fleet_metrics,
 )
+from .measurement import BatchMeasurementSeries, TiledBatchMeasurement
 
 __all__ = ["BatchSimulator", "BatchSimulationResult"]
 
 #: A measurement source the epoch loop can drive: the fully materialised
 #: series, or the epoch-tiled stream (constant-memory large-N path).
 MeasurementSource = Union[BatchMeasurementSeries, TiledBatchMeasurement]
-
-
-def _measurement_tiles(source: MeasurementSource) -> Iterator[MeasurementTile]:
-    """The source's epoch tiles: a materialised series is one full-width
-    tile of views, a tiled stream yields its generator."""
-    if isinstance(source, TiledBatchMeasurement):
-        return source.tiles()
-    return iter(
-        (
-            MeasurementTile(
-                start=0,
-                positions_km=source.positions_km,
-                distance_km=source.distance_km,
-                power_dbw=source.power_dbw,
-            ),
-        )
-    )
 
 Cell = tuple[int, int]
 
@@ -77,15 +61,6 @@ _STAGE_CODES: tuple[str, ...] = (
 _WARMUP, _NO_NEIGHBOR, _POTLC_PASS, _FLC_REJECT, _PRTLC_REJECT, _HANDOVER = (
     range(6)
 )
-
-
-def _neighbor_table(
-    layout: CellLayout,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Padded adjacency ``(indices, mask, degree)`` of the layout —
-    delegates to the cached :meth:`CellLayout.neighbor_table`, so
-    repeated runs over one layout never rebuild it."""
-    return layout.neighbor_table()
 
 
 @dataclass(frozen=True)
@@ -237,12 +212,6 @@ class BatchSimulationResult:
     ):
         """Aggregate fleet quality metrics (see
         :func:`repro.sim.metrics.compute_fleet_metrics`)."""
-        from .metrics import (
-            DEFAULT_OUTAGE_DBW,
-            DEFAULT_WINDOW_KM,
-            compute_fleet_metrics,
-        )
-
         return compute_fleet_metrics(
             self,
             DEFAULT_WINDOW_KM if window_km is None else window_km,
@@ -251,22 +220,18 @@ class BatchSimulationResult:
 
 
 class _FleetLogRecorder:
-    """The full-log consumer: materialises every ``(n_ues, n_epochs)``
-    array of a :class:`BatchSimulationResult`.
+    """The full-log observer behind :meth:`BatchSimulator.run`:
+    materialises every ``(n_ues, n_epochs)`` array of a
+    :class:`BatchSimulationResult`.
 
-    Consumers receive the epoch loop's masked slices through ``begin`` /
-    ``on_stage_masks`` / ``on_flc`` / ``on_handover`` / ``end_epoch`` /
-    ``finalize`` — the streaming
-    :class:`~repro.sim.metrics.FleetMetricsAccumulator` implements the
-    same interface with O(n_ues) counters instead of full histories.
-
-    The ``(n_ues,)`` mask/index arrays handed to the callbacks are the
-    epoch loop's preallocated scratch buffers, rewritten every epoch:
-    consumers must consume them during the call (index with them,
-    accumulate from them) and never retain a reference across epochs.
+    It receives the kernel's per-epoch callbacks alongside the state's
+    :class:`~repro.sim.metrics.FleetMetricsAccumulator` (same
+    signatures: ``k`` the stepped UEs' local epochs, index arrays state
+    rows).  The arrays handed to the callbacks are the step's own
+    temporaries: consume them during the call, never retain them.
     """
 
-    def begin(self, source: MeasurementSource, speeds: np.ndarray) -> None:
+    def __init__(self, source: BatchMeasurementSeries, speeds: np.ndarray):
         n, t_max = source.n_ues, source.max_epochs
         self._series = source
         self._speeds = speeds
@@ -283,16 +248,21 @@ class _FleetLogRecorder:
         self._ev_out: list[np.ndarray] = []
 
     def on_stage_masks(
-        self, k: int, warm: np.ndarray, no_nbr: np.ndarray, gated: np.ndarray
+        self,
+        k: np.ndarray,
+        rows: np.ndarray,
+        warm: np.ndarray,
+        no_nbr: np.ndarray,
+        gated: np.ndarray,
     ) -> None:
-        self._stages[warm, k] = _WARMUP
-        self._stages[no_nbr, k] = _NO_NEIGHBOR
-        self._stages[gated, k] = _POTLC_PASS
+        self._stages[rows[warm], k[warm]] = _WARMUP
+        self._stages[rows[no_nbr], k[no_nbr]] = _NO_NEIGHBOR
+        self._stages[rows[gated], k[gated]] = _POTLC_PASS
 
     def on_flc(
         self,
-        k: int,
-        idx: np.ndarray,
+        k: np.ndarray,
+        ues: np.ndarray,
         cssp: np.ndarray,
         ssn: np.ndarray,
         dmb: np.ndarray,
@@ -300,16 +270,16 @@ class _FleetLogRecorder:
         rej_flc: np.ndarray,
         rej_prtlc: np.ndarray,
     ) -> None:
-        self._outputs[idx, k] = out
-        self._cssp[idx, k] = cssp
-        self._ssn[idx, k] = ssn
-        self._dmb[idx, k] = dmb
-        self._stages[idx[rej_flc], k] = _FLC_REJECT
-        self._stages[idx[rej_prtlc], k] = _PRTLC_REJECT
+        self._outputs[ues, k] = out
+        self._cssp[ues, k] = cssp
+        self._ssn[ues, k] = ssn
+        self._dmb[ues, k] = dmb
+        self._stages[ues[rej_flc], k[rej_flc]] = _FLC_REJECT
+        self._stages[ues[rej_prtlc], k[rej_prtlc]] = _PRTLC_REJECT
 
     def on_handover(
         self,
-        k: int,
+        k: np.ndarray,
         ues: np.ndarray,
         sources: np.ndarray,
         targets: np.ndarray,
@@ -318,19 +288,19 @@ class _FleetLogRecorder:
     ) -> None:
         self._stages[ues, k] = _HANDOVER
         self._ev_ue.append(ues)
-        self._ev_step.append(np.full(ues.shape[0], k, dtype=np.intp))
+        self._ev_step.append(k)
         self._ev_src.append(sources)
         self._ev_tgt.append(targets)
         self._ev_out.append(outputs)
 
     def end_epoch(
         self,
-        k: int,
-        active: np.ndarray,
+        k: np.ndarray,
+        rows: np.ndarray,
         serving: np.ndarray,
-        power_k: np.ndarray,
+        power: np.ndarray,
     ) -> None:
-        self._serving_hist[active, k] = serving[active]
+        self._serving_hist[rows, k] = serving
 
     def finalize(self) -> BatchSimulationResult:
         def _cat(parts: list[np.ndarray], dtype) -> np.ndarray:
@@ -382,20 +352,11 @@ class BatchSimulator:
         initial_cell: Optional[Cell] = None,
     ) -> None:
         self.system = system if system is not None else FuzzyHandoverSystem()
-        speeds = np.atleast_1d(np.asarray(speed_kmh, dtype=float))
-        if speeds.ndim != 1:
-            raise ValueError(
-                f"speed_kmh must be a scalar or 1-D, got shape {speeds.shape}"
-            )
-        if (speeds < 0).any():
-            raise ValueError("speed_kmh must be >= 0")
-        self._speeds = speeds
         # the speed penalty is a pure function of the speeds, which are
         # fixed for the simulator's lifetime — derive it once here so
         # repeated run() calls (grid sweeps, shard loops) skip it
-        self._penalty = np.atleast_1d(
-            np.asarray(speed_penalty_db(speeds), dtype=float)
-        )
+        self._penalty = speed_penalties(speed_kmh)
+        self._speeds = np.atleast_1d(np.asarray(speed_kmh, dtype=float))
         self.initial_cell = tuple(initial_cell) if initial_cell else None
 
     # ------------------------------------------------------------------
@@ -407,7 +368,11 @@ class BatchSimulator:
                 "BatchMeasurementSeries; drive a tile stream through "
                 "run_metrics() (or materialize() it first)"
             )
-        return self._drive(series, _FleetLogRecorder())
+        recorder = _FleetLogRecorder(
+            series, self._per_ue(self._speeds, series.n_ues)
+        )
+        self.drive(series, observer=recorder)
+        return recorder.finalize()
 
     def run_metrics(
         self,
@@ -428,105 +393,63 @@ class BatchSimulator:
         serving-power sensitivity below which an epoch counts as outage
         (default :data:`~repro.sim.metrics.DEFAULT_OUTAGE_DBW`).
         """
-        from .metrics import (
-            DEFAULT_OUTAGE_DBW,
-            DEFAULT_WINDOW_KM,
-            FleetMetricsAccumulator,
-        )
-
-        return self._drive(
+        return self.drive(
             series,
-            FleetMetricsAccumulator(
-                DEFAULT_WINDOW_KM if window_km is None else window_km,
-                DEFAULT_OUTAGE_DBW if outage_dbw is None else outage_dbw,
+            window_km=DEFAULT_WINDOW_KM if window_km is None else window_km,
+            outage_dbw=(
+                DEFAULT_OUTAGE_DBW if outage_dbw is None else outage_dbw
             ),
-        )
+        ).metrics.finalize()
 
-    def drive_metrics(
+    def _per_ue(self, values: np.ndarray, n: int) -> np.ndarray:
+        """A per-UE speed-derived array, broadcast from one speed."""
+        if values.shape[0] == 1:
+            return np.full(n, values[0])
+        if values.shape[0] == n:
+            return values
+        raise ValueError(f"{n} UEs but {self._speeds.shape[0]} speeds")
+
+    def drive(
         self,
         source: MeasurementSource,
-        accumulator,
         *,
+        window_km: float = DEFAULT_WINDOW_KM,
+        outage_dbw: float = DEFAULT_OUTAGE_DBW,
+        observer=None,
         resume: Optional[dict] = None,
         on_tile_end=None,
-    ):
-        """The checkpointable metrics drive (see
-        :mod:`repro.resilience.checkpoint`).
-
-        Drives a caller-built
-        :class:`~repro.sim.metrics.FleetMetricsAccumulator` so the
-        caller keeps a handle on the accumulation state.  After every
-        completed measurement tile, ``on_tile_end(next_epoch, serving,
-        hist, hist_len)`` receives the loop-local per-UE state (the
-        arrays are live loop buffers — snapshot with ``.copy()``).
-        ``resume`` restarts the loop from a tile boundary: a dict with
-        ``next_epoch``, ``serving`` / ``hist`` / ``hist_len`` copies,
-        the accumulator's ``state_dict`` under ``"consumer"``, and the
-        tile stream's ``fading_state``; the resumed drive is
-        byte-identical to the uninterrupted one.
-        """
-        return self._drive(
-            source, accumulator, resume=resume, on_tile_end=on_tile_end
-        )
-
-    def _drive(
-        self,
-        source: MeasurementSource,
-        consumer,
-        *,
-        resume: Optional[dict] = None,
-        on_tile_end=None,
-    ):
-        """The vectorised epoch loop, feeding a log/metrics consumer.
-
-        The loop owns a set of preallocated ``(n_ues,)`` scratch buffers
-        (stage masks, gathered serving power, history-window masks) that
-        every epoch rewrites in place — per-epoch work allocates only
-        the data-dependent FLC-subset arrays.  Consumers therefore must
-        not retain the mask arrays across callbacks (see
-        :class:`_FleetLogRecorder`).
+    ) -> EpochState:
+        """The tile loop: one kernel :func:`~repro.sim.kernel.step` per
+        epoch over the UEs whose walk is still running (``k <
+        lengths``); returns the final :class:`~repro.sim.kernel.
+        EpochState`, whose ``metrics`` reduce the run.
 
         The loop walks the source's measurement tiles (a materialised
-        series is one full-width tile), so the per-UE simulation state —
-        serving cell, CSSP history window — flows across tile boundaries
-        and the streamed path is bit-identical to the materialised one.
+        series is one full-width tile), so the per-UE state flows across
+        tile boundaries and the streamed path is bit-identical to the
+        materialised one.  ``observer`` receives the kernel's callbacks
+        alongside the state's accumulator.  For checkpointing (see
+        :mod:`repro.resilience.checkpoint`), ``on_tile_end(next_epoch,
+        state)`` runs after every completed tile with the live state
+        (snapshot it with ``state.state_dict()``), and ``resume``
+        restarts the drive from a tile boundary: a dict with
+        ``next_epoch``, the ``state`` snapshot and the tile stream's
+        ``fading_state``; the resumed drive is byte-identical to the
+        uninterrupted one.
         """
-        n, t_max = source.n_ues, source.max_epochs
-        if t_max == 0:
+        n = source.n_ues
+        if source.max_epochs == 0:
             raise ValueError("cannot simulate an empty measurement series")
         layout = source.layout
-        sys = self.system
-        if self._speeds.shape[0] == 1:
-            speeds = np.full(n, self._speeds[0])
-            penalty = np.full(n, self._penalty[0])
-        elif self._speeds.shape[0] == n:
-            speeds = self._speeds
-            penalty = self._penalty
-        else:
-            raise ValueError(
-                f"{n} UEs but {self._speeds.shape[0]} speeds"
-            )
-
-        nbr_idx, nbr_mask, nbr_deg = _neighbor_table(layout)
-        bs = layout.bs_positions
-        lengths = source.lengths
-        lag = sys.cssp_lag
-        n_bs = layout.n_cells
-
+        state = EpochState(
+            self.system,
+            layout,
+            self._per_ue(self._penalty, n),
+            window_km=window_km,
+            outage_dbw=outage_dbw,
+        )
         if self.initial_cell is not None:
-            serving = np.full(n, layout.index_of(self.initial_cell), np.intp)
-        else:
-            # initialised from the first tile's first epoch below (the
-            # tiled source has no power cube to argmax up front)
-            serving = None
-
-        # per-UE serving-power history window (scalar system's _history):
-        # oldest sample first, `hist_len` valid entries, cleared on
-        # handover exactly like the scalar pipeline.
-        hist = np.zeros((n, lag))
-        hist_len = np.zeros(n, dtype=np.intp)
-
-        consumer.begin(source, speeds)
+            state.serving[:] = layout.index_of(self.initial_cell)
 
         if resume is not None:
             if not isinstance(source, TiledBatchMeasurement):
@@ -534,159 +457,31 @@ class BatchSimulator:
                     "resume requires a TiledBatchMeasurement (checkpoints "
                     "are taken at tile boundaries)"
                 )
-            serving = np.asarray(resume["serving"], dtype=np.intp).copy()
-            hist = np.asarray(resume["hist"], dtype=float).copy()
-            hist_len = np.asarray(resume["hist_len"], dtype=np.intp).copy()
-            if serving.shape != (n,) or hist.shape != (n, lag):
-                raise ValueError(
-                    "resume state does not match this fleet/system "
-                    f"(serving {serving.shape}, hist {hist.shape}; "
-                    f"expected ({n},) and ({n}, {lag}))"
-                )
-            consumer.load_state_dict(resume["consumer"])
+            state.load_state_dict(resume["state"])
             tiles = source.tiles(
                 start_epoch=int(resume["next_epoch"]),
                 fading_state=resume.get("fading_state"),
             )
         else:
-            tiles = _measurement_tiles(source)
+            tiles = source.tiles()
 
-        arange = np.arange(n)
-        # hoisted per-epoch scratch (rewritten in place every epoch)
-        p_serv = np.empty(n)
-        active = np.empty(n, dtype=bool)
-        warm = np.empty(n, dtype=bool)
-        considered = np.empty(n, dtype=bool)
-        no_nbr = np.empty(n, dtype=bool)
-        gated = np.empty(n, dtype=bool)
-        flc_mask = np.empty(n, dtype=bool)
-        remembered = np.empty(n, dtype=bool)
-        window_mask = np.empty(n, dtype=bool)
-        deg_buf = np.empty(n, dtype=np.intp)
-        gather = np.empty(n, dtype=np.intp)
-        row_base = np.empty(n, dtype=np.intp)
-        tile_width = -1
-
+        lengths = source.lengths
         for tile in tiles:
-            power_cube = tile.power_dbw
-            k_t = tile.n_epochs
-            # serving-power gather without a per-epoch fancy-indexing
-            # copy: flatten the (contiguous float64) tile cube and
-            # np.take into the p_serv scratch through a per-UE row base
-            # (other layouts/dtypes keep the fancy-indexing fallback)
-            power_flat = (
-                power_cube.reshape(-1)
-                if power_cube.flags.c_contiguous
-                and power_cube.dtype == np.float64
-                else None
-            )
-            if k_t != tile_width:
-                np.multiply(arange, k_t * n_bs, out=row_base)
-                tile_width = k_t
-            if serving is None:
-                serving = power_cube[:, 0, :].argmax(axis=1).astype(np.intp)
-
-            for j in range(k_t):
-                k = tile.start + j
-                np.less(k, lengths, out=active)
-                power_k = power_cube[:, j, :]
-                if power_flat is not None:
-                    np.add(row_base, j * n_bs, out=gather)
-                    np.add(gather, serving, out=gather)
-                    np.take(power_flat, gather, out=p_serv)
-                else:  # pragma: no cover - non-contiguous measurement cube
-                    p_serv[:] = power_k[arange, serving]
-
-                np.equal(hist_len, 0, out=warm)
-                np.logical_and(warm, active, out=warm)
-                np.logical_not(warm, out=considered)
-                np.logical_and(considered, active, out=considered)
-                np.take(nbr_deg, serving, out=deg_buf)
-                np.equal(deg_buf, 0, out=no_nbr)
-                np.logical_and(no_nbr, considered, out=no_nbr)
-                np.logical_not(no_nbr, out=flc_mask)  # reused as ~no_nbr
-                np.logical_and(considered, flc_mask, out=considered)
-                np.greater_equal(p_serv, sys.potlc_gate_dbw, out=gated)
-                np.logical_and(gated, considered, out=gated)
-                np.logical_not(gated, out=flc_mask)
-                np.logical_and(flc_mask, considered, out=flc_mask)
-
-                consumer.on_stage_masks(k, warm, no_nbr, gated)
-
-                np.copyto(remembered, active)
-                if flc_mask.any():
-                    idx = np.nonzero(flc_mask)[0]
-                    m = idx.shape[0]
-                    reference = hist[idx, 0]
-                    previous = hist[idx, hist_len[idx] - 1]
-                    srv = serving[idx]
-                    nb = nbr_idx[srv]                     # (m, max_degree)
-                    nb_p = np.where(
-                        nbr_mask[srv], power_k[idx[:, None], nb], -np.inf
-                    )
-                    best_col = nb_p.argmax(axis=1)         # first max: the
-                    best_idx = nb[np.arange(m), best_col]  # scalar tie-break
-                    best_p = nb_p[np.arange(m), best_col]
-                    delta = tile.positions_km[idx, j] - bs[srv]
-                    d_serv = np.hypot(delta[:, 0], delta[:, 1])
-
-                    cssp = p_serv[idx] - reference
-                    ssn = best_p - penalty[idx]
-                    dmb = d_serv / sys.cell_radius_km
-                    # the guard-banded decision path: compiled FLC
-                    # kernels (lut/numba) evaluate the bulk, borderline
-                    # outputs are re-evaluated exactly — decisions match
-                    # the reference backend on every registered kernel
-                    out = sys.decision_outputs_batch(cssp, ssn, dmb)
-
-                    rej_flc = out <= sys.threshold
-                    rej_prtlc = ~rej_flc
-                    if sys.prtlc_enabled:
-                        rej_prtlc &= p_serv[idx] >= previous
-                    else:
-                        rej_prtlc &= False
-                    handed = ~rej_flc & ~rej_prtlc
-
-                    consumer.on_flc(
-                        k, idx, cssp, ssn, dmb, out, rej_flc, rej_prtlc
-                    )
-
-                    if handed.any():
-                        ho = idx[handed]
-                        targets = best_idx[handed]
-                        consumer.on_handover(
-                            k,
-                            ho,
-                            serving[ho].copy(),
-                            targets,
-                            out[handed],
-                            tile.distance_km[ho, j],
-                        )
-                        serving[ho] = targets
-                        hist_len[ho] = 0        # history restarts, and
-                        remembered[ho] = False  # the handover epoch is
-                        #                         not kept
-
-                # _remember() for every non-handover active UE: slide
-                # the lag window (full rows shift, short rows append).
-                np.equal(hist_len, lag, out=window_mask)
-                np.logical_and(window_mask, remembered, out=window_mask)
-                if window_mask.any():
-                    hist[window_mask, :-1] = hist[window_mask, 1:]
-                    hist[window_mask, -1] = p_serv[window_mask]
-                np.less(hist_len, lag, out=window_mask)
-                np.logical_and(window_mask, remembered, out=window_mask)
-                if window_mask.any():
-                    rows = np.nonzero(window_mask)[0]
-                    hist[rows, hist_len[rows]] = p_serv[rows]
-                    hist_len[rows] += 1
-
-                consumer.end_epoch(k, active, serving, power_k)
-
+            for j in range(tile.n_epochs):
+                rows = np.flatnonzero(tile.start + j < lengths)
+                # every UE active: step on views of the tile, no gather
+                sel = slice(None) if rows.shape[0] == n else rows
+                step(
+                    state,
+                    rows,
+                    tile.power_dbw[sel, j],
+                    tile.positions_km[sel, j],
+                    tile.distance_km[sel, j],
+                    observer,
+                )
             if on_tile_end is not None:
-                on_tile_end(tile.stop, serving, hist, hist_len)
-
-        return consumer.finalize()
+                on_tile_end(tile.stop, state)
+        return state
 
     def __repr__(self) -> str:
         return (

@@ -64,6 +64,7 @@ from .metrics import (
     FleetMetrics,
     merge_fleet_metrics,
 )
+from .population import policy_system
 
 __all__ = [
     "FleetSpec",
@@ -239,10 +240,7 @@ class FleetSpec:
     def make_system(self) -> FuzzyHandoverSystem:
         """The default pipeline configuration for this spec (FLC
         inference backend included)."""
-        return FuzzyHandoverSystem(
-            cell_radius_km=self.params.cell_radius_km,
-            flc_backend=self.params.flc_backend,
-        )
+        return policy_system(None, self.params)
 
     def shard(self, n_shards: int = 1) -> tuple["FleetShard", ...]:
         """Split the fleet into contiguous per-worker shards."""

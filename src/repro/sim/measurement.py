@@ -266,6 +266,17 @@ class BatchMeasurementSeries:
             layout=self.layout,
         )
 
+    def tiles(self) -> Iterator["MeasurementTile"]:
+        """The series as one full-width :class:`MeasurementTile` of
+        views — the tile stream's interface, so an epoch loop drives
+        both sources alike."""
+        yield MeasurementTile(
+            start=0,
+            positions_km=self.positions_km,
+            distance_km=self.distance_km,
+            power_dbw=self.power_dbw,
+        )
+
     def select(self, indices: np.ndarray) -> "BatchMeasurementSeries":
         """The sub-fleet of the given UE rows, in the given order.
 
@@ -573,20 +584,13 @@ class TiledBatchMeasurement:
         bs = self.layout.bs_positions
         lengths = self.lengths
         # one preallocated per-tile power buffer, recycled every tile
-        # (the short tail tile gets its own exact-size buffer so every
-        # yielded cube stays C-contiguous for the consumer's flat
-        # serving-power gather)
+        # (the short tail tile is a view of its first epochs)
         power_buf = np.empty((n, min(tile, t_max), n_cells))
         for lo in range(start_epoch, t_max, tile):
             hi = min(lo + tile, t_max)
-            k = hi - lo
             positions = self.positions_km[:, lo:hi]
             distance = self.distance_km[:, lo:hi]
-            buf = (
-                power_buf
-                if k == power_buf.shape[1]
-                else np.empty((n, k, n_cells))
-            )
+            buf = power_buf[:, : hi - lo]
             buf[...] = self.propagation.power_from_sites_batch(bs, positions)
             if streams is not None:
                 for i, stream in enumerate(streams):

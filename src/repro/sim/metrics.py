@@ -183,6 +183,22 @@ def compute_metrics(
 # ----------------------------------------------------------------------
 # fleet-level metrics (batch simulation engine)
 # ----------------------------------------------------------------------
+#: :meth:`FleetMetrics.from_per_ue` argument -> the attribute holding it
+_PER_UE = {
+    "epochs": "epochs_per_ue",
+    "handovers": "handovers_per_ue",
+    "ping_pongs": "ping_pongs_per_ue",
+    "necessary": "necessary_per_ue",
+    "wrong_epochs": "wrong_epochs_per_ue",
+    "outage_epochs": "outage_epochs_per_ue",
+    "dwell_epochs": "dwell_epochs_per_ue",
+    "dwell_counts": "dwell_count_per_ue",
+    "output_sums": "output_sum_per_ue",
+    "output_counts": "output_count_per_ue",
+    "output_maxes": "output_max_per_ue",
+}
+
+
 @dataclass(frozen=True)
 class FleetMetrics:
     """Aggregate quality metrics of one fleet simulation.
@@ -319,6 +335,11 @@ class FleetMetrics:
             output_count_per_ue=np.asarray(output_counts),
             output_max_per_ue=np.asarray(output_maxes, dtype=float),
         )
+
+    def per_ue(self) -> dict[str, np.ndarray]:
+        """The per-UE reduction arrays, keyed as :meth:`from_per_ue`
+        takes them."""
+        return {key: getattr(self, attr) for key, attr in _PER_UE.items()}
 
     def merge(self, *others: "FleetMetrics") -> "FleetMetrics":
         """Combine disjoint fleet shards (UE-order concatenation).
@@ -512,27 +533,16 @@ def merge_fleet_metrics(parts: Iterable[FleetMetrics]) -> FleetMetrics:
     if len(parts) == 1:
         return parts[0]
 
-    def cat(name: str) -> np.ndarray:
-        return np.concatenate([getattr(p, name) for p in parts])
-
+    fields = [p.per_ue() for p in parts]
     merged = FleetMetrics.from_per_ue(
         window_km=parts[0].window_km,
         outage_dbw=parts[0].outage_dbw,
-        epochs=cat("epochs_per_ue"),
-        handovers=cat("handovers_per_ue"),
-        ping_pongs=cat("ping_pongs_per_ue"),
-        necessary=cat("necessary_per_ue"),
-        wrong_epochs=cat("wrong_epochs_per_ue"),
-        outage_epochs=cat("outage_epochs_per_ue"),
-        dwell_epochs=cat("dwell_epochs_per_ue"),
-        dwell_counts=cat("dwell_count_per_ue"),
-        output_sums=cat("output_sum_per_ue"),
-        output_counts=cat("output_count_per_ue"),
-        output_maxes=cat("output_max_per_ue"),
+        **{key: np.concatenate([f[key] for f in fields]) for key in _PER_UE},
     )
     if all(labelled):
         merged = merged.with_cohorts(
-            cat("cohort_ids_per_ue"), parts[0].cohort_names
+            np.concatenate([p.cohort_ids_per_ue for p in parts]),
+            parts[0].cohort_names,
         )
     return merged
 
@@ -540,14 +550,15 @@ def merge_fleet_metrics(parts: Iterable[FleetMetrics]) -> FleetMetrics:
 class FleetMetricsAccumulator:
     """Incremental fleet metrics — per-epoch counters, O(n_ues) memory.
 
-    A *consumer* for :meth:`repro.sim.batch.BatchSimulator.run_metrics`:
-    the epoch loop feeds it the same masked stage/FLC/handover slices it
-    would write into the full ``(n_ues, n_epochs)`` log, and the
-    accumulator folds them into per-UE counters on the fly — long
-    simulations never materialise full histories.  :meth:`finalize`
-    returns a :class:`FleetMetrics` bit-identical to the post-hoc
-    :func:`compute_fleet_metrics` over the full log (the per-UE float
-    accumulation happens in the same epoch order).
+    The metrics half of :class:`~repro.sim.kernel.EpochState`: the
+    kernel's :func:`~repro.sim.kernel.step` feeds it every epoch's
+    stage/FLC/handover slices through the callbacks below, and it folds
+    them into the state's per-UE counter arrays, so long simulations
+    never materialise full histories.  ``k`` is always the stepped UEs'
+    local epochs and every index array addresses state rows.
+    :meth:`finalize` returns a :class:`FleetMetrics` bit-identical to
+    the post-hoc :func:`compute_fleet_metrics` over the full log (the
+    per-UE float accumulation happens in the same epoch order).
     """
 
     def __init__(
@@ -562,40 +573,27 @@ class FleetMetricsAccumulator:
         self.window_km = float(window_km)
         self.outage_dbw = float(outage_dbw)
 
-    # -- consumer interface -------------------------------------------
-    def begin(self, source, speeds: np.ndarray) -> None:
-        # `source` is a series or tile stream; the accumulator never
-        # touches its power cube (epoch data arrives through the
-        # callback arguments), which is what lets the tiled path run at
-        # O(n_ues) memory
-        n = source.n_ues
-        self._lengths = source.lengths
-        self._handovers = np.zeros(n, dtype=np.intp)
-        self._ping_pongs = np.zeros(n, dtype=np.intp)
-        self._necessary = np.zeros(n, dtype=np.intp)
-        self._wrong = np.zeros(n, dtype=np.intp)
-        self._outage = np.zeros(n, dtype=np.intp)
-        self._arange = np.arange(n)
-        self._dwell_sum = np.zeros(n, dtype=np.intp)
-        self._dwell_count = np.zeros(n, dtype=np.intp)
-        self._last_event_step = np.zeros(n, dtype=np.intp)
-        self._prev_src = np.full(n, -1, dtype=np.intp)
-        self._prev_tgt = np.full(n, -1, dtype=np.intp)
-        self._prev_dist = np.zeros(n)
-        self._out_sum = np.zeros(n)
-        self._out_count = np.zeros(n, dtype=np.intp)
-        self._out_max = np.full(n, -np.inf)
-        self._prev_strongest: Optional[np.ndarray] = None
+    # -- the kernel's callbacks ---------------------------------------
+    def begin(self, state) -> None:
+        """Bind to the :class:`~repro.sim.kernel.EpochState` whose
+        counter arrays the callbacks update (read through the state on
+        every call, so the state may grow)."""
+        self._state = state
 
     def on_stage_masks(
-        self, k: int, warm: np.ndarray, no_nbr: np.ndarray, gated: np.ndarray
+        self,
+        k: np.ndarray,
+        rows: np.ndarray,
+        warm: np.ndarray,
+        no_nbr: np.ndarray,
+        gated: np.ndarray,
     ) -> None:
         pass  # stage occupancy is not part of the fleet aggregates
 
     def on_flc(
         self,
-        k: int,
-        idx: np.ndarray,
+        k: np.ndarray,
+        ues: np.ndarray,
         cssp: np.ndarray,
         ssn: np.ndarray,
         dmb: np.ndarray,
@@ -603,130 +601,85 @@ class FleetMetricsAccumulator:
         rej_flc: np.ndarray,
         rej_prtlc: np.ndarray,
     ) -> None:
+        s = self._state
         finite = np.isfinite(out)
-        self._out_sum[idx] += np.where(finite, out, 0.0)
-        self._out_count[idx] += finite
-        self._out_max[idx] = np.maximum(
-            self._out_max[idx], np.where(finite, out, -np.inf)
+        s.output_sums[ues] += np.where(finite, out, 0.0)
+        s.output_counts[ues] += finite
+        s.output_maxes[ues] = np.maximum(
+            s.output_maxes[ues], np.where(finite, out, -np.inf)
         )
 
     def on_handover(
         self,
-        k: int,
+        k: np.ndarray,
         ues: np.ndarray,
         sources: np.ndarray,
         targets: np.ndarray,
         outputs: np.ndarray,
         distances: np.ndarray,
     ) -> None:
-        self._handovers[ues] += 1
-        dist = distances
+        s = self._state
+        s.handovers[ues] += 1
         # a bounce straight back: A->B then B->A within the window
         # (prev_tgt == -1 rows can never match a real source index)
         bounce = (
-            (self._prev_tgt[ues] == sources)
-            & (self._prev_src[ues] == targets)
-            & (dist - self._prev_dist[ues] <= self.window_km)
+            (s.prev_tgt[ues] == sources)
+            & (s.prev_src[ues] == targets)
+            & (distances - s.prev_dist[ues] <= self.window_km)
         )
-        self._ping_pongs[ues] += bounce
-        self._prev_src[ues] = sources
-        self._prev_tgt[ues] = targets
-        self._prev_dist[ues] = dist
-        gap = k - self._last_event_step[ues]
+        s.ping_pongs[ues] += bounce
+        s.prev_src[ues] = sources
+        s.prev_tgt[ues] = targets
+        s.prev_dist[ues] = distances
+        gap = k - s.last_event[ues]
         positive = gap > 0
-        self._dwell_sum[ues] += np.where(positive, gap, 0)
-        self._dwell_count[ues] += positive
-        self._last_event_step[ues] = k
+        s.dwell_sum[ues] += np.where(positive, gap, 0)
+        s.dwell_count[ues] += positive
+        s.last_event[ues] = k
 
     def end_epoch(
         self,
-        k: int,
-        active: np.ndarray,
+        k: np.ndarray,
+        rows: np.ndarray,
         serving: np.ndarray,
-        power_k: np.ndarray,
+        power: np.ndarray,
     ) -> None:
-        strongest = power_k.argmax(axis=1)
-        self._wrong += active & (serving != strongest)
-        self._outage += active & (
-            power_k[self._arange, serving] < self.outage_dbw
+        # on the post-handover serving assignment
+        s = self._state
+        strongest = power.argmax(axis=1)
+        s.wrong_epochs[rows] += serving != strongest
+        s.outage_epochs[rows] += (
+            power[np.arange(rows.shape[0]), serving] < self.outage_dbw
         )
-        if self._prev_strongest is not None:
-            self._necessary += active & (strongest != self._prev_strongest)
-        self._prev_strongest = strongest
-
-    # -- checkpoint support --------------------------------------------
-    #: every mutable per-UE reduction array the epoch callbacks touch
-    #: (``_lengths`` / ``_arange`` are derived from the source by
-    #: ``begin`` and need no snapshotting)
-    _STATE_ARRAYS = (
-        "_handovers",
-        "_ping_pongs",
-        "_necessary",
-        "_wrong",
-        "_outage",
-        "_dwell_sum",
-        "_dwell_count",
-        "_last_event_step",
-        "_prev_src",
-        "_prev_tgt",
-        "_prev_dist",
-        "_out_sum",
-        "_out_count",
-        "_out_max",
-    )
-
-    def state_dict(self) -> dict:
-        """A deep snapshot of the accumulation state (taken *before*
-        :meth:`finalize`, which folds dwell tails in place).  Restoring
-        it into a freshly ``begin``-initialised accumulator and
-        replaying the remaining epochs is byte-identical to the
-        uninterrupted run."""
-        state = {
-            name: getattr(self, name).copy() for name in self._STATE_ARRAYS
-        }
-        state["_prev_strongest"] = (
-            None
-            if self._prev_strongest is None
-            else self._prev_strongest.copy()
-        )
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot.  :meth:`begin` must
-        have run first (it sizes the arrays from the source)."""
-        for name in self._STATE_ARRAYS:
-            mine = getattr(self, name)
-            theirs = state[name]
-            if mine.shape != theirs.shape:
-                raise ValueError(
-                    f"checkpoint array {name} has shape {theirs.shape}, "
-                    f"expected {mine.shape} — the snapshot belongs to a "
-                    "different fleet"
-                )
-            mine[...] = theirs
-        prev = state["_prev_strongest"]
-        self._prev_strongest = None if prev is None else prev.copy()
+        prev = s.prev_strongest[rows]
+        s.necessary[rows] += (strongest != prev) & (prev >= 0)
+        s.prev_strongest[rows] = strongest
 
     def finalize(self) -> FleetMetrics:
-        tail = self._lengths - self._last_event_step
-        has_tail = tail > 0
-        self._dwell_sum[has_tail] += tail[has_tail]
-        self._dwell_count[has_tail] += 1
         return FleetMetrics.from_per_ue(
             window_km=self.window_km,
             outage_dbw=self.outage_dbw,
-            epochs=self._lengths,
-            handovers=self._handovers,
-            ping_pongs=self._ping_pongs,
-            necessary=self._necessary,
-            wrong_epochs=self._wrong,
-            outage_epochs=self._outage,
-            dwell_epochs=self._dwell_sum,
-            dwell_counts=self._dwell_count,
-            output_sums=self._out_sum,
-            output_counts=self._out_count,
-            output_maxes=self._out_max,
+            **self.per_ue(),
         )
+
+    # ------------------------------------------------------------------
+    def per_ue(self) -> dict[str, np.ndarray]:
+        """The :meth:`FleetMetrics.from_per_ue` arrays so far, each UE's
+        open dwell segment closed on copies — non-destructive, so the
+        serve engine can sample it mid-stream."""
+        s = self._state
+        n = s.n
+        # the state's counters carry from_per_ue's names, except dwell
+        fields = {
+            key: getattr(s, key)[:n].copy()
+            for key in _PER_UE
+            if not key.startswith("dwell")
+        }
+        tail = fields["epochs"] - s.last_event[:n]
+        has_tail = tail > 0
+        fields["dwell_epochs"] = s.dwell_sum[:n] + np.where(has_tail, tail, 0)
+        fields["dwell_counts"] = s.dwell_count[:n] + has_tail
+        return fields
 
 
 def compute_fleet_metrics(

@@ -475,15 +475,7 @@ class PopulationSpec:
     ) -> FuzzyHandoverSystem:
         """The pipeline for one policy group (``None`` = paper default),
         on the population's FLC inference backend."""
-        if policy is None:
-            return FuzzyHandoverSystem(
-                cell_radius_km=self.params.cell_radius_km,
-                flc_backend=self.params.flc_backend,
-            )
-        return policy.make_system(
-            self.params.cell_radius_km,
-            flc_backend=self.params.flc_backend,
-        )
+        return policy_system(policy, self.params)
 
     def measure(
         self, lo: int = 0, hi: Optional[int] = None
@@ -539,34 +531,16 @@ class PopulationSpec:
         """
         lo, hi = self._range(lo, hi)
         series = self.measure_streamed(lo, hi, tile_epochs=tile_epochs)
-        speeds = self.ue_speeds(lo, hi)
         if system is not None:
-            groups: list[tuple[Optional[PolicyConfig], np.ndarray]] = [
-                (None, np.arange(hi - lo))
-            ]
-            systems = [system]
+            groups = [(system, np.arange(hi - lo))]
         else:
-            groups = self.policy_groups(lo, hi)
-            systems = [self.make_system(policy) for policy, _ in groups]
-        if len(groups) == 1:
-            metrics = BatchSimulator(
-                systems[0], speed_kmh=speeds
-            ).run_metrics(series, window_km=window_km, outage_dbw=outage_dbw)
-        else:
-            parts = [
-                BatchSimulator(
-                    sys_g, speed_kmh=speeds[idx]
-                ).run_metrics(
-                    series.select(idx),
-                    window_km=window_km,
-                    outage_dbw=outage_dbw,
-                )
-                for sys_g, (_, idx) in zip(systems, groups)
+            groups = [
+                (self.make_system(policy), idx)
+                for policy, idx in self.policy_groups(lo, hi)
             ]
-            metrics = _reassemble(
-                parts, [idx for _, idx in groups], hi - lo,
-                window_km, outage_dbw,
-            )
+        metrics = run_policy_groups(
+            series, self.ue_speeds(lo, hi), groups, window_km, outage_dbw
+        )
         return metrics.with_cohorts(
             self.cohort_ids(lo, hi), self.cohort_names
         )
@@ -605,14 +579,62 @@ class PopulationSpec:
         )
 
 
+def policy_system(
+    policy: Optional[PolicyConfig], params: SimulationParameters
+) -> FuzzyHandoverSystem:
+    """One policy's pipeline (``None`` = paper default) under
+    ``params``' cell radius and FLC inference backend."""
+    if policy is None:
+        return FuzzyHandoverSystem(
+            cell_radius_km=params.cell_radius_km,
+            flc_backend=params.flc_backend,
+        )
+    return policy.make_system(
+        params.cell_radius_km, flc_backend=params.flc_backend
+    )
+
+
+def run_policy_groups(
+    series,
+    speeds: np.ndarray,
+    groups: Sequence[tuple[FuzzyHandoverSystem, np.ndarray]],
+    window_km: float,
+    outage_dbw: float,
+) -> FleetMetrics:
+    """Streaming metrics of a fleet split into policy groups.
+
+    ``groups`` pairs each distinct pipeline with the UE indices it
+    governs; every group runs as one :class:`BatchSimulator` pass over
+    its sub-stream of ``series`` (a single group over the whole series),
+    and the parts are reassembled into UE order.
+    """
+    if len(groups) == 1:
+        return BatchSimulator(groups[0][0], speed_kmh=speeds).run_metrics(
+            series, window_km=window_km, outage_dbw=outage_dbw
+        )
+    parts = [
+        BatchSimulator(system, speed_kmh=speeds[idx])
+        .run_metrics(
+            series.select(idx), window_km=window_km, outage_dbw=outage_dbw
+        )
+        .per_ue()
+        for system, idx in groups
+    ]
+    return _reassemble(
+        parts, [idx for _, idx in groups], speeds.shape[0],
+        window_km, outage_dbw,
+    )
+
+
 def _reassemble(
-    parts: list[FleetMetrics],
-    index_lists: list[np.ndarray],
+    parts: Sequence[dict[str, np.ndarray]],
+    index_lists: Sequence[np.ndarray],
     n: int,
     window_km: float,
     outage_dbw: float,
 ) -> FleetMetrics:
-    """Scatter per-policy-group metrics back into global UE order.
+    """Scatter per-policy-group per-UE reductions (the
+    :meth:`FleetMetrics.per_ue` arrays) back into global UE order.
 
     Every :class:`FleetMetrics` aggregate derives from its per-UE
     reduction arrays, so scattering those arrays and rebuilding via
@@ -620,25 +642,13 @@ def _reassemble(
     joint run would produce (the per-UE streams are elementwise and
     identical either way).
     """
-    fields = {
-        "epochs": ("epochs_per_ue", np.intp),
-        "handovers": ("handovers_per_ue", np.intp),
-        "ping_pongs": ("ping_pongs_per_ue", np.intp),
-        "necessary": ("necessary_per_ue", np.intp),
-        "wrong_epochs": ("wrong_epochs_per_ue", np.intp),
-        "outage_epochs": ("outage_epochs_per_ue", np.intp),
-        "dwell_epochs": ("dwell_epochs_per_ue", np.intp),
-        "dwell_counts": ("dwell_count_per_ue", np.intp),
-        "output_sums": ("output_sum_per_ue", float),
-        "output_counts": ("output_count_per_ue", np.intp),
-        "output_maxes": ("output_max_per_ue", float),
-    }
     gathered = {
-        key: np.zeros(n, dtype=dtype) for key, (_, dtype) in fields.items()
+        key: np.zeros(n, dtype=array.dtype)
+        for key, array in parts[0].items()
     }
     for part, idx in zip(parts, index_lists):
-        for key, (attr, _) in fields.items():
-            gathered[key][idx] = getattr(part, attr)
+        for key, array in part.items():
+            gathered[key][idx] = array
     return FleetMetrics.from_per_ue(
         window_km=window_km, outage_dbw=outage_dbw, **gathered
     )

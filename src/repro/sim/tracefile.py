@@ -28,11 +28,15 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .batch import BatchSimulator
 from .config import SimulationParameters
 from .measurement import BatchMeasurementSeries
 from .metrics import DEFAULT_OUTAGE_DBW, DEFAULT_WINDOW_KM, FleetMetrics
-from .population import PolicyConfig, PopulationSpec, _reassemble
+from .population import (
+    PolicyConfig,
+    PopulationSpec,
+    policy_system,
+    run_policy_groups,
+)
 
 __all__ = [
     "FleetTrace",
@@ -274,53 +278,22 @@ def offline_reference_metrics(
     """The trace's metrics through the offline batch engine — the
     identity oracle the streaming service is pinned against.
 
-    Mirrors :meth:`PopulationSpec.run_metrics` exactly: one vectorised
+    Runs :meth:`PopulationSpec.run_metrics`'s path: one vectorised
     :class:`~repro.sim.batch.BatchSimulator` pass per distinct policy
-    (in first-appearance order), reassembled into global UE order, with
-    cohort labels attached when the trace carries them.
+    (in first-appearance order) through
+    :func:`~repro.sim.population.run_policy_groups`, with cohort labels
+    attached when the trace carries them.
     """
-    series = trace.series()
-    n = trace.n_ues
-
-    groups: list[tuple[Optional[PolicyConfig], list[int]]] = []
     by_policy: dict[Optional[PolicyConfig], list[int]] = {}
-    for i in range(n):
-        policy = trace.ue_policy(i)
-        if policy not in by_policy:
-            by_policy[policy] = []
-            groups.append((policy, by_policy[policy]))
-        by_policy[policy].append(i)
-
-    def make_system(policy: Optional[PolicyConfig]):
-        from ..core.system import FuzzyHandoverSystem
-
-        if policy is None:
-            return FuzzyHandoverSystem(
-                cell_radius_km=trace.params.cell_radius_km,
-                flc_backend=trace.params.flc_backend,
-            )
-        return policy.make_system(
-            trace.params.cell_radius_km,
-            flc_backend=trace.params.flc_backend,
-        )
-
-    if len(groups) == 1:
-        metrics = BatchSimulator(
-            make_system(groups[0][0]), speed_kmh=trace.speeds_kmh
-        ).run_metrics(series, window_km=window_km, outage_dbw=outage_dbw)
-    else:
-        index_lists = [np.asarray(idx, dtype=np.intp) for _, idx in groups]
-        parts = [
-            BatchSimulator(
-                make_system(policy), speed_kmh=trace.speeds_kmh[idx]
-            ).run_metrics(
-                series.select(idx),
-                window_km=window_km,
-                outage_dbw=outage_dbw,
-            )
-            for (policy, _), idx in zip(groups, index_lists)
-        ]
-        metrics = _reassemble(parts, index_lists, n, window_km, outage_dbw)
+    for i in range(trace.n_ues):
+        by_policy.setdefault(trace.ue_policy(i), []).append(i)
+    groups = [
+        (policy_system(policy, trace.params), np.asarray(idx, dtype=np.intp))
+        for policy, idx in by_policy.items()
+    ]
+    metrics = run_policy_groups(
+        trace.series(), trace.speeds_kmh, groups, window_km, outage_dbw
+    )
     if trace.cohort_names is not None and trace.cohort_ids is not None:
         metrics = metrics.with_cohorts(trace.cohort_ids, trace.cohort_names)
     return metrics

@@ -1,0 +1,123 @@
+"""Non-finite numbers from clients never reach the decision loop.
+
+A NaN or infinite UE speed would turn the FLC's SSN input into NaN or
+-inf; a non-finite outage threshold would count no epoch (NaN) or every
+epoch (+inf) as outage.  Both are refused where they enter the service,
+and one client's bad subscribe must not stall or break the epochs of
+the UEs that behave.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import math
+
+import numpy as np
+import pytest
+
+from repro.core import FuzzyHandoverSystem
+from repro.serve import (
+    DecisionService,
+    ServeClient,
+    ServeServer,
+    identity_report,
+    replay_to_server,
+)
+from repro.sim import (
+    BatchSimulator,
+    FleetSpec,
+    FleetTrace,
+    SimulationParameters,
+    offline_reference_metrics,
+    record_fleet_trace,
+)
+
+pytestmark = pytest.mark.serve
+
+NONFINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("speed", [math.nan, math.inf])
+def test_subscribe_rejects_a_nonfinite_speed(speed):
+    service = DecisionService()
+    with pytest.raises(ValueError, match="finite"):
+        service.subscribe(5, speed_kmh=speed)
+    assert not service.engine.knows(5)
+    assert service.engine.n_ues == 0
+    service.subscribe(5, speed_kmh=3.0)
+    assert service.engine.knows(5)
+
+
+@pytest.mark.parametrize("outage_dbw", NONFINITE)
+def test_service_rejects_a_nonfinite_outage_threshold(outage_dbw):
+    with pytest.raises(ValueError, match="outage_dbw must be finite"):
+        DecisionService(outage_dbw=outage_dbw)
+
+
+@pytest.fixture(scope="module")
+def trace_3ue():
+    params = SimulationParameters(
+        shadow_sigma_db=6.0, measurement_spacing_km=0.2
+    )
+    spec = FleetSpec(n_ues=3, n_walks=3, base_seed=1000, params=params)
+    return record_fleet_trace(spec)
+
+
+def test_wire_nan_speed_gets_an_error_and_the_fleet_keeps_closing(
+    trace_3ue,
+):
+    """A JSON subscribe carrying ``NaN`` is answered with an error frame;
+    the two well-behaved UEs' epochs all close on the watermark with the
+    offline engine's commands and metrics."""
+    series = trace_3ue.series().select(np.array([0, 1]))
+    good = FleetTrace.from_series(
+        series, trace_3ue.speeds_kmh[:2], trace_3ue.params
+    )
+
+    async def run():
+        service = DecisionService(good.params)
+        listener = service.attach_listener(capacity=good.max_epochs + 1)
+        server = ServeServer(service)
+        host, port = await server.start()
+        try:
+            bad = ServeClient(host, port, codec="json")
+            await bad.connect()
+            try:
+                with pytest.raises(ValueError, match="finite"):
+                    await bad.subscribe(2, speed_kmh=math.nan)
+            finally:
+                await bad.close()
+            stats, _summary = await replay_to_server(
+                good, host, port, codec="json"
+            )
+            return service, listener, stats
+        finally:
+            await server.stop()
+
+    service, listener, stats = asyncio.run(run())
+    assert not service.engine.knows(2)
+    assert stats["epochs_closed"] == good.max_epochs
+    assert stats["reports_accepted"] == int(np.sum(good.lengths))
+    assert not identity_report(
+        service.metrics(), offline_reference_metrics(good)
+    )
+
+    streamed = sorted(
+        (c.ue, c.local_epoch, c.source, c.target, c.output)
+        for batch in listener.pop_all()
+        for c in batch.commands
+    )
+    system = FuzzyHandoverSystem(
+        cell_radius_km=good.params.cell_radius_km,
+        flc_backend=good.params.flc_backend,
+    )
+    result = BatchSimulator(system, speed_kmh=good.speeds_kmh).run(series)
+    assert streamed == sorted(
+        zip(
+            result.event_ue.tolist(),
+            result.event_step.tolist(),
+            result.event_source.tolist(),
+            result.event_target.tolist(),
+            result.event_output.tolist(),
+        )
+    )
