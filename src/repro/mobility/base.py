@@ -22,6 +22,11 @@ import numpy as np
 
 __all__ = ["Trace", "TraceBatch", "MobilityModel"]
 
+#: UEs per block in :meth:`TraceBatch.densify`.  Its per-sample
+#: temporaries (gather indices, fractions, gathered way-points) then
+#: stay a fraction of the output array for any fleet size.
+DENSIFY_BLOCK_UES = 1024
+
 
 @dataclass(frozen=True)
 class Trace:
@@ -245,17 +250,93 @@ class TraceBatch:
             model.generate(child) for child in rng.spawn(n_traces)
         )
 
+    @classmethod
+    def concatenate(cls, batches: Iterable["TraceBatch"]) -> "TraceBatch":
+        """Stack batches row-wise into one, in order.
+
+        Rows are padded to the widest batch by repeating each row's
+        final position, as :meth:`from_traces` pads; a single batch is
+        returned as is.
+        """
+        batches = list(batches)
+        if not batches:
+            raise ValueError("concatenate needs at least one batch")
+        if len(batches) == 1:
+            return batches[0]
+        width = max(b.max_points for b in batches)
+        pos = np.empty((sum(b.n_traces for b in batches), width, 2))
+        row = 0
+        for b in batches:
+            rows = pos[row : row + b.n_traces]
+            rows[:, : b.max_points] = b.positions
+            # padding repeats the final position, so the last column
+            # holds every row's final position
+            rows[:, b.max_points :] = b.positions[:, -1:]
+            row += b.n_traces
+        return cls(pos, np.concatenate([b.lengths for b in batches]))
+
     # ------------------------------------------------------------------
     def densify(self, max_spacing_km: float) -> "TraceBatch":
-        """Per-trace :meth:`Trace.densify`, re-padded into a batch.
+        """:meth:`Trace.densify` of every trace at once, padded into a
+        batch.
 
-        Delegating to the scalar implementation keeps the batch samples
-        bit-identical to what the scalar pipeline sees for the same
-        walks — the property the batch/scalar equivalence tests pin.
+        Row ``i`` is bit-identical to ``self.trace(i).densify(
+        max_spacing_km)`` — the property the batch/scalar equivalence
+        tests pin.  A segment ``a -> b`` gets ``n = max(1, ceil(|b - a|
+        / spacing))`` samples, sample ``j`` at ``a + (j * (1.0 / n)) *
+        (b - a)``: the float operations of the scalar path's
+        ``linspace(0, 1, n + 1)[:-1]``.  UEs are filled in blocks of
+        :data:`DENSIFY_BLOCK_UES`, which bounds the per-sample
+        temporaries whatever the fleet size.
         """
-        return TraceBatch.from_traces(
-            t.densify(max_spacing_km) for t in self.traces()
-        )
+        if max_spacing_km <= 0 or not math.isfinite(max_spacing_km):
+            raise ValueError(
+                f"max_spacing_km must be positive, got {max_spacing_km}"
+            )
+        pos = self.positions
+        n, t = pos.shape[:2]
+        last = self.lengths - 1
+        d = np.diff(pos, axis=1)
+        real = np.arange(t - 1) < last[:, None]
+        # Column k < t-1 of counts/step is segment k; the extra column
+        # t-1 emits the final position and the row's padding.  Its step
+        # (and that of every padding segment) is -0.0: x + (-0.0) == x
+        # bit for bit, signed zeros included, so those cells are exact
+        # copies of the final position, as from_traces pads.
+        counts = np.zeros((n, t), dtype=np.intp)
+        seg_counts = np.ceil(np.hypot(d[..., 0], d[..., 1]) / max_spacing_km)
+        counts[:, :-1] = np.where(real, np.maximum(seg_counts, 1.0), 0)
+        dense_lengths = counts.sum(axis=1) + 1
+        width = int(dense_lengths.max())
+        counts[:, -1] = width - dense_lengths + 1
+        step = np.full((n, t, 2), -0.0)
+        np.copyto(step[:, :-1], d, where=real[..., None])
+        # the source way-point of every column: the segment's start, and
+        # the final position for the extra column (whose step is -0.0)
+        src = np.arange(n * t).reshape(n, t)
+        src[:, -1] = src[:, 0] + last
+        pos_flat = pos.reshape(n * t, 2)
+        step_flat = step.reshape(n * t, 2)
+        inv = 1.0 / np.maximum(counts, 1)
+
+        out = np.empty((n, width, 2))
+        for lo in range(0, n, DENSIFY_BLOCK_UES):
+            hi = min(lo + DENSIFY_BLOCK_UES, n)
+            c = counts[lo:hi].ravel()
+            cells = out[lo:hi].reshape(-1, 2)
+            # j: each cell's sample index within its column's run
+            first = np.cumsum(c) - c
+            j = np.arange(cells.shape[0])
+            j -= np.repeat(first, c)
+            frac = np.repeat(inv[lo:hi].ravel(), c)
+            frac *= j
+            del j
+            idx = np.repeat(src[lo:hi].ravel(), c)
+            np.take(step_flat, idx, axis=0, out=cells)
+            cells *= frac[:, None]
+            del frac
+            cells += pos_flat[idx]
+        return TraceBatch(out, dense_lengths)
 
     def cumulative_distances(self) -> np.ndarray:
         """``(n_traces, max_points)`` walked distance per sample.

@@ -71,15 +71,24 @@ class RandomWalk:
             raise ValueError(
                 f"mean_step_km must be positive, got {self.mean_step_km}"
             )
-        if self.step_sigma_km < 0:
+        if not (self.step_sigma_km >= 0 and math.isfinite(self.step_sigma_km)):
             raise ValueError(
-                f"step_sigma_km must be >= 0, got {self.step_sigma_km}"
+                "step_sigma_km must be finite and >= 0, got "
+                f"{self.step_sigma_km}"
             )
         if self.angle_law not in ("uniform", "gaussian"):
             raise ValueError(f"unknown angle_law {self.angle_law!r}")
-        if self.angle_sigma_rad <= 0:
+        if not (
+            self.angle_sigma_rad > 0 and math.isfinite(self.angle_sigma_rad)
+        ):
             raise ValueError(
-                f"angle_sigma_rad must be positive, got {self.angle_sigma_rad}"
+                "angle_sigma_rad must be positive and finite, got "
+                f"{self.angle_sigma_rad}"
+            )
+        start = np.asarray(self.start, dtype=float)
+        if start.shape != (2,) or not np.isfinite(start).all():
+            raise ValueError(
+                f"start must be a finite (x, y) pair in km, got {self.start!r}"
             )
         if not (0 < self.min_step_km < self.mean_step_km):
             raise ValueError(
@@ -178,25 +187,41 @@ class RandomWalk:
                     0.0, self.angle_sigma_rad, (n_traces, self.n_walks - 1)
                 )
                 theta[:, 1:] = theta[:, :1] + np.cumsum(steps, axis=1)
-        deltas = np.stack([d * np.cos(theta), d * np.sin(theta)], axis=2)
-        start = np.asarray(self.start, dtype=float)
-        pos = np.empty((n_traces, self.n_walks + 1, 2))
-        pos[:, 0] = start
-        np.cumsum(deltas, axis=1, out=pos[:, 1:])
-        pos[:, 1:] += start
-        return TraceBatch(
-            pos, np.full(n_traces, self.n_walks + 1, dtype=np.intp)
-        )
+        return self._walk_batch(d, theta)
 
     def generate_batch_seeded(self, seeds: Sequence[int]) -> TraceBatch:
         """One walk per integer seed, each bit-identical to
         :meth:`generate_seeded` of that seed — the batch engine's
-        equivalence-preserving entry point."""
+        equivalence-preserving entry point.
+
+        Only the draws loop over seeds: each seed's own ``default_rng``
+        stream draws its leg lengths and headings exactly as
+        :meth:`generate` does.  Eq. 1-2 then run once over the
+        ``(len(seeds), n_walks)`` matrices, with the same element-wise
+        operations as the scalar walk.
+        """
         seeds = list(seeds)
         if not seeds:
             raise ValueError("generate_batch_seeded needs at least one seed")
-        return TraceBatch.from_traces(
-            self.generate_seeded(int(s)) for s in seeds
+        d = np.empty((len(seeds), self.n_walks))
+        theta = np.empty_like(d)
+        for i, seed in enumerate(seeds):
+            rng = np.random.default_rng(int(seed))
+            d[i] = self._draw_steps(rng)
+            theta[i] = self._draw_angles(rng)
+        return self._walk_batch(d, theta)
+
+    def _walk_batch(self, d: np.ndarray, theta: np.ndarray) -> TraceBatch:
+        """Eq. 1-2 over ``(n_traces, n_walks)`` leg lengths and headings:
+        the batch form of :meth:`generate`'s ``Trace.from_steps``."""
+        deltas = np.stack([d * np.cos(theta), d * np.sin(theta)], axis=2)
+        start = np.asarray(self.start, dtype=float)
+        pos = np.empty((d.shape[0], self.n_walks + 1, 2))
+        pos[:, 0] = start
+        np.cumsum(deltas, axis=1, out=pos[:, 1:])
+        pos[:, 1:] += start
+        return TraceBatch(
+            pos, np.full(d.shape[0], self.n_walks + 1, dtype=np.intp)
         )
 
     def __repr__(self) -> str:

@@ -21,6 +21,7 @@ test suite).  The tile size policy (explicit pin > ``REPRO_TILE_EPOCHS``
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
@@ -666,8 +667,10 @@ class MeasurementSampler:
         fading: Optional[ShadowFading] = None,
         backend: Optional[str] = None,
     ) -> None:
-        if spacing_km <= 0:
-            raise ValueError(f"spacing_km must be positive, got {spacing_km}")
+        if not (spacing_km > 0 and math.isfinite(spacing_km)):
+            raise ValueError(
+                f"spacing_km must be positive and finite, got {spacing_km}"
+            )
         if backend is not None:
             if not hasattr(propagation, "with_backend"):
                 raise ValueError(

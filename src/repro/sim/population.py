@@ -50,7 +50,7 @@ import numpy as np
 
 from ..core.flc import HANDOVER_THRESHOLD
 from ..core.system import FuzzyHandoverSystem
-from ..mobility.base import Trace, TraceBatch
+from ..mobility.base import TraceBatch
 from ..mobility.gauss_markov import GaussMarkov
 from ..mobility.manhattan import ManhattanGrid
 from ..mobility.random_walk import RandomWalk
@@ -205,20 +205,6 @@ class UECohort:
                 f"cohort {self.name!r} shadow_sigma_db must be >= 0, "
                 f"got {self.shadow_sigma_db}"
             )
-
-    # ------------------------------------------------------------------
-    def generate_traces(self, seeds: Sequence[int]) -> list[Trace]:
-        """One trace per walk seed, grouped through the model's batch
-        path when it has one (bit-identical to per-seed generation)."""
-        seeds = [int(s) for s in seeds]
-        if not seeds:
-            return []
-        batch = getattr(self.model, "generate_batch_seeded", None)
-        if callable(batch):
-            return batch(seeds).traces()
-        if hasattr(self.model, "generate_seeded"):
-            return [self.model.generate_seeded(s) for s in seeds]
-        return [self.model.generate(np.random.default_rng(s)) for s in seeds]
 
 
 @dataclass(frozen=True)
@@ -378,23 +364,28 @@ class PopulationSpec:
         return out
 
     def traces(self, lo: int = 0, hi: Optional[int] = None) -> TraceBatch:
-        """Walks of UEs ``[lo, hi)`` in global order, generated in one
-        grouped pass per cohort model."""
+        """Walks of UEs ``[lo, hi)`` in global order: one batch per
+        cohort (the model's ``generate_batch_seeded`` where it has one,
+        bit-identical to per-seed generation), padded once by
+        :meth:`TraceBatch.concatenate`."""
         lo, hi = self._range(lo, hi)
         if lo == hi:
             raise ValueError("cannot build a trace batch for an empty range")
-        overlaps = list(self._overlaps(lo, hi))
-        if len(overlaps) == 1:
-            # single-cohort range (every homogeneous fleet): hand the
-            # model's grouped batch through without unbatch/re-pad
-            cohort, _c_lo, s_lo, s_hi = overlaps[0]
-            batch = getattr(cohort.model, "generate_batch_seeded", None)
-            if callable(batch):
-                return batch(self.walk_seeds(s_lo, s_hi))
-        traces: list[Trace] = []
-        for cohort, _c_lo, s_lo, s_hi in overlaps:
-            traces.extend(cohort.generate_traces(self.walk_seeds(s_lo, s_hi)))
-        return TraceBatch.from_traces(traces)
+        batches = []
+        for cohort, _c_lo, s_lo, s_hi in self._overlaps(lo, hi):
+            seeds = self.walk_seeds(s_lo, s_hi)
+            model = cohort.model
+            if hasattr(model, "generate_batch_seeded"):
+                batches.append(model.generate_batch_seeded(seeds))
+            elif hasattr(model, "generate_seeded"):
+                batches.append(TraceBatch.from_traces(
+                    model.generate_seeded(s) for s in seeds
+                ))
+            else:
+                batches.append(TraceBatch.from_traces(
+                    model.generate(np.random.default_rng(s)) for s in seeds
+                ))
+        return TraceBatch.concatenate(batches)
 
     def fading_profiles(
         self, lo: int = 0, hi: Optional[int] = None

@@ -1,5 +1,7 @@
 """Mobility-model tests: the paper walk plus the extension models."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,22 @@ class TestRandomWalk:
     def test_validation(self, kwargs):
         with pytest.raises((ValueError, TypeError)):
             RandomWalk(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("step_sigma_km", math.nan),
+            ("step_sigma_km", math.inf),
+            ("angle_sigma_rad", math.nan),
+            ("angle_sigma_rad", math.inf),
+            ("start", (math.nan, 0.0)),
+            ("start", (0.0, -math.inf)),
+            ("start", (0.0, 0.0, 0.0)),
+        ],
+    )
+    def test_non_finite_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RandomWalk(**{field: value})
 
 
 class TestRandomWaypoint:

@@ -1,5 +1,7 @@
 """Measurement-sampler and series tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -138,6 +140,12 @@ class TestSampler:
         _, layout, prop = stack
         with pytest.raises(ValueError):
             MeasurementSampler(layout, prop, spacing_km=0.0)
+
+    @pytest.mark.parametrize("spacing", [math.nan, math.inf])
+    def test_non_finite_spacing_rejected_at_construction(self, stack, spacing):
+        _, layout, prop = stack
+        with pytest.raises(ValueError, match="spacing_km"):
+            MeasurementSampler(layout, prop, spacing_km=spacing)
 
 
 class TestSeriesSlicing:

@@ -23,6 +23,7 @@ from repro.sim import (
     MeasurementSampler,
     SimulationParameters,
     auto_tile_epochs,
+    named_population,
     resolve_tile_epochs,
     run_fleet,
 )
@@ -372,4 +373,24 @@ class TestMemoryGuardrail:
             f"streamed run_metrics peak grew {peak_ratio:.2f}x over a "
             f"{t_ratio:.2f}x horizon increase — that is not sublinear "
             f"({peak_small} -> {peak_big} bytes for T {t_small} -> {t_big})"
+        )
+
+    def test_densify_peak_bounded_by_output(self):
+        """Fleet-wide densify fills UEs in blocks: its traced peak over
+        a 4000-UE urban_mix population stays within 3x the densified
+        positions array it returns."""
+        population = named_population("urban_mix", 4000)
+        batch = population.traces()
+        spacing = population.params.measurement_spacing_km
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            dense = batch.densify(spacing)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        ratio = peak / dense.positions.nbytes
+        assert ratio <= 3.0, (
+            f"densify peaked at {peak} bytes, {ratio:.2f}x its "
+            f"{dense.positions.nbytes}-byte output"
         )
