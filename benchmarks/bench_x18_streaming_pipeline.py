@@ -15,21 +15,32 @@ worse than 1.05× — and byte-identical ``FleetMetrics`` at every size.
 ``tile_epochs ∈ {1, 3, 64}`` against the auto policy (``None``) at a
 size every CI run affords.  ``test_x18_scale_datapoint`` records the
 repo's first N = 10^5 fleet run (tiny horizon, streamed) into the same
-``BENCH_x18.json``.
+``BENCH_x18.json``.  ``test_x18_fading_bank_speedup`` times the fleet
+fading bank against one ``ShadowFadingStream`` per UE over the same
+tiles of min(N, 2000) fading UEs (median of 5 back-to-back pairs):
+identical tile bytes always, at least 4x faster asserted at N = 20000.
 
 Environment knobs: ``X18_FLEET_SIZE`` (default 20000), ``X18_WALKS``
 (default 17, ≈ 204 measurement epochs), ``X18_TILE`` (default 16),
 ``X18_SCALE_UES`` (default 100000), ``X18_SCALE_WALKS`` (default 2).
 """
 
+import hashlib
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 from conftest import bench_artifact_path, run_measured, write_bench_artifact
 
-from repro.sim import FleetSpec, SimulationParameters, run_fleet
+from repro.radio.fading import ShadowFadingStream
+from repro.sim import (
+    FleetSpec,
+    MeasurementSampler,
+    SimulationParameters,
+    run_fleet,
+)
 
 N = int(os.environ.get("X18_FLEET_SIZE", "20000"))
 WALKS = int(os.environ.get("X18_WALKS", "17"))
@@ -39,6 +50,9 @@ SCALE_WALKS = int(os.environ.get("X18_SCALE_WALKS", "2"))
 N_ACCEPT = 20000        # the acceptance-criterion fleet size
 MEMORY_RATIO = 4.0      # materialized peak / streamed peak, at least
 RUNTIME_RATIO = 1.05    # streamed / materialized wall-clock, at most
+FADING_UES = min(N, 2000)
+FADING_SPEEDUP = 4.0    # per-UE streams / fading bank wall-clock, at least
+FADING_REPEATS = 5      # bank/per-UE pass pairs; the median ratio counts
 
 PARAMS = SimulationParameters(n_walks=WALKS)
 SPEC = FleetSpec(n_ues=N, n_walks=WALKS, base_seed=3000, params=PARAMS)
@@ -170,3 +184,102 @@ def test_x18_scale_datapoint():
         "n_handovers": int(fleet.n_handovers),
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def timed_pass(tiles, finish=lambda tile: tile.power_dbw):
+    """Seconds spent producing (and ``finish``-ing) each tile of a
+    pass, and a digest of every tile's power bytes (hashed untimed)."""
+    elapsed, digests = 0.0, []
+    tiles = iter(tiles)
+    while True:
+        t0 = time.perf_counter()
+        tile = next(tiles, None)
+        if tile is None:
+            return elapsed, digests
+        power = finish(tile)
+        elapsed += time.perf_counter() - t0
+        digests.append(hashlib.sha256(power.tobytes()).digest())
+
+
+@pytest.mark.streaming
+def test_x18_fading_bank_speedup():
+    """The tiled measurement pass with the fleet fading bank against the
+    same pass fading-free plus one ``ShadowFadingStream.sample_next``
+    call per UE per tile: identical tile bytes, >= 4x faster at the
+    acceptance size."""
+    params = SimulationParameters(n_walks=WALKS, shadow_sigma_db=6.0)
+    spec = FleetSpec(
+        n_ues=FADING_UES, n_walks=WALKS, base_seed=3000, params=params
+    )
+    batch = params.make_walk(WALKS).generate_batch_seeded(
+        spec.walk_seeds(0, FADING_UES)
+    )
+    seeds = [spec.fading_base_seed + i for i in range(FADING_UES)]
+    sampler = spec.make_sampler()
+    plain_sampler = MeasurementSampler(
+        sampler.layout, sampler.propagation, spacing_km=sampler.spacing_km
+    )
+    cells = sampler.layout.n_cells
+
+    def bank_pass():
+        tiled = sampler.measure_batch_tiles(batch, TILE, fading_rngs=seeds)
+        return timed_pass(tiled.tiles())
+
+    def stream_pass():
+        tiled = plain_sampler.measure_batch_tiles(batch, TILE)
+        streams = [
+            ShadowFadingStream(params.make_fading(rng=s)) for s in seeds
+        ]
+
+        def per_ue_streams(tile):
+            power = tile.power_dbw.copy()
+            for i, stream in enumerate(streams):
+                t = min(int(tiled.lengths[i]), tile.stop) - tile.start
+                if t > 0:
+                    power[i, :t] += stream.sample_next(
+                        tile.distance_km[i, :t], n_sources=cells
+                    )
+            return power
+
+        return timed_pass(tiled.tiles(), per_ue_streams)
+
+    # FADING_REPEATS back-to-back pairs, a fresh stream per pass (fading
+    # tiles are single-shot); the median pair ratio damps host drift
+    bank_runs, stream_runs = [], []
+    for _ in range(FADING_REPEATS):
+        bank_runs.append(bank_pass())
+        stream_runs.append(stream_pass())
+    digests = {tuple(d) for _, d in bank_runs + stream_runs}
+    identical = len(digests) == 1
+    t_bank = [t for t, _ in bank_runs]
+    t_streams = [t for t, _ in stream_runs]
+    speedup = float(np.median(np.divide(t_streams, t_bank)))
+    print(
+        f"\nx18 fading: bank {np.median(t_bank):.2f} s, per-UE streams "
+        f"{np.median(t_streams):.2f} s over {FADING_UES} UEs x {WALKS} "
+        f"walks (tile={TILE}) -> {speedup:.1f}x (median of "
+        f"{FADING_REPEATS} pairs)"
+    )
+    # persist before any assert (read-modify-write, as the scale test)
+    path = bench_artifact_path("x18")
+    if not path.exists():
+        write_bench_artifact("x18", n=N, walks=WALKS, tile_epochs=TILE)
+    payload = json.loads(path.read_text())
+    payload["fading_bank"] = {
+        "n_ues": FADING_UES,
+        "walks": WALKS,
+        "tile_epochs": TILE,
+        "timings_s": {"bank": t_bank, "per_ue_streams": t_streams},
+        "speedup_bank_vs_per_ue_streams": speedup,
+        "identical": bool(identical),
+    }
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    assert identical, "fading bank tiles differ from the per-UE streams"
+    if N < N_ACCEPT:
+        pytest.skip(
+            f"speedup asserted at N={N_ACCEPT}, ran N={N} (smoke mode)"
+        )
+    assert speedup >= FADING_SPEEDUP, (
+        f"fading bank only {speedup:.2f}x faster than per-UE streams "
+        f"(target {FADING_SPEEDUP}x over {FADING_UES} UEs)"
+    )

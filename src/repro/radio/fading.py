@@ -12,19 +12,27 @@ model and the measurements the handover controller sees:
   10 km/h the signal strength is decreased 2 db" (Sec. 5), applied to
   the neighbour-BS measurement (that is the row that moves with speed in
   Tables 3/4).
+
+Fleets fade through one :class:`FadingBank`: every UE keeps its own
+process and generator, but the AR(1) arithmetic runs over all of them at
+once.  :meth:`ShadowFading.sample_along` (one UE, one shot) and
+:class:`ShadowFadingStream` (one UE, chunk by chunk) are the oracles the
+bank reproduces bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "ShadowFading",
     "ShadowFadingStream",
+    "FadingBank",
+    "FADING_BLOCK_EPOCHS",
     "speed_penalty_db",
     "apply_speed_penalty",
 ]
@@ -33,6 +41,12 @@ ArrayLike = Union[float, np.ndarray]
 
 #: dB of loss per km/h of MS speed (2 dB per 10 km/h).
 SPEED_PENALTY_DB_PER_KMH = 0.2
+
+#: Epochs a :class:`FadingBank` draws and recurses at a time, whatever
+#: the width of the window it fills (one tile or a whole materialised
+#: horizon): its scratch stays ``(n_ues, FADING_BLOCK_EPOCHS,
+#: n_sources)``, the size of one default measurement tile.
+FADING_BLOCK_EPOCHS = 16
 
 
 def speed_penalty_db(speed_kmh: ArrayLike) -> ArrayLike:
@@ -84,7 +98,7 @@ class ShadowFading:
     def __post_init__(self) -> None:
         if self.sigma_db < 0 or not math.isfinite(self.sigma_db):
             raise ValueError(f"sigma_db must be >= 0, got {self.sigma_db}")
-        if self.decorrelation_km < 0:
+        if not self.decorrelation_km >= 0:  # NaN fails too
             raise ValueError(
                 f"decorrelation_km must be >= 0, got {self.decorrelation_km}"
             )
@@ -147,7 +161,9 @@ class ShadowFading:
 
 
 class ShadowFadingStream:
-    """Tile-resumable view of :meth:`ShadowFading.sample_along`.
+    """Tile-resumable view of :meth:`ShadowFading.sample_along` — the
+    per-UE oracle of :class:`FadingBank`, which batch measurement runs
+    instead.
 
     Feeding consecutive chunks of one cumulative-distance vector through
     :meth:`sample_next` reproduces, bit for bit, the samples a single
@@ -252,3 +268,230 @@ class ShadowFadingStream:
         ).copy()
         self._last_distance_km = float(state["last_distance_km"])
         self._started = bool(state["started"])
+
+
+class FadingBank:
+    """Shadow fading for a whole fleet, one epoch window at a time.
+
+    The fleet-wide form of one :class:`ShadowFadingStream` per UE.
+    ``profiles[i]`` is UE ``i``'s own process (``None`` or a zero sigma:
+    no fading), and every :meth:`add_to` call adds to each fading UE the
+    samples its stream's :meth:`~ShadowFadingStream.sample_next` would
+    return for the same epochs, bit for bit — so a horizon filled in one
+    call, tile by tile or resumed from :meth:`state_dict` gets the same
+    values.
+
+    Only the ``Generator.normal`` draws loop over UEs, with the stream's
+    calls in the stream's order: a first AR(1) row ``normal(0, σ,
+    cells)`` followed by unit innovations, unit innovations on a
+    continuation, ``normal(0, σ, (t, cells))`` for i.i.d. fading.  Rho,
+    the innovation scale and the recursion then run once per block of
+    :data:`FADING_BLOCK_EPOCHS` epochs over every fading UE, looping
+    over the block's epochs.  The AR(1) boundary row ``(m, cells)``,
+    boundary distance ``(m,)`` and started flag of the ``m`` fading UEs
+    are arrays.  Each UE must own its generator: two UEs drawing from one
+    would make the values depend on the draw order, so the bank refuses
+    a shared one.
+    """
+
+    def __init__(
+        self, profiles: Sequence[Optional[ShadowFading]], n_sources: int
+    ) -> None:
+        if n_sources < 1:
+            raise ValueError(f"n_sources must be >= 1, got {n_sources}")
+        members = [
+            i
+            for i, p in enumerate(profiles)
+            if p is not None and p.sigma_db > 0.0
+        ]
+        owner: dict[int, int] = {}
+        for i in members:
+            j = owner.setdefault(id(profiles[i].rng), i)
+            if j != i:
+                raise ValueError(
+                    f"UEs {j} and {i} share one fading Generator; every "
+                    "UE needs its own (one seed per UE)"
+                )
+        self.n_ues = len(profiles)
+        self.n_sources = int(n_sources)
+        #: UE index of each fading UE, ascending
+        self.rows = np.array(members, dtype=np.intp)
+        self._rngs = [profiles[i].rng for i in members]
+        self._normal = [rng.normal for rng in self._rngs]
+        self.sigma = np.array(
+            [profiles[i].sigma_db for i in members], dtype=float
+        )
+        self.decorrelation = np.array(
+            [profiles[i].decorrelation_km for i in members], dtype=float
+        )
+        self._sigma = self.sigma.tolist()
+        m = len(members)
+        self.last = np.zeros((m, self.n_sources))
+        self.last_distance = np.zeros(m)
+        self.started = np.zeros(m, dtype=bool)
+        self._ar = self.decorrelation > 0.0
+
+    def __len__(self) -> int:
+        """Number of fading UEs."""
+        return self.rows.shape[0]
+
+    # -- checkpoint support --------------------------------------------
+    def state_dict(self) -> list[Optional[dict]]:
+        """Per UE, ``None`` for a UE that does not fade, else exactly
+        the :meth:`ShadowFadingStream.state_dict` its stream would
+        report at this point: generator bit state, AR(1) boundary row
+        (``None`` until the process started), boundary distance and
+        started flag.  i.i.d. processes carry no boundary and never
+        start."""
+        states: list[Optional[dict]] = [None] * self.n_ues
+        for k, i in enumerate(self.rows.tolist()):
+            started = bool(self.started[k])
+            states[i] = {
+                "rng_state": self._rngs[k].bit_generator.state,
+                "last": self.last[k].copy() if started else None,
+                "last_distance_km": float(self.last_distance[k]),
+                "started": started,
+            }
+        return states
+
+    def load_state_dict(self, states: Sequence[Optional[dict]]) -> None:
+        """Restore a :meth:`state_dict` snapshot (or the per-UE
+        ``ShadowFadingStream.state_dict()`` list it mirrors) taken over
+        the same UEs; every entry is checked before any is loaded, and
+        the first bad one is named."""
+        if len(states) != self.n_ues:
+            raise ValueError(
+                f"{self.n_ues} UEs but {len(states)} fading states"
+            )
+        member = {i: k for k, i in enumerate(self.rows.tolist())}
+        keys = {"rng_state", "last", "last_distance_km", "started"}
+        loaded = []
+        for i, state in enumerate(states):
+            k = member.get(i)
+            if k is None:
+                if state is not None:
+                    raise ValueError(
+                        f"fading state given for UE {i}, which does not fade"
+                    )
+                continue
+            if state is None or not keys <= state.keys():
+                raise ValueError(
+                    f"UE {i} fades but its fading state lacks "
+                    f"{sorted(keys - set(state or ()))}"
+                )
+            started = bool(state["started"])
+            last = state["last"]
+            if last is None:
+                if started and self._ar[k]:
+                    raise ValueError(
+                        f"UE {i} fading state is started but has no last row"
+                    )
+                last = np.zeros(self.n_sources)
+            last = np.asarray(last, dtype=float)
+            if last.shape != (self.n_sources,):
+                raise ValueError(
+                    f"UE {i} fading state has a last row of shape "
+                    f"{last.shape}, expected ({self.n_sources},) — the "
+                    "state belongs to a different layout"
+                )
+            distance = float(state["last_distance_km"])
+            loaded.append((k, state["rng_state"], last, distance, started))
+        for k, rng_state, last, distance, started in loaded:
+            self._rngs[k].bit_generator.state = rng_state
+            self.last[k] = last
+            self.last_distance[k] = distance
+            self.started[k] = started
+
+    # ------------------------------------------------------------------
+    def add_to(
+        self,
+        power: np.ndarray,
+        distance_km: np.ndarray,
+        valid: np.ndarray,
+    ) -> None:
+        """Add the next fading samples to ``power`` in place.
+
+        ``power`` is ``(n_ues, w, n_sources)`` and ``distance_km``
+        ``(n_ues, w)``, the cumulative distance of the same epochs,
+        continuing each UE's previous window.  ``valid`` ``(n_ues,)``
+        counts the leading epochs of the window that lie on each UE's
+        walk; only those get fading and advance its process.
+        """
+        w = power.shape[1]
+        counts = np.minimum(valid[self.rows], w)
+        for b0 in range(0, int(counts.max(initial=0)), FADING_BLOCK_EPOCHS):
+            b1 = min(b0 + FADING_BLOCK_EPOCHS, w)
+            live = counts > b0
+            for ar in (True, False):
+                sel = np.flatnonzero(live & (self._ar == ar))
+                if sel.shape[0]:
+                    self._block(
+                        power, distance_km, b0, b1, sel,
+                        np.minimum(counts[sel] - b0, b1 - b0), ar,
+                    )
+
+    def _block(self, power, distance_km, b0, b1, sel, cnt, ar) -> None:
+        """Fill epochs ``[b0, b1)`` of the bank members ``sel``, each on
+        its walk for the first ``cnt`` epochs of the block.  The block
+        is epoch-major, ``(width, m, cells)``, so each epoch of the
+        recursion is one contiguous array."""
+        m, width, cells = sel.shape[0], b1 - b0, self.n_sources
+        normal, sigma = self._normal, self._sigma
+        full = int(cnt.min()) == width
+        # zeroed past each walk's end, so the recursion stays finite there
+        buf = (np.empty if full else np.zeros)((width, m, cells))
+        started = self.started.tolist()
+        first = []
+        for k, (u, t) in enumerate(zip(sel.tolist(), cnt.tolist())):
+            if not ar:
+                buf[:t, k] = normal[u](0.0, sigma[u], size=(t, cells))
+            elif started[u]:
+                buf[:t, k] = normal[u](0.0, 1.0, size=(t, cells))
+            else:
+                buf[0, k] = normal[u](0.0, sigma[u], size=cells)
+                buf[1:t, k] = normal[u](0.0, 1.0, size=(t - 1, cells))
+                first.append(k)
+        if ar:
+            self._recurse(buf, distance_km, b0, b1, sel, cnt, first)
+        rows = self.rows[sel]
+        lo = int(rows[0])
+        contiguous = int(rows[-1]) - lo + 1 == m
+        target = (
+            power[lo : lo + m, b0:b1] if contiguous else power[rows, b0:b1]
+        )
+        fade = buf.transpose(1, 0, 2)
+        if full:
+            np.add(target, fade, out=target)
+        else:
+            on_walk = cnt[:, None] > np.arange(width)
+            np.add(target, fade, out=target, where=on_walk[:, :, None])
+        if not contiguous:
+            power[rows, b0:b1] = target
+
+    def _recurse(self, buf, distance_km, b0, b1, sel, cnt, first) -> None:
+        """Turn the block's draws in ``buf`` into AR(1) samples in place
+        with the stream's float operations, one epoch of every UE at a
+        time, and carry each UE's boundary row and distance on.  The
+        UEs at positions ``first`` start their process here."""
+        d = distance_km[self.rows[sel], b0:b1].T
+        steps = np.empty(d.shape)
+        np.subtract(d[0], self.last_distance[sel], out=steps[0])
+        np.subtract(d[1:], d[:-1], out=steps[1:])
+        np.abs(steps, out=steps)
+        rho = np.exp(-steps / self.decorrelation[sel])
+        scale = self.sigma[sel] * np.sqrt(1.0 - rho * rho)
+        first_rows = buf[0, first]
+        np.multiply(buf, scale[:, :, None], out=buf)
+        prev = self.last[sel]
+        tmp = np.empty_like(prev)
+        for j in range(b1 - b0):
+            np.multiply(prev, rho[j, :, None], out=tmp)
+            np.add(tmp, buf[j], out=buf[j])
+            if j == 0 and first:
+                # a process's first sample is its σ-scaled draw itself
+                buf[0, first] = first_rows
+            prev = buf[j]
+        end = cnt - 1, np.arange(sel.shape[0])
+        self.last[sel] = buf[end]
+        self.last_distance[sel] = d[end]
+        self.started[sel] = True

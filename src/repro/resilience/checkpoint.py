@@ -14,9 +14,9 @@ piece of state the epoch loop carries is captured exactly:
   counters (integer counters, float partial sums — restored
   bit-for-bit, so the remaining epochs extend the same accumulation
   sequence);
-* each :class:`~repro.radio.fading.ShadowFadingStream`'s generator bit
-  state and AR(1) boundary row, so resumed fading continues the exact
-  draw sequence;
+* every fading UE's generator bit state and AR(1) boundary row in the
+  tile stream's :class:`~repro.radio.fading.FadingBank`, so resumed
+  fading continues the exact draw sequence;
 * the next tile-boundary epoch and the per-shard completion ledger
   (finished shards store their final :class:`FleetMetrics`).
 
@@ -31,10 +31,23 @@ pickle)::
       "in_progress": None | {"shard": int, "snapshot": {
                        "next_epoch":   int   (tile boundary),
                        "state":        EpochState.state_dict(),
-                       "fading_state": None | [ShadowFadingStream.state_dict()],
+                       "fading_state": None | [None | {
+                           "rng_state":        bit-generator state dict,
+                           "last":             None | (n_cells,) array,
+                           "last_distance_km": float,
+                           "started":          bool,
+                         }, ...]  (one entry per UE),
                      }},
       "result":      None | FleetMetrics (set once merged),
     }
+
+``fading_state`` is :meth:`FadingBank.state_dict
+<repro.radio.fading.FadingBank.state_dict>`: ``None`` for a UE that
+does not fade, else exactly what that UE's
+:meth:`ShadowFadingStream.state_dict
+<repro.radio.fading.ShadowFadingStream.state_dict>` holds, the layout
+version-2 files were first written in (one stream per UE), so those
+files resume unchanged.
 
 The fingerprint binds a checkpoint to one exact workload; resuming with
 a different spec, shard count, metrics window, or tile size raises

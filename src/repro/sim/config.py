@@ -153,9 +153,17 @@ class SimulationParameters:
             )
         if self.step_sigma_km < 0:
             raise ValueError(f"step_sigma_km must be >= 0, got {self.step_sigma_km}")
-        if self.shadow_sigma_db < 0:
+        if not (
+            self.shadow_sigma_db >= 0 and math.isfinite(self.shadow_sigma_db)
+        ):
             raise ValueError(
-                f"shadow_sigma_db must be >= 0, got {self.shadow_sigma_db}"
+                f"shadow_sigma_db must be finite and >= 0, "
+                f"got {self.shadow_sigma_db}"
+            )
+        if not self.shadow_decorrelation_km >= 0:  # NaN fails too
+            raise ValueError(
+                f"shadow_decorrelation_km must be >= 0, "
+                f"got {self.shadow_decorrelation_km}"
             )
         # same pin contract as the backend registries enforce at their
         # own layers: None (policy default) or a non-empty name, with

@@ -10,13 +10,20 @@ propagation call — no per-epoch Python work.
 For large fleets the fully materialised ``(n_ues, n_epochs, n_cells)``
 power cube dominates peak memory.  :meth:`MeasurementSampler.
 measure_batch_tiles` instead produces a :class:`TiledBatchMeasurement`
-— an epoch-tiled stream whose tiles run the pathloss kernel and the
-per-UE fading continuation on demand, into one recycled
-``(n_ues, tile_epochs, n_cells)`` buffer — byte-identical to the
-materialised path (same per-UE RNG draw order, pinned by the streaming
-test suite).  The tile size policy (explicit pin > ``REPRO_TILE_EPOCHS``
-> auto-from-size heuristic) lives in :func:`resolve_tile_epochs` /
+— an epoch-tiled stream whose tiles run the pathloss kernel on the UEs
+still walking and continue the fleet's fading on demand, into one
+recycled ``(n_ues, tile_epochs, n_cells)`` buffer — byte-identical to
+the materialised path, padding included (pinned by the streaming test
+suite).  The tile size policy (explicit pin > ``REPRO_TILE_EPOCHS`` >
+auto-from-size heuristic) lives in :func:`resolve_tile_epochs` /
 :func:`auto_tile_epochs`.
+
+Every batch path fades through one
+:class:`~repro.radio.fading.FadingBank` over per-UE processes, so the
+materialised series, the tile stream, its policy-group ``select()``
+sub-streams and a checkpoint resume all draw the same values.  Batch
+fading needs one process per UE (``fading_rngs`` or
+``fading_profiles``); a sampler's single shared process is refused.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import numpy as np
 
 from ..geometry.layout import CellLayout
 from ..mobility.base import Trace, TraceBatch
-from ..radio.fading import ShadowFading, ShadowFadingStream
+from ..radio.fading import FadingBank, ShadowFading
 from ..radio.propagation import PropagationModel
 
 __all__ = [
@@ -91,6 +98,17 @@ def resolve_tile_epochs(*pins: Optional[int]) -> Optional[int]:
             )
         return k
     return None
+
+
+def _fading_bank(
+    profiles: Optional[Sequence[Optional[ShadowFading]]], n_cells: int
+) -> Optional[FadingBank]:
+    """The fading bank over per-UE ``profiles``, or ``None`` when no UE
+    fades."""
+    if profiles is None:
+        return None
+    bank = FadingBank(profiles, n_cells)
+    return bank if len(bank) else None
 
 
 def auto_tile_epochs(n_ues: int, max_epochs: int, n_cells: int) -> int:
@@ -347,11 +365,15 @@ class TiledBatchMeasurement:
     n_cells)`` buffer as :meth:`tiles` is consumed.  Peak memory is
     therefore O(N·K·cells) in the power term regardless of horizon.
 
-    Byte-identity with the materialised path holds per construction:
-    the pathloss kernel is elementwise per (UE, epoch), and per-UE
-    fading continues across tiles through
-    :class:`~repro.radio.fading.ShadowFadingStream` (same RNG draw
-    order as the one-shot ``sample_along``).
+    Byte-identity with the materialised path holds per construction.
+    The pathloss kernel is elementwise per (UE, epoch), so a tile runs
+    it only on the UEs whose walk reaches the tile; a finished walk's
+    rows repeat its final position (the padding rule of
+    :class:`BatchMeasurementSeries`), so they get that one position's
+    power row.  Fading continues across tiles through
+    one :class:`~repro.radio.fading.FadingBank` over the per-UE
+    processes (the same draws as the one-shot ``sample_along``); a
+    process shared by two UEs is refused.
 
     With fading, :meth:`tiles` is single-shot — consuming it advances
     the per-UE fading generators, so a second pass (or a pass over a
@@ -399,13 +421,12 @@ class TiledBatchMeasurement:
         self._profiles = (
             list(fading_profiles) if fading_profiles is not None else None
         )
+        self._bank = _fading_bank(self._profiles, layout.n_cells)
         self._consumed = False
         # rows whose fading generators were handed to a sub-stream via
         # select(); disjoint selections stay independent (every UE owns
         # its generator), overlapping ones would double-draw
         self._donated: set[int] = set()
-        # the active pass's per-UE fading streams (checkpoint capture)
-        self._streams: Optional[list[Optional[ShadowFadingStream]]] = None
 
     # ------------------------------------------------------------------
     @property
@@ -419,12 +440,6 @@ class TiledBatchMeasurement:
     def __len__(self) -> int:
         return self.n_ues
 
-    @property
-    def _has_fading(self) -> bool:
-        return self._profiles is not None and any(
-            p is not None and p.sigma_db > 0.0 for p in self._profiles
-        )
-
     def _claim(self) -> None:
         if self._consumed:
             raise RuntimeError(
@@ -437,7 +452,7 @@ class TiledBatchMeasurement:
                 "select() sub-streams; consume those instead, or "
                 "rebuild the stream from the sampler"
             )
-        if self._has_fading:
+        if self._bank is not None:
             self._consumed = True
 
     # ------------------------------------------------------------------
@@ -467,13 +482,8 @@ class TiledBatchMeasurement:
                 "stream from the sampler"
             )
         donating: set[int] = set()
-        if self._profiles is not None:
-            donating = {
-                int(i)
-                for i in idx
-                if self._profiles[int(i)] is not None
-                and self._profiles[int(i)].sigma_db > 0.0
-            }
+        if self._bank is not None:
+            donating = set(idx.tolist()) & set(self._bank.rows.tolist())
             overlap = donating & self._donated
             if overlap:
                 raise RuntimeError(
@@ -511,11 +521,10 @@ class TiledBatchMeasurement:
         ``start_epoch`` (a multiple of ``tile_epochs``, or exactly
         ``max_epochs`` for an already-finished stream) resumes tiling
         mid-horizon — the checkpoint/resume path.  A resumed fading
-        stream needs ``fading_state``: the per-UE
-        :meth:`~repro.radio.fading.ShadowFadingStream.state_dict` list a
-        previous pass captured via :meth:`fading_state` at that tile
-        boundary; with it, the resumed tiles are byte-identical to the
-        uninterrupted pass.
+        stream needs ``fading_state``: the per-UE list a previous pass
+        captured via :meth:`fading_state` at that tile boundary; with
+        it, the resumed tiles are byte-identical to the uninterrupted
+        pass.
         """
         if start_epoch < 0 or start_epoch > self.max_epochs:
             raise ValueError(
@@ -528,62 +537,37 @@ class TiledBatchMeasurement:
                 f"{self.tile_epochs}), got {start_epoch}"
             )
         self._claim()
-        streams = self._make_streams()
         if fading_state is not None:
-            if streams is None:
+            if self._bank is None:
                 raise ValueError(
                     "fading_state given but this stream has no fading"
                 )
-            if len(fading_state) != len(streams):
-                raise ValueError(
-                    f"{len(streams)} fading streams but "
-                    f"{len(fading_state)} states"
-                )
-            for stream, state in zip(streams, fading_state):
-                if stream is not None and state is not None:
-                    stream.load_state_dict(state)
-        elif start_epoch > 0 and streams is not None:
+            self._bank.load_state_dict(fading_state)
+        elif start_epoch > 0 and self._bank is not None:
             raise ValueError(
                 "resuming a fading stream mid-horizon requires the "
                 "fading_state captured at that tile boundary"
             )
-        self._streams = streams
-        return self._tiles(start_epoch, streams)
+        return self._tiles(start_epoch)
 
     def fading_state(self) -> Optional[list[Optional[dict]]]:
-        """The per-UE fading-stream states at the current point of the
-        active :meth:`tiles` pass (``None`` for a fading-free stream).
+        """The per-UE fading states at the current point of the
+        :meth:`tiles` pass (``None`` for a fading-free stream), in the
+        :meth:`~repro.radio.fading.ShadowFadingStream.state_dict` layout
+        (see :meth:`~repro.radio.fading.FadingBank.state_dict`).
         Capture it at a tile boundary; pass it back through
         :meth:`tiles` on a rebuilt stream to resume byte-identically."""
-        if self._streams is None:
+        if self._bank is None:
             return None
-        return [
-            None if s is None else s.state_dict() for s in self._streams
-        ]
+        return self._bank.state_dict()
 
-    def _make_streams(self) -> Optional[list[Optional[ShadowFadingStream]]]:
-        if self._profiles is None:
-            return None
-        streams = [
-            ShadowFadingStream(p)
-            if p is not None and p.sigma_db > 0.0
-            else None
-            for p in self._profiles
-        ]
-        if not any(s is not None for s in streams):
-            return None
-        return streams
-
-    def _tiles(
-        self,
-        start_epoch: int,
-        streams: Optional[list[Optional[ShadowFadingStream]]],
-    ) -> Iterator[MeasurementTile]:
+    def _tiles(self, start_epoch: int) -> Iterator[MeasurementTile]:
         n, t_max = self.n_ues, self.max_epochs
         tile = self.tile_epochs
         n_cells = self.layout.n_cells
         bs = self.layout.bs_positions
         lengths = self.lengths
+        kernel = self.propagation.power_from_sites_batch
         # one preallocated per-tile power buffer, recycled every tile
         # (the short tail tile is a view of its first epochs)
         power_buf = np.empty((n, min(tile, t_max), n_cells))
@@ -592,17 +576,20 @@ class TiledBatchMeasurement:
             positions = self.positions_km[:, lo:hi]
             distance = self.distance_km[:, lo:hi]
             buf = power_buf[:, : hi - lo]
-            buf[...] = self.propagation.power_from_sites_batch(bs, positions)
-            if streams is not None:
-                for i, stream in enumerate(streams):
-                    if stream is None:
-                        continue
-                    t_i = min(int(lengths[i]), hi) - lo
-                    if t_i <= 0:
-                        continue
-                    buf[i, :t_i] += stream.sample_next(
-                        distance[i, :t_i], n_sources=n_cells
-                    )
+            live = lengths > lo
+            if live.all():
+                buf[...] = kernel(bs, positions)
+            else:
+                # a finished walk's rows all repeat its final position
+                dead = np.flatnonzero(~live)
+                buf[dead] = kernel(bs, positions[dead, :1])
+                rows = np.flatnonzero(live)
+                if rows.shape[0]:
+                    buf[rows] = kernel(bs, positions[rows])
+            if self._bank is not None:
+                self._bank.add_to(
+                    buf, distance, np.clip(lengths - lo, 0, hi - lo)
+                )
             yield MeasurementTile(
                 start=lo,
                 positions_km=positions,
@@ -649,7 +636,9 @@ class MeasurementSampler:
         Measurement-epoch spacing along the walk.
     fading:
         Optional shadowing process; one independent correlated process
-        per BS.  ``None`` gives noise-free measurements.
+        per BS.  ``None`` gives noise-free measurements.  :meth:`measure`
+        draws from it directly; the batch paths take its sigma and
+        decorrelation for one process per UE (``fading_rngs``).
     backend:
         Optional pathloss-kernel override (a
         :mod:`repro.radio.backends` name).  When given, the propagation
@@ -712,21 +701,23 @@ class MeasurementSampler:
     ) -> BatchMeasurementSeries:
         """Sample a whole fleet of traces in one vectorised pass.
 
-        Densification happens per trace (exactly the scalar float ops),
-        then *all* UEs' positions go through a single propagation kernel.
+        The fleet is densified at once (exactly the scalar float ops),
+        then *all* UEs' positions go through a single propagation kernel
+        and every fading UE through one
+        :class:`~repro.radio.fading.FadingBank`.
 
         Parameters
         ----------
         batch:
             The fleet's traces.
         fading_rngs:
-            Optional per-UE fading seeds/generators.  When this sampler
-            carries a fading process and per-UE rngs are given, each UE
-            gets an independent :class:`ShadowFading` with the same
-            ``sigma``/decorrelation — UE ``i``'s measurements are then
-            bit-identical to a scalar :meth:`measure` with that rng.
-            Without per-UE rngs the sampler's shared process is drawn
-            from sequentially, UE by UE.
+            Per-UE fading seeds/generators, required when this sampler
+            carries a fading process: each UE gets an independent
+            :class:`ShadowFading` with the same ``sigma``/decorrelation,
+            so UE ``i``'s measurements are bit-identical to a scalar
+            :meth:`measure` with that rng.  The sampler's own process is
+            never drawn from here; without ``fading_rngs`` (or
+            ``fading_profiles``) a fading sampler is refused.
         fading_profiles:
             Optional per-UE fading *vector* (the heterogeneous-population
             path): one self-contained :class:`ShadowFading` — or ``None``
@@ -736,22 +727,26 @@ class MeasurementSampler:
             with ``fading_rngs``.
         """
         dense = batch.densify(self.spacing_km)
-        profiles = self._fading_profiles_for(
-            dense, fading_rngs, fading_profiles
+        return self._measure_dense(
+            dense,
+            self._fading_profiles_for(dense, fading_rngs, fading_profiles),
         )
+
+    def _measure_dense(
+        self,
+        dense: TraceBatch,
+        profiles: Optional[list[Optional[ShadowFading]]],
+    ) -> BatchMeasurementSeries:
+        """The materialised series of an already-densified batch: one
+        pathloss call over the whole cube, then the fading bank over
+        the whole horizon."""
+        bank = _fading_bank(profiles, self.layout.n_cells)
         power = self.propagation.power_from_sites_batch(
             self.layout.bs_positions, dense.positions
         )
         distance = dense.cumulative_distances()
-        if profiles is not None:
-            for i in range(dense.n_traces):
-                process = profiles[i]
-                if process is None or process.sigma_db <= 0.0:
-                    continue
-                t = int(dense.lengths[i])
-                power[i, :t] += process.sample_along(
-                    distance[i, :t], n_sources=self.layout.n_cells
-                )
+        if bank is not None:
+            bank.add_to(power, distance, dense.lengths)
         return BatchMeasurementSeries(
             positions_km=dense.positions,
             distance_km=distance,
@@ -766,27 +761,19 @@ class MeasurementSampler:
         fading_rngs,
         fading_profiles,
     ) -> Optional[list[Optional[ShadowFading]]]:
-        """Validate the fading arguments and normalise the legacy
-        shared-process / per-rng paths into the per-UE profile vector
-        (ShadowFading construction draws nothing, so pre-building the
-        list is bit-identical to constructing inside the sampling
-        loop)."""
+        """Validate the fading arguments and normalise them into the
+        per-UE profile vector every batch path hands to its
+        :class:`~repro.radio.fading.FadingBank` (``None``: no UE fades).
+
+        ``fading_profiles`` is taken as given; ``fading_rngs`` become
+        one copy of the sampler's process per UE (construction draws
+        nothing).  A fading sampler without either is refused: its one
+        process would be shared by every UE, whose draws then depend on
+        the order UEs are visited in."""
         if fading_rngs is not None and fading_profiles is not None:
             raise ValueError(
                 "pass either fading_rngs or fading_profiles, not both"
             )
-        if fading_rngs is not None:
-            # fail loudly rather than silently measuring noise-free
-            if self.fading is None or self.fading.sigma_db == 0.0:
-                raise ValueError(
-                    "fading_rngs given but this sampler has no fading "
-                    "process to consume them"
-                )
-            if len(fading_rngs) != dense.n_traces:
-                raise ValueError(
-                    f"{dense.n_traces} traces but {len(fading_rngs)} "
-                    "fading rngs"
-                )
         if fading_profiles is not None:
             if len(fading_profiles) != dense.n_traces:
                 raise ValueError(
@@ -794,34 +781,51 @@ class MeasurementSampler:
                     "fading profiles"
                 )
             return list(fading_profiles)
-        if self.fading is not None and self.fading.sigma_db > 0.0:
-            if fading_rngs is None:
-                return [self.fading] * dense.n_traces
-            return [
-                ShadowFading(
-                    sigma_db=self.fading.sigma_db,
-                    decorrelation_km=self.fading.decorrelation_km,
-                    rng=rng,
+        fades = self.fading is not None and self.fading.sigma_db > 0.0
+        if fading_rngs is None:
+            if fades:
+                raise ValueError(
+                    "this sampler fades, so batch measurement needs "
+                    "fading_rngs (one seed or Generator per UE) or "
+                    "per-UE fading_profiles; one process shared by every "
+                    "UE is not supported"
                 )
-                for rng in fading_rngs
-            ]
-        return None
-
-    @staticmethod
-    def _tileable(
-        profiles: Optional[list[Optional[ShadowFading]]],
-    ) -> bool:
-        """Whether the fading vector can stream per tile: every active
-        process must be owned by exactly one UE.  A process shared
-        across UEs (the legacy sequential shared-rng path, or duplicate
-        profile objects) draws UE-by-UE in the materialised path — an
-        order tiling cannot reproduce."""
-        if profiles is None:
-            return True
-        active = [
-            id(p) for p in profiles if p is not None and p.sigma_db > 0.0
+            return None
+        # fail loudly rather than silently measuring noise-free
+        if not fades:
+            raise ValueError(
+                "fading_rngs given but this sampler has no fading "
+                "process to consume them"
+            )
+        if len(fading_rngs) != dense.n_traces:
+            raise ValueError(
+                f"{dense.n_traces} traces but {len(fading_rngs)} "
+                "fading rngs"
+            )
+        return [
+            ShadowFading(
+                sigma_db=self.fading.sigma_db,
+                decorrelation_km=self.fading.decorrelation_km,
+                rng=rng,
+            )
+            for rng in fading_rngs
         ]
-        return len(active) == len(set(active))
+
+    def _tiled(
+        self,
+        dense: TraceBatch,
+        profiles: Optional[list[Optional[ShadowFading]]],
+        tile_epochs: int,
+    ) -> TiledBatchMeasurement:
+        return TiledBatchMeasurement(
+            positions_km=dense.positions,
+            distance_km=dense.cumulative_distances(),
+            lengths=dense.lengths,
+            layout=self.layout,
+            propagation=self.propagation,
+            tile_epochs=min(tile_epochs, dense.max_points),
+            fading_profiles=profiles,
+        )
 
     def measure_batch_tiles(
         self,
@@ -844,10 +848,8 @@ class MeasurementSampler:
         :data:`TILE_EPOCHS_ENV_VAR` override, then the auto heuristic,
         with :data:`DEFAULT_TILE_EPOCHS` as the floor — this method
         always tiles; use :meth:`measure_batch_streamed` to let the
-        policy fall back to the materialised path).  Fading requires
-        per-UE processes (``fading_rngs`` / ``fading_profiles``): the
-        sampler's shared sequential process draws UE-by-UE, an order a
-        tile stream cannot reproduce, and is rejected.
+        policy fall back to the materialised path).  Fading takes the
+        same per-UE arguments as :meth:`measure_batch`.
         """
         k = resolve_tile_epochs(tile_epochs)
         if k == 0:
@@ -859,13 +861,6 @@ class MeasurementSampler:
         profiles = self._fading_profiles_for(
             dense, fading_rngs, fading_profiles
         )
-        if not self._tileable(profiles):
-            raise ValueError(
-                "tiled measurement requires per-UE fading processes "
-                "(fading_rngs or fading_profiles); the sampler's shared "
-                "process draws sequentially across UEs, which a tile "
-                "stream cannot reproduce byte-identically"
-            )
         if k is None:
             k = (
                 auto_tile_epochs(
@@ -873,15 +868,7 @@ class MeasurementSampler:
                 )
                 or DEFAULT_TILE_EPOCHS
             )
-        return TiledBatchMeasurement(
-            positions_km=dense.positions,
-            distance_km=dense.cumulative_distances(),
-            lengths=dense.lengths,
-            layout=self.layout,
-            propagation=self.propagation,
-            tile_epochs=min(k, dense.max_points),
-            fading_profiles=profiles,
-        )
+        return self._tiled(dense, profiles, k)
 
     def measure_batch_streamed(
         self,
@@ -896,68 +883,24 @@ class MeasurementSampler:
 
         Resolves ``tile_epochs`` (explicit pin > ``REPRO_TILE_EPOCHS`` >
         auto-from-size heuristic) and returns either the materialised
-        :class:`BatchMeasurementSeries` (resolved ``0``, small
-        workloads, or fading without per-UE processes) or a
-        :class:`TiledBatchMeasurement`.  Both are accepted directly by
+        :class:`BatchMeasurementSeries` (resolved ``0`` or a small
+        workload) or a :class:`TiledBatchMeasurement`.  Both are
+        accepted directly by
         :meth:`repro.sim.batch.BatchSimulator.run_metrics` and produce
         byte-identical metrics.
         """
         k = resolve_tile_epochs(tile_epochs)
-        if k == 0:
-            return self.measure_batch(batch, fading_rngs, fading_profiles)
         dense = batch.densify(self.spacing_km)
         profiles = self._fading_profiles_for(
             dense, fading_rngs, fading_profiles
         )
-        tileable = self._tileable(profiles)
         if k is None:
-            k = (
-                auto_tile_epochs(
-                    dense.n_traces, dense.max_points, self.layout.n_cells
-                )
-                if tileable
-                else 0
-            )
-        if k > 0 and not tileable:
-            raise ValueError(
-                "tiled measurement requires per-UE fading processes "
-                "(fading_rngs or fading_profiles); the sampler's shared "
-                "process draws sequentially across UEs, which a tile "
-                "stream cannot reproduce byte-identically — pin "
-                "tile_epochs=0 for the materialised path"
+            k = auto_tile_epochs(
+                dense.n_traces, dense.max_points, self.layout.n_cells
             )
         if k == 0:
-            # reuse the already-densified batch through the materialised
-            # sampling loop (same float ops as measure_batch)
-            power = self.propagation.power_from_sites_batch(
-                self.layout.bs_positions, dense.positions
-            )
-            distance = dense.cumulative_distances()
-            if profiles is not None:
-                for i in range(dense.n_traces):
-                    process = profiles[i]
-                    if process is None or process.sigma_db <= 0.0:
-                        continue
-                    t = int(dense.lengths[i])
-                    power[i, :t] += process.sample_along(
-                        distance[i, :t], n_sources=self.layout.n_cells
-                    )
-            return BatchMeasurementSeries(
-                positions_km=dense.positions,
-                distance_km=distance,
-                power_dbw=power,
-                lengths=dense.lengths,
-                layout=self.layout,
-            )
-        return TiledBatchMeasurement(
-            positions_km=dense.positions,
-            distance_km=dense.cumulative_distances(),
-            lengths=dense.lengths,
-            layout=self.layout,
-            propagation=self.propagation,
-            tile_epochs=min(k, dense.max_points),
-            fading_profiles=profiles,
-        )
+            return self._measure_dense(dense, profiles)
+        return self._tiled(dense, profiles, k)
 
     def measure_points(self, points_km: np.ndarray) -> np.ndarray:
         """Power matrix for isolated points (no fading, no path order).

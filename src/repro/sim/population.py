@@ -200,10 +200,20 @@ class UECohort:
                 )
         elif not self.speeds_kmh:
             raise ValueError(f"cohort {self.name!r} speeds_kmh must be non-empty")
-        if self.shadow_sigma_db is not None and self.shadow_sigma_db < 0:
+        if self.shadow_sigma_db is not None and not (
+            self.shadow_sigma_db >= 0 and math.isfinite(self.shadow_sigma_db)
+        ):
             raise ValueError(
-                f"cohort {self.name!r} shadow_sigma_db must be >= 0, "
-                f"got {self.shadow_sigma_db}"
+                f"cohort {self.name!r} shadow_sigma_db must be finite and "
+                f">= 0, got {self.shadow_sigma_db}"
+            )
+        if (
+            self.shadow_decorrelation_km is not None
+            and not self.shadow_decorrelation_km >= 0  # NaN fails too
+        ):
+            raise ValueError(
+                f"cohort {self.name!r} shadow_decorrelation_km must be "
+                f">= 0, got {self.shadow_decorrelation_km}"
             )
 
 

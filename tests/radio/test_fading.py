@@ -1,5 +1,7 @@
 """Shadow fading and speed-penalty tests."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,8 @@ from repro.radio import (
     apply_speed_penalty,
     speed_penalty_db,
 )
+from repro.radio import fading
+from repro.radio.fading import FadingBank, ShadowFadingStream
 
 
 class TestSpeedPenalty:
@@ -46,6 +50,22 @@ class TestShadowFadingConstruction:
             ShadowFading(sigma_db=-1.0)
         with pytest.raises(ValueError):
             ShadowFading(decorrelation_km=-0.5)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"sigma_db": float("nan")}, "sigma_db"),
+            ({"sigma_db": float("inf")}, "sigma_db"),
+            ({"decorrelation_km": float("nan")}, "decorrelation_km"),
+        ],
+    )
+    def test_non_finite_parameters_rejected_naming_the_field(
+        self, kwargs, field
+    ):
+        # a NaN decorrelation used to yield NaN power that only failed
+        # later, inside the FLC's fuzzifier
+        with pytest.raises(ValueError, match=field):
+            ShadowFading(**kwargs)
 
     def test_rng_coercion(self):
         f = ShadowFading(rng=42)
@@ -132,3 +152,241 @@ class TestCorrelatedFading:
             f.sample_along(np.zeros((3, 2)))
         with pytest.raises(ValueError, match="n_sources"):
             f.sample_along(np.zeros(3), n_sources=0)
+
+
+# ----------------------------------------------------------------------
+# the fleet fading bank against its per-UE oracles
+# ----------------------------------------------------------------------
+CELLS = 5
+
+#: per-UE fading profiles: no process, a zero sigma, i.i.d. and AR(1)
+PROFILES = st.one_of(
+    st.none(),
+    st.just(("zero",)),
+    st.tuples(st.just("iid"), st.floats(0.5, 9.0)),
+    st.tuples(
+        st.just("ar"),
+        st.floats(0.5, 9.0),
+        st.sampled_from([0.01, 0.05, 0.1, 0.37, 2.5]),
+    ),
+)
+
+
+def make_profiles(kinds, seed):
+    """Fresh processes for ``kinds``; equal arguments give twins that
+    draw the same values."""
+    out = []
+    for i, kind in enumerate(kinds):
+        rng = np.random.default_rng([seed, i])
+        if kind is None:
+            out.append(None)
+        elif kind[0] == "zero":
+            out.append(ShadowFading(0.0, 0.1, rng))
+        elif kind[0] == "iid":
+            out.append(ShadowFading(kind[1], 0.0, rng))
+        else:
+            out.append(ShadowFading(kind[1], kind[2], rng))
+    return out
+
+
+def fades(p):
+    return p is not None and p.sigma_db > 0.0
+
+
+@st.composite
+def fleets(draw):
+    n = draw(st.integers(1, 6))
+    kinds = draw(st.lists(PROFILES, min_size=n, max_size=n))
+    t_max = draw(st.integers(1, 40))
+    lengths = np.array(
+        draw(st.lists(st.integers(1, t_max), min_size=n, max_size=n))
+    )
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    # walked distance with repeated points; past each walk's end either
+    # the padding rule (the final distance) or values the bank must
+    # ignore
+    steps = rng.uniform(0.0, 0.2, size=(n, t_max))
+    steps[rng.random((n, t_max)) < 0.1] = 0.0
+    steps[:, 0] = 0.0
+    distance = np.cumsum(steps, axis=1)
+    if draw(st.booleans()):
+        for i, t in enumerate(lengths):
+            distance[i, t:] = distance[i, t - 1]
+    base = rng.normal(-100.0, 8.0, size=(n, t_max, CELLS))
+    tile = draw(st.sampled_from([1, 2, 3, 16, t_max, t_max + 5]))
+    n_tiles = -(-t_max // tile)
+    return {
+        "kinds": kinds,
+        "lengths": lengths,
+        "distance": distance,
+        "base": base,
+        "seed": seed,
+        "tile": tile,
+        "resume": draw(st.integers(0, n_tiles)),
+    }
+
+
+def bank_tiles(bank, case, start=0):
+    """``(lo, tile bytes)`` of a bank pass over ``case``'s base power
+    from the tile boundary ``start`` on."""
+    base, distance, lengths = case["base"], case["distance"], case["lengths"]
+    t_max, tile = base.shape[1], case["tile"]
+    for lo in range(start, t_max, tile):
+        hi = min(lo + tile, t_max)
+        out = base[:, lo:hi].copy()
+        bank.add_to(out, distance[:, lo:hi], np.clip(lengths - lo, 0, hi - lo))
+        yield lo, out
+
+
+class TestFadingBankDifferential:
+    """The bank is a vectorised :class:`ShadowFadingStream` per UE: the
+    same bytes for every tile width and block length, in one shot as
+    ``sample_along`` draws, and resumed from any tile boundary.  This
+    also pins, on the host that runs it, that ``np.exp`` over a whole
+    block gives the bits it gives per UE."""
+
+    @settings(derandomize=True, max_examples=250, deadline=None)
+    @given(case=fleets(), block=st.sampled_from([1, 2, 3, 16]))
+    def test_bank_matches_per_ue_oracles(self, case, block):
+        kinds, seed = case["kinds"], case["seed"]
+        base, distance, lengths = (
+            case["base"], case["distance"], case["lengths"]
+        )
+        t_max, tile = base.shape[1], case["tile"]
+        with mock.patch.object(fading, "FADING_BLOCK_EPOCHS", block):
+            # tile by tile against one ShadowFadingStream per UE
+            bank = FadingBank(make_profiles(kinds, seed), CELLS)
+            streams = [
+                ShadowFadingStream(p) if fades(p) else None
+                for p in make_profiles(kinds, seed)
+            ]
+            tiles, boundary_states = [], [bank.state_dict()]
+            for lo, got in bank_tiles(bank, case):
+                want = base[:, lo : lo + got.shape[1]].copy()
+                for i, stream in enumerate(streams):
+                    t = min(int(lengths[i]) - lo, got.shape[1])
+                    if stream is not None and t > 0:
+                        want[i, :t] += stream.sample_next(
+                            distance[i, lo : lo + t], n_sources=CELLS
+                        )
+                assert got.tobytes() == want.tobytes(), f"tile at {lo}"
+                tiles.append((lo, got))
+                boundary_states.append(bank.state_dict())
+                # the exported state is the streams' own, key for key
+                for state, stream in zip(boundary_states[-1], streams):
+                    assert (state is None) == (stream is None)
+                    if stream is not None:
+                        assert_same_state(state, stream.state_dict())
+
+            # one shot over the whole horizon against sample_along
+            one_shot = base.copy()
+            FadingBank(make_profiles(kinds, seed), CELLS).add_to(
+                one_shot, distance, lengths
+            )
+            want = base.copy()
+            for i, p in enumerate(make_profiles(kinds, seed)):
+                if fades(p):
+                    t = int(lengths[i])
+                    want[i, :t] += p.sample_along(distance[i, :t], CELLS)
+            assert one_shot.tobytes() == want.tobytes()
+            assert np.concatenate([t for _, t in tiles], axis=1).tobytes() \
+                == one_shot.tobytes()
+
+            # resume a fresh bank from the state captured at a boundary
+            start = min(case["resume"] * tile, t_max)
+            resumed = FadingBank(make_profiles(kinds, seed), CELLS)
+            resumed.load_state_dict(boundary_states[case["resume"]])
+            again = list(bank_tiles(resumed, case, start))
+            assert [lo for lo, _ in again] == [
+                lo for lo, _ in tiles if lo >= start
+            ]
+            for (_, got), (_, ref) in zip(
+                again, [t for t in tiles if t[0] >= start]
+            ):
+                assert got.tobytes() == ref.tobytes()
+
+
+def assert_same_state(got, want):
+    assert got.keys() == want.keys()
+    assert got["rng_state"] == want["rng_state"]
+    assert got["started"] == want["started"]
+    assert got["last_distance_km"] == want["last_distance_km"]
+    if want["last"] is None:
+        assert got["last"] is None
+    else:
+        assert got["last"].tobytes() == want["last"].tobytes()
+
+
+class TestFadingBankRefusals:
+    def _bank(self):
+        # UE 0 fades (AR(1)), UE 1 has no process, UE 2 fades (i.i.d.)
+        return FadingBank(
+            [
+                ShadowFading(4.0, 0.1, 1),
+                None,
+                ShadowFading(3.0, 0.0, 2),
+            ],
+            CELLS,
+        )
+
+    def _state(self):
+        bank = self._bank()
+        power = np.zeros((3, 4, CELLS))
+        bank.add_to(power, np.cumsum(np.full((3, 4), 0.05), axis=1),
+                    np.array([4, 4, 4]))
+        return bank.state_dict()
+
+    def test_state_for_a_non_fading_ue_refused(self):
+        states = self._state()
+        states[1] = dict(states[0])
+        with pytest.raises(ValueError, match="UE 1, which does not fade"):
+            self._bank().load_state_dict(states)
+
+    def test_last_row_of_wrong_length_refused(self):
+        states = self._state()
+        states[0]["last"] = np.zeros(CELLS + 2)
+        with pytest.raises(ValueError, match=r"UE 0 .*shape \(7,\)"):
+            self._bank().load_state_dict(states)
+
+    def test_refused_state_loads_nothing(self):
+        bank = self._bank()
+        before = bank.state_dict()
+        states = self._state()
+        states[2]["last"] = np.zeros(1)
+        with pytest.raises(ValueError, match="UE 2"):
+            bank.load_state_dict(states)
+        assert_same_state(bank.state_dict()[0], before[0])
+
+    def test_missing_state_for_a_fading_ue_refused(self):
+        states = self._state()
+        states[2] = None
+        with pytest.raises(ValueError, match="UE 2 fades"):
+            self._bank().load_state_dict(states)
+
+    def test_state_count_mismatch_refused(self):
+        with pytest.raises(ValueError, match="3 UEs but 2 fading states"):
+            self._bank().load_state_dict(self._state()[:2])
+
+    def test_shared_generator_refused(self):
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError, match="UEs 0 and 2 share"):
+            FadingBank(
+                [
+                    ShadowFading(4.0, 0.1, rng),
+                    None,
+                    ShadowFading(6.0, 0.0, rng),
+                ],
+                CELLS,
+            )
+        shared = ShadowFading(4.0, 0.1, 9)
+        with pytest.raises(ValueError, match="UEs 0 and 1 share"):
+            FadingBank([shared, shared], CELLS)
+
+    def test_shared_generator_of_silent_ues_allowed(self):
+        # zero-sigma processes never draw, so they may share
+        rng = np.random.default_rng(5)
+        bank = FadingBank(
+            [ShadowFading(0.0, 0.1, rng), ShadowFading(0.0, 0.1, rng)], CELLS
+        )
+        assert len(bank) == 0

@@ -51,6 +51,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             SimulationParameters(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("shadow_sigma_db", float("nan")),
+            ("shadow_sigma_db", float("inf")),
+            ("shadow_decorrelation_km", float("nan")),
+            ("shadow_decorrelation_km", -1.0),
+        ],
+    )
+    def test_bad_fading_parameters_rejected_naming_the_field(
+        self, field, value
+    ):
+        # a NaN sigma used to build no fading process at all (nan > 0 is
+        # False), so the fleet ran noise-free without a word
+        with pytest.raises(ValueError, match=field):
+            SimulationParameters(**{field: value})
+
 
 class TestFactories:
     def test_layout(self):

@@ -109,6 +109,19 @@ class TestCohortValidation:
         with pytest.raises(ValueError):
             UECohort(name="x", model=walker(), **kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("shadow_sigma_db", float("nan")),
+            ("shadow_sigma_db", float("inf")),
+            ("shadow_decorrelation_km", float("nan")),
+            ("shadow_decorrelation_km", -1.0),
+        ],
+    )
+    def test_rejects_bad_fading_profile_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"'x' {field}"):
+            UECohort(name="x", model=walker(), count=1, **{field: value})
+
     def test_rejects_non_model(self):
         with pytest.raises(ValueError, match="mobility model"):
             UECohort(name="x", model=object(), count=1)

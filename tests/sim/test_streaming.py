@@ -253,13 +253,16 @@ class TestTiledMeasurement:
     def test_shared_fading_process_not_tileable(self):
         sampler = make_sampler(self.FADING_PARAMS, with_fading=True)
         batch = make_batch(self.FADING_PARAMS, 4)
-        # no per-UE rngs/profiles: the legacy path shares one process
-        # across UEs, whose draw order a tile stream cannot reproduce
-        with pytest.raises(ValueError):
+        # no per-UE rngs/profiles: one process shared across UEs would
+        # make each UE's draws depend on the visiting order, so every
+        # batch path refuses it and names the missing argument
+        with pytest.raises(ValueError, match="fading_rngs"):
             sampler.measure_batch_tiles(batch, tile_epochs=2)
-        # the auto policy degrades to the materialised series instead
-        series = sampler.measure_batch_streamed(batch, None)
-        assert hasattr(series, "power_dbw")
+        for k in (None, 0, 2):
+            with pytest.raises(ValueError, match="fading_rngs"):
+                sampler.measure_batch_streamed(batch, k)
+        with pytest.raises(ValueError, match="fading_rngs"):
+            sampler.measure_batch(batch)
 
     def test_zero_tile_epochs_rejected(self):
         sampler = make_sampler(self.PARAMS)
@@ -373,6 +376,36 @@ class TestMemoryGuardrail:
             f"streamed run_metrics peak grew {peak_ratio:.2f}x over a "
             f"{t_ratio:.2f}x horizon increase — that is not sublinear "
             f"({peak_small} -> {peak_big} bytes for T {t_small} -> {t_big})"
+        )
+
+    def test_fading_bank_peak_close_to_fading_free(self):
+        """The fading bank fills the materialised horizon in fixed epoch
+        blocks, so per-UE fading adds at most 10% to measure_batch's
+        traced peak on a 1200-UE, 7-walk batch; scratch as wide as the
+        horizon would add about half the power cube."""
+        params = SimulationParameters(n_walks=7, shadow_sigma_db=6.0)
+        batch = params.make_walk(7).generate_batch_seeded(
+            list(range(50, 1250))
+        )
+
+        def peak(sampler, **kwargs):
+            tracemalloc.start()
+            tracemalloc.reset_peak()
+            try:
+                sampler.measure_batch(batch, **kwargs)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak
+
+        faded = peak(
+            make_sampler(params, with_fading=True),
+            fading_rngs=list(range(1200)),
+        )
+        plain = peak(make_sampler(params))
+        assert faded <= 1.10 * plain, (
+            f"measure_batch peaked at {faded} bytes with fading, "
+            f"{faded / plain:.3f}x its {plain}-byte fading-free peak"
         )
 
     def test_densify_peak_bounded_by_output(self):
