@@ -16,6 +16,17 @@ backend:
   path (:meth:`FuzzyHandoverSystem.decision_outputs_batch`) makes
   approximate kernels decision-exact by construction.
 
+Two more records ride in the same artifact:
+
+* **Decision audit** — 10^6 seeded box samples through the ``lut``
+  table and through ``reference``; the flip count of the guard-banded
+  decision at the table's own bound and at narrower bands is written
+  before asserting 0 flips at the table's bound.
+* **Cold start** — ``python -m repro fleet --ues X16_FLEET_SIZE
+  --flc-backend {reference,lut}`` in interleaved fresh processes, plus
+  one cold ``build_lut`` in a fresh process.  From N = 2000 the median
+  ``lut`` wall must not exceed the median ``reference`` wall.
+
 Optional accelerator backends (``numba``) are *reported* when
 registered but never gated — their availability depends on the host;
 their conformance is pinned separately by ``tests/fuzzy/test_compiled.py``.
@@ -29,15 +40,25 @@ Environment knobs: ``X16_SAMPLES`` (default 100000), ``X16_FLEET_SIZE``
 (default 2000), ``X16_REPEATS`` (default 3, best-of timing).
 """
 
+import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
-from conftest import run_measured, run_once, write_bench_artifact
+from conftest import (
+    bench_artifact_path,
+    run_measured,
+    run_once,
+    write_bench_artifact,
+)
 
-from repro.core.flc import build_handover_flc
-from repro.fuzzy import available_flc_backends
+import repro
+from repro.core.flc import HANDOVER_THRESHOLD, build_handover_flc
+from repro.core.system import FuzzyHandoverSystem
+from repro.fuzzy import available_flc_backends, build_lut
 from repro.mobility import GaussMarkov, ManhattanGrid, RandomWalk
 from repro.sim import (
     PopulationSpec,
@@ -53,6 +74,10 @@ N_SAMPLES_ACCEPT = 100_000  # the kernel-throughput acceptance size
 N_ACCEPT = 2000             # the end-to-end acceptance fleet size
 KERNEL_SPEEDUP = 5.0        # lut vs reference on evaluate_batch
 FLEET_SPEEDUP = 1.3         # lut vs reference end-to-end
+AUDIT_SAMPLES = 1_000_000   # decision-audit box samples
+AUDIT_BANDS = (0.01, 0.003, 0.001)  # narrower than the table's bound
+AUDIT_CHUNK = 20_000        # samples per reference call (bounded memory)
+COLD_RUNS = 5               # fresh processes per backend
 
 FLC = build_handover_flc()
 
@@ -233,4 +258,132 @@ def test_x16_fleet_speedup_and_identical_decisions():
     assert speedup >= FLEET_SPEEDUP, (
         f"lut-backend fleet only {speedup:.2f}x over the reference path "
         f"(target {FLEET_SPEEDUP}x at N={N})"
+    )
+
+
+def update_artifact(key, record):
+    """Read-modify-write ``record`` under ``key`` of BENCH_x16.json
+    (a fresh file when the kernel test has not written one)."""
+    path = bench_artifact_path("x16")
+    if not path.exists():
+        write_bench_artifact("x16", n=N_SAMPLES, fleet_size=N)
+    payload = json.loads(path.read_text())
+    payload[key] = record
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+@pytest.mark.flc_backend
+def test_x16_decision_audit():
+    """Guard-band audit: the guarded lut decision against reference on
+    10^6 seeded box samples, flips counted per band half-width (the
+    table's validated bound and narrower ones); 0 at the table's bound,
+    through the real decision path too."""
+    rng = np.random.default_rng(1616)
+    cols = [
+        rng.uniform(-10.0, 10.0, AUDIT_SAMPLES),
+        rng.uniform(-120.0, -80.0, AUDIT_SAMPLES),
+        rng.uniform(0.0, 1.5, AUDIT_SAMPLES),
+    ]
+    lut = build_lut(FLC)
+    system = FuzzyHandoverSystem(flc=FLC, flc_backend="lut")
+    approx, ref, decided = (np.empty(AUDIT_SAMPLES) for _ in range(3))
+    for lo in range(0, AUDIT_SAMPLES, AUDIT_CHUNK):
+        block = [c[lo : lo + AUDIT_CHUNK] for c in cols]
+        approx[lo : lo + AUDIT_CHUNK] = lut(block)
+        ref[lo : lo + AUDIT_CHUNK] = FLC.evaluate_batch(
+            block, backend="reference"
+        )
+        decided[lo : lo + AUDIT_CHUNK] = system.decision_outputs_batch(*block)
+    truth = ref > HANDOVER_THRESHOLD
+    flips = {}
+    for band in (lut.error_bound, *AUDIT_BANDS):
+        guarded = np.where(
+            np.abs(approx - HANDOVER_THRESHOLD) <= band, ref, approx
+        )
+        flips[repr(band)] = int(((guarded > HANDOVER_THRESHOLD) != truth).sum())
+    path_flips = int(((decided > system.threshold) != truth).sum())
+    print(
+        f"\nx16 audit: {AUDIT_SAMPLES:,} samples, decision flips per band "
+        f"{flips}, decision path {path_flips}"
+    )
+    update_artifact(
+        "decision_audit",
+        {
+            "samples": AUDIT_SAMPLES,
+            "table_bound": lut.error_bound,
+            "flips_per_band": flips,
+            "decision_path_flips": path_flips,
+            "near_threshold_share": float(
+                np.mean(np.abs(approx - HANDOVER_THRESHOLD) <= 0.1)
+            ),
+        },
+    )
+    assert flips[repr(lut.error_bound)] == 0
+    assert path_flips == 0
+
+
+def fresh_process_seconds(argv):
+    """Wall time of ``python argv...`` in a fresh process that imports
+    this checkout's ``repro``; returns (seconds, stdout)."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    t0 = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, *argv],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    return time.perf_counter() - t0, out.stdout
+
+
+COLD_BUILD = (
+    "import time\n"
+    "from repro.core.flc import build_handover_flc\n"
+    "from repro.fuzzy import build_lut\n"
+    "flc = build_handover_flc()\n"
+    "t0 = time.perf_counter()\n"
+    "build_lut(flc)\n"
+    "print(time.perf_counter() - t0)\n"
+)
+
+
+@pytest.mark.flc_backend
+def test_x16_cold_start():
+    """``repro fleet`` from a cold process on each backend, interleaved
+    (the lut side pays its table build): from N = 2000 the median lut
+    wall must not exceed the median reference wall."""
+    walls = {"reference": [], "lut": []}
+    for i in range(COLD_RUNS):
+        order = ("reference", "lut") if i % 2 == 0 else ("lut", "reference")
+        for backend in order:
+            seconds, _ = fresh_process_seconds(
+                ["-m", "repro", "fleet", "--ues", str(N),
+                 "--flc-backend", backend]
+            )
+            walls[backend].append(seconds)
+    _, stdout = fresh_process_seconds(["-c", COLD_BUILD])
+    build_s = float(stdout.split()[-1])
+    medians = {k: float(np.median(v)) for k, v in walls.items()}
+    print(
+        f"\nx16 cold start, fleet of {N} UEs ({COLD_RUNS} fresh processes "
+        f"each): reference {medians['reference']:.2f} s, lut "
+        f"{medians['lut']:.2f} s (median); cold build_lut {build_s:.3f} s"
+    )
+    update_artifact(
+        "cold_start",
+        {
+            "n_ues": N,
+            "runs": COLD_RUNS,
+            "walls_s": walls,
+            "median_s": medians,
+            "cold_build_lut_s": build_s,
+        },
+    )
+    if N < N_ACCEPT:
+        pytest.skip(f"cold start asserted at N={N_ACCEPT}, ran N={N}")
+    assert medians["lut"] <= medians["reference"], (
+        f"cold lut fleet {medians['lut']:.2f} s slower than reference "
+        f"{medians['reference']:.2f} s at N={N}"
     )

@@ -34,10 +34,13 @@ Built-in backends
     policy default: approximate kernels are always opt-in.
 ``lut``
     Precompiles the controller's decision surface onto a dense
-    rectilinear 3-D grid (driving
-    :meth:`~repro.fuzzy.controller.FuzzyController.decision_surface`
-    plane by plane on the ``reference`` backend) and evaluates by
-    vectorised multilinear interpolation.  The grid is *anchor-aligned*:
+    rectilinear 3-D grid and evaluates by vectorised multilinear
+    interpolation.  The build runs the ``reference`` pipeline in its two
+    halves: output-term activations at every grid node, then one
+    defuzzification per *distinct* activation row, scattered back
+    (:func:`_sample_surface`; the paper grid has ~10.5k distinct rows
+    among ~83.5k nodes), so the table is the reference's bytes at a
+    fraction of the cost.  The grid is *anchor-aligned*:
     every membership-function breakpoint (core/support vertex) lies
     exactly on a grid plane, so the interpolant only ever crosses the
     surface's kinks along cell diagonals.  Compiled tables are cached
@@ -66,9 +69,12 @@ exact again one level up:
 :meth:`repro.core.system.FuzzyHandoverSystem.decision_outputs_batch`
 re-evaluates through ``reference`` every sample whose interpolated
 output lands within the compiled table's validated bound of the
-threshold, so ``output > threshold`` is provably identical to an
-all-reference run whenever the bound holds — handover and ping-pong
-counts never change.
+threshold, so ``output > threshold`` equals the all-reference decision
+wherever that bound holds.  The bound is measured at every cell
+midpoint, not proven for the whole cell; a seeded audit of 10^6 box
+samples (``benchmarks/bench_x16_flc_backends.py``; 2×10^5 in tier-1)
+finds no decision that differs from ``reference``, so handover and
+ping-pong counts do not change.
 
 Backend selection policy lives in one place, mirroring
 :func:`repro.radio.backends.resolve_backend`: an explicit name beats
@@ -97,6 +103,7 @@ __all__ = [
     "compile_flc",
     "controller_kernel",
     "kernel_error_bound",
+    "refuse_nan",
     "validate_backend_pin",
     "variables_fingerprint",
     "build_lut",
@@ -119,8 +126,9 @@ FLC_BACKEND_ENV_VAR = "REPRO_FLC_BACKEND"
 #: Default interpolation-grid density: points per anchor-to-anchor
 #: segment of each input variable (the segments between consecutive
 #: membership-function breakpoints).  12 points/segment puts the paper
-#: controller at a (37, 37, 61) table — ~84k reference evaluations,
-#: compiled once per process in well under a second.
+#: controller at a (37, 37, 61) table: ~84k nodes plus ~78k validation
+#: midpoints, ~23k distinct activation rows to defuzzify, compiled once
+#: per process in about 0.3 s.
 LUT_POINTS_PER_SEGMENT = 12
 
 #: Measured absolute error bound of the interpolated backends over the
@@ -279,6 +287,18 @@ def kernel_error_bound(controller, name: str) -> float:
     return max(base, float(getattr(kernel, "error_bound", base)))
 
 
+def refuse_nan(names: Sequence[str], cols: Sequence[np.ndarray]) -> None:
+    """The reference fuzzifier's NaN refusal, for the compiled kernels.
+
+    An interpolated kernel would return NaN for a NaN input, and the
+    decision path reads ``NaN > threshold`` as "no handover"; every
+    backend raises instead, naming the variable as the reference does.
+    """
+    for name, col in zip(names, cols):
+        if np.isnan(col).any():
+            raise ValueError(f"{name}: cannot fuzzify NaN samples")
+
+
 def validate_backend_pin(backend: Optional[str], field: str = "backend") -> None:
     """Shared constructor validation for backend pins: ``None`` (the
     policy default) or a non-empty name, checked at first use."""
@@ -341,6 +361,20 @@ def _reference_factory(controller) -> FLCKernel:
 # ----------------------------------------------------------------------
 # LUT backend — precompiled decision surface + multilinear interpolation
 # ----------------------------------------------------------------------
+def _check_points_per_segment(points_per_segment) -> None:
+    """An integer >= 1 (``bool`` refused): the value also keys the table
+    cache, so a float must not alias a cached integer resolution."""
+    if (
+        isinstance(points_per_segment, bool)
+        or not isinstance(points_per_segment, (int, np.integer))
+        or points_per_segment < 1
+    ):
+        raise ValueError(
+            "points_per_segment must be an integer >= 1, "
+            f"got {points_per_segment!r}"
+        )
+
+
 def lut_axis_grid(variable, points_per_segment: int) -> np.ndarray:
     """Anchor-aligned sample grid of one input variable's universe.
 
@@ -352,10 +386,7 @@ def lut_axis_grid(variable, points_per_segment: int) -> np.ndarray:
     on grid planes — the interpolation error comes only from the
     cross-variable (min/product) coupling inside cells.
     """
-    if points_per_segment < 1:
-        raise ValueError(
-            f"points_per_segment must be >= 1, got {points_per_segment}"
-        )
+    _check_points_per_segment(points_per_segment)
     lo, hi = variable.universe
     breaks = {lo, hi}
     for term in variable.terms:
@@ -456,7 +487,13 @@ class DecisionLUT:
         return out
 
 
-_BUILD_CHUNK = 8192
+#: Rows per reference call of the LUT build: mesh nodes per activation
+#: (or ``evaluate_batch``) call, distinct activation rows per
+#: defuzzification call.  Bounds the build's memory whatever the mesh
+#: size (defuzzifying the paper grid's ~12k distinct midpoint rows at
+#: once peaks near 69 MiB), and a ~1.6 MiB ``(rows, 201)`` aggregated
+#: surface stays cache-sized.
+_BUILD_CHUNK = 1024
 
 # process-wide table cache: fleet shards, repeated runs and the numba
 # wrapper all reuse one compiled surface per controller structure
@@ -475,37 +512,67 @@ def lut_build_count() -> int:
     return _LUT_BUILDS
 
 
+def _spans(n: int, limit: int) -> list[tuple[int, int]]:
+    """Balanced ``[lo, hi)`` chunks of at most ``limit`` items covering
+    ``range(n)``.
+
+    Balanced rather than ``limit``-sized so that no chunk holds a lone
+    item (for ``n >= 2``, ``limit >= 3``): NumPy sums a one-column
+    ``(k, 1)`` batch over ``k`` pairwise rather than in order, so a lone
+    sample could differ in the last bit from the same sample in a wider
+    batch.
+    """
+    k = max(1, -(-n // limit))
+    edges = [n * i // k for i in range(k + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def _sample_surface(
     controller, names: tuple[str, ...], grids: tuple[np.ndarray, ...]
 ) -> np.ndarray:
     """Reference-backend outputs at every node of an axis-grid mesh.
 
-    Three-input controllers with a ``decision_surface`` method (the
-    Mamdani family) are sampled plane by plane through it — bounded
-    memory regardless of mesh size; anything else falls back to chunked
-    ``evaluate_batch`` sweeps over the mesh.
+    A Mamdani controller (one exposing ``_term_activation_batch`` and
+    ``_defuzzify_batch``) is sampled by its distinct activation rows: a
+    node's reference output depends only on its vector of output-term
+    activations, and the paper grid has ~10.5k distinct vectors among
+    its ~83.5k nodes.  The activations are computed in chunks of
+    :data:`_BUILD_CHUNK` nodes, keyed by their raw bytes (one
+    ``np.void`` per row — bitwise-equal keys give the same float by
+    construction), and each distinct row is defuzzified once, in chunks
+    of the same size, then scattered back.  Anything else
+    (``SugenoController``, duck-typed controllers) is swept through
+    chunked ``evaluate_batch(..., backend="reference")`` calls.
     """
     shape = tuple(g.shape[0] for g in grids)
-    surface = getattr(controller, "decision_surface", None)
-    if callable(surface) and len(grids) == 3:
-        table = np.empty(shape)
-        for i, x0 in enumerate(grids[0]):
-            table[i] = surface(
-                {names[1]: grids[1], names[2]: grids[2]},
-                fixed={names[0]: float(x0)},
+    points = [m.ravel() for m in np.meshgrid(*grids, indexing="ij")]
+    n = points[0].shape[0]
+    activations = getattr(controller, "_term_activation_batch", None)
+    defuzzify = getattr(controller, "_defuzzify_batch", None)
+    if not (callable(activations) and callable(defuzzify)):
+        out = np.empty(n)
+        for lo, hi in _spans(n, _BUILD_CHUNK):
+            out[lo:hi] = controller.evaluate_batch(
+                {nm: p[lo:hi] for nm, p in zip(names, points)},
                 backend="reference",
             )
-        return table
-    mesh = np.meshgrid(*grids, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=-1)
-    out = np.empty(points.shape[0])
-    for s in range(0, points.shape[0], _BUILD_CHUNK):
-        block = points[s : s + _BUILD_CHUNK]
-        out[s : s + _BUILD_CHUNK] = controller.evaluate_batch(
-            {nm: block[:, v] for v, nm in enumerate(names)},
-            backend="reference",
-        )
-    return out.reshape(shape)
+        return out.reshape(shape)
+    rows = None  # (n, T), C-contiguous so each row is one byte key
+    for lo, hi in _spans(n, _BUILD_CHUNK):
+        act = activations([p[lo:hi] for p in points])
+        if rows is None:
+            rows = np.empty((n, act.shape[0]))
+        rows[lo:hi] = act.T
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    _, first, inverse = np.unique(
+        keys.ravel(), return_index=True, return_inverse=True
+    )
+    distinct = rows[first]
+    out = np.empty(first.shape[0])
+    for lo, hi in _spans(first.shape[0], _BUILD_CHUNK):
+        # (T, rows) C-contiguous: the layout the reference hands over
+        out[lo:hi] = defuzzify(np.ascontiguousarray(distinct[lo:hi].T))
+    return out[inverse].reshape(shape)
 
 
 def build_lut(
@@ -530,6 +597,7 @@ def build_lut(
     fingerprint, so compiling the same rule base twice (every shard of
     a fleet) costs one table.
     """
+    _check_points_per_segment(points_per_segment)
     key = None
     skey = getattr(controller, "_structural_key", None)
     if callable(skey):

@@ -33,6 +33,7 @@ import numpy as np
 from .compiled import (
     DEFAULT_FLC_BACKEND,
     controller_kernel,
+    refuse_nan,
     resolve_flc_backend,
     validate_backend_pin,
     variables_fingerprint,
@@ -193,18 +194,29 @@ class FuzzyController:
         """The exact grid Mamdani pipeline on coerced input columns —
         the ``reference`` backend of :mod:`repro.fuzzy.compiled` and the
         conformance oracle every compiled kernel is pinned against."""
+        return self._defuzzify_batch(self._term_activation_batch(cols))
+
+    def _term_activation_batch(self, cols: Sequence[np.ndarray]) -> np.ndarray:
+        """``(n_output_terms, N)`` output-term activations of coerced
+        input columns: fuzzification plus rule inference."""
         memberships = [
             var.membership_matrix(col)
             for var, col in zip(self.input_variables, cols)
         ]
-        result = self.engine.infer(memberships)
+        return self.engine.infer(memberships).term_activation
+
+    def _defuzzify_batch(self, term_activation: np.ndarray) -> np.ndarray:
+        """Crisp outputs of ``(n_output_terms, N)`` term activations.
+
+        A sample's output depends on its activation column alone, which
+        is what lets :func:`~repro.fuzzy.compiled.build_lut` defuzzify
+        each distinct column once.
+        """
         if self._area_defuzz is None:
             return weighted_average(
-                self._term_centroids,
-                result.term_activation,
-                self._output_fallback,
+                self._term_centroids, term_activation, self._output_fallback
             )
-        surface = self.engine.aggregate_output(result.term_activation)
+        surface = self.engine.aggregate_output(term_activation)
         return self._area_defuzz(self.engine.output_grid, surface)
 
     def _structural_key(self) -> tuple:
@@ -239,7 +251,9 @@ class FuzzyController:
 
         ``backend`` overrides the inference backend for this call
         (``None`` = the controller's pin, then the
-        :func:`~repro.fuzzy.compiled.resolve_flc_backend` policy).
+        :func:`~repro.fuzzy.compiled.resolve_flc_backend` policy).  A
+        NaN input raises ``ValueError`` naming its variable on every
+        backend.
         """
         cols = self._coerce_batch(inputs)
         name = resolve_flc_backend(
@@ -247,6 +261,7 @@ class FuzzyController:
         )
         if name == DEFAULT_FLC_BACKEND:
             return self._reference_batch(cols)
+        refuse_nan(self.input_names, cols)
         return controller_kernel(self, name)(cols)
 
     def evaluate(
@@ -290,17 +305,7 @@ class FuzzyController:
             for var, col in zip(self.input_variables, cols)
         ]
         result = self.engine.infer(memberships)
-        if self._area_defuzz is None:
-            crisp = float(
-                weighted_average(
-                    self._term_centroids,
-                    result.term_activation,
-                    self._output_fallback,
-                )[0]
-            )
-        else:
-            surface = self.engine.aggregate_output(result.term_activation)
-            crisp = float(self._area_defuzz(self.engine.output_grid, surface)[0])
+        crisp = float(self._defuzzify_batch(result.term_activation)[0])
         firings = tuple(
             RuleFiring(rule, float(result.rule_activation[i, 0]))
             for i, rule in enumerate(self.rule_base.rules)
@@ -339,9 +344,7 @@ class FuzzyController:
         fixed:
             Crisp values for the remaining variables.
         backend:
-            Inference-backend override, as in :meth:`evaluate_batch`
-            (the LUT compiler drives this method plane by plane with
-            ``backend="reference"``).
+            Inference-backend override, as in :meth:`evaluate_batch`.
 
         Returns
         -------

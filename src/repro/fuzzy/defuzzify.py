@@ -62,8 +62,19 @@ def _fallback(grid: np.ndarray) -> float:
 def centroid(grid: np.ndarray, surface: np.ndarray) -> np.ndarray:
     """Centre of gravity: ``∫ x·µ(x) dx / ∫ µ(x) dx`` (trapezoid rule)."""
     grid, surface = _validate_surface(grid, surface)
-    area = np.trapezoid(surface, grid, axis=1)
-    moment = np.trapezoid(surface * grid[None, :], grid, axis=1)
+    d = np.diff(grid)
+    buf = np.empty((surface.shape[0], grid.shape[0] - 1))
+
+    def trapezoid(y: np.ndarray) -> np.ndarray:
+        # np.trapezoid(y, grid, axis=1), operation for operation and in
+        # its order, through the one scratch buffer
+        np.add(y[:, 1:], y[:, :-1], out=buf)
+        np.multiply(d, buf, out=buf)
+        np.divide(buf, 2.0, out=buf)
+        return buf.sum(axis=1)
+
+    area = trapezoid(surface)
+    moment = trapezoid(surface * grid[None, :])
     out = np.full(surface.shape[0], _fallback(grid))
     nz = area > 0.0
     out[nz] = moment[nz] / area[nz]

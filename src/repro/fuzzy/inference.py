@@ -106,6 +106,17 @@ class MamdaniInference:
         out_var = rule_base.output_variable
         self.output_grid = out_var.sample(self.resolution)  # (P,)
         self._term_samples = out_var.membership_matrix(self.output_grid)  # (T, P)
+        # [lo, hi) span of each term's nonzero grid columns, the only
+        # columns aggregate_output visits (empty for a Singleton that
+        # falls between grid points) — except the last term's, which is
+        # the whole grid (see aggregate_output)
+        self._term_spans: list[tuple[int, int]] = []
+        for row in self._term_samples:
+            nz = np.flatnonzero(row)
+            self._term_spans.append(
+                (int(nz[0]), int(nz[-1]) + 1) if nz.size else (0, 0)
+            )
+        self._term_spans[-1] = (0, self.resolution)
 
         # Rules grouped by consequent term (term -> rule index array),
         # used by the term-activation reduction.
@@ -185,23 +196,38 @@ class MamdaniInference:
         Parameters
         ----------
         term_activation:
-            ``(n_terms, n_samples)``.
+            ``(n_terms, n_samples)``, expected finite (the engine's
+            activations lie in ``[0, 1]``).
 
         Returns
         -------
         ``(n_samples, resolution)`` membership surface; row ``i`` is the
         clipped/scaled union of consequent sets for sample ``i``.
+
+        Notes
+        -----
+        Each term is clipped and max-ed in only over its span of nonzero
+        grid columns.  Outside it the full-grid union would take
+        ``max(out, min(a, 0))`` (or ``max(out, a * 0)``), which leaves
+        ``out``'s value unchanged for any finite ``a``.  The last term
+        still runs over the whole grid: ``np.maximum`` returns its second
+        operand when both are zeros, so the last term's clipped zero
+        (``+0.0`` or ``-0.0``) is the byte every column that no term
+        lifts above zero ends with.
         """
         n_samples = term_activation.shape[1]
         out = np.zeros((n_samples, self.resolution), dtype=float)
-        for t in range(self.n_output_terms):
+        for t, (lo, hi) in enumerate(self._term_spans):
+            if lo == hi:
+                continue
             act = term_activation[t][:, None]  # (N, 1)
-            shape = self._term_samples[t][None, :]  # (1, P)
+            shape = self._term_samples[t][None, lo:hi]  # (1, span)
             if self.implication == "min":
                 clipped = np.minimum(act, shape)
             else:
                 clipped = act * shape
-            np.maximum(out, clipped, out=out)
+            seg = out[:, lo:hi]
+            np.maximum(seg, clipped, out=seg)
         return out
 
     def __repr__(self) -> str:

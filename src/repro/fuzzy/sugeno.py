@@ -22,6 +22,7 @@ import numpy as np
 from .compiled import (
     DEFAULT_FLC_BACKEND,
     controller_kernel,
+    refuse_nan,
     resolve_flc_backend,
     validate_backend_pin,
     variables_fingerprint,
@@ -168,6 +169,7 @@ class SugenoController:
         )
         if name == DEFAULT_FLC_BACKEND:
             return self._reference_batch(cols)
+        refuse_nan(self.input_names, cols)
         return controller_kernel(self, name)(cols)
 
     def evaluate(

@@ -21,29 +21,42 @@ optional-deps CI leg installs numba and runs this module via
 ``-m flc_backend``.
 """
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.flc import HANDOVER_THRESHOLD, build_handover_flc
+from repro.core.flc import (
+    HANDOVER_THRESHOLD,
+    build_handover_flc,
+    build_handover_rule_base,
+)
 from repro.core.system import FuzzyHandoverSystem
 from repro.fuzzy import (
     DEFAULT_FLC_BACKEND,
     FLC_BACKEND_ENV_VAR,
     LUT_ERROR_BOUND,
     LUT_POINTS_PER_SEGMENT,
+    FuzzyController,
+    Rule,
+    RuleBase,
     available_flc_backends,
     build_lut,
     compile_flc,
     flc_error_bound,
     get_flc_backend,
+    kernel_error_bound,
     lut_axis_grid,
     register_flc_backend,
     resolve_flc_backend,
+    ruspini_partition,
     sugeno_from_mamdani,
     unregister_flc_backend,
 )
+from repro.fuzzy import compiled
 from repro.fuzzy.compiled import DecisionLUT, _lut_factory, _reference_factory
 
 pytestmark = pytest.mark.flc_backend
@@ -302,6 +315,203 @@ class TestLUTConstruction:
             lut([np.zeros(3), np.zeros(3)])
 
 
+class TestNaNRefused:
+    """Every backend refuses a NaN input with the reference's error; an
+    interpolated NaN output would read as "no handover" downstream."""
+
+    @pytest.mark.parametrize("name", ["CSSP", "SSN", "DMB"])
+    def test_evaluate_batch_refuses_nan(self, backend, flc, name):
+        inputs = box_samples(8, seed=61)
+        inputs[name][3] = np.nan
+        with pytest.raises(ValueError, match=f"{name}: cannot fuzzify NaN"):
+            flc.evaluate_batch(inputs, backend=backend)
+
+    def test_decision_path_refuses_nan(self, backend, flc):
+        system = FuzzyHandoverSystem(flc=flc, flc_backend=backend)
+        inputs = box_samples(8, seed=63)
+        inputs["SSN"][0] = np.nan
+        with pytest.raises(ValueError, match="SSN: cannot fuzzify NaN"):
+            system.decision_outputs_batch(
+                inputs["CSSP"], inputs["SSN"], inputs["DMB"]
+            )
+
+    def test_sugeno_refuses_nan(self, backend, flc):
+        sugeno = sugeno_from_mamdani(flc.rule_base)
+        inputs = box_samples(8, seed=65)
+        inputs["DMB"][5] = np.nan
+        with pytest.raises(ValueError, match="DMB: cannot fuzzify NaN"):
+            sugeno.evaluate_batch(inputs, backend=backend)
+
+
+class TestBuildArguments:
+    @pytest.mark.parametrize("bad", [4.7, 4.0, True, "4", None, 0, -1])
+    def test_points_per_segment_validated_before_cache(self, flc, bad):
+        """A non-integer resolution is refused whether or not a table
+        its truncation would key is cached."""
+        build_lut(flc, 4)
+        with pytest.raises(ValueError, match="points_per_segment"):
+            build_lut(flc, bad)
+
+    def test_numpy_integer_resolution_shares_the_cache(self, flc):
+        assert build_lut(flc, np.int64(4)) is build_lut(flc, 4)
+
+
+#: sha256 of the paper LUT's grid bytes, table bytes and
+#: ``repr(error_bound)`` (see :func:`lut_digest`), as compiled by the
+#: plane-by-plane sampler before activation rows were deduplicated.
+PAPER_LUT_SHA256 = (
+    "7bba6bcad4907f09dcdf5ee44401905426772ad1d77bcefd8c408cf25d20a43d"
+)
+
+
+def lut_digest(lut):
+    h = hashlib.sha256()
+    for grid in lut.grids:
+        h.update(grid.tobytes())
+    h.update(lut.table.tobytes())
+    h.update(repr(lut.error_bound).encode())
+    return h.hexdigest()
+
+
+def plane_by_plane_sample_surface(controller, names, grids):
+    """The LUT sampler before activation-row dedup, kept verbatim as the
+    byte oracle: ``decision_surface`` plane by plane for three-input
+    controllers that have one, chunked ``evaluate_batch`` sweeps
+    otherwise."""
+    shape = tuple(g.shape[0] for g in grids)
+    surface = getattr(controller, "decision_surface", None)
+    if callable(surface) and len(grids) == 3:
+        table = np.empty(shape)
+        for i, x0 in enumerate(grids[0]):
+            table[i] = surface(
+                {names[1]: grids[1], names[2]: grids[2]},
+                fixed={names[0]: float(x0)},
+                backend="reference",
+            )
+        return table
+    mesh = np.meshgrid(*grids, indexing="ij")
+    points = np.stack([m.ravel() for m in mesh], axis=-1)
+    out = np.empty(points.shape[0])
+    for s in range(0, points.shape[0], 8192):
+        block = points[s : s + 8192]
+        out[s : s + 8192] = controller.evaluate_batch(
+            {nm: block[:, v] for v, nm in enumerate(names)},
+            backend="reference",
+        )
+    return out.reshape(shape)
+
+
+def build_meshes(controller, points_per_segment):
+    """The two meshes ``build_lut`` samples: grid nodes, cell midpoints."""
+    grids = tuple(
+        lut_axis_grid(v, points_per_segment)
+        for v in controller.input_variables
+    )
+    return grids, tuple(0.5 * (g[:-1] + g[1:]) for g in grids)
+
+
+def assert_sampler_matches_plane_by_plane(controller, points_per_segment):
+    names = tuple(controller.input_names)
+    for grids in build_meshes(controller, points_per_segment):
+        got = compiled._sample_surface(controller, names, grids)
+        expected = plane_by_plane_sample_surface(controller, names, grids)
+        assert got.tobytes() == expected.tobytes()
+
+
+#: Mamdani operator variants the deduplicated sampler must reproduce.
+MAMDANI_VARIANTS = {
+    "prod_and": {"and_method": "prod"},
+    "bsum": {"agg_method": "bsum"},
+    "prod_implication": {"implication": "prod"},
+    "wavg": {"defuzzifier": "wavg"},
+    "bisector": {"defuzzifier": "bisector"},
+}
+
+
+def two_input_controller():
+    a = ruspini_partition("A", [0.0, 0.3, 1.0], ["LO", "MID", "HI"])
+    b = ruspini_partition("B", [-5.0, 5.0], ["LO", "HI"])
+    out = ruspini_partition("OUT", [0.0, 0.5, 1.0], ["N", "M", "Y"])
+    rules = [
+        Rule({"A": ta, "B": tb}, cons)
+        for (ta, tb), cons in {
+            ("LO", "LO"): "N", ("LO", "HI"): "M", ("MID", "LO"): "N",
+            ("MID", "HI"): "Y", ("HI", "LO"): "M", ("HI", "HI"): "Y",
+        }.items()
+    ]
+    return FuzzyController(RuleBase([a, b], out, rules))
+
+
+class TestLUTBytes:
+    """The deduplicated build compiles the same bytes as the
+    plane-by-plane sampler it replaced."""
+
+    def test_paper_lut_pinned(self, flc):
+        lut = build_lut(flc)
+        assert lut.error_bound == 0.03173908392672295
+        assert lut_digest(lut) == PAPER_LUT_SHA256
+
+    def test_paper_sampler_matches_plane_by_plane(self, flc):
+        assert_sampler_matches_plane_by_plane(flc, LUT_POINTS_PER_SEGMENT)
+
+    @pytest.mark.parametrize("chunk", [None, 97])
+    @pytest.mark.parametrize("variant", sorted(MAMDANI_VARIANTS))
+    def test_variant_sampler_matches_plane_by_plane(
+        self, variant, chunk, monkeypatch
+    ):
+        if chunk is not None:
+            monkeypatch.setattr(compiled, "_BUILD_CHUNK", chunk)
+        controller = FuzzyController(
+            build_handover_rule_base(), **MAMDANI_VARIANTS[variant]
+        )
+        assert_sampler_matches_plane_by_plane(controller, 6)
+
+    @pytest.mark.parametrize("chunk", [None, 5])
+    def test_two_input_sampler_matches_sweep(self, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(compiled, "_BUILD_CHUNK", chunk)
+        assert_sampler_matches_plane_by_plane(two_input_controller(), 12)
+
+    def test_sugeno_sampler_unchanged(self, flc):
+        assert_sampler_matches_plane_by_plane(
+            sugeno_from_mamdani(flc.rule_base), LUT_POINTS_PER_SEGMENT
+        )
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(n=st.integers(1, 5000), limit=st.integers(3, 2048))
+    def test_build_chunks_cover_without_lone_rows(self, n, limit):
+        spans = compiled._spans(n, limit)
+        assert spans[0][0] == 0 and spans[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+        sizes = [hi - lo for lo, hi in spans]
+        assert max(sizes) <= limit
+        assert n < 2 or min(sizes) >= 2
+
+
+class TestBuildMemory:
+    #: tracemalloc peak of a cold paper-FLC build: 18.3 MiB with the
+    #: plane-by-plane sampler; defuzzifying every distinct row in one
+    #: call instead of in ``_BUILD_CHUNK`` chunks peaks near 69 MiB.
+    PEAK_LIMIT = 24 * 2**20
+
+    def test_cold_build_peak_pinned(self, flc, monkeypatch):
+        monkeypatch.setattr(compiled, "_LUT_CACHE", {})
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            build_lut(flc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak - base <= self.PEAK_LIMIT, (
+            f"cold build peaked at {(peak - base) / 2**20:.1f} MiB"
+        )
+
+
 class TestConformanceMatrix:
     """Every backend vs the reference oracle over regions and shapes."""
 
@@ -496,6 +706,42 @@ class TestDecisionEquivalence:
                 np.array([cssp]), np.array([ssn]), np.array([dmb])
             )[0]
             assert (a > ref_sys.threshold) == (b > lut_sys.threshold)
+
+
+class TestGuardBandAudit:
+    """Seeded audit of the table's global guard band: the bound is
+    measured at cell midpoints, not proven for whole cells, so check
+    decisions directly.  Every sample within 0.1 of the threshold (about
+    18% of the box) plus a fixed 1-in-16 subsample of the rest goes
+    through the guarded ``lut`` decision path and through
+    ``reference``.  (Narrowing the band to 0.001 flips about 1 decision
+    in 10^4 box samples; ``bench_x16`` records flips per band.)"""
+
+    AUDIT_SAMPLES = 200_000
+
+    def test_decisions_match_reference(self, flc):
+        rng = np.random.default_rng(2017)
+        n = self.AUDIT_SAMPLES
+        cols = [
+            rng.uniform(-10.0, 10.0, n),
+            rng.uniform(-120.0, -80.0, n),
+            rng.uniform(0.0, 1.5, n),
+        ]
+        approx = build_lut(flc)(cols)
+        keep = (np.abs(approx - HANDOVER_THRESHOLD) <= 0.1) | (
+            np.arange(n) % 16 == 0
+        )
+        cssp, ssn, dmb = (c[keep] for c in cols)
+        system = FuzzyHandoverSystem(flc=flc, flc_backend="lut")
+        out = system.decision_outputs_batch(cssp, ssn, dmb)
+        ref = flc.evaluate_batch([cssp, ssn, dmb], backend="reference")
+        flips = (out > system.threshold) != (ref > system.threshold)
+        assert not flips.any(), f"{int(flips.sum())} decision flips"
+        band = np.abs(approx[keep] - system.threshold) <= kernel_error_bound(
+            flc, "lut"
+        )
+        assert band.any()
+        assert out[band].tobytes() == ref[band].tobytes()
 
 
 # ----------------------------------------------------------------------

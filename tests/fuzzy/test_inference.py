@@ -3,13 +3,24 @@ system plus operator-variant behaviour."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.fuzzy import (
+    Gaussian,
+    LeftShoulder,
+    LinguisticVariable,
     MamdaniInference,
+    RightShoulder,
     Rule,
     RuleBase,
+    Singleton,
+    Term,
+    Trapezoidal,
+    Triangular,
     ruspini_partition,
 )
+from repro.fuzzy.defuzzify import centroid
 
 
 def tiny_rule_base() -> RuleBase:
@@ -183,3 +194,115 @@ class TestValidation:
         rb = tiny_rule_base()
         r = repr(MamdaniInference(rb))
         assert "rules=4" in r
+
+
+# ----------------------------------------------------------------------
+# byte identity of the span-restricted union and the one-buffer centroid
+# ----------------------------------------------------------------------
+def full_grid_aggregate_output(engine, term_activation):
+    """``aggregate_output`` as a full-grid union of every term — the
+    implementation before term spans, kept verbatim as the byte oracle."""
+    n_samples = term_activation.shape[1]
+    out = np.zeros((n_samples, engine.resolution), dtype=float)
+    for t in range(engine.n_output_terms):
+        act = term_activation[t][:, None]  # (N, 1)
+        shape = engine._term_samples[t][None, :]  # (1, P)
+        if engine.implication == "min":
+            clipped = np.minimum(act, shape)
+        else:
+            clipped = act * shape
+        np.maximum(out, clipped, out=out)
+    return out
+
+
+def trapezoid_centroid(grid, surface):
+    """``centroid`` through ``np.trapezoid`` — the implementation before
+    the one scratch buffer, kept verbatim as the byte oracle."""
+    area = np.trapezoid(surface, grid, axis=1)
+    moment = np.trapezoid(surface * grid[None, :], grid, axis=1)
+    out = np.full(surface.shape[0], 0.5 * float(grid[0] + grid[-1]))
+    nz = area > 0.0
+    out[nz] = moment[nz] / area[nz]
+    return out
+
+
+#: Activation values: exact zeros of both signs, one, subnormals, and
+#: anything else in [0, 1].
+ACTIVATIONS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@st.composite
+def output_term(draw, lo, hi, grid):
+    """One output membership function: a triangle, trapezoid, shoulder,
+    Gaussian (nonzero on the whole grid) or a Singleton on or off the
+    sampled grid."""
+    kind = draw(st.sampled_from(
+        ["tri", "trap", "left", "right", "gauss", "on_grid", "off_grid"]
+    ))
+    if kind == "on_grid":
+        return Singleton(float(grid[draw(st.integers(0, grid.size - 1))]))
+    if kind == "off_grid":
+        i = draw(st.integers(0, grid.size - 2))
+        return Singleton(0.5 * float(grid[i] + grid[i + 1]))
+    # breakpoints on a 1/40 lattice reaching past both universe edges,
+    # so some land on grid points and some between them
+    span = hi - lo
+    pts = sorted(draw(st.lists(
+        st.integers(-8, 48), min_size=4, max_size=4, unique=True
+    )))
+    x = [lo + k * span / 40.0 for k in pts]
+    if kind == "tri":
+        return Triangular(x[0], x[1], x[2])
+    if kind == "trap":
+        return Trapezoidal(*x)
+    if kind == "left":
+        return LeftShoulder(x[0], x[1])
+    if kind == "right":
+        return RightShoulder(x[0], x[1])
+    return Gaussian(x[1], draw(st.sampled_from([0.05, 0.3, 2.0])) * span)
+
+
+class TestSpanAggregationBytes:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_full_grid_union_and_trapezoid_centroid(self, data):
+        """The span-restricted union and the one-buffer centroid are
+        byte-identical to the full-grid union and ``np.trapezoid``."""
+        lo, hi = data.draw(st.sampled_from(
+            [(0.0, 1.0), (-1.0, 1.0), (-3.0, 0.5)]
+        ))
+        resolution = data.draw(st.sampled_from([3, 4, 201, 1001]))
+        grid = np.linspace(lo, hi, resolution)
+        mfs = data.draw(st.lists(
+            output_term(lo, hi, grid), min_size=1, max_size=5
+        ))
+        out_var = LinguisticVariable(
+            "OUT", (lo, hi), [Term(f"T{i}", mf) for i, mf in enumerate(mfs)]
+        )
+        inp = ruspini_partition("X", [0.0, 1.0], ["LO", "HI"])
+        rb = RuleBase([inp], out_var, [Rule({"X": "LO"}, "T0")])
+        engine = MamdaniInference(
+            rb,
+            implication=data.draw(st.sampled_from(["min", "prod"])),
+            resolution=resolution,
+        )
+        base = data.draw(st.lists(
+            st.lists(ACTIVATIONS, min_size=len(mfs), max_size=len(mfs)),
+            min_size=1, max_size=4,
+        ))
+        # repeated columns, in any order
+        picks = data.draw(st.lists(
+            st.integers(0, len(base) - 1), min_size=1, max_size=6
+        ))
+        activation = np.array([base[i] for i in picks], dtype=float).T.copy()
+
+        surface = engine.aggregate_output(activation)
+        expected = full_grid_aggregate_output(engine, activation)
+        assert surface.tobytes() == expected.tobytes()
+        assert (
+            centroid(engine.output_grid, surface).tobytes()
+            == trapezoid_centroid(engine.output_grid, expected).tobytes()
+        )
