@@ -13,19 +13,34 @@ bit-identical output.  Optional accelerator backends (numba, jax) are
 on the host, and their conformance is pinned separately by the tier-1
 matrix in ``tests/radio/test_backends.py``.
 
+``test_x14_threads`` times the default ``numpy`` kernel over the
+paper's 19-site layout at the same point count, on one thread against
+every usable CPU (5 interleaved pairs; ``taskset -c 0`` makes "every
+usable CPU" one): the bytes must be identical, and with at least two
+usable CPUs at N >= 2000 the all-CPU median must not be slower.
+
 Environment knobs: ``X14_FLEET_SIZE`` (default 2000), ``X14_EPOCHS``
 (default 64, the per-UE measurement epochs), ``X14_REPEATS``
 (default 5, best-of timing).
 """
 
+import contextlib
+import json
 import os
+import statistics
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import run_measured, run_once, write_bench_artifact
+from conftest import (
+    bench_artifact_path,
+    run_measured,
+    run_once,
+    write_bench_artifact,
+)
 
-from repro.radio import available_backends, get_backend
+from repro.radio import available_backends, backends, get_backend
 from repro.sim import SimulationParameters
 
 N = int(os.environ.get("X14_FLEET_SIZE", "2000"))
@@ -40,6 +55,9 @@ KPARAMS = MODEL.kernel_params()
 
 rng = np.random.default_rng(42)
 POINTS = rng.uniform(-3.0, 3.0, size=(N * EPOCHS, 2))
+
+PAPER_SITES = SimulationParameters().make_layout().bs_positions  # 19
+THREAD_PAIRS = 5
 
 
 def time_kernel(name):
@@ -115,4 +133,75 @@ def test_x14_speedup_optimized_numpy():
     assert speedup >= 1.5, (
         f"optimized NumPy kernel only {speedup:.2f}x over the reference "
         f"(target 1.5x at N={N} x {SITES.shape[0]} sites)"
+    )
+
+
+def update_artifact(key, record):
+    """Read-modify-write ``record`` under ``key`` of BENCH_x14.json
+    (a fresh file when the speedup test has not written one)."""
+    path = bench_artifact_path("x14")
+    if not path.exists():
+        write_bench_artifact("x14", n=N, backend="numpy", epochs=EPOCHS)
+    payload = json.loads(path.read_text())
+    payload[key] = record
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def run_numpy_kernel(label):
+    """``(output, seconds)`` of the numpy kernel over the 19-site
+    workload, on one thread or on every usable CPU."""
+    pin = (
+        mock.patch.object(backends, "_usable_cpus", lambda: 1)
+        if label == "one_thread"
+        else contextlib.nullcontext()
+    )
+    kernel = get_backend("numpy")
+    with pin:
+        t0 = time.perf_counter()
+        out = kernel(PAPER_SITES, POINTS, KPARAMS)
+        return out, time.perf_counter() - t0
+
+
+@pytest.mark.backend
+def test_x14_threads():
+    """The numpy kernel on every usable CPU against one thread, 19
+    sites: identical bytes; not slower in the median with >= 2 CPUs."""
+    cpus = backends._usable_cpus()
+    single, _ = run_numpy_kernel("one_thread")
+    identical = run_numpy_kernel("all_cpus")[0].tobytes() == single.tobytes()
+    times = {"one_thread": [], "all_cpus": []}
+    for pair in range(THREAD_PAIRS):
+        order = ["one_thread", "all_cpus"]
+        for label in order if pair % 2 == 0 else order[::-1]:
+            times[label].append(run_numpy_kernel(label)[1])
+    medians = {label: statistics.median(t) for label, t in times.items()}
+    ratio = medians["one_thread"] / medians["all_cpus"]
+    print(
+        f"\nx14 threads: {POINTS.shape[0]:,} points x "
+        f"{PAPER_SITES.shape[0]} sites, median one thread "
+        f"{medians['one_thread'] * 1e3:.1f} ms, {cpus} CPUs "
+        f"{medians['all_cpus'] * 1e3:.1f} ms ({ratio:.2f}x)"
+    )
+    update_artifact(
+        "threads",
+        {
+            "usable_cpus": cpus,
+            "points": int(POINTS.shape[0]),
+            "n_sites": int(PAPER_SITES.shape[0]),
+            "pairs": THREAD_PAIRS,
+            "timings_s": times,
+            "median_s": medians,
+            "speedup_all_cpus_vs_one_thread": ratio,
+            "bytes_identical": identical,
+        },
+    )
+    assert identical, "all-CPU kernel bytes differ from the one-thread bytes"
+    if cpus < 2 or N < N_ACCEPT:
+        pytest.skip(
+            f"median asserted with >= 2 usable CPUs at N >= {N_ACCEPT}; "
+            f"ran {cpus} CPUs at N={N}"
+        )
+    assert medians["all_cpus"] <= medians["one_thread"], (
+        f"numpy kernel on {cpus} CPUs took {medians['all_cpus'] * 1e3:.1f} "
+        f"ms in the median, one thread {medians['one_thread'] * 1e3:.1f} ms"
     )

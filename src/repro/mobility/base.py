@@ -344,12 +344,20 @@ class TraceBatch:
         Padding rows repeat the final position, so the padded tail of
         each row is constant at the trace's total length.
         """
-        d = np.diff(self.positions, axis=1)
-        # same float expression as Trace.step_lengths so batch distances
-        # are bit-identical to the per-trace scalar path
-        steps = np.sqrt((d * d).sum(axis=2))
+        pos = self.positions
         out = np.zeros((self.n_traces, self.max_points))
-        np.cumsum(steps, axis=1, out=out[:, 1:])
+        # Trace.step_lengths' float ops in its order (a 2-term
+        # .sum(axis=2) reduces as dx*dx + dy*dy), so batch distances are
+        # bit-identical to the per-trace path; built in the output with
+        # one output-sized scratch
+        steps = out[:, 1:]
+        np.subtract(pos[:, 1:, 0], pos[:, :-1, 0], out=steps)
+        np.multiply(steps, steps, out=steps)
+        dy = np.subtract(pos[:, 1:, 1], pos[:, :-1, 1])
+        np.multiply(dy, dy, out=dy)
+        np.add(steps, dy, out=steps)
+        np.sqrt(steps, out=steps)
+        np.cumsum(steps, axis=1, out=steps)
         return out
 
     def __repr__(self) -> str:

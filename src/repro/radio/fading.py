@@ -33,6 +33,7 @@ __all__ = [
     "ShadowFadingStream",
     "FadingBank",
     "FADING_BLOCK_EPOCHS",
+    "FADING_BLOCK_UES",
     "speed_penalty_db",
     "apply_speed_penalty",
 ]
@@ -44,9 +45,13 @@ SPEED_PENALTY_DB_PER_KMH = 0.2
 
 #: Epochs a :class:`FadingBank` draws and recurses at a time, whatever
 #: the width of the window it fills (one tile or a whole materialised
-#: horizon): its scratch stays ``(n_ues, FADING_BLOCK_EPOCHS,
-#: n_sources)``, the size of one default measurement tile.
+#: horizon).
 FADING_BLOCK_EPOCHS = 16
+
+#: Fading UEs one :class:`FadingBank` block covers: its scratch stays
+#: ``(FADING_BLOCK_EPOCHS, FADING_BLOCK_UES, n_sources)`` whatever the
+#: fleet size.  Draws are per UE, so the values do not depend on it.
+FADING_BLOCK_UES = 256
 
 
 def speed_penalty_db(speed_kmh: ArrayLike) -> ArrayLike:
@@ -286,12 +291,12 @@ class FadingBank:
     cells)`` followed by unit innovations, unit innovations on a
     continuation, ``normal(0, σ, (t, cells))`` for i.i.d. fading.  Rho,
     the innovation scale and the recursion then run once per block of
-    :data:`FADING_BLOCK_EPOCHS` epochs over every fading UE, looping
-    over the block's epochs.  The AR(1) boundary row ``(m, cells)``,
-    boundary distance ``(m,)`` and started flag of the ``m`` fading UEs
-    are arrays.  Each UE must own its generator: two UEs drawing from one
-    would make the values depend on the draw order, so the bank refuses
-    a shared one.
+    :data:`FADING_BLOCK_EPOCHS` epochs over up to :data:`FADING_BLOCK_UES`
+    fading UEs, looping over the block's epochs.  The AR(1) boundary row
+    ``(m, cells)``, boundary distance ``(m,)`` and started flag of the
+    ``m`` fading UEs are arrays.  Each UE must own its generator: two
+    UEs drawing from one would make the values depend on the draw order,
+    so the bank refuses a shared one.
     """
 
     def __init__(
@@ -423,8 +428,9 @@ class FadingBank:
             b1 = min(b0 + FADING_BLOCK_EPOCHS, w)
             live = counts > b0
             for ar in (True, False):
-                sel = np.flatnonzero(live & (self._ar == ar))
-                if sel.shape[0]:
+                members = np.flatnonzero(live & (self._ar == ar))
+                for c in range(0, members.shape[0], FADING_BLOCK_UES):
+                    sel = members[c : c + FADING_BLOCK_UES]
                     self._block(
                         power, distance_km, b0, b1, sel,
                         np.minimum(counts[sel] - b0, b1 - b0), ar,
@@ -440,12 +446,13 @@ class FadingBank:
         full = int(cnt.min()) == width
         # zeroed past each walk's end, so the recursion stays finite there
         buf = (np.empty if full else np.zeros)((width, m, cells))
-        started = self.started.tolist()
         first = []
-        for k, (u, t) in enumerate(zip(sel.tolist(), cnt.tolist())):
+        for k, (u, t, started) in enumerate(
+            zip(sel.tolist(), cnt.tolist(), self.started[sel].tolist())
+        ):
             if not ar:
                 buf[:t, k] = normal[u](0.0, sigma[u], size=(t, cells))
-            elif started[u]:
+            elif started:
                 buf[:t, k] = normal[u](0.0, 1.0, size=(t, cells))
             else:
                 buf[0, k] = normal[u](0.0, sigma[u], size=cells)

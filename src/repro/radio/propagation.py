@@ -153,10 +153,11 @@ class PropagationModel:
         """
         bs = np.atleast_2d(np.asarray(bs_positions_km, dtype=float))
         pts = np.atleast_2d(np.asarray(points_km, dtype=float))
-        if bs.shape[1] != 2 or pts.shape[1] != 2:
-            raise ValueError(
-                f"positions must be (n, 2); got {bs.shape} and {pts.shape}"
-            )
+        for name, arr in (("bs_positions_km", bs), ("points_km", pts)):
+            if arr.ndim != 2 or arr.shape[1] != 2:
+                raise ValueError(
+                    f"{name} must have shape (n, 2), got {arr.shape}"
+                )
         kernel = get_backend(self.backend)
         return kernel(bs, pts, self.kernel_params())
 
@@ -189,7 +190,7 @@ class PropagationModel:
         flat = self.power_from_sites(
             bs_positions_km, pts.reshape(-1, 2)
         )
-        return flat.reshape(pts.shape[0], pts.shape[1], -1)
+        return flat.reshape(pts.shape[0], pts.shape[1], flat.shape[1])
 
     def crossover_distance_km(
         self, other: "PropagationModel", spacing_km: float, resolution: int = 4097

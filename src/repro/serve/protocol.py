@@ -25,6 +25,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import numbers
 import pickle
 import struct
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ from ..sim.distributed import MAX_FRAME_BYTES
 __all__ = [
     "FrameError",
     "Report",
+    "check_index",
     "MAX_FRAME_BYTES",
     "CODECS",
     "encode_frame",
@@ -133,6 +135,52 @@ async def write_frame(
 # ----------------------------------------------------------------------
 # measurement reports
 # ----------------------------------------------------------------------
+def check_index(name: str, value: object) -> int:
+    """``value`` as a UE id or epoch: an integer (NumPy integers
+    included, ``bool`` not) that is ``>= 0``.  Floats and strings are
+    refused rather than truncated or parsed."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
+
+
+def _is_real(value: object) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _real(name: str, value: object) -> float:
+    if type(value) is not float and not _is_real(value):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+_PLAIN_REALS = frozenset((float, int))
+
+
+def _real_array(name: str, value: object) -> np.ndarray:
+    """``value`` as a float array; strings and booleans are refused, in
+    an array's dtype as much as in a JSON list."""
+    if not isinstance(value, np.ndarray):
+        if isinstance(value, (list, tuple)):
+            if not _PLAIN_REALS.issuperset(map(type, value)):
+                for item in value:
+                    if not _is_real(item):
+                        raise ValueError(
+                            f"{name} must hold real numbers, got {item!r}"
+                        )
+            return np.asarray(value, dtype=float)
+        value = np.asarray(value)
+    if value.dtype.kind not in "fiu":
+        raise ValueError(
+            f"{name} must hold real numbers, got dtype {value.dtype}"
+        )
+    return value.astype(float, copy=False)
+
+
 @dataclass(frozen=True)
 class Report:
     """One UE's measurement report.
@@ -152,19 +200,17 @@ class Report:
     power_dbw: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ue", int(self.ue))
-        object.__setattr__(self, "epoch", int(self.epoch))
+        object.__setattr__(self, "ue", check_index("ue", self.ue))
+        object.__setattr__(self, "epoch", check_index("epoch", self.epoch))
         object.__setattr__(
-            self, "position_km", np.asarray(self.position_km, dtype=float)
+            self, "position_km", _real_array("position_km", self.position_km)
         )
-        object.__setattr__(self, "distance_km", float(self.distance_km))
         object.__setattr__(
-            self, "power_dbw", np.asarray(self.power_dbw, dtype=float)
+            self, "distance_km", _real("distance_km", self.distance_km)
         )
-        if self.ue < 0:
-            raise ValueError(f"ue must be >= 0, got {self.ue}")
-        if self.epoch < 0:
-            raise ValueError(f"epoch must be >= 0, got {self.epoch}")
+        object.__setattr__(
+            self, "power_dbw", _real_array("power_dbw", self.power_dbw)
+        )
         if self.position_km.shape != (2,):
             raise ValueError(
                 f"position_km must be (2,), got {self.position_km.shape}"

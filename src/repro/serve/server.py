@@ -45,7 +45,7 @@ import contextlib
 import logging
 from typing import Optional
 
-from .protocol import FrameError, Report, read_frame, write_frame
+from .protocol import FrameError, Report, check_index, read_frame, write_frame
 from .service import DecisionService
 
 __all__ = ["ServeServer", "ServeClient", "DEADLINE_POLL_S"]
@@ -281,7 +281,11 @@ class ServeClient:
         cohort: Optional[str] = None,
         policy: Optional[dict] = None,
     ) -> dict:
-        msg = {"type": "subscribe", "ue": int(ue), "speed_kmh": speed_kmh}
+        msg = {
+            "type": "subscribe",
+            "ue": check_index("ue", ue),
+            "speed_kmh": speed_kmh,
+        }
         if cohort is not None:
             msg["cohort"] = cohort
         if policy is not None:
@@ -294,7 +298,7 @@ class ServeClient:
         await self._send(report.to_payload())
 
     async def unsubscribe(self, ue: int) -> dict:
-        await self._send({"type": "unsubscribe", "ue": int(ue)})
+        await self._send({"type": "unsubscribe", "ue": check_index("ue", ue)})
         return await self._recv()
 
     async def close_epoch(self) -> int:

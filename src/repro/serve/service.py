@@ -32,7 +32,7 @@ from ..sim.kernel import speed_penalties
 from ..sim.population import PolicyConfig, policy_system
 from .engine import HandoverCommand, StreamingFleetEngine
 from .epochs import DEFAULT_RING_CAPACITY, EpochScheduler
-from .protocol import Report
+from .protocol import Report, check_index
 
 __all__ = [
     "CommandListener",
@@ -283,7 +283,7 @@ class DecisionService:
         from its retained state; its original speed/cohort/policy stay
         authoritative.
         """
-        ue = int(ue)
+        ue = check_index("ue", ue)
         if not self.engine.knows(ue):
             # reject a bad speed before a policy group is created, so a
             # refused subscribe leaves the engine untouched
@@ -311,7 +311,7 @@ class DecisionService:
     def unsubscribe(self, ue: int) -> bool:
         """Drop a UE from the watermark; reports it already buffered
         still close with their epochs, and its metric state is kept."""
-        return self.scheduler.unsubscribe(ue)
+        return self.scheduler.unsubscribe(check_index("ue", ue))
 
     # ------------------------------------------------------------------
     # ingest + close

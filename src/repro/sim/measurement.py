@@ -11,12 +11,12 @@ For large fleets the fully materialised ``(n_ues, n_epochs, n_cells)``
 power cube dominates peak memory.  :meth:`MeasurementSampler.
 measure_batch_tiles` instead produces a :class:`TiledBatchMeasurement`
 — an epoch-tiled stream whose tiles run the pathloss kernel on the UEs
-still walking and continue the fleet's fading on demand, into one
-recycled ``(n_ues, tile_epochs, n_cells)`` buffer — byte-identical to
-the materialised path, padding included (pinned by the streaming test
-suite).  The tile size policy (explicit pin > ``REPRO_TILE_EPOCHS`` >
-auto-from-size heuristic) lives in :func:`resolve_tile_epochs` /
-:func:`auto_tile_epochs`.
+still walking, a bounded chunk of rows per call, and continue the
+fleet's fading on demand, into one recycled ``(n_ues, tile_epochs,
+n_cells)`` buffer — byte-identical to the materialised path, padding
+included (pinned by the streaming test suite).  The tile size policy
+(explicit pin > ``REPRO_TILE_EPOCHS`` > auto-from-size heuristic) lives
+in :func:`resolve_tile_epochs` / :func:`auto_tile_epochs`.
 
 Every batch path fades through one
 :class:`~repro.radio.fading.FadingBank` over per-UE processes, so the
@@ -66,6 +66,10 @@ DEFAULT_TILE_EPOCHS = 16
 #: Auto heuristic cut-over: power cubes up to this many float64 entries
 #: (~32 MB) are cheaper to materialise than to stream.
 AUTO_TILE_THRESHOLD = 4_000_000
+
+#: Live UE rows per pathloss call when a tile is filled: the kernel's
+#: output beside the recycled tile buffer stays one chunk, not a tile.
+_ROWS_PER_CALL = 2048
 
 
 def resolve_tile_epochs(*pins: Optional[int]) -> Optional[int]:
@@ -577,15 +581,14 @@ class TiledBatchMeasurement:
             distance = self.distance_km[:, lo:hi]
             buf = power_buf[:, : hi - lo]
             live = lengths > lo
-            if live.all():
-                buf[...] = kernel(bs, positions)
-            else:
+            dead = np.flatnonzero(~live)
+            if dead.shape[0]:
                 # a finished walk's rows all repeat its final position
-                dead = np.flatnonzero(~live)
                 buf[dead] = kernel(bs, positions[dead, :1])
-                rows = np.flatnonzero(live)
-                if rows.shape[0]:
-                    buf[rows] = kernel(bs, positions[rows])
+            rows = np.flatnonzero(live)
+            for c in range(0, rows.shape[0], _ROWS_PER_CALL):
+                chunk = rows[c : c + _ROWS_PER_CALL]
+                buf[chunk] = kernel(bs, positions[chunk])
             if self._bank is not None:
                 self._bank.add_to(
                     buf, distance, np.clip(lengths - lo, 0, hi - lo)

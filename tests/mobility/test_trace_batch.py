@@ -1,6 +1,7 @@
 """TraceBatch: padded lockstep form of many walks."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -76,6 +77,62 @@ class TestDerivedQuantities:
             np.testing.assert_array_equal(
                 dense.trace(i).positions, t.densify(0.1).positions
             )
+
+
+def reference_cumulative_distances(batch):
+    """``cumulative_distances`` as it was before it was built in place
+    (diff, square, sum, sqrt, cumsum), verbatim: the byte oracle."""
+    d = np.diff(batch.positions, axis=1)
+    steps = np.sqrt((d * d).sum(axis=2))
+    out = np.zeros((batch.n_traces, batch.max_points))
+    np.cumsum(steps, axis=1, out=out[:, 1:])
+    return out
+
+
+class TestCumulativeDistances:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 30), min_size=1, max_size=6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bytes_equal_reference_expression(self, lengths, seed):
+        rng = np.random.default_rng(seed)
+        traces = []
+        for n in lengths:
+            pos = rng.uniform(-5.0, 5.0, size=(n, 2))
+            pos[rng.random(n) < 0.2] = pos[0]  # some zero-length steps
+            traces.append(Trace(pos))
+        batch = TraceBatch.from_traces(traces)
+        want = reference_cumulative_distances(batch)
+        assert batch.cumulative_distances().tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lengths", [[1], [1, 1, 1], [1, 4, 1, 9]])
+    def test_one_point_traces(self, lengths):
+        rng = np.random.default_rng(3)
+        batch = TraceBatch.from_traces(
+            [Trace(rng.uniform(-1.0, 1.0, size=(n, 2))) for n in lengths]
+        )
+        got = batch.cumulative_distances()
+        want = reference_cumulative_distances(batch)
+        assert got.tobytes() == want.tobytes()
+        assert (got[np.array(lengths) == 1] == 0.0).all()
+
+    def test_peak_within_two_and_a_half_outputs(self):
+        """One output-sized scratch: the traced peak stays within 2.5x
+        the output (the diff/square/sum/sqrt temporaries took about 5x)."""
+        batch = RandomWalk(n_walks=12).generate_batch_seeded(range(400))
+        batch = batch.densify(0.02)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            out = batch.cumulative_distances()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * out.nbytes, (
+            f"cumulative_distances peaked at {peak} bytes, "
+            f"{peak / out.nbytes:.2f}x its {out.nbytes}-byte output"
+        )
 
 
 class TestGeneration:

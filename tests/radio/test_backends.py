@@ -23,6 +23,11 @@ and permuting points permutes outputs (no positional leakage).
 """
 
 import math
+import sys
+import threading
+import time
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,6 +49,7 @@ from repro.radio import (
     resolve_backend,
     unregister_backend,
 )
+from repro.radio import backends
 from repro.radio.backends import optimized_numpy_kernel, reference_kernel
 
 pytestmark = pytest.mark.backend
@@ -462,3 +468,137 @@ class TestBackendProperties:
             model.power_from_sites_batch(sites, pts[None, :, :])[0],
             model.power_from_sites(sites, pts),
         )
+
+
+# ----------------------------------------------------------------------
+# the numpy kernel's blocks and threads
+# ----------------------------------------------------------------------
+#: Untilted dipole below the receiver: a point exactly at a site sits on
+#: the pattern null (θ = φ = 0), so its power from that site is -inf.
+NULL_PARAMS = PropagationModel(
+    antenna=DipoleAntenna(tilt_deg=0.0), rx_height_m=50.0
+).kernel_params()
+
+
+def kernel_threads(n):
+    """Patch the numpy kernel's usable-CPU count to ``n``."""
+    return mock.patch.object(backends, "_usable_cpus", lambda: n)
+
+
+def block_points(n):
+    return mock.patch.object(backends, "_BLOCK_POINTS", n)
+
+
+def point_view(rng, n_pts, layout):
+    """``(n_pts, 2)`` points, contiguous or one of three strided views."""
+    if layout == "strided":
+        return rng.uniform(-7.0, 7.0, size=(2 * n_pts, 2))[::2]
+    if layout == "fortran":
+        return np.asfortranarray(rng.uniform(-7.0, 7.0, size=(n_pts, 2)))
+    if layout == "columns":
+        return rng.uniform(-7.0, 7.0, size=(n_pts, 3))[:, 1:]
+    return rng.uniform(-7.0, 7.0, size=(n_pts, 2))
+
+
+@st.composite
+def blocked_cases(draw):
+    block = draw(st.sampled_from([1, 7, backends._BLOCK_POINTS]))
+    several = draw(st.integers(2, 4)) * block + draw(st.integers(0, block - 1))
+    n_pts = draw(
+        st.sampled_from([0, 1, block - 1, block, block + 1, several])
+    )
+    return {
+        "block": block,
+        "n_pts": n_pts,
+        "threads": draw(st.sampled_from([1, 2, 3, 8])),
+        "n_sites": draw(st.sampled_from([1, 7, 19])),
+        "layout": draw(
+            st.sampled_from(["contiguous", "strided", "fortran", "columns"])
+        ),
+        "null": n_pts > 0 and draw(st.booleans()),
+        "seed": draw(st.integers(0, 2**16)),
+    }
+
+
+class TestBlockedNumpyKernel:
+    """The numpy kernel splits points into blocks spread over threads;
+    every block and thread count gives the reference's bytes."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(case=blocked_cases())
+    def test_bytes_equal_reference(self, case):
+        rng = np.random.default_rng(case["seed"])
+        sites = rng.uniform(-2.0, 2.0, size=(case["n_sites"], 2))
+        pts = point_view(rng, case["n_pts"], case["layout"])
+        params = paper_params()
+        if case["null"]:
+            params = NULL_PARAMS
+            p = int(rng.integers(case["n_pts"]))
+            b = int(rng.integers(case["n_sites"]))
+            pts[p] = sites[b]
+        with block_points(case["block"]), kernel_threads(case["threads"]):
+            with warnings.catch_warnings():
+                # a pattern null's log10(0) warns in no thread
+                warnings.simplefilter("error", RuntimeWarning)
+                got = optimized_numpy_kernel(sites, pts, params)
+        want = reference_kernel(sites, pts, params)
+        assert got.shape == want.shape == (case["n_pts"], case["n_sites"])
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        if case["null"]:
+            assert np.isneginf(got[p, b])
+
+    @pytest.mark.parametrize("raiser", ["caller", "worker"])
+    def test_block_error_reaches_caller_and_joins_threads(self, raiser):
+        chain = backends._chain
+        done = []
+
+        def flaky(*args):
+            in_caller = threading.current_thread() is threading.main_thread()
+            if in_caller == (raiser == "caller"):
+                raise ArithmeticError(f"block failed in the {raiser}")
+            time.sleep(0.002)  # leave blocks for the other side
+            chain(*args)
+            done.append(1)
+
+        before = threading.active_count()
+        with mock.patch.object(backends, "_chain", flaky), block_points(4), \
+                kernel_threads(2):
+            with pytest.raises(ArithmeticError, match=raiser):
+                optimized_numpy_kernel(
+                    site_grid(7), point_grid(64), paper_params()
+                )
+        assert threading.active_count() == before
+        # the failure stopped the hand-out: the other side finished at
+        # most the block it held, not the remaining 15
+        assert len(done) <= 2
+
+    def test_stress_tiny_blocks_and_concurrent_callers(self):
+        """Eight threads per call on one-point blocks with a 1 µs switch
+        interval, two calls at once: a block taken twice or never would
+        show in the bytes."""
+        params = paper_params()
+        sites = site_grid(19)
+        pts = [point_grid(150, seed=s) for s in (1, 2)]
+        want = [reference_kernel(sites, p, params) for p in pts]
+        got = [None, None]
+
+        def call(i):
+            got[i] = optimized_numpy_kernel(sites, pts[i], params)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with block_points(1), kernel_threads(8):
+                callers = [
+                    threading.Thread(target=call, args=(i,)) for i in (0, 1)
+                ]
+                for t in callers:
+                    t.start()
+                for t in callers:
+                    t.join(timeout=60.0)
+                assert not any(t.is_alive() for t in callers)
+        finally:
+            sys.setswitchinterval(interval)
+        for g, w in zip(got, want):
+            assert g is not None and g.tobytes() == w.tobytes()

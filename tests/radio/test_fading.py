@@ -241,20 +241,26 @@ def bank_tiles(bank, case, start=0):
 
 class TestFadingBankDifferential:
     """The bank is a vectorised :class:`ShadowFadingStream` per UE: the
-    same bytes for every tile width and block length, in one shot as
-    ``sample_along`` draws, and resumed from any tile boundary.  This
-    also pins, on the host that runs it, that ``np.exp`` over a whole
-    block gives the bits it gives per UE."""
+    same bytes for every tile width, block length and block width, in
+    one shot as ``sample_along`` draws, and resumed from any tile
+    boundary.  This also pins, on the host that runs it, that ``np.exp``
+    over a whole block gives the bits it gives per UE."""
 
     @settings(derandomize=True, max_examples=250, deadline=None)
-    @given(case=fleets(), block=st.sampled_from([1, 2, 3, 16]))
-    def test_bank_matches_per_ue_oracles(self, case, block):
+    @given(
+        case=fleets(),
+        block=st.sampled_from([1, 2, 3, 16]),
+        block_ues=st.sampled_from([1, 2, 3, 256]),
+    )
+    def test_bank_matches_per_ue_oracles(self, case, block, block_ues):
         kinds, seed = case["kinds"], case["seed"]
         base, distance, lengths = (
             case["base"], case["distance"], case["lengths"]
         )
         t_max, tile = base.shape[1], case["tile"]
-        with mock.patch.object(fading, "FADING_BLOCK_EPOCHS", block):
+        with mock.patch.object(
+            fading, "FADING_BLOCK_EPOCHS", block
+        ), mock.patch.object(fading, "FADING_BLOCK_UES", block_ues):
             # tile by tile against one ShadowFadingStream per UE
             bank = FadingBank(make_profiles(kinds, seed), CELLS)
             streams = [

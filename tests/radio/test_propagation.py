@@ -105,6 +105,25 @@ class TestSiteMatrix:
         with pytest.raises(ValueError):
             m.power_from_sites(np.zeros((2, 3)), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 2, 1), (4, 3)])
+    def test_non_matrix_sites_rejected_by_name(self, shape):
+        with pytest.raises(ValueError, match="bs_positions_km"):
+            paper_model().power_from_sites(np.zeros(shape), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (3, 2, 2, 1), (4, 3)])
+    def test_non_matrix_points_rejected_by_name(self, shape):
+        with pytest.raises(ValueError, match="points_km"):
+            paper_model().power_from_sites(np.zeros((2, 2)), np.zeros(shape))
+
+    @pytest.mark.parametrize("n_ues, n_epochs", [(0, 5), (3, 0), (0, 0)])
+    def test_empty_batch_keeps_its_shape(self, n_ues, n_epochs):
+        bs = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        out = paper_model().power_from_sites_batch(
+            bs, np.zeros((n_ues, n_epochs, 2))
+        )
+        assert out.shape == (n_ues, n_epochs, 3)
+        assert out.dtype == np.float64
+
 
 class TestCrossover:
     def test_identical_models_cross_at_midpoint(self):

@@ -8,6 +8,7 @@ proportionally to the horizon.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from repro.sim import (
     resolve_tile_epochs,
     run_fleet,
 )
+from repro.sim import measurement
 from repro.sim.population import PolicyConfig, PopulationSpec, UECohort
 
 PER_UE_ARRAYS = (
@@ -184,6 +186,26 @@ class TestTiledMeasurement:
                 tile.distance_km, ref.distance_km[:, sl]
             )
         assert stop == ref.power_dbw.shape[1]
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("fading", [False, True])
+    def test_row_chunked_tile_fill_matches_materialized(self, rows, fading):
+        """Tiles fill their live rows a few kernel calls at a time; the
+        chunking shows in no byte, padding included."""
+        params = self.FADING_PARAMS if fading else self.PARAMS
+        batch = make_batch(params, 7, uneven=True)
+        rngs = [900 + i for i in range(7)] if fading else None
+        ref = make_sampler(params, with_fading=fading).measure_batch(
+            batch, fading_rngs=rngs
+        )
+        tiled = make_sampler(params, with_fading=fading).measure_batch_tiles(
+            batch, tile_epochs=4, fading_rngs=rngs
+        )
+        assert len(set(tiled.lengths.tolist())) > 1
+        with mock.patch.object(measurement, "_ROWS_PER_CALL", rows):
+            for tile in tiled.tiles():
+                want = ref.power_dbw[:, tile.start : tile.stop]
+                assert tile.power_dbw.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("k", [1, 3, 64])
     def test_materialize_identity_with_fading(self, k):
