@@ -215,7 +215,12 @@ def test_x18_fading_bank_speedup():
         spec.walk_seeds(0, FADING_UES)
     )
     seeds = [spec.fading_base_seed + i for i in range(FADING_UES)]
-    sampler = spec.make_sampler()
+    sampler = MeasurementSampler(
+        params.make_layout(),
+        params.make_propagation(),
+        spacing_km=params.measurement_spacing_km,
+        fading=params.make_fading(),
+    )
     plain_sampler = MeasurementSampler(
         sampler.layout, sampler.propagation, spacing_km=sampler.spacing_km
     )

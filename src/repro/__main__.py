@@ -27,11 +27,12 @@ Commands
     (pedestrians/vehicles/stationary cohorts, see
     :data:`repro.sim.population.POPULATION_MIXES`) and adds a
     per-cohort metrics breakdown.  ``--checkpoint DIR`` runs
-    crash-safe: resumable state is snapshotted at epoch-tile
-    boundaries and re-running the command after a kill resumes
-    byte-identical; ``--heartbeat-*``/``--max-retries``/
-    ``--no-serial-fallback`` tune the distributed executor's fault
-    tolerance when ``--hosts`` is given.
+    crash-safe (with or without ``--population``): resumable state is
+    snapshotted at epoch-tile boundaries and re-running the command
+    after a kill resumes byte-identical;
+    ``--heartbeat-*``/``--max-retries``/``--no-serial-fallback`` tune
+    the distributed executor's fault tolerance when ``--hosts`` is
+    given.
 ``worker --listen HOST:PORT [--max-tasks N] [--die-after K]``
     Serve fleet shards (or any executor tasks) over TCP to a
     :class:`~repro.sim.distributed.DistributedExecutor` — the unit of
@@ -186,8 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "boundaries; re-running the same command "
                               "after a kill (even SIGKILL) resumes "
                               "from the last snapshot and produces "
-                              "byte-identical metrics (homogeneous "
-                              "fleets, in-process execution only)")
+                              "byte-identical metrics (single-policy "
+                              "fleets, --population mixes included; "
+                              "in-process execution only)")
     p_fleet.add_argument("--metrics-out", default=None, metavar="PATH",
                          help="pickle the merged FleetMetrics to PATH "
                               "(exact-identity comparisons across "
@@ -409,7 +411,7 @@ def _cmd_replay(parser, args) -> int:
         params = SimulationParameters()
         if args.fading is not None:
             params = params.with_(shadow_sigma_db=args.fading)
-        if args.population is not None:
+        if args.population:
             spec = named_population(
                 args.population, args.ues, params, base_seed=args.seed
             )
@@ -558,11 +560,17 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_replay(parser, args)
 
     if args.command == "worker":
-        from .sim.distributed import FaultSpec, WorkerServer, parse_address
+        from .resilience import FaultPlan, FaultRule
+        from .sim.distributed import WorkerServer, parse_address
 
         host, port = parse_address(args.listen)
         fault = (
-            FaultSpec(after=args.die_after, mode="exit")
+            FaultPlan(
+                rules=(
+                    FaultRule(scope="worker", mode="exit",
+                              after=args.die_after),
+                )
+            )
             if args.die_after is not None
             else None
         )
@@ -577,7 +585,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "fleet":
-        if args.population is not None and (
+        if args.population and (
             args.walks is not None or args.speeds is not None
         ):
             parser.error(
@@ -585,7 +593,7 @@ def main(argv: list[str] | None = None) -> int:
                 "--population mix defines mobility and speeds per cohort"
             )
         walks = 10 if args.walks is None else args.walks
-        if args.population is not None:
+        if args.population:
             scenario = FleetScenario.from_mix(
                 args.population, n_ues=args.ues, base_seed=args.seed
             )
@@ -633,11 +641,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"--max-retries must be >= 0, got {args.max_retries}"
             )
         if args.checkpoint is not None:
-            if args.population is not None:
-                parser.error(
-                    "--checkpoint supports homogeneous fleets only, "
-                    "not --population mixes"
-                )
             if args.hosts is not None or args.workers is not None:
                 parser.error(
                     "--checkpoint runs shards serially in-process "
@@ -672,26 +675,14 @@ def main(argv: list[str] | None = None) -> int:
         t0 = time.perf_counter()
         if args.checkpoint is not None:
             from .resilience import run_fleet_checkpointed
-            from .sim import FleetSpec
 
-            # the homogeneous spec directly (not the population
-            # expansion): checkpointed runs snapshot per-stream fading
-            # state, which the homogeneous tiled path owns
-            spec = FleetSpec(
-                n_ues=args.ues,
-                n_walks=walks,
-                base_seed=args.seed,
-                speeds_kmh=(
-                    tuple(args.speeds) if args.speeds else PAPER_SPEEDS_KMH
-                ),
-                params=SimulationParameters(),
-            )
-            if args.backend is not None:
-                spec = spec.with_backend(args.backend)
-            if args.flc_backend is not None:
-                spec = spec.with_flc_backend(args.flc_backend)
             fleet = run_fleet_checkpointed(
-                spec,
+                scenario.to_spec(
+                    SimulationParameters(
+                        pathloss_backend=args.backend,
+                        flc_backend=args.flc_backend,
+                    )
+                ),
                 checkpoint_dir=args.checkpoint,
                 n_shards=args.shards,
                 tile_epochs=args.tile_epochs,
@@ -742,7 +733,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrong-BS : {fleet.wrong_cell_fraction:.4f} of epochs")
         print(f"outage   : {fleet.outage_fraction:.4f} of epochs "
               f"(below {fleet.outage_dbw:g} dBW)")
-        if args.population is not None and fleet.cohort_names is not None:
+        if args.population:
             print("cohorts  :")
             width = max(len(n) for n in fleet.cohort_names)
             for cm in fleet.per_cohort():

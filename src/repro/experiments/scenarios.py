@@ -155,23 +155,21 @@ class FleetScenario:
     def to_population(self, params: SimulationParameters | None = None):
         """This scenario as a declarative
         :class:`~repro.sim.population.PopulationSpec`."""
-        from ..sim.population import PopulationSpec, UECohort
+        from ..sim.population import PopulationSpec
 
         if params is None:
             params = SimulationParameters()
-        cohorts = self.cohorts
-        if cohorts is None:
-            cohorts = (
-                UECohort(
-                    name="default",
-                    model=params.make_walk(self.n_walks),
-                    count=self.n_ues,
-                    speeds_kmh=tuple(self.speeds_kmh),
-                ),
+        if self.cohorts is None:
+            return PopulationSpec.homogeneous(
+                self.n_ues,
+                self.n_walks,
+                self.speeds_kmh,
+                params,
+                base_seed=self.base_seed,
             )
         return PopulationSpec(
             n_ues=self.n_ues,
-            cohorts=tuple(cohorts),
+            cohorts=tuple(self.cohorts),
             params=params,
             base_seed=self.base_seed,
         )
@@ -179,8 +177,9 @@ class FleetScenario:
     def to_spec(self, params: SimulationParameters | None = None):
         """This scenario as a picklable :class:`repro.sim.FleetSpec`
         (the sharded execution layer's currency), built on the
-        population expansion — byte-identical to the pre-population
-        fleet path for homogeneous scenarios."""
+        population expansion — for a homogeneous scenario the same
+        fleet as a ``FleetSpec`` built from its n_ues, n_walks, seed and
+        speeds."""
         from ..sim.fleet import FleetSpec
 
         return FleetSpec.from_population(self.to_population(params))

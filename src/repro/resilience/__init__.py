@@ -12,7 +12,11 @@ Three pillars, one seed discipline:
   byte-identical resumption after a kill at any point;
 * :mod:`repro.resilience.supervisor` — a self-healing
   :class:`~repro.serve.service.DecisionService` that restarts a crashed
-  decision loop from the last epoch boundary.
+  decision loop from the last epoch boundary.  Import
+  ``SupervisedDecisionService`` and ``InjectedCrash`` from that module:
+  :mod:`repro.serve.service` imports the fault runtime from this
+  package, and the supervisor imports :mod:`repro.serve.service`, so a
+  re-export here would close an import cycle.
 """
 
 from .checkpoint import (
@@ -29,7 +33,6 @@ from .faults import (
     FaultInjector,
     FaultPlan,
     FaultRule,
-    FaultSpec,
     make_clock,
     misbehaving_client,
     silence_filter,
@@ -42,10 +45,7 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultRule",
-    "FaultSpec",
-    "InjectedCrash",
     "SimulatedCrash",
-    "SupervisedDecisionService",
     "checkpoint_path",
     "load_checkpoint",
     "make_clock",
@@ -53,15 +53,4 @@ __all__ = [
     "run_fleet_checkpointed",
     "silence_filter",
 ]
-
-
-def __getattr__(name: str):
-    # lazy: repro.serve.service imports the fault runtime from this
-    # package, and the supervisor imports repro.serve.service — eager
-    # re-export here would close that cycle during interpreter import
-    if name in ("InjectedCrash", "SupervisedDecisionService"):
-        from . import supervisor
-
-        return getattr(supervisor, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

@@ -1,6 +1,6 @@
 """Crash-safe checkpoint/resume for streaming fleet runs.
 
-:func:`run_fleet_checkpointed` drives a homogeneous
+:func:`run_fleet_checkpointed` drives a single-policy
 :class:`~repro.sim.fleet.FleetSpec` shard by shard through the
 epoch-tiled streaming engine, snapshotting resumable state into a
 checkpoint file at tile boundaries.  A run killed at *any* point — even
@@ -18,7 +18,8 @@ piece of state the epoch loop carries is captured exactly:
   tile stream's :class:`~repro.radio.fading.FadingBank`, so resumed
   fading continues the exact draw sequence;
 * the next tile-boundary epoch and the per-shard completion ledger
-  (finished shards store their final :class:`FleetMetrics`).
+  (finished shards store their final, cohort-labelled
+  :class:`FleetMetrics`).
 
 Checkpoint file format (``<dir>/fleet.ckpt``, an atomically replaced
 pickle)::
@@ -43,7 +44,8 @@ pickle)::
 
 ``fading_state`` is :meth:`FadingBank.state_dict
 <repro.radio.fading.FadingBank.state_dict>`: ``None`` for a UE that
-does not fade, else exactly what that UE's
+does not fade (a cohort at ``shadow_sigma_db=0``), else exactly what
+that UE's
 :meth:`ShadowFadingStream.state_dict
 <repro.radio.fading.ShadowFadingStream.state_dict>` holds, the layout
 version-2 files were first written in (one stream per UE), so those
@@ -155,10 +157,10 @@ def _fingerprint(
     outage_dbw: float,
     tile_epochs: int,
 ) -> str:
-    """Binds a checkpoint to one exact workload.  The spec is a frozen
-    dataclass of primitives, so its pickle is stable across processes of
-    one interpreter version — good enough to catch every accidental
-    mismatch loudly."""
+    """Binds a checkpoint to one exact workload.  The spec, its
+    population and their mobility models are frozen dataclasses, so
+    their pickle is stable across processes of one interpreter
+    version — good enough to catch every accidental mismatch loudly."""
     payload = pickle.dumps(
         (spec, int(n_shards), float(window_km), float(outage_dbw),
          int(tile_epochs)),
@@ -185,17 +187,24 @@ def run_fleet_checkpointed(
     forced epoch-tiled streaming path so there are tile boundaries to
     snapshot at.  Call again with the same arguments after a crash and
     the run continues from the last checkpoint; the merged
-    :class:`FleetMetrics` is byte-identical to the uninterrupted run.
+    :class:`FleetMetrics` is byte-identical to the uninterrupted run and
+    to :func:`~repro.sim.fleet.run_fleet` over the same spec.
+
+    The whole population must share one handover policy (one snapshot
+    per shard covers one batch pass); a mixed-policy population is
+    refused with a :class:`ValueError`, whatever ``n_shards`` is.
 
     ``checkpoint_every_tiles`` thins the write cadence (a snapshot every
     m-th tile boundary).  ``fault_plan`` lets ``"checkpoint"``-scope
     crash rules kill the run deterministically between writes (tests,
     the X20 recovery bench).
     """
-    if spec.population is not None:
+    population = spec.population
+    groups = population.policy_groups()
+    if len(groups) > 1:
         raise ValueError(
-            "checkpointed runs support homogeneous fleet specs only, "
-            "not populations"
+            "checkpointed runs support one handover policy per fleet; "
+            f"this population mixes {len(groups)}"
         )
     if checkpoint_every_tiles < 1:
         raise ValueError(
@@ -239,7 +248,7 @@ def run_fleet_checkpointed(
     injector = (
         fault_plan.injector("checkpoint") if fault_plan is not None else None
     )
-    system = spec.make_system()
+    system = population.make_system(groups[0][0])
 
     for idx, shard in enumerate(shards):
         if idx in state["completed"]:
@@ -249,7 +258,7 @@ def run_fleet_checkpointed(
         if in_progress is not None and in_progress["shard"] == idx:
             resume = in_progress["snapshot"]
 
-        stream = shard.measure_tiled(tile_k)
+        stream = shard.measure_streamed(tile_k)
         sim = BatchSimulator(system, speed_kmh=shard.ue_speeds())
         boundaries = 0
 
@@ -285,7 +294,10 @@ def run_fleet_checkpointed(
             resume=resume,
             on_tile_end=on_tile_end,
         ).metrics.finalize()
-        state["completed"][idx] = metrics
+        state["completed"][idx] = metrics.with_cohorts(
+            population.cohort_ids(shard.lo, shard.hi),
+            population.cohort_names,
+        )
         state["in_progress"] = None
         _atomic_write(path, state)
 

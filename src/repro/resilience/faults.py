@@ -16,8 +16,7 @@ Injection points across the repo consume the plan through
 :meth:`FaultPlan.injector`:
 
 * :class:`~repro.sim.distributed.WorkerServer` polls a ``"worker"``
-  injector per received task (exit / drop / hang — the semantics the
-  legacy :class:`FaultSpec` pioneered);
+  injector per received task (exit / drop / hang);
 * :func:`misbehaving_client` drives serve-transport chaos from
   ``"frame"`` rules (abrupt exit, truncated frame, garbage frame,
   silent hang, delay) — the shared scaffolding the serve fault tests
@@ -29,9 +28,6 @@ Injection points across the repo consume the plan through
   clock from ``"clock"`` rules (via :func:`make_clock`);
 * the checkpoint runner (``"checkpoint"``) and the serve supervisor
   (``"epoch"``) crash on schedule to exercise recovery paths.
-
-:class:`FaultSpec` — the original single-fault worker arming — lives
-here now; :mod:`repro.sim.distributed` re-exports it for compatibility.
 """
 
 from __future__ import annotations
@@ -48,57 +44,10 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "FaultRule",
-    "FaultSpec",
     "make_clock",
     "misbehaving_client",
     "silence_filter",
 ]
-
-
-# ----------------------------------------------------------------------
-# the legacy single-fault spec (promoted out of sim.distributed)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FaultSpec:
-    """Arms a :class:`~repro.sim.distributed.WorkerServer` to fail while
-    handling a task.
-
-    ``after``
-        Trigger on the N-th task the server *receives* (1-based), i.e.
-        mid-shard: the task arrived but its result never will.
-    ``mode``
-        ``"exit"`` kills the worker process (``os._exit``) — the
-        production fault.  ``"drop"`` closes just the connection and
-        keeps serving (usable from in-process test servers, and
-        exercises client reconnect).  ``"hang"`` goes silent without
-        closing — only heartbeat-silence detection catches it.
-    ``repeat``
-        Trigger on *every* task from ``after`` on (drives the
-        retries-exhausted path) instead of once.
-    """
-
-    after: int = 1
-    mode: str = "exit"
-    repeat: bool = False
-
-    def __post_init__(self) -> None:
-        if self.after < 1:
-            raise ValueError(f"after must be >= 1, got {self.after}")
-        if self.mode not in ("exit", "drop", "hang"):
-            raise ValueError(f"unknown fault mode {self.mode!r}")
-
-    def as_plan(self) -> "FaultPlan":
-        """The equivalent one-rule worker-scope :class:`FaultPlan`."""
-        return FaultPlan(
-            rules=(
-                FaultRule(
-                    scope="worker",
-                    mode=self.mode,
-                    after=self.after,
-                    repeat=self.repeat,
-                ),
-            )
-        )
 
 
 # ----------------------------------------------------------------------
@@ -108,7 +57,8 @@ class FaultSpec:
 #: injector counts one stream); modes name what happens when a rule
 #: fires on an event of that stream.
 FAULT_SCOPES: dict[str, tuple[str, ...]] = {
-    # worker task handling (WorkerServer): the FaultSpec trio
+    # worker task handling (WorkerServer): process exit, dropped
+    # connection, silent hang
     "worker": ("exit", "drop", "hang"),
     # serve-transport frames (misbehaving_client): connection chaos
     "frame": ("exit", "drop", "corrupt", "hang", "delay"),

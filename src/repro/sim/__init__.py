@@ -49,12 +49,10 @@ from .fleet import (
     FleetSpec,
     partition_fleet,
     run_fleet,
-    warm_system_stats,
 )
 from .distributed import (
     DistributedExecutionError,
     DistributedExecutor,
-    FaultSpec,
     WorkerServer,
     local_worker_pool,
     parse_hosts,
@@ -137,11 +135,9 @@ __all__ = [
     "FleetShard",
     "partition_fleet",
     "run_fleet",
-    "warm_system_stats",
     "DistributedExecutor",
     "DistributedExecutionError",
     "WorkerServer",
-    "FaultSpec",
     "local_worker_pool",
     "parse_hosts",
     "FleetMetricsAccumulator",

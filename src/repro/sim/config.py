@@ -38,10 +38,9 @@ PAPER_SPEEDS_KMH: tuple[float, ...] = (0.0, 10.0, 20.0, 30.0, 40.0, 50.0)
 
 #: Default per-fleet seeding bases — UE ``i`` walks ``DEFAULT_BASE_SEED
 #: + i`` and (when shadowed) fades with ``DEFAULT_FADING_BASE_SEED +
-#: i``.  Shared by the homogeneous :class:`repro.sim.fleet.FleetSpec`
-#: and the cohort :class:`repro.sim.population.PopulationSpec`; the
-#: single-cohort byte-identity contract between the two depends on the
-#: defaults matching, so they live in one place.
+#: i``.  Shared by :class:`repro.sim.fleet.FleetSpec` and the
+#: :class:`repro.sim.population.PopulationSpec` every fleet spec holds,
+#: which must agree on both seeds, so they live in one place.
 DEFAULT_BASE_SEED = 1000
 DEFAULT_FADING_BASE_SEED = 424_243
 

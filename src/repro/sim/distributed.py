@@ -60,14 +60,12 @@ immediately and is never retried (matching
 
 Fault injection
 ---------------
-:class:`FaultSpec` (re-exported from :mod:`repro.resilience.faults`,
-its home since the deterministic FaultPlan runtime subsumed it) arms a
-:class:`WorkerServer` to fail on command — exit the process mid-task
-(``python -m repro worker ... --die-after N``), drop the connection, or
-hang silently — which is how the X17 bench and the ``distributed`` test
-suite prove merged metrics stay byte-identical through worker death and
-shard reissue.  A :class:`~repro.resilience.faults.FaultPlan` arms the
-same server with a seeded multi-rule schedule instead.
+A :class:`~repro.resilience.faults.FaultPlan`'s ``"worker"``-scope
+rules arm a :class:`WorkerServer` to fail on command — exit the process
+mid-task (``python -m repro worker ... --die-after N`` builds that
+one-rule plan), drop the connection, or hang silently — which is how
+the X17 bench and the ``distributed`` test suite prove merged metrics
+stay byte-identical through worker death and shard reissue.
 """
 
 from __future__ import annotations
@@ -83,8 +81,7 @@ import sys
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .executor import Executor
 
@@ -92,7 +89,6 @@ __all__ = [
     "DistributedExecutor",
     "DistributedExecutionError",
     "WorkerServer",
-    "FaultSpec",
     "FaultPlan",
     "MAX_FRAME_BYTES",
     "parse_address",
@@ -184,9 +180,7 @@ def parse_hosts(hosts: str | Sequence[str]) -> tuple[tuple[str, int], ...]:
 # ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
-# FaultSpec grew into the declarative FaultPlan runtime and moved to
-# repro.resilience.faults; re-exported here for compatibility.
-from ..resilience.faults import FaultInjector, FaultPlan, FaultSpec  # noqa: E402
+from ..resilience.faults import FaultInjector, FaultPlan  # noqa: E402
 
 
 class WorkerServer:
@@ -208,23 +202,18 @@ class WorkerServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_tasks: Optional[int] = None,
-        fault: Optional[Union[FaultSpec, FaultPlan]] = None,
+        fault: Optional[FaultPlan] = None,
     ) -> None:
+        if fault is not None and not isinstance(fault, FaultPlan):
+            raise TypeError(f"fault must be a FaultPlan or None, got {fault!r}")
         self._listener = socket.create_server((host, port))
         self.address: tuple[str, int] = self._listener.getsockname()[:2]
         self.max_tasks = max_tasks
         self.fault = fault
-        # both the legacy single-fault spec and a full plan drive the
-        # same counting injector over the worker's task-event stream
-        self.fault_injector: Optional[FaultInjector] = None
-        if isinstance(fault, FaultSpec):
-            self.fault_injector = fault.as_plan().injector("worker")
-        elif isinstance(fault, FaultPlan):
-            self.fault_injector = fault.injector("worker")
-        elif fault is not None:
-            raise TypeError(
-                f"fault must be a FaultSpec or FaultPlan, got {fault!r}"
-            )
+        # a counting injector over the worker's task-event stream
+        self.fault_injector: Optional[FaultInjector] = (
+            fault.injector("worker") if fault is not None else None
+        )
         self.tasks_seen = 0
         self._done = 0
         self._stop = threading.Event()

@@ -7,11 +7,16 @@ batch engine (streaming metrics, O(shard) memory), and merges the
 per-shard :class:`~repro.sim.metrics.FleetMetrics` back into exactly
 the numbers the unsharded engine produces.
 
+Every fleet is a :class:`~repro.sim.population.PopulationSpec`: a
+:class:`FleetSpec` built from the homogeneous fields (the paper's one
+UE archetype) holds a single ``"default"`` cohort, and a shard is a
+``[lo, hi)`` slice of that population's global UE indices.
+
 Sharding is *deterministic by construction*:
 
 * every UE owns its walk seed (``base_seed + global_index``), its speed
-  (the speed cycle indexed by global position) and, when shadowing is
-  enabled, its fading stream (``fading_base_seed + global_index``) — so
+  (its cohort's speed profile, indexed by global position) and, when it
+  fades, its fading stream (``fading_base_seed + global_index``) — so
   a UE's measurements do not depend on which shard it lands in;
 * trace densification and the propagation kernel are per-UE element-wise,
   so shard padding never leaks into valid epochs;
@@ -36,12 +41,9 @@ documented conformance tolerance for accelerators).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
-    from .population import PopulationSpec
 
 from ..core.system import FuzzyHandoverSystem
 from .batch import BatchSimulationResult, BatchSimulator
@@ -52,26 +54,20 @@ from .config import (
     SimulationParameters,
 )
 from .executor import Executor, make_executor
-from .measurement import (
-    DEFAULT_TILE_EPOCHS,
-    BatchMeasurementSeries,
-    MeasurementSampler,
-    resolve_tile_epochs,
-)
+from .measurement import BatchMeasurementSeries
 from .metrics import (
     DEFAULT_OUTAGE_DBW,
     DEFAULT_WINDOW_KM,
     FleetMetrics,
     merge_fleet_metrics,
 )
-from .population import policy_system
+from .population import PopulationSpec, policy_system
 
 __all__ = [
     "FleetSpec",
     "FleetShard",
     "partition_fleet",
     "run_fleet",
-    "warm_system_stats",
 ]
 
 
@@ -109,14 +105,16 @@ class FleetSpec:
 
     The fleet analogue of the sweep runner's ``("fuzzy", {...})`` policy
     specs: everything a worker process needs to rebuild and run its
-    shard — walk seeds, the speed cycle, physics parameters — travels as
-    one small frozen dataclass instead of live simulator objects.
+    shard travels as one small frozen dataclass instead of live
+    simulator objects.
 
-    UE ``i`` walks seed ``base_seed + i`` at speed ``speeds_kmh[i %
-    len(speeds_kmh)]``; with ``params.shadow_sigma_db > 0`` it also owns
-    the fading stream ``fading_base_seed + i``.  All three are functions
-    of the *global* UE index, which is what makes any sharding of the
-    fleet bit-identical to the unsharded run.
+    The fleet itself is always :attr:`population`; without one, the
+    homogeneous fields build it: UE ``i`` walks seed ``base_seed + i``
+    at speed ``speeds_kmh[i % len(speeds_kmh)]`` and, with
+    ``params.shadow_sigma_db > 0``, owns the fading stream
+    ``fading_base_seed + i``.  All three are functions of the *global*
+    UE index, which is what makes any sharding of the fleet
+    bit-identical to the unsharded run.
     """
 
     n_ues: int = 100
@@ -125,40 +123,40 @@ class FleetSpec:
     speeds_kmh: tuple[float, ...] = PAPER_SPEEDS_KMH
     params: SimulationParameters = field(default_factory=SimulationParameters)
     fading_base_seed: int = DEFAULT_FADING_BASE_SEED
-    #: optional heterogeneous population; when set, walks/speeds/fading
-    #: come from the cohort expansion instead of the homogeneous fields
-    population: Optional["PopulationSpec"] = None
+    #: the fleet's UEs; ``None`` at construction builds the single
+    #: ``"default"`` cohort from the fields above, and a population
+    #: given here must agree with ``n_ues``, ``params`` and both seeds
+    #: (``n_walks`` and ``speeds_kmh`` only shape the default cohort)
+    population: Optional[PopulationSpec] = None
 
     def __post_init__(self) -> None:
-        if self.n_ues < 1:
-            raise ValueError(f"n_ues must be >= 1, got {self.n_ues}")
-        if self.n_walks < 1:
-            raise ValueError(f"n_walks must be >= 1, got {self.n_walks}")
-        if not self.speeds_kmh:
-            raise ValueError("speeds_kmh must be non-empty")
-        if self.population is not None:
-            if self.population.n_ues != self.n_ues:
+        # the population validates n_ues, and the default cohort's walk
+        # and speed cycle validate n_walks and speeds_kmh
+        population = self.population or PopulationSpec.homogeneous(
+            self.n_ues,
+            self.n_walks,
+            self.speeds_kmh,
+            self.params,
+            base_seed=self.base_seed,
+            fading_base_seed=self.fading_base_seed,
+        )
+        for name in ("n_ues", "params", "base_seed", "fading_base_seed"):
+            if getattr(population, name) != getattr(self, name):
                 raise ValueError(
-                    f"population has {self.population.n_ues} UEs but the "
-                    f"spec says {self.n_ues}"
-                )
-            if self.population.params != self.params:
-                raise ValueError(
-                    "population.params must equal the spec params "
+                    f"population.{name} must equal the spec's {name} "
                     "(build via FleetSpec.from_population)"
                 )
+        object.__setattr__(self, "population", population)
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_population(cls, population: "PopulationSpec") -> "FleetSpec":
+    def from_population(cls, population: PopulationSpec) -> "FleetSpec":
         """Wrap a heterogeneous population as a fleet-execution spec.
 
-        Fleet size, seeds and physics mirror the population; sharding
-        and the ``run_fleet`` merge then work identically for both
-        kinds of spec.  The homogeneous-only fields (``n_walks``,
-        ``speeds_kmh``) stay at their defaults and are *ignored* by the
-        population branch — each cohort defines its own walks and
-        speeds.
+        Fleet size, seeds and physics mirror the population.  The
+        homogeneous-only fields (``n_walks``, ``speeds_kmh``) stay at
+        their defaults and are *ignored* — each cohort defines its own
+        walks and speeds.
         """
         return cls(
             n_ues=population.n_ues,
@@ -171,18 +169,12 @@ class FleetSpec:
     # ------------------------------------------------------------------
     def walk_seeds(self, lo: int = 0, hi: Optional[int] = None) -> list[int]:
         """Walk seeds of UEs ``[lo, hi)`` (defaults: the whole fleet)."""
-        hi = self.n_ues if hi is None else hi
-        return list(range(self.base_seed + lo, self.base_seed + hi))
+        return self.population.walk_seeds(lo, hi)
 
     def ue_speeds(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
-        """Speeds of UEs ``[lo, hi)`` — the cohort expansion's speeds
-        for a population spec, else the speed cycle indexed by *global*
-        UE index."""
-        hi = self.n_ues if hi is None else hi
-        if self.population is not None:
-            return self.population.ue_speeds(lo, hi)
-        speeds = np.asarray(self.speeds_kmh, dtype=float)
-        return speeds[np.arange(lo, hi) % speeds.shape[0]]
+        """Speeds of UEs ``[lo, hi)`` from the population's cohort
+        profiles, indexed by *global* UE index."""
+        return self.population.ue_speeds(lo, hi)
 
     def with_backend(self, backend: Optional[str]) -> "FleetSpec":
         """A copy of this spec pinned to a pathloss-kernel backend.
@@ -217,24 +209,8 @@ class FleetSpec:
         return self._with_params(self.params.with_(tile_epochs=tile_epochs))
 
     def _with_params(self, params: SimulationParameters) -> "FleetSpec":
-        population = (
-            self.population.with_params(params)
-            if self.population is not None
-            else None
-        )
-        return replace(self, params=params, population=population)
-
-    def make_sampler(self) -> MeasurementSampler:
-        """The measurement stack under this spec's physics."""
-        params = self.params
-        fading = (
-            params.make_fading() if params.shadow_sigma_db > 0.0 else None
-        )
-        return MeasurementSampler(
-            params.make_layout(),
-            params.make_propagation(),
-            spacing_km=params.measurement_spacing_km,
-            fading=fading,
+        return replace(
+            self, params=params, population=self.population.with_params(params)
         )
 
     def make_system(self) -> FuzzyHandoverSystem:
@@ -282,28 +258,14 @@ class FleetShard:
 
     # ------------------------------------------------------------------
     def measure(self) -> BatchMeasurementSeries:
-        """Generate and measure this shard's walks.
+        """Generate and measure this shard's walks (grouped per-cohort
+        trace generation, per-UE fading profiles).
 
         Per-UE measurements are bit-identical to the unsharded fleet's:
-        walks and (optional) fading streams are seeded by global UE
-        index, and the propagation kernel is element-wise per UE.  A
-        population spec routes through the cohort expansion (grouped
-        per-model trace generation, per-UE fading profiles) with the
-        same global-index seeding.
+        walks and fading streams are seeded by global UE index, and the
+        propagation kernel is element-wise per UE.
         """
-        spec = self.spec
-        if spec.population is not None:
-            return spec.population.measure(self.lo, self.hi)
-        batch = spec.params.make_walk(spec.n_walks).generate_batch_seeded(
-            self.walk_seeds()
-        )
-        sampler = spec.make_sampler()
-        if sampler.fading is not None:
-            rngs = [
-                spec.fading_base_seed + i for i in range(self.lo, self.hi)
-            ]
-            return sampler.measure_batch(batch, fading_rngs=rngs)
-        return sampler.measure_batch(batch)
+        return self.spec.population.measure(self.lo, self.hi)
 
     def measure_streamed(self, tile_epochs: Optional[int] = None):
         """This shard's measurements under the epoch-tile policy:
@@ -312,56 +274,12 @@ class FleetShard:
         :func:`~repro.sim.measurement.resolve_tile_epochs` (explicit
         argument > spec ``params.tile_epochs`` > ``REPRO_TILE_EPOCHS`` >
         auto-from-size).  Byte-identical per UE to :meth:`measure`
-        either way — the fleet's per-global-UE-index fading seeding is
-        exactly the per-UE-process shape the tile stream requires.
+        either way; an explicit ``tile_epochs >= 1`` always tiles, which
+        is what the checkpoint runner snapshots at.
         """
-        spec = self.spec
-        if spec.population is not None:
-            return spec.population.measure_streamed(
-                self.lo, self.hi, tile_epochs=tile_epochs
-            )
-        batch = spec.params.make_walk(spec.n_walks).generate_batch_seeded(
-            self.walk_seeds()
+        return self.spec.population.measure_streamed(
+            self.lo, self.hi, tile_epochs=tile_epochs
         )
-        sampler = spec.make_sampler()
-        rngs = None
-        if sampler.fading is not None:
-            rngs = [
-                spec.fading_base_seed + i for i in range(self.lo, self.hi)
-            ]
-        return sampler.measure_batch_streamed(
-            batch,
-            resolve_tile_epochs(tile_epochs, spec.params.tile_epochs),
-            fading_rngs=rngs,
-        )
-
-    def measure_tiled(self, tile_epochs: Optional[int] = None):
-        """This shard's measurements as a
-        :class:`~repro.sim.measurement.TiledBatchMeasurement`,
-        unconditionally tiled — the checkpoint/resume path needs tile
-        boundaries to snapshot at, so the materialised fallback of
-        :meth:`measure_streamed` is not an option.  Population specs
-        (shared per-cohort processes) are not supported here.
-        """
-        spec = self.spec
-        if spec.population is not None:
-            raise ValueError(
-                "checkpointed (tiled) measurement supports homogeneous "
-                "fleet specs only, not populations"
-            )
-        batch = spec.params.make_walk(spec.n_walks).generate_batch_seeded(
-            self.walk_seeds()
-        )
-        sampler = spec.make_sampler()
-        rngs = None
-        if sampler.fading is not None:
-            rngs = [
-                spec.fading_base_seed + i for i in range(self.lo, self.hi)
-            ]
-        k = resolve_tile_epochs(tile_epochs, spec.params.tile_epochs)
-        if k == 0 or k is None:
-            k = DEFAULT_TILE_EPOCHS
-        return sampler.measure_batch_tiles(batch, k, fading_rngs=rngs)
 
     def simulator(
         self, system: Optional[FuzzyHandoverSystem] = None
@@ -376,13 +294,12 @@ class FleetShard:
     ) -> BatchSimulationResult:
         """Full simulation log of this shard (measure + simulate).
 
-        For a population spec every cohort must share one handover
-        policy (pass ``system`` to force one); use :meth:`metrics` for
-        mixed-policy populations — the full-log recorder has no
-        group-reassembly path.
+        Every cohort must share one handover policy (pass ``system`` to
+        force one); use :meth:`metrics` for mixed-policy populations —
+        the full-log recorder has no group-reassembly path.
         """
         pop = self.spec.population
-        if pop is not None and system is None:
+        if system is None:
             groups = pop.policy_groups(self.lo, self.hi)
             if len(groups) > 1:
                 raise ValueError(
@@ -400,98 +317,27 @@ class FleetShard:
         outage_dbw: float = DEFAULT_OUTAGE_DBW,
         tile_epochs: Optional[int] = None,
     ) -> FleetMetrics:
-        """Streaming shard metrics — never materialises the full log.
+        """Streaming, cohort-labelled shard metrics — never
+        materialises the full log.
 
-        Population shards return cohort-labelled metrics (one vectorised
-        pass per distinct cohort policy, reassembled in UE order).  The
-        measurement side follows the epoch-tile policy (see
-        :meth:`measure_streamed`), so large shards stream their power
-        cube tile by tile with byte-identical metrics."""
-        pop = self.spec.population
-        if pop is not None:
-            return pop.run_metrics(
-                self.lo,
-                self.hi,
-                window_km=window_km,
-                outage_dbw=outage_dbw,
-                system=system,
-                tile_epochs=tile_epochs,
-            )
-        return self.simulator(system).run_metrics(
-            self.measure_streamed(tile_epochs),
+        One vectorised pass per distinct cohort policy, reassembled in
+        UE order.  The measurement side follows the epoch-tile policy
+        (see :meth:`measure_streamed`), so large shards stream their
+        power cube tile by tile with byte-identical metrics."""
+        return self.spec.population.run_metrics(
+            self.lo,
+            self.hi,
             window_km=window_km,
             outage_dbw=outage_dbw,
+            system=system,
+            tile_epochs=tile_epochs,
         )
-
-
-# ----------------------------------------------------------------------
-# worker-side warm caches
-# ----------------------------------------------------------------------
-#: Process-wide cache of fully built handover systems, keyed by the FLC
-#: structural fingerprint a shard payload ships (plus the system knobs
-#: that configure the pipeline around it).  A long-lived ``repro
-#: worker`` process — including one that dropped off and rejoined the
-#: executor — reuses the compiled decision tables of every shard it has
-#: already served instead of recompiling per task.  Sharing one system
-#: across shards is safe: :class:`~repro.sim.batch.BatchSimulator`
-#: never mutates the system object.
-_WARM_SYSTEMS: dict[tuple, FuzzyHandoverSystem] = {}
-_WARM_STATS = {"hits": 0, "misses": 0}
-
-
-def warm_system_stats() -> dict[str, int]:
-    """Hit/miss counters of the worker-side warm-system cache (a copy;
-    observable by the distributed warm-path regression tests)."""
-    return dict(_WARM_STATS)
-
-
-def _warm_fingerprint(spec: FleetSpec) -> Optional[tuple]:
-    """The shard payload's FLC fingerprint: the controller's structural
-    key plus the system knobs, or ``None`` when the spec cannot be
-    fingerprinted (population specs build per-cohort systems and rely on
-    the process-wide LUT cache instead)."""
-    if spec.population is not None:
-        return None
-    try:
-        system = spec.make_system()
-        skey = getattr(system.flc, "_structural_key", None)
-        if not callable(skey):
-            return None
-        return (
-            skey(),
-            float(spec.params.cell_radius_km),
-            spec.params.flc_backend,
-        )
-    except Exception:  # pragma: no cover - defensive: fall back to cold
-        return None
-
-
-def _warm_system(spec: FleetSpec, flc_key: Optional[tuple]):
-    """The cached system for a fingerprinted shard payload (building and
-    caching on first sight), or ``None`` for unfingerprinted specs."""
-    if flc_key is None:
-        return None
-    cached = _WARM_SYSTEMS.get(flc_key)
-    if cached is not None:
-        _WARM_STATS["hits"] += 1
-        return cached
-    _WARM_STATS["misses"] += 1
-    system = spec.make_system()
-    _WARM_SYSTEMS[flc_key] = system
-    return system
 
 
 def _shard_metrics(task: tuple) -> FleetMetrics:
-    """Top-level worker (must be module-level to be picklable).
-
-    Accepts the 3-tuple payload of older callers and the 4-tuple
-    ``(shard, window_km, outage_dbw, flc_key)`` that ships the FLC
-    structural fingerprint, letting a rejoining worker reuse its
-    process-wide compiled-table cache across reconnects.
-    """
-    shard, window_km, outage_dbw, *rest = task
-    system = _warm_system(shard.spec, rest[0]) if rest else None
-    return shard.metrics(window_km, system=system, outage_dbw=outage_dbw)
+    """Top-level worker (must be module-level to be picklable)."""
+    shard, window_km, outage_dbw = task
+    return shard.metrics(window_km, outage_dbw=outage_dbw)
 
 
 def run_fleet(
@@ -538,10 +384,10 @@ def run_fleet(
     ``REPRO_TILE_EPOCHS`` environment of the executing host, then the
     auto-from-size heuristic.
 
-    Shard payloads also carry the spec's FLC structural fingerprint, so
-    a long-lived worker process — including a ``repro worker`` that
-    rejoined after a disconnect — serves repeat rule bases from its
-    process-wide compiled-table cache instead of recompiling per task.
+    A long-lived worker process — including a ``repro worker`` that
+    rejoined after a disconnect — serves repeat rule bases from the
+    process-wide compiled-table cache (:mod:`repro.fuzzy.compiled`)
+    instead of recompiling per task.
     """
     if backend is not None:
         spec = spec.with_backend(backend)
@@ -549,11 +395,9 @@ def run_fleet(
         spec = spec.with_flc_backend(flc_backend)
     if tile_epochs is not None:
         spec = spec.with_tile_epochs(tile_epochs)
-    shards = spec.shard(n_shards)
-    flc_key = _warm_fingerprint(spec)
     tasks = [
-        (shard, float(window_km), float(outage_dbw), flc_key)
-        for shard in shards
+        (shard, float(window_km), float(outage_dbw))
+        for shard in spec.shard(n_shards)
     ]
     if executor is None:
         executor = make_executor(max_workers, n_tasks=len(tasks), hosts=hosts)

@@ -24,12 +24,12 @@ engines consume:
 
 Cohort expansion is *order-free*: cohorts are laid out over contiguous
 global-index ranges in sorted-name order, so permuting the ``cohorts``
-tuple never changes any UE's assignment.  A single-cohort population
-built from today's :class:`~repro.experiments.scenarios.FleetScenario`
-defaults reproduces the pre-population fleet path byte-for-byte (walk
-seeds ``base_seed + i``, the speed cycle indexed by global position,
-fading streams ``fading_base_seed + i``) — pinned by the population
-test suite.
+tuple never changes any UE's assignment.  The paper's homogeneous fleet
+is the single-cohort population :meth:`PopulationSpec.homogeneous`
+(walk seeds ``base_seed + i``, the speed cycle indexed by global
+position, fading streams ``fading_base_seed + i``); every
+:class:`~repro.sim.fleet.FleetSpec` runs through this layer, and a
+scalar-engine oracle in the test suite pins that seeding.
 
 Trace generation is grouped per cohort model (one
 ``generate_batch_seeded`` call per cohort where the model provides it),
@@ -248,6 +248,37 @@ class PopulationSpec:
         # expand once — validates the sizes at construction (not in a
         # worker) and caches the slices every per-UE vector call reads
         object.__setattr__(self, "_slices", self._expand())
+
+    @classmethod
+    def homogeneous(
+        cls,
+        n_ues: int,
+        n_walks: int,
+        speeds_kmh: Sequence[float],
+        params: SimulationParameters,
+        base_seed: int = DEFAULT_BASE_SEED,
+        fading_base_seed: int = DEFAULT_FADING_BASE_SEED,
+    ) -> "PopulationSpec":
+        """The paper's one UE archetype as a single ``"default"``
+        cohort: ``params.make_walk(n_walks)`` random walks cycling
+        ``speeds_kmh`` by global index, fading under ``params``.  UE
+        ``i`` walks seed ``base_seed + i`` and, when ``params`` fades,
+        owns the stream ``fading_base_seed + i``.  Every fleet built
+        from homogeneous fields is built here."""
+        return cls(
+            n_ues=n_ues,
+            cohorts=(
+                UECohort(
+                    name="default",
+                    model=params.make_walk(n_walks),
+                    count=n_ues,
+                    speeds_kmh=tuple(speeds_kmh),
+                ),
+            ),
+            params=params,
+            base_seed=base_seed,
+            fading_base_seed=fading_base_seed,
+        )
 
     # ------------------------------------------------------------------
     # expansion: cohorts -> contiguous global-index ranges

@@ -14,9 +14,11 @@ sequence), and the ``serve`` test suite pins it.
 Traces are recorded from a :class:`~repro.sim.fleet.FleetSpec` or a
 :class:`~repro.sim.population.PopulationSpec` via :meth:`FleetTrace.
 record` (the measurement pass is exactly ``FleetShard.measure()``, so a
-recorded trace equals the arrays an offline run would see), or wrapped
-around an existing :class:`~repro.sim.measurement.BatchMeasurementSeries`
-via :meth:`FleetTrace.from_series`.
+recorded trace equals the arrays an offline run would see, and carries
+the population's cohort labels — ``("default",)`` for a homogeneous
+fleet), or wrapped around an existing
+:class:`~repro.sim.measurement.BatchMeasurementSeries` via
+:meth:`FleetTrace.from_series`.
 """
 
 from __future__ import annotations
@@ -194,40 +196,33 @@ class FleetTrace:
 
         Accepts a :class:`~repro.sim.fleet.FleetSpec` or a
         :class:`~repro.sim.population.PopulationSpec`.  The measurement
-        pass is the fleet layer's own (``FleetShard.measure()``), so the
-        recorded arrays are byte-identical to what an offline
-        ``run_fleet`` over the same spec consumes.
+        pass is :meth:`PopulationSpec.measure
+        <repro.sim.population.PopulationSpec.measure>`, the one every
+        fleet shard runs, so the recorded arrays are byte-identical to
+        what an offline ``run_fleet`` over the same spec consumes.
         """
         from .fleet import FleetSpec
 
-        if isinstance(spec, PopulationSpec):
-            spec = FleetSpec.from_population(spec)
-        if not isinstance(spec, FleetSpec):
+        population = spec.population if isinstance(spec, FleetSpec) else spec
+        if not isinstance(population, PopulationSpec):
             raise TypeError(
                 f"record() takes a FleetSpec or PopulationSpec, "
                 f"got {type(spec).__name__}"
             )
-        series = spec.shard(1)[0].measure()
-        policies: Optional[tuple[Optional[PolicyConfig], ...]] = None
-        cohort_names: Optional[tuple[str, ...]] = None
-        cohort_ids: Optional[np.ndarray] = None
-        population = spec.population
-        if population is not None:
-            per_ue: list[Optional[PolicyConfig]] = [None] * population.n_ues
-            for policy, idx in population.policy_groups():
-                for i in idx:
-                    per_ue[int(i)] = policy
-            if any(p is not None for p in per_ue):
-                policies = tuple(per_ue)
-            cohort_names = population.cohort_names
-            cohort_ids = population.cohort_ids()
+        policies = tuple(
+            cohort.policy
+            for cohort, lo, hi in population.cohort_slices()
+            for _ in range(lo, hi)
+        )
         return cls.from_series(
-            series,
-            spec.ue_speeds(),
-            spec.params,
-            policies=policies,
-            cohort_names=cohort_names,
-            cohort_ids=cohort_ids,
+            population.measure(),
+            population.ue_speeds(),
+            population.params,
+            policies=(
+                policies if any(p is not None for p in policies) else None
+            ),
+            cohort_names=population.cohort_names,
+            cohort_ids=population.cohort_ids(),
         )
 
     # ------------------------------------------------------------------

@@ -158,16 +158,32 @@ def test_malformed_checkpoint_raises(tmp_path):
         run(make_spec(2), tmp_path)
 
 
-def test_population_specs_rejected(tmp_path):
-    from repro.sim import SimulationParameters, named_population
-    from repro.sim.fleet import FleetSpec
+def test_mixed_policy_population_rejected(tmp_path):
+    """One snapshot per shard covers one batch pass, so a population
+    whose cohorts mix handover policies is refused — also when every
+    shard happens to hold a single policy."""
+    from repro.mobility import RandomWalk
+    from repro.sim import PolicyConfig, PopulationSpec, UECohort
 
-    population = named_population(
-        "urban_mix", 6, SimulationParameters(), base_seed=9
+    walk = RandomWalk(n_walks=2)
+    population = PopulationSpec(
+        n_ues=8,
+        cohorts=(
+            UECohort(name="eager", model=walk, count=2,
+                     policy=PolicyConfig(threshold=0.5)),
+            UECohort(name="plain", model=walk, count=6),
+        ),
     )
     spec = FleetSpec.from_population(population)
-    with pytest.raises(ValueError, match="homogeneous"):
-        run(spec, tmp_path)
+    # at 4 shards, shard [0, 2) is all "eager" and the rest all "plain"
+    assert [
+        len(population.policy_groups(shard.lo, shard.hi))
+        for shard in spec.shard(4)
+    ] == [1, 1, 1, 1]
+    for n_shards in (1, 4):
+        with pytest.raises(ValueError, match="mixes 2"):
+            run(spec, tmp_path, n_shards=n_shards)
+    assert load_checkpoint(tmp_path) is None
 
 
 def test_checkpoint_writes_are_atomic(tmp_path):
@@ -183,8 +199,10 @@ def test_checkpoint_writes_are_atomic(tmp_path):
 # ----------------------------------------------------------------------
 # the real thing: SIGKILL the CLI between checkpoints
 # ----------------------------------------------------------------------
-@pytest.mark.slow
-def test_sigkill_between_checkpoints_resumes_byte_identical(tmp_path):
+def sigkill_then_resume(tmp_path, fleet_args):
+    """Run ``repro fleet <fleet_args> --checkpoint`` once uninterrupted
+    and once SIGKILLed as soon as its first checkpoint lands, then
+    resumed; the two metrics pickles must be byte-identical."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(
         Path(__file__).resolve().parents[2] / "src"
@@ -194,8 +212,7 @@ def test_sigkill_between_checkpoints_resumes_byte_identical(tmp_path):
 
     def fleet_cmd(ckpt_dir, metrics_out):
         return [
-            sys.executable, "-m", "repro", "fleet",
-            "--ues", "8", "--walks", "2",
+            sys.executable, "-m", "repro", "fleet", *fleet_args,
             "--checkpoint", str(ckpt_dir),
             "--metrics-out", str(metrics_out),
         ]
@@ -240,3 +257,17 @@ def test_sigkill_between_checkpoints_resumes_byte_identical(tmp_path):
     with out_b.open("rb") as fh:
         resumed = pickle.load(fh)
     assert frozen(resumed) == frozen(reference)
+
+
+@pytest.mark.slow
+def test_sigkill_between_checkpoints_resumes_byte_identical(tmp_path):
+    sigkill_then_resume(tmp_path, ["--ues", "8", "--walks", "2"])
+
+
+@pytest.mark.slow
+def test_sigkill_population_between_checkpoints_resumes_byte_identical(
+    tmp_path,
+):
+    sigkill_then_resume(
+        tmp_path, ["--ues", "12", "--population", "urban_mix"]
+    )

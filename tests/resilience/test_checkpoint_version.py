@@ -61,7 +61,7 @@ def per_ue_stream_fading_state(spec, tile_epochs, next_epoch):
     ``next_epoch`` — the layout checkpoints were written in before the
     fading bank."""
     shard = spec.shard(1)[0]
-    tiled = shard.measure_tiled(tile_epochs)
+    tiled = shard.measure_streamed(tile_epochs)
     cells = tiled.layout.n_cells
     streams = [
         ShadowFadingStream(

@@ -76,13 +76,18 @@ class TestTuningValidation:
 # checkpointed fleet runs
 # ----------------------------------------------------------------------
 class TestCheckpointFlags:
-    def test_checkpoint_rejects_population(self, capsys):
-        fails_with(
-            capsys,
-            ["fleet", "--ues", "6", "--population", "urban_mix",
-             "--checkpoint", "/tmp/x"],
-            "homogeneous fleets only",
-        )
+    def test_checkpoint_accepts_population(self, tmp_path, capsys):
+        argv = ["fleet", "--ues", "6", "--population", "urban_mix"]
+        plain = tmp_path / "plain.pkl"
+        checkpointed = tmp_path / "checkpointed.pkl"
+        assert main(argv + ["--metrics-out", str(plain)]) == 0
+        assert main(
+            argv + ["--checkpoint", str(tmp_path / "ckpt"),
+                    "--metrics-out", str(checkpointed)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "cohorts  :" in out
+        assert checkpointed.read_bytes() == plain.read_bytes()
 
     @pytest.mark.parametrize(
         "flag", [["--hosts", "localhost:1"], ["--workers", "2"]]

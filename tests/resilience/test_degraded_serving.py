@@ -17,9 +17,8 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.resilience import (
-    FaultPlan,
-    FaultRule,
+from repro.resilience import FaultPlan, FaultRule
+from repro.resilience.supervisor import (
     InjectedCrash,
     SupervisedDecisionService,
 )

@@ -1,5 +1,5 @@
-"""The FaultPlan runtime: validation, JSON schema, deterministic
-replay, and the FaultSpec compatibility bridge."""
+"""The FaultPlan runtime: validation, JSON schema and deterministic
+replay."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.resilience import (
     FAULT_SCOPES,
     FaultPlan,
     FaultRule,
-    FaultSpec,
     make_clock,
     silence_filter,
 )
@@ -260,26 +259,3 @@ class TestHelpers:
         base = lambda: 1.0  # noqa: E731
         assert make_clock(None, base=base) is base
         assert make_clock(FaultPlan(), base=base) is base
-
-
-# ----------------------------------------------------------------------
-# FaultSpec compatibility bridge
-# ----------------------------------------------------------------------
-class TestFaultSpecBridge:
-    def test_reexported_from_distributed(self):
-        from repro.sim.distributed import FaultSpec as Legacy
-
-        assert Legacy is FaultSpec
-
-    def test_as_plan_matches_legacy_semantics(self):
-        plan = FaultSpec(after=2, mode="drop", repeat=True).as_plan()
-        injector = plan.injector("worker")
-        assert injector.poll() is None
-        assert injector.poll().mode == "drop"
-        assert injector.poll().mode == "drop"
-
-    def test_legacy_validation_preserved(self):
-        with pytest.raises(ValueError):
-            FaultSpec(after=0)
-        with pytest.raises(ValueError):
-            FaultSpec(mode="explode")

@@ -175,7 +175,7 @@ def test_tcp_identity_mixed_policy(trace_mixed_policy):
 
 def test_offline_reference_matches_run_metrics(trace_n7):
     """The oracle itself equals a direct BatchSimulator.run_metrics on
-    the recorded series."""
+    the recorded series, labelled with the trace's cohorts."""
     trace = trace_n7
     system = FuzzyHandoverSystem(
         cell_radius_km=trace.params.cell_radius_km,
@@ -184,6 +184,8 @@ def test_offline_reference_matches_run_metrics(trace_n7):
     direct = BatchSimulator(system, speed_kmh=trace.speeds_kmh).run_metrics(
         trace.series()
     )
+    assert trace.cohort_names == ("default",)
+    direct = direct.with_cohorts(trace.cohort_ids, trace.cohort_names)
     assert_identical(offline_reference_metrics(trace), direct)
 
 

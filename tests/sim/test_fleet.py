@@ -288,7 +288,7 @@ class TestBackendEquivalence:
     def test_with_backend_threads_into_params(self):
         spec = make_spec(4).with_backend("reference")
         assert spec.params.pathloss_backend == "reference"
-        sampler = spec.make_sampler()
+        sampler = spec.population.make_sampler()
         assert sampler.propagation.backend == "reference"
         # everything else of the spec is untouched
         assert spec.with_backend(None).params == make_spec(4).params

@@ -1,0 +1,94 @@
+"""A :class:`~repro.sim.fleet.FleetSpec` always describes its fleet as
+one :class:`~repro.sim.population.PopulationSpec`, and refuses a
+population that contradicts its own fields."""
+
+import dataclasses
+
+import pytest
+
+from repro.sim import FleetSpec, SimulationParameters, named_population
+
+FAST = SimulationParameters(measurement_spacing_km=0.2)
+
+
+def urban(n_ues=6, base_seed=9):
+    return named_population("urban_mix", n_ues, FAST, base_seed=base_seed)
+
+
+class TestDefaultPopulation:
+    def test_homogeneous_fields_build_the_default_cohort(self):
+        spec = FleetSpec(
+            n_ues=5, n_walks=3, base_seed=70, speeds_kmh=(0.0, 40.0),
+            params=FAST, fading_base_seed=80,
+        )
+        pop = spec.population
+        assert pop.cohort_names == ("default",)
+        assert pop.cohort_counts() == (5,)
+        assert pop.base_seed == 70 and pop.fading_base_seed == 80
+        assert pop.params == FAST
+        assert pop.cohorts[0].model == FAST.make_walk(3)
+        assert spec.walk_seeds() == [70, 71, 72, 73, 74]
+        assert list(spec.ue_speeds()) == [0.0, 40.0, 0.0, 40.0, 0.0]
+
+    def test_fleet_scenario_builds_the_same_population(self):
+        from repro.experiments import FleetScenario
+
+        scenario = FleetScenario(
+            name="t", n_ues=4, n_walks=3, base_seed=70, speeds_kmh=(5.0,)
+        )
+        spec = FleetSpec(
+            n_ues=4, n_walks=3, base_seed=70, speeds_kmh=(5.0,), params=FAST
+        )
+        assert scenario.to_population(FAST) == spec.population
+
+    def test_repinning_params_repins_the_population(self):
+        spec = FleetSpec(n_ues=3, n_walks=2, params=FAST)
+        pinned = spec.with_flc_backend("reference").with_tile_epochs(4)
+        assert pinned.population.params == pinned.params
+        assert pinned.params.flc_backend == "reference"
+        assert pinned.params.tile_epochs == 4
+
+
+class TestPopulationMustAgree:
+    def test_from_population_reports_the_population_seeds(self):
+        spec = FleetSpec.from_population(urban())
+        assert spec.walk_seeds() == list(range(9, 15))
+        assert spec.shard(2)[1].walk_seeds() == [12, 13, 14]
+
+    @pytest.mark.parametrize(
+        "field,value", [("base_seed", 123), ("fading_base_seed", 5)]
+    )
+    def test_contradicting_seed_refused(self, field, value):
+        pop = urban()
+        fields = {
+            "n_ues": 6,
+            "params": pop.params,
+            "base_seed": pop.base_seed,
+            "fading_base_seed": pop.fading_base_seed,
+            field: value,
+        }
+        with pytest.raises(ValueError, match=field):
+            FleetSpec(population=pop, **fields)
+
+    def test_default_seed_beside_a_seeded_population_refused(self):
+        # the spec's base_seed defaults to 1000; the population walks 9..
+        pop = urban()
+        with pytest.raises(ValueError, match="base_seed"):
+            FleetSpec(n_ues=6, params=pop.params, population=pop)
+
+    def test_replace_cannot_reseed_a_spec(self):
+        spec = FleetSpec(n_ues=3, n_walks=2, params=FAST)
+        with pytest.raises(ValueError, match="base_seed"):
+            dataclasses.replace(spec, base_seed=2000)
+        with pytest.raises(ValueError, match="fading_base_seed"):
+            dataclasses.replace(spec, fading_base_seed=7)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n_ues", 7), ("params", SimulationParameters())],
+    )
+    def test_contradicting_size_or_physics_refused(self, field, value):
+        pop = urban()
+        spec = FleetSpec.from_population(pop)
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(spec, **{field: value})

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 from repro.mobility import GaussMarkov, ManhattanGrid, RandomWalk
 from repro.sim import (
     FleetSpec,
+    MeasurementSampler,
     PolicyConfig,
     PopulationSpec,
     SimulationParameters,
@@ -370,17 +371,22 @@ class TestHeterogeneousSharding:
         assert sum(c.n_ping_pongs for c in per) == fleet.n_ping_pongs
         assert sum(c.n_epochs_total for c in per) == fleet.n_epochs_total
 
+    @staticmethod
+    def unlabelled_metrics(n_ues):
+        """Metrics straight from the batch engine, which knows no
+        cohorts (every fleet shard labels its metrics)."""
+        shard = FleetSpec(n_ues=n_ues, n_walks=4, params=FAST).shard(1)[0]
+        return shard.simulator().run_metrics(shard.measure())
+
     def test_unlabelled_metrics_refuse_per_cohort(self):
-        fleet = run_fleet(
-            FleetSpec(n_ues=3, n_walks=4, params=FAST), n_shards=1
-        )
+        fleet = self.unlabelled_metrics(3)
         with pytest.raises(ValueError, match="cohort"):
             fleet.per_cohort()
 
     def test_merge_rejects_mixed_labelling(self):
         pop = named_population("pedestrian", n_ues=4, params=FAST)
         labelled = FleetSpec.from_population(pop).shard(1)[0].metrics()
-        plain = FleetSpec(n_ues=3, n_walks=4, params=FAST).shard(1)[0].metrics()
+        plain = self.unlabelled_metrics(3)
         with pytest.raises(ValueError, match="labelled"):
             merge_fleet_metrics([labelled, plain])
 
@@ -521,7 +527,12 @@ class TestMeasurementProfiles:
         spec = FleetSpec(n_ues=2, n_walks=3, params=params)
         shard = spec.shard(1)[0]
         batch = params.make_walk(3).generate_batch_seeded(shard.walk_seeds())
-        sampler = spec.make_sampler()
+        sampler = MeasurementSampler(
+            params.make_layout(),
+            params.make_propagation(),
+            spacing_km=params.measurement_spacing_km,
+            fading=params.make_fading(),
+        )
         with pytest.raises(ValueError, match="not both"):
             sampler.measure_batch(
                 batch,
