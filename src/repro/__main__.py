@@ -187,8 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "boundaries; re-running the same command "
                               "after a kill (even SIGKILL) resumes "
                               "from the last snapshot and produces "
-                              "byte-identical metrics (single-policy "
-                              "fleets, --population mixes included; "
+                              "byte-identical metrics (any fleet, "
+                              "--population mixes included; "
                               "in-process execution only)")
     p_fleet.add_argument("--metrics-out", default=None, metavar="PATH",
                          help="pickle the merged FleetMetrics to PATH "

@@ -338,15 +338,17 @@ class FuzzyHandoverSystem:
         return self.flc.evaluate_batch(inputs, backend=self.flc_backend)
 
     def decision_outputs_batch(
-        self, cssp_db: np.ndarray, ssn_db: np.ndarray, dmb: np.ndarray
+        self, cssp_db: np.ndarray, ssn_db: np.ndarray, dmb: np.ndarray,
+        threshold: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """FLC outputs for the *decision* path (``output > threshold``),
-        exact by construction on every backend.
+        exact by construction on every backend; ``threshold`` holds each
+        sample's own threshold (``None``: :attr:`threshold`).
 
         The pinned backend evaluates the whole batch; when it is an
         approximate kernel (``lut``/``numba``), every sample whose
         output lands within the backend's documented error bound of
-        ``threshold`` is re-evaluated through the ``reference`` kernel.
+        its threshold is re-evaluated through the ``reference`` kernel.
         Outside the band, ``|output − reference| <= bound`` means both
         sides of the threshold comparison agree; inside the band the
         value *is* the reference's — so handover decisions (and hence
@@ -383,7 +385,9 @@ class FuzzyHandoverSystem:
         # bound (never below the registry's documented default)
         band = kernel_error_bound(self.flc, name)
         if band > 0.0:
-            near = np.abs(out - self.threshold) <= band
+            if threshold is None:
+                threshold = self.threshold
+            near = np.abs(out - threshold) <= band
             if near.any():
                 out[near] = self.flc.evaluate_batch(
                     {

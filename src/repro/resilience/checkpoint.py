@@ -1,6 +1,6 @@
 """Crash-safe checkpoint/resume for streaming fleet runs.
 
-:func:`run_fleet_checkpointed` drives a single-policy
+:func:`run_fleet_checkpointed` drives any
 :class:`~repro.sim.fleet.FleetSpec` shard by shard through the
 epoch-tiled streaming engine, snapshotting resumable state into a
 checkpoint file at tile boundaries.  A run killed at *any* point — even
@@ -13,7 +13,10 @@ piece of state the epoch loop carries is captured exactly:
   penalty and the :class:`~repro.sim.metrics.FleetMetricsAccumulator`
   counters (integer counters, float partial sums — restored
   bit-for-bit, so the remaining epochs extend the same accumulation
-  sequence);
+  sequence).  Each UE's policy columns are configuration, rebuilt from
+  the spec on resume, so one snapshot per shard covers a mixed-policy
+  shard too, and its ``hist`` width (the shard's longest CSSP lag)
+  comes out the same;
 * every fading UE's generator bit state and AR(1) boundary row in the
   tile stream's :class:`~repro.radio.fading.FadingBank`, so resumed
   fading continues the exact draw sequence;
@@ -74,7 +77,6 @@ import tempfile
 from pathlib import Path
 from typing import Optional, Union
 
-from ..sim.batch import BatchSimulator
 from ..sim.fleet import FleetSpec
 from ..sim.measurement import DEFAULT_TILE_EPOCHS, resolve_tile_epochs
 from ..sim.metrics import (
@@ -190,9 +192,8 @@ def run_fleet_checkpointed(
     :class:`FleetMetrics` is byte-identical to the uninterrupted run and
     to :func:`~repro.sim.fleet.run_fleet` over the same spec.
 
-    The whole population must share one handover policy (one snapshot
-    per shard covers one batch pass); a mixed-policy population is
-    refused with a :class:`ValueError`, whatever ``n_shards`` is.
+    Each shard is one batch pass, every UE under its cohort's policy,
+    so mixed-policy populations checkpoint like any other fleet.
 
     ``checkpoint_every_tiles`` thins the write cadence (a snapshot every
     m-th tile boundary).  ``fault_plan`` lets ``"checkpoint"``-scope
@@ -200,12 +201,6 @@ def run_fleet_checkpointed(
     the X20 recovery bench).
     """
     population = spec.population
-    groups = population.policy_groups()
-    if len(groups) > 1:
-        raise ValueError(
-            "checkpointed runs support one handover policy per fleet; "
-            f"this population mixes {len(groups)}"
-        )
     if checkpoint_every_tiles < 1:
         raise ValueError(
             f"checkpoint_every_tiles must be >= 1, "
@@ -248,8 +243,6 @@ def run_fleet_checkpointed(
     injector = (
         fault_plan.injector("checkpoint") if fault_plan is not None else None
     )
-    system = population.make_system(groups[0][0])
-
     for idx, shard in enumerate(shards):
         if idx in state["completed"]:
             continue
@@ -259,7 +252,7 @@ def run_fleet_checkpointed(
             resume = in_progress["snapshot"]
 
         stream = shard.measure_streamed(tile_k)
-        sim = BatchSimulator(system, speed_kmh=shard.ue_speeds())
+        sim = shard.simulator()
         boundaries = 0
 
         def on_tile_end(next_epoch, epoch_state):

@@ -3,17 +3,16 @@ the last epoch boundary.
 
 :class:`SupervisedDecisionService` is a drop-in
 :class:`~repro.serve.service.DecisionService` that snapshots the
-decision engine — every policy group's
-:meth:`~repro.sim.kernel.EpochState.state_dict` and the UE registry —
-after every successful epoch close (and after every registration), and
-rolls the engine back to that snapshot when an epoch
-sweep raises — whether from a real defect or an ``"epoch"``-scope
-``"crash"`` rule in the service's :class:`~repro.resilience.faults.
-FaultPlan`.  The crashed epoch's reports are lost (counted in
-``reports_dropped_crash``), the restart is counted in
-``loop_restarts``, and serving continues from the boundary exactly as
-if that epoch's reports had never been submitted — the identity the
-resilience tests pin.
+decision engine — its :meth:`~repro.sim.kernel.EpochState.state_dict`
+and the UE registry — after every successful epoch close (and before a
+sweep that follows registrations), and rolls the engine back to that
+snapshot when an epoch sweep raises — whether from a real defect or an
+``"epoch"``-scope ``"crash"`` rule in the service's
+:class:`~repro.resilience.faults.FaultPlan`.  The crashed epoch's
+reports are lost (counted in ``reports_dropped_crash``), the restart is
+counted in ``loop_restarts``, and serving continues from the boundary
+exactly as if that epoch's reports had never been submitted — the
+identity the resilience tests pin.
 
 Injected crashes fire *after* the real engine sweep mutated state, so
 the tests prove the rollback actually restores — not that nothing
@@ -64,16 +63,20 @@ class SupervisedDecisionService(DecisionService):
                 return commands
 
             self.engine.step_epoch = step_epoch  # type: ignore[method-assign]
-        self._snapshot = self.engine.state_dict()
+        # the restore point; None while registrations left it stale
+        self._snapshot = None
 
     # ------------------------------------------------------------------
     def subscribe(self, *args, **kwargs) -> None:
         super().subscribe(*args, **kwargs)
-        # registrations mutate the engine outside the close path; keep
-        # the restore point current so a later rollback can't lose them
-        self._snapshot = self.engine.state_dict()
+        # nothing else changes the engine before the next sweep, so the
+        # restore point is retaken there, once: a snapshot per
+        # registration would make N subscribes cost O(N^2)
+        self._snapshot = None
 
     def _close_now(self, watermark: bool) -> int:
+        if self._snapshot is None:
+            self._snapshot = self.engine.state_dict()
         dropped = self.scheduler.current_report_count()
         try:
             epoch = super()._close_now(watermark)

@@ -11,11 +11,10 @@ window, local epoch, streaming metric counters.  Why that reproduces
 the offline engine bit-for-bit, whatever the service epochs a UE's
 reports land in, is argued in :mod:`repro.sim.kernel`.
 
-Heterogeneous policies follow the population layer's policy-group
-scheme: each distinct :class:`~repro.core.system.FuzzyHandoverSystem`
-configuration owns one ``EpochState``, and a closed epoch's reports are
-partitioned per group — one ``step`` (one ``decision_outputs_batch``
-call) per group per epoch.
+One ``EpochState`` holds every UE, whatever its policy: a UE's
+:class:`~repro.sim.population.PolicyConfig` fills its row of the
+state's policy columns, so a closed epoch's reports run as one
+``step`` (one ``decision_outputs_batch`` call).
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from ..sim.metrics import (
     DEFAULT_WINDOW_KM,
     FleetMetrics,
 )
-from ..sim.population import _reassemble
+from ..sim.population import PolicyConfig
 from .protocol import Report
 
 __all__ = ["HandoverCommand", "StreamingFleetEngine"]
@@ -85,15 +84,15 @@ class StreamingFleetEngine:
         outage_dbw: float = DEFAULT_OUTAGE_DBW,
     ) -> None:
         self.layout = layout
-        self.window_km = float(window_km)
-        self.outage_dbw = float(outage_dbw)
-        self._groups: list[EpochState] = []
-        # the default group's accumulator validates window and outage
-        self.add_policy(
-            system if system is not None else FuzzyHandoverSystem()
+        # the state's accumulator validates window and outage
+        self._state = EpochState(
+            system if system is not None else FuzzyHandoverSystem(),
+            layout,
+            window_km=window_km,
+            outage_dbw=outage_dbw,
         )
-        # ue -> (group, row, cohort), in subscription order
-        self._ues: dict[int, tuple[int, int, Optional[str]]] = {}
+        # ue -> (state row, cohort); rows follow subscription order
+        self._ues: dict[int, tuple[int, Optional[str]]] = {}
         self.epochs_processed = 0
 
     # ------------------------------------------------------------------
@@ -104,38 +103,21 @@ class StreamingFleetEngine:
     def knows(self, ue: int) -> bool:
         return ue in self._ues
 
-    def add_policy(self, system: FuzzyHandoverSystem) -> int:
-        """Register a policy group; returns its group id (0 is the
-        default system's group)."""
-        self._groups.append(
-            EpochState(
-                system,
-                self.layout,
-                window_km=self.window_km,
-                outage_dbw=self.outage_dbw,
-            )
-        )
-        return len(self._groups) - 1
-
     def add_ue(
         self,
         ue: int,
         speed_kmh: float = 0.0,
-        group: int = 0,
+        policy: Optional[PolicyConfig] = None,
         cohort: Optional[str] = None,
     ) -> None:
-        """Register a UE under a policy group.  Its first processed
-        report initialises the serving cell by strongest-BS argmax —
-        exactly the offline engine's first-epoch initialisation."""
+        """Register a UE under ``policy`` (``None``: the engine system's
+        own).  Its first processed report initialises the serving cell
+        by strongest-BS argmax — exactly the offline engine's
+        first-epoch initialisation."""
         ue = int(ue)
         if ue in self._ues:
             raise ValueError(f"UE {ue} is already registered")
-        if not (0 <= group < len(self._groups)):
-            raise ValueError(
-                f"unknown policy group {group} "
-                f"(have {len(self._groups)})"
-            )
-        self._ues[ue] = (group, self._groups[group].add(speed_kmh), cohort)
+        self._ues[ue] = (self._state.add(speed_kmh, policy), cohort)
 
     # ------------------------------------------------------------------
     def step_epoch(
@@ -150,7 +132,7 @@ class StreamingFleetEngine:
         """
         service_epoch = self.epochs_processed if epoch is None else int(epoch)
         n_cells = self.layout.n_cells
-        by_group: dict[int, tuple[list[int], list[Report], list[int]]] = {}
+        rows = np.empty(len(reports), dtype=np.intp)
         seen: set[int] = set()
         for pos, report in enumerate(reports):
             entry = self._ues.get(report.ue)
@@ -166,74 +148,60 @@ class StreamingFleetEngine:
                     f"UE {report.ue} reported {report.power_dbw.shape[0]} "
                     f"cells, layout has {n_cells}"
                 )
-            g, row, _ = entry
-            rows, reps, positions = by_group.setdefault(g, ([], [], []))
-            rows.append(row)
-            reps.append(report)
-            positions.append(pos)
+            rows[pos] = entry[0]
 
-        cells = self.layout.cells
-        ordered: list[tuple[int, HandoverCommand]] = []
-        for g, (rows, reps, positions) in by_group.items():
+        commands: list[HandoverCommand] = []
+        if reports:
+            # the kernel returns handovers in report (stepped-row) order
             handed = step(
-                self._groups[g],
-                np.asarray(rows, dtype=np.intp),
-                np.stack([r.power_dbw for r in reps]),
-                np.stack([r.position_km for r in reps]),
-                np.array([r.distance_km for r in reps]),
+                self._state,
+                rows,
+                np.stack([r.power_dbw for r in reports]),
+                np.stack([r.position_km for r in reports]),
+                np.array([r.distance_km for r in reports]),
             )
-            for i, s, t, o, k in zip(*handed):
-                ordered.append(
-                    (
-                        positions[i],
-                        HandoverCommand(
-                            ue=reps[i].ue,
-                            epoch=service_epoch,
-                            local_epoch=int(k),
-                            source=int(s),
-                            target=int(t),
-                            source_cell=tuple(cells[s]),
-                            target_cell=tuple(cells[t]),
-                            output=float(o),
-                        ),
-                    )
+            cells = self.layout.cells
+            commands = [
+                HandoverCommand(
+                    ue=reports[i].ue,
+                    epoch=service_epoch,
+                    local_epoch=int(k),
+                    source=int(s),
+                    target=int(t),
+                    source_cell=tuple(cells[s]),
+                    target_cell=tuple(cells[t]),
+                    output=float(o),
                 )
+                for i, s, t, o, k in zip(*handed)
+            ]
         self.epochs_processed += 1
-        ordered.sort(key=lambda item: item[0])
-        return [cmd for _, cmd in ordered]
+        return commands
 
     # ------------------------------------------------------------------
     # crash-recovery snapshots (the supervisor's restore unit)
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
-        """A deep snapshot of every policy group's
-        :meth:`EpochState.state_dict` and the UE registry.
+        """A deep snapshot of the :meth:`EpochState.state_dict` and the
+        UE registry.
 
-        Policy-group *systems* are configuration, not state, and stay
-        attached to the live engine; :meth:`load_state_dict` restores
-        into the same engine instance (same groups and UEs), which is
-        exactly the supervisor's restart-from-last-epoch-boundary path.
+        The system and the UEs' policies are configuration, not state,
+        and stay with the live engine; :meth:`load_state_dict` restores
+        into the same engine instance (same UEs), which is exactly the
+        supervisor's restart-from-last-epoch-boundary path.
         """
         return {
             "epochs_processed": self.epochs_processed,
             "ues": dict(self._ues),
-            "groups": [group.state_dict() for group in self._groups],
+            "state": self._state.state_dict(),
         }
 
     def load_state_dict(self, state: dict) -> None:
         """Restore a :meth:`state_dict` snapshot in place.
 
-        The engine must hold the policy groups and UEs the snapshot was
-        taken over (it always does on the supervisor's restart path —
-        the supervisor re-snapshots after every registration)."""
-        groups = state["groups"]
-        if len(groups) != len(self._groups):
-            raise ValueError(
-                f"snapshot has {len(groups)} policy groups, "
-                f"engine has {len(self._groups)}"
-            )
-        for group, snap in zip(self._groups, groups):
-            group.load_state_dict(snap)
+        The engine must hold the UEs the snapshot was taken over (it
+        always does on the supervisor's restart path — the supervisor
+        snapshots before every sweep that follows a registration)."""
+        self._state.load_state_dict(state["state"])
         self._ues = dict(state["ues"])
         self.epochs_processed = int(state["epochs_processed"])
 
@@ -248,16 +216,10 @@ class StreamingFleetEngine:
         """
         if not self._ues:
             raise ValueError("no UEs registered")
-        parts = [group.metrics.per_ue() for group in self._groups]
-        if not any(part["epochs"].any() for part in parts):
+        if not self._state.epochs[: self._state.n].any():
             raise ValueError("no epochs processed yet")
-        dests = [np.empty(group.n, dtype=np.intp) for group in self._groups]
-        for pos, (g, row, _) in enumerate(self._ues.values()):
-            dests[g][row] = pos
-        metrics = _reassemble(
-            parts, dests, len(self._ues), self.window_km, self.outage_dbw
-        )
-        labels = [cohort for _, _, cohort in self._ues.values()]
+        metrics = self._state.metrics.finalize()
+        labels = [cohort for _, cohort in self._ues.values()]
         if all(label is not None for label in labels):
             names = tuple(sorted(set(labels)))
             ids = np.array(

@@ -28,7 +28,6 @@ from ..core.system import FuzzyHandoverSystem
 from ..resilience.faults import FaultPlan, make_clock
 from ..sim.config import SimulationParameters
 from ..sim.metrics import DEFAULT_OUTAGE_DBW, DEFAULT_WINDOW_KM, FleetMetrics
-from ..sim.kernel import speed_penalties
 from ..sim.population import PolicyConfig, policy_system
 from .engine import HandoverCommand, StreamingFleetEngine
 from .epochs import DEFAULT_RING_CAPACITY, EpochScheduler
@@ -171,7 +170,9 @@ class DecisionService:
         power vectors index, the default pipeline's cell radius, and
         the FLC inference backend.
     system:
-        Optional default pipeline override (group 0); per-UE policy
+        Optional default pipeline override: its FLC and cell radius
+        serve every UE, its threshold, POTLC gate, PRTLC switch and
+        CSSP lag every UE subscribed without a policy; per-UE policy
         overrides ride in through :meth:`subscribe`.
     window_km / outage_dbw:
         Metric definitions (ping-pong distance window, outage
@@ -255,7 +256,6 @@ class DecisionService:
         self._deadline_injector = (
             fault_plan.injector("deadline") if fault_plan is not None else None
         )
-        self._policy_groups: dict[PolicyConfig, int] = {}
         self._listeners: list[CommandListener] = []
         self._latencies: list[float] = []
         self._epoch_opened_at: Optional[float] = None
@@ -277,34 +277,29 @@ class DecisionService:
         the decision engine on first sight).
 
         ``policy`` — a :class:`~repro.sim.population.PolicyConfig` or
-        its field dict (the JSON wire form) — selects the UE's pipeline
-        configuration; UEs sharing a policy share one vectorised group.
+        its field dict (the JSON wire form) — sets the UE's threshold,
+        POTLC gate, PRTLC switch and CSSP lag; a bad one is refused with
+        a :class:`ValueError` and registers nothing, as is a bad speed.
         A UE that unsubscribed earlier may re-subscribe and continues
         from its retained state; its original speed/cohort/policy stay
         authoritative.
         """
         ue = check_index("ue", ue)
         if not self.engine.knows(ue):
-            # reject a bad speed before a policy group is created, so a
-            # refused subscribe leaves the engine untouched
-            speed_penalties(speed_kmh)
-            group = 0
-            if policy is not None:
-                if isinstance(policy, dict):
-                    try:
-                        policy = PolicyConfig(**policy)
-                    except TypeError as exc:
-                        raise ValueError(
-                            f"invalid policy payload: {exc}"
-                        ) from None
-                group = self._policy_groups.get(policy, -1)
-                if group < 0:
-                    group = self.engine.add_policy(
-                        policy_system(policy, self.params)
-                    )
-                    self._policy_groups[policy] = group
+            if isinstance(policy, dict):
+                try:
+                    policy = PolicyConfig(**policy)
+                except TypeError as exc:
+                    raise ValueError(
+                        f"invalid policy payload: {exc}"
+                    ) from None
+            elif policy is not None and not isinstance(policy, PolicyConfig):
+                raise ValueError(
+                    "policy must be a PolicyConfig or its field dict, "
+                    f"got {type(policy).__name__}"
+                )
             self.engine.add_ue(
-                ue, speed_kmh=speed_kmh, group=group, cohort=cohort
+                ue, speed_kmh=speed_kmh, policy=policy, cohort=cohort
             )
         self.scheduler.subscribe(ue)
 

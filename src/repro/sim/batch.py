@@ -10,12 +10,12 @@ UE that reaches the controller and vectorised serving-cell bookkeeping.
 
 The per-UE semantics are exactly the scalar
 :class:`~repro.sim.engine.Simulator` driving a fresh
-``FuzzyHandoverSystem``: same stage sequence, same FLC outputs (the
-controller's batch path is elementwise, so subset evaluation is
-bit-identical to one-sample evaluation), same tie-breaking on the
-target-cell argmax, same CSSP-lag history window.  The equivalence test
-suite pins this step-for-step; it is what lets the fleet path replace N
-scalar runs wholesale.
+``FuzzyHandoverSystem`` under the UE's own policy: same stage sequence,
+same FLC outputs (the controller's batch path is elementwise, so subset
+evaluation is bit-identical to one-sample evaluation), same tie-breaking
+on the target-cell argmax, same CSSP-lag history window.  The
+equivalence test suite pins this step-for-step; it is what lets the
+fleet path replace N scalar runs wholesale.
 
 Results come back as a :class:`BatchSimulationResult` holding the
 fleet's logs as arrays; :meth:`BatchSimulationResult.ue_result`
@@ -343,6 +343,10 @@ class BatchSimulator:
     initial_cell:
         Serving cell of every UE at its first epoch; defaults to the
         per-UE strongest BS at the starting position.
+    policies:
+        Optional per-UE :class:`~repro.sim.population.PolicyConfig`
+        overrides of the system's threshold, POTLC gate, PRTLC switch
+        and CSSP lag (``None`` entries keep the system's).
     """
 
     def __init__(
@@ -350,6 +354,7 @@ class BatchSimulator:
         system: Optional[FuzzyHandoverSystem] = None,
         speed_kmh: Union[float, np.ndarray] = 0.0,
         initial_cell: Optional[Cell] = None,
+        policies=None,
     ) -> None:
         self.system = system if system is not None else FuzzyHandoverSystem()
         # the speed penalty is a pure function of the speeds, which are
@@ -358,6 +363,7 @@ class BatchSimulator:
         self._penalty = speed_penalties(speed_kmh)
         self._speeds = np.atleast_1d(np.asarray(speed_kmh, dtype=float))
         self.initial_cell = tuple(initial_cell) if initial_cell else None
+        self.policies = None if policies is None else tuple(policies)
 
     # ------------------------------------------------------------------
     def run(self, series: BatchMeasurementSeries) -> BatchSimulationResult:
@@ -445,6 +451,7 @@ class BatchSimulator:
             self.system,
             layout,
             self._per_ue(self._penalty, n),
+            self.policies,
             window_km=window_km,
             outage_dbw=outage_dbw,
         )

@@ -284,30 +284,15 @@ class FleetShard:
     def simulator(
         self, system: Optional[FuzzyHandoverSystem] = None
     ) -> BatchSimulator:
-        return BatchSimulator(
-            system if system is not None else self.spec.make_system(),
-            speed_kmh=self.ue_speeds(),
-        )
+        """The batch engine for this shard's UEs: their speeds, each
+        under its cohort's policy — or every UE under ``system``."""
+        return self.spec.population.simulator(self.lo, self.hi, system)
 
     def run(
         self, system: Optional[FuzzyHandoverSystem] = None
     ) -> BatchSimulationResult:
-        """Full simulation log of this shard (measure + simulate).
-
-        Every cohort must share one handover policy (pass ``system`` to
-        force one); use :meth:`metrics` for mixed-policy populations —
-        the full-log recorder has no group-reassembly path.
-        """
-        pop = self.spec.population
-        if system is None:
-            groups = pop.policy_groups(self.lo, self.hi)
-            if len(groups) > 1:
-                raise ValueError(
-                    "full-log run() supports a single handover policy; "
-                    "this population mixes "
-                    f"{len(groups)} — use metrics() instead"
-                )
-            system = pop.make_system(groups[0][0])
+        """Full simulation log of this shard (measure + simulate), each
+        UE under its cohort's policy (pass ``system`` to force one)."""
         return self.simulator(system).run(self.measure())
 
     def metrics(
@@ -320,8 +305,8 @@ class FleetShard:
         """Streaming, cohort-labelled shard metrics — never
         materialises the full log.
 
-        One vectorised pass per distinct cohort policy, reassembled in
-        UE order.  The measurement side follows the epoch-tile policy
+        One vectorised pass over the shard, each UE under its cohort's
+        policy.  The measurement side follows the epoch-tile policy
         (see :meth:`measure_streamed`), so large shards stream their
         power cube tile by tile with byte-identical metrics."""
         return self.spec.population.run_metrics(

@@ -1,20 +1,22 @@
 """The per-UE handover epoch kernel shared by every fleet engine.
 
-One policy group's per-UE state lives in an :class:`EpochState`, and
-:func:`step` advances any subset of its UEs by one epoch each through
-the paper's pipeline: the POTLC gate, the FLC on CSSP/SSN/DMB (through
-the guard-banded ``decision_outputs_batch``), the PRTLC check, the
-CSSP-history slide and the :class:`~repro.sim.metrics.
-FleetMetricsAccumulator` counter updates.  The offline
-:class:`~repro.sim.batch.BatchSimulator` steps every active UE of a
-tile epoch; the online :class:`~repro.serve.engine.StreamingFleetEngine`
-steps the UEs whose reports a closed service epoch carried.
+A fleet's per-UE state, each UE's handover policy included, lives in
+one :class:`EpochState`, and :func:`step` advances any subset of its
+UEs by one epoch each through the paper's pipeline: the POTLC gate, the
+FLC on CSSP/SSN/DMB (through the guard-banded
+``decision_outputs_batch``), the PRTLC check, the CSSP-history slide
+and the :class:`~repro.sim.metrics.FleetMetricsAccumulator` counter
+updates.  The offline :class:`~repro.sim.batch.BatchSimulator` steps
+every active UE of a tile epoch; the online
+:class:`~repro.serve.engine.StreamingFleetEngine` steps the UEs whose
+reports a closed service epoch carried.
 
 **Byte-identity argument.**  Every per-UE quantity of the step is
-elementwise in the UE: the serving-power gather, the stage masks, the
-FLC inputs (``reference``/``previous`` from the UE's own history, the
-neighbour argmax over the UE's own power row, ``cssp``/``ssn``/``dmb``),
-the guard-banded FLC call (elementwise, so subset evaluation is
+elementwise in the UE, policy included: the serving-power gather, the
+stage masks, the FLC inputs (``reference``/``previous`` from the UE's
+own history, the neighbour argmax over the UE's own power row,
+``cssp``/``ssn``/``dmb``), the guard-banded FLC call (elementwise, each
+sample banded around its own threshold, so subset evaluation is
 bit-identical to one-sample evaluation), the PRTLC test, the history
 slide and every counter update.  The epoch index only ever appears per
 UE (dwell gaps, the ``prev_strongest`` comparison), and :func:`step`
@@ -85,18 +87,21 @@ _NO_HANDOVERS = Handovers(_NONE, _NONE, _NONE, np.zeros(0), _NONE)
 
 
 class EpochState:
-    """One policy group's per-UE epoch state.
+    """A fleet's per-UE epoch state.
 
-    Holds the pipeline configuration (``system``, the layout's neighbour
-    table) and one row per UE of every array in :attr:`ARRAYS`: serving
-    BS, CSSP history window and length, local epoch, speed penalty and
-    the :class:`~repro.sim.metrics.FleetMetricsAccumulator` counters,
-    which ``metrics`` updates and reduces.  ``penalty`` sizes a fixed
-    fleet; :meth:`add` appends UEs one at a time (the serve engine).
+    Holds the pipeline configuration (``system``: the FLC, the cell
+    radius and the default policy; the layout's neighbour table) and
+    one row per UE of every array in :attr:`ARRAYS`: serving BS, CSSP
+    history window and length, local epoch, speed penalty and the
+    :class:`~repro.sim.metrics.FleetMetricsAccumulator` counters, which
+    ``metrics`` updates and reduces; and of the :attr:`POLICY` columns,
+    from each UE's ``policies`` entry (``None``: the system's values).
+    ``penalty`` sizes a fixed fleet; :meth:`add` appends UEs one at a
+    time (the serve engine).
     """
 
     #: every per-UE array, name -> (dtype, fill); ``hist`` carries a
-    #: trailing ``cssp_lag`` axis
+    #: trailing axis of :attr:`width`, the longest lag
     ARRAYS = {
         # serving BS (-1 until the UE's first epoch picks the strongest)
         "serving": (np.intp, -1),
@@ -125,45 +130,82 @@ class EpochState:
         "prev_strongest": (np.intp, -1),
     }
 
+    #: the per-UE policy columns, named as ``PolicyConfig``'s fields;
+    #: configuration, not state, so :meth:`state_dict` leaves them out
+    POLICY = {
+        "threshold": (float, 0.0),
+        "potlc_gate_dbw": (float, 0.0),
+        "prtlc_enabled": (bool, False),
+        "cssp_lag": (np.intp, 1),
+    }
+
     def __init__(
         self,
         system: FuzzyHandoverSystem,
         layout: CellLayout,
         penalty: np.ndarray = (),
+        policies=None,
         *,
         window_km: float = DEFAULT_WINDOW_KM,
         outage_dbw: float = DEFAULT_OUTAGE_DBW,
     ) -> None:
         self.system = system
-        self.lag = int(system.cssp_lag)
         self.nbr_idx, self.nbr_mask, self.nbr_deg = layout.neighbor_table()
         self.bs = layout.bs_positions
         self.metrics = FleetMetricsAccumulator(window_km, outage_dbw)
         penalty = np.asarray(penalty, dtype=float)
+        n = penalty.shape[0]
+        columns = self._policy_columns(policies, n)
+        # hist holds the longest lag, the system's included: a function
+        # of the policies, so a rebuilt state has the same shape
         self.n = 0
-        self._resize(penalty.shape[0])
-        self.n = penalty.shape[0]
+        self._resize(n, int(columns["cssp_lag"].max(initial=system.cssp_lag)))
+        self.n = n
         self.penalty[:] = penalty
+        for name, column in columns.items():
+            getattr(self, name)[:] = column
         self.metrics.begin(self)
 
-    def _resize(self, capacity: int) -> None:
-        """Reallocate every array at ``capacity`` rows, keeping the
-        first ``n``; rows past ``n`` hold their pristine fill."""
-        for name, (dtype, fill) in self.ARRAYS.items():
-            shape = (capacity, self.lag) if name == "hist" else (capacity,)
+    def _policy_columns(self, policies, n: int) -> dict[str, np.ndarray]:
+        """The :attr:`POLICY` columns of ``n`` UEs: each ``policies``
+        entry's values, the system's for ``None``."""
+        if policies is not None and len(policies) != n:
+            raise ValueError(f"{n} UEs but {len(policies)} policies")
+        # without policies, the system's one row repeats (no per-UE pass)
+        rows = (self.system,) if policies is None else [
+            self.system if p is None else p for p in policies
+        ]
+        return {
+            name: np.resize(np.array([getattr(r, name) for r in rows], t), n)
+            for name, (t, _) in self.POLICY.items()
+        }
+
+    def _resize(self, capacity: int, width: int) -> None:
+        """Reallocate every array at ``capacity`` rows (``hist`` at
+        ``width`` columns), keeping the first ``n`` rows; new rows and
+        columns hold their pristine fill."""
+        for name, (dtype, fill) in {**self.ARRAYS, **self.POLICY}.items():
+            shape = (capacity, width) if name == "hist" else (capacity,)
             new = np.full(shape, fill, dtype=dtype)
             if self.n:
-                new[: self.n] = getattr(self, name)[: self.n]
+                old = getattr(self, name)[: self.n]
+                new[tuple(map(slice, old.shape))] = old
             setattr(self, name, new)
+        self.width = width
 
-    def add(self, speed_kmh: float) -> int:
-        """Append one UE; returns its row.  Capacity doubles, so adding
-        N UEs one by one costs O(N)."""
+    def add(self, speed_kmh: float, policy=None) -> int:
+        """Append one UE under ``policy`` (``None``: the system's);
+        returns its row.  Capacity doubles, so adding N UEs one by one
+        costs O(N); a longer lag than any so far widens ``hist``."""
         (penalty,) = speed_penalties(float(speed_kmh))
-        if self.n == self.serving.shape[0]:
-            self._resize(max(8, 2 * self.n))
+        columns = self._policy_columns((policy,), 1)
+        width = max(self.width, int(columns["cssp_lag"][0]))
+        if self.n == self.serving.shape[0] or width > self.width:
+            self._resize(max(8, 2 * self.n), width)
         row = self.n
         self.penalty[row] = penalty
+        for name, column in columns.items():
+            getattr(self, name)[row] = column[0]
         self.n += 1
         return row
 
@@ -177,7 +219,7 @@ class EpochState:
 
     def load_state_dict(self, snapshot: dict) -> None:
         """Restore a :meth:`state_dict` snapshot taken over the same UEs
-        and policy; every array's shape is checked before any is
+        and policies; every array's shape is checked before any is
         written."""
         missing = self.ARRAYS.keys() - snapshot.keys()
         if missing:
@@ -232,7 +274,7 @@ def step(
     considered = ~warm
     no_nbr = (state.nbr_deg[serving] == 0) & considered
     considered &= ~no_nbr
-    gated = (p_serv >= sys.potlc_gate_dbw) & considered
+    gated = (p_serv >= state.potlc_gate_dbw[rows]) & considered
     flc_mask = ~gated & considered
     for c in consumers:
         c.on_stage_masks(k, rows, warm, no_nbr, gated)
@@ -259,14 +301,16 @@ def step(
         cssp = p_serv[idx] - reference
         ssn = best_p - state.penalty[flc_ues]
         dmb = d_serv / sys.cell_radius_km
+        threshold = state.threshold[flc_ues]
         # the guard-banded decision path: compiled FLC kernels (lut/
         # numba) evaluate the bulk, borderline outputs are re-evaluated
         # exactly — decisions match the reference backend
-        out = sys.decision_outputs_batch(cssp, ssn, dmb)
+        out = sys.decision_outputs_batch(cssp, ssn, dmb, threshold)
 
-        rej_flc = out <= sys.threshold
+        rej_flc = out <= threshold
         # PRTLC (when enabled): cancel unless the serving power fell
-        rej_prtlc = ~rej_flc & (p_serv[idx] >= previous) & sys.prtlc_enabled
+        prtlc = state.prtlc_enabled[flc_ues]
+        rej_prtlc = ~rej_flc & (p_serv[idx] >= previous) & prtlc
         handed = ~rej_flc & ~rej_prtlc
         for c in consumers:
             c.on_flc(flc_k, flc_ues, cssp, ssn, dmb, out, rej_flc, rej_prtlc)
@@ -291,11 +335,13 @@ def step(
 
     # slide the lag window for every non-handover UE (full rows shift,
     # short rows append)
-    full = (hist_len == state.lag) & remembered
+    lag = state.cssp_lag[rows]
+    full = (hist_len == lag) & remembered
     if full.any():
-        hist[full, :-1] = hist[full, 1:]
-        hist[full, -1] = p_serv[full]
-    short = (hist_len < state.lag) & remembered
+        r = np.nonzero(full)[0]
+        hist[r, :-1] = hist[r, 1:]
+        hist[r, lag[r] - 1] = p_serv[r]
+    short = (hist_len < lag) & remembered
     if short.any():
         r = np.nonzero(short)[0]
         hist[r, hist_len[r]] = p_serv[r]

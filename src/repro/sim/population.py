@@ -34,14 +34,14 @@ scalar-engine oracle in the test suite pins that seeding.
 Trace generation is grouped per cohort model (one
 ``generate_batch_seeded`` call per cohort where the model provides it),
 and measurement/simulation stay fully batched across the whole mixed
-fleet; per-cohort handover policies split the batch into *policy
-groups* — one vectorised pass per distinct policy, reassembled into
-global UE order — so the homogeneous-policy hot path never pays a
-grouping cost.
+fleet: per-cohort handover policies ride into the batch engine as
+per-UE columns (:meth:`PopulationSpec.ue_policies`), so a mixed-policy
+range is one vectorised pass, like a homogeneous one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -86,15 +86,34 @@ class PolicyConfig:
     """A picklable per-cohort handover-pipeline configuration.
 
     The knobs of :class:`~repro.core.system.FuzzyHandoverSystem` that a
-    cohort may override (the FLC rule base itself stays the paper's);
-    hashable so cohorts sharing a configuration collapse into one
-    vectorised policy group.
+    cohort may override (the FLC rule base itself stays the paper's),
+    validated as the system validates them: the engines carry them as
+    per-UE columns and never build a system per policy.
     """
 
     threshold: float = HANDOVER_THRESHOLD
     potlc_gate_dbw: float = -85.0
     prtlc_enabled: bool = True
     cssp_lag: int = 1
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.threshold < 1.0:
+            raise ValueError(
+                f"threshold must be in (0, 1), got {self.threshold!r}"
+            )
+        if not math.isfinite(self.potlc_gate_dbw):
+            raise ValueError(
+                f"potlc_gate_dbw must be finite, got {self.potlc_gate_dbw!r}"
+            )
+        if not isinstance(self.prtlc_enabled, (bool, np.bool_)):
+            raise ValueError(
+                f"prtlc_enabled must be a bool, got {self.prtlc_enabled!r}"
+            )
+        lag = self.cssp_lag
+        if isinstance(lag, bool) or not isinstance(lag, (int, np.integer)):
+            raise ValueError(f"cssp_lag must be an integer, got {lag!r}")
+        if lag < 1:
+            raise ValueError(f"cssp_lag must be >= 1, got {lag}")
 
     def make_system(
         self,
@@ -382,12 +401,12 @@ class PopulationSpec:
         for cohort, c_lo, s_lo, s_hi in self._overlaps(lo, hi):
             if cohort.speed_range_kmh is not None:
                 low, high = cohort.speed_range_kmh
-                out[s_lo - lo : s_hi - lo] = [
-                    np.random.default_rng(
-                        self.speed_base_seed + g
-                    ).uniform(low, high)
-                    for g in range(s_lo, s_hi)
-                ]
+                out[s_lo - lo : s_hi - lo] = _range_speeds(
+                    self.speed_base_seed + s_lo,
+                    self.speed_base_seed + s_hi,
+                    low,
+                    high,
+                )
             else:
                 speeds = np.asarray(cohort.speeds_kmh, dtype=float)
                 local = np.arange(s_lo, s_hi) - c_lo
@@ -463,27 +482,35 @@ class PopulationSpec:
                 )
         return profiles if any_fading else None
 
+    def ue_policies(
+        self, lo: int = 0, hi: Optional[int] = None
+    ) -> Optional[tuple[Optional[PolicyConfig], ...]]:
+        """Per-UE policy overrides of ``[lo, hi)`` (``None`` entries:
+        the paper default), or ``None`` when no UE in the range has
+        one, so the engine skips the per-UE pass."""
+        lo, hi = self._range(lo, hi)
+        overlaps = list(self._overlaps(lo, hi))
+        if all(cohort.policy is None for cohort, *_ in overlaps):
+            return None
+        return tuple(
+            cohort.policy
+            for cohort, _c_lo, s_lo, s_hi in overlaps
+            for _ in range(s_lo, s_hi)
+        )
+
     def policy_groups(
         self, lo: int = 0, hi: Optional[int] = None
     ) -> list[tuple[Optional[PolicyConfig], np.ndarray]]:
         """Distinct handover policies over ``[lo, hi)`` with the *local*
-        UE indices they govern, in first-appearance (global) order.
-
-        Cohorts sharing a policy (the common case: all ``None``)
-        collapse into one group, so a homogeneous-policy population runs
-        as a single vectorised batch.
-        """
+        UE indices they govern, in first-appearance (global) order (the
+        engines read :meth:`ue_policies` instead)."""
         lo, hi = self._range(lo, hi)
         groups: dict[Optional[PolicyConfig], list[np.ndarray]] = {}
-        order: list[Optional[PolicyConfig]] = []
         for cohort, _c_lo, s_lo, s_hi in self._overlaps(lo, hi):
-            if cohort.policy not in groups:
-                groups[cohort.policy] = []
-                order.append(cohort.policy)
-            groups[cohort.policy].append(np.arange(s_lo - lo, s_hi - lo))
-        return [
-            (policy, np.concatenate(groups[policy])) for policy in order
-        ]
+            groups.setdefault(cohort.policy, []).append(
+                np.arange(s_lo - lo, s_hi - lo)
+            )
+        return [(p, np.concatenate(idx)) for p, idx in groups.items()]
 
     # ------------------------------------------------------------------
     # execution
@@ -505,9 +532,23 @@ class PopulationSpec:
     def make_system(
         self, policy: Optional[PolicyConfig] = None
     ) -> FuzzyHandoverSystem:
-        """The pipeline for one policy group (``None`` = paper default),
-        on the population's FLC inference backend."""
+        """The pipeline of one policy (``None`` = paper default), on
+        the population's FLC inference backend."""
         return policy_system(policy, self.params)
+
+    def simulator(
+        self,
+        lo: int = 0,
+        hi: Optional[int] = None,
+        system: Optional[FuzzyHandoverSystem] = None,
+    ) -> BatchSimulator:
+        """The batch engine for UEs ``[lo, hi)``, each under its
+        cohort's policy (every UE under ``system`` when given)."""
+        return BatchSimulator(
+            system if system is not None else self.make_system(),
+            speed_kmh=self.ue_speeds(lo, hi),
+            policies=self.ue_policies(lo, hi) if system is None else None,
+        )
 
     def measure(
         self, lo: int = 0, hi: Optional[int] = None
@@ -549,29 +590,16 @@ class PopulationSpec:
         system: Optional[FuzzyHandoverSystem] = None,
         tile_epochs: Optional[int] = None,
     ) -> FleetMetrics:
-        """Streaming cohort-labelled metrics of UEs ``[lo, hi)``.
-
-        One vectorised batch per policy group (a single group when every
-        cohort shares a policy), reassembled into global UE order — the
-        per-UE reductions are elementwise, so the grouping never changes
-        a value.  Pass ``system`` to override every cohort's policy.
-        The measurement side follows the epoch-tile policy (see
-        :meth:`measure_streamed`): policy groups select disjoint
-        sub-streams of one tile stream, each carrying its own UEs'
-        fading generators, so the grouped streamed run stays
-        byte-identical to the materialised one.
+        """Streaming cohort-labelled metrics of UEs ``[lo, hi)``: one
+        :meth:`simulator` pass, every UE under its cohort's policy (pass
+        ``system`` to override every cohort's policy).  The measurement
+        side follows the epoch-tile policy (see :meth:`measure_streamed`),
+        byte-identical to the materialised run.
         """
         lo, hi = self._range(lo, hi)
         series = self.measure_streamed(lo, hi, tile_epochs=tile_epochs)
-        if system is not None:
-            groups = [(system, np.arange(hi - lo))]
-        else:
-            groups = [
-                (self.make_system(policy), idx)
-                for policy, idx in self.policy_groups(lo, hi)
-            ]
-        metrics = run_policy_groups(
-            series, self.ue_speeds(lo, hi), groups, window_km, outage_dbw
+        metrics = self.simulator(lo, hi, system).run_metrics(
+            series, window_km=window_km, outage_dbw=outage_dbw
         )
         return metrics.with_cohorts(
             self.cohort_ids(lo, hi), self.cohort_names
@@ -626,64 +654,21 @@ def policy_system(
     )
 
 
-def run_policy_groups(
-    series,
-    speeds: np.ndarray,
-    groups: Sequence[tuple[FuzzyHandoverSystem, np.ndarray]],
-    window_km: float,
-    outage_dbw: float,
-) -> FleetMetrics:
-    """Streaming metrics of a fleet split into policy groups.
-
-    ``groups`` pairs each distinct pipeline with the UE indices it
-    governs; every group runs as one :class:`BatchSimulator` pass over
-    its sub-stream of ``series`` (a single group over the whole series),
-    and the parts are reassembled into UE order.
-    """
-    if len(groups) == 1:
-        return BatchSimulator(groups[0][0], speed_kmh=speeds).run_metrics(
-            series, window_km=window_km, outage_dbw=outage_dbw
-        )
-    parts = [
-        BatchSimulator(system, speed_kmh=speeds[idx])
-        .run_metrics(
-            series.select(idx), window_km=window_km, outage_dbw=outage_dbw
-        )
-        .per_ue()
-        for system, idx in groups
-    ]
-    return _reassemble(
-        parts, [idx for _, idx in groups], speeds.shape[0],
-        window_km, outage_dbw,
+@functools.lru_cache(maxsize=64)
+def _range_speeds(
+    first_seed: int, last_seed: int, low: float, high: float
+) -> np.ndarray:
+    """One ``default_rng(seed).uniform(low, high)`` speed per seed in
+    ``[first_seed, last_seed)``, drawn once per process and returned
+    read-only (every caller shares the array)."""
+    speeds = np.array(
+        [
+            np.random.default_rng(seed).uniform(low, high)
+            for seed in range(first_seed, last_seed)
+        ]
     )
-
-
-def _reassemble(
-    parts: Sequence[dict[str, np.ndarray]],
-    index_lists: Sequence[np.ndarray],
-    n: int,
-    window_km: float,
-    outage_dbw: float,
-) -> FleetMetrics:
-    """Scatter per-policy-group per-UE reductions (the
-    :meth:`FleetMetrics.per_ue` arrays) back into global UE order.
-
-    Every :class:`FleetMetrics` aggregate derives from its per-UE
-    reduction arrays, so scattering those arrays and rebuilding via
-    :meth:`FleetMetrics.from_per_ue` yields exactly the metrics a single
-    joint run would produce (the per-UE streams are elementwise and
-    identical either way).
-    """
-    gathered = {
-        key: np.zeros(n, dtype=array.dtype)
-        for key, array in parts[0].items()
-    }
-    for part, idx in zip(parts, index_lists):
-        for key, array in part.items():
-            gathered[key][idx] = array
-    return FleetMetrics.from_per_ue(
-        window_km=window_km, outage_dbw=outage_dbw, **gathered
-    )
+    speeds.flags.writeable = False
+    return speeds
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ measurement reports; :func:`offline_reference_metrics` runs the same
 trace through the offline batch engine.  The two paths are
 byte-identical by construction (every per-UE quantity — serving cell,
 CSSP history, metric counters — depends only on that UE's own report
-sequence), and the ``serve`` test suite pins it.
+sequence and policy), and the ``serve`` test suite pins it.
 
 Traces are recorded from a :class:`~repro.sim.fleet.FleetSpec` or a
 :class:`~repro.sim.population.PopulationSpec` via :meth:`FleetTrace.
@@ -33,12 +33,8 @@ import numpy as np
 from .config import SimulationParameters
 from .measurement import BatchMeasurementSeries
 from .metrics import DEFAULT_OUTAGE_DBW, DEFAULT_WINDOW_KM, FleetMetrics
-from .population import (
-    PolicyConfig,
-    PopulationSpec,
-    policy_system,
-    run_policy_groups,
-)
+from .batch import BatchSimulator
+from .population import PolicyConfig, PopulationSpec, policy_system
 
 __all__ = [
     "FleetTrace",
@@ -209,18 +205,11 @@ class FleetTrace:
                 f"record() takes a FleetSpec or PopulationSpec, "
                 f"got {type(spec).__name__}"
             )
-        policies = tuple(
-            cohort.policy
-            for cohort, lo, hi in population.cohort_slices()
-            for _ in range(lo, hi)
-        )
         return cls.from_series(
             population.measure(),
             population.ue_speeds(),
             population.params,
-            policies=(
-                policies if any(p is not None for p in policies) else None
-            ),
+            policies=population.ue_policies(),
             cohort_names=population.cohort_names,
             cohort_ids=population.cohort_ids(),
         )
@@ -273,22 +262,16 @@ def offline_reference_metrics(
     """The trace's metrics through the offline batch engine — the
     identity oracle the streaming service is pinned against.
 
-    Runs :meth:`PopulationSpec.run_metrics`'s path: one vectorised
-    :class:`~repro.sim.batch.BatchSimulator` pass per distinct policy
-    (in first-appearance order) through
-    :func:`~repro.sim.population.run_policy_groups`, with cohort labels
-    attached when the trace carries them.
+    Runs :meth:`PopulationSpec.run_metrics`'s path: one
+    :class:`~repro.sim.batch.BatchSimulator` pass over the whole trace,
+    each UE under its recorded policy, with cohort labels attached when
+    the trace carries them.
     """
-    by_policy: dict[Optional[PolicyConfig], list[int]] = {}
-    for i in range(trace.n_ues):
-        by_policy.setdefault(trace.ue_policy(i), []).append(i)
-    groups = [
-        (policy_system(policy, trace.params), np.asarray(idx, dtype=np.intp))
-        for policy, idx in by_policy.items()
-    ]
-    metrics = run_policy_groups(
-        trace.series(), trace.speeds_kmh, groups, window_km, outage_dbw
-    )
+    metrics = BatchSimulator(
+        policy_system(None, trace.params),
+        speed_kmh=trace.speeds_kmh,
+        policies=trace.policies,
+    ).run_metrics(trace.series(), window_km=window_km, outage_dbw=outage_dbw)
     if trace.cohort_names is not None and trace.cohort_ids is not None:
         metrics = metrics.with_cohorts(trace.cohort_ids, trace.cohort_names)
     return metrics

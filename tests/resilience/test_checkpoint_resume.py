@@ -28,7 +28,7 @@ from repro.resilience import (
     load_checkpoint,
     run_fleet_checkpointed,
 )
-from repro.sim import FleetSpec, SimulationParameters
+from repro.sim import FleetSpec, SimulationParameters, run_fleet
 
 pytestmark = pytest.mark.resilience
 
@@ -158,10 +158,9 @@ def test_malformed_checkpoint_raises(tmp_path):
         run(make_spec(2), tmp_path)
 
 
-def test_mixed_policy_population_rejected(tmp_path):
-    """One snapshot per shard covers one batch pass, so a population
-    whose cohorts mix handover policies is refused — also when every
-    shard happens to hold a single policy."""
+def mixed_policy_spec() -> FleetSpec:
+    """Three policies with fading, one cohort on a two-epoch CSSP lag
+    beside one-epoch cohorts."""
     from repro.mobility import RandomWalk
     from repro.sim import PolicyConfig, PopulationSpec, UECohort
 
@@ -171,19 +170,44 @@ def test_mixed_policy_population_rejected(tmp_path):
         cohorts=(
             UECohort(name="eager", model=walk, count=2,
                      policy=PolicyConfig(threshold=0.5)),
-            UECohort(name="plain", model=walk, count=6),
+            UECohort(name="lagged", model=walk, count=3,
+                     policy=PolicyConfig(threshold=0.75, cssp_lag=2)),
+            UECohort(name="plain", model=walk, count=3),
         ),
+        params=SimulationParameters(shadow_sigma_db=6.0),
+        base_seed=1000,
     )
-    spec = FleetSpec.from_population(population)
-    # at 4 shards, shard [0, 2) is all "eager" and the rest all "plain"
-    assert [
-        len(population.policy_groups(shard.lo, shard.hi))
-        for shard in spec.shard(4)
-    ] == [1, 1, 1, 1]
+    return FleetSpec.from_population(population)
+
+
+def test_mixed_policy_population_matches_run_fleet(tmp_path):
+    """A shard is one batch pass whatever its UEs' policies, so a
+    mixed-policy population checkpoints to exactly ``run_fleet``'s
+    bytes — also at 4 shards, where one shard mixes two lags."""
+    spec = mixed_policy_spec()
     for n_shards in (1, 4):
-        with pytest.raises(ValueError, match="mixes 2"):
-            run(spec, tmp_path, n_shards=n_shards)
-    assert load_checkpoint(tmp_path) is None
+        reference = run_fleet(spec, n_shards=n_shards, max_workers=1)
+        got = run(spec, tmp_path / str(n_shards), n_shards=n_shards)
+        assert frozen(got) == frozen(reference)
+
+
+def test_mixed_policy_crash_then_resume_is_byte_identical(tmp_path):
+    spec = mixed_policy_spec()
+    reference = run_fleet(spec, max_workers=1)
+    for n_shards in (1, 4):
+        crashed = tmp_path / str(n_shards)
+        with pytest.raises(SimulatedCrash):
+            run(
+                spec,
+                crashed,
+                n_shards=n_shards,
+                fault_plan=CRASH_AT_SECOND_CHECKPOINT,
+            )
+        state = load_checkpoint(crashed)
+        assert state is not None and state["result"] is None
+        assert frozen(run(spec, crashed, n_shards=n_shards)) == frozen(
+            reference
+        )
 
 
 def test_checkpoint_writes_are_atomic(tmp_path):

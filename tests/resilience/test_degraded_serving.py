@@ -329,6 +329,35 @@ class TestSupervisor:
         metrics = svc.metrics()
         assert metrics is not None
 
+    def test_subscribes_snapshot_the_engine_at_most_once(self, monkeypatch):
+        svc = SupervisedDecisionService(fault_plan=CRASH_SECOND_EPOCH)
+        calls = []
+        inner = svc.engine.state_dict
+        monkeypatch.setattr(
+            svc.engine, "state_dict", lambda: calls.append(1) or inner()
+        )
+        for ue in range(200):
+            svc.subscribe(ue, speed_kmh=10.0)
+        assert len(calls) <= 1
+
+    def test_a_crash_after_new_subscribes_keeps_them(self):
+        """The restore point taken before the crashed sweep holds the
+        UEs that subscribed since the last close."""
+        svc = SupervisedDecisionService(fault_plan=CRASH_SECOND_EPOCH)
+        ref = DecisionService()
+        for service in (svc, ref):
+            service.subscribe(0, speed_kmh=10.0)
+            service.submit(make_report(0, 0))
+            for ue in (1, 2):
+                service.subscribe(ue, speed_kmh=10.0)
+        self.submit_epoch(svc, 1)  # crashes and rolls back
+        ref.force_close()  # epoch 1 without its reports
+        assert svc.stats.loop_restarts == 1
+        assert svc.engine.n_ues == 3
+        for service in (svc, ref):
+            self.submit_epoch(service, 2)
+        assert frozen(svc.metrics()) == frozen(ref.metrics())
+
     def test_supervised_replay_is_deterministic(self):
         def run():
             svc = SupervisedDecisionService(fault_plan=CRASH_SECOND_EPOCH)

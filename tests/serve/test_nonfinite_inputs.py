@@ -3,8 +3,9 @@
 A NaN or infinite UE speed would turn the FLC's SSN input into NaN or
 -inf; a non-finite outage threshold would count no epoch (NaN) or every
 epoch (+inf) as outage.  Both are refused where they enter the service,
-and one client's bad subscribe must not stall or break the epochs of
-the UEs that behave.
+as is a policy no pipeline can run (a NaN gate, a threshold outside
+(0, 1), a zero CSSP lag), and one client's bad subscribe must not stall
+or break the epochs of the UEs that behave.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro.serve import (
     replay_to_server,
 )
 from repro.sim import (
+    BatchMeasurementSeries,
     BatchSimulator,
     FleetSpec,
     FleetTrace,
@@ -48,6 +50,19 @@ def test_subscribe_rejects_a_nonfinite_speed(speed):
     assert service.engine.knows(5)
 
 
+@pytest.mark.parametrize(
+    "policy",
+    [{"threshold": 1.5}, {"potlc_gate_dbw": math.nan}, {"cssp_lag": 0}],
+)
+def test_subscribe_rejects_a_bad_policy(policy):
+    service = DecisionService()
+    service.subscribe(1)
+    with pytest.raises(ValueError, match=next(iter(policy))):
+        service.subscribe(5, policy=policy)
+    assert not service.engine.knows(5)
+    assert service.engine.n_ues == 1
+
+
 @pytest.mark.parametrize("outage_dbw", NONFINITE)
 def test_service_rejects_a_nonfinite_outage_threshold(outage_dbw):
     with pytest.raises(ValueError, match="outage_dbw must be finite"):
@@ -69,7 +84,14 @@ def test_wire_nan_speed_gets_an_error_and_the_fleet_keeps_closing(
     """A JSON subscribe carrying ``NaN`` is answered with an error frame;
     the two well-behaved UEs' epochs all close on the watermark with the
     offline engine's commands and metrics."""
-    series = trace_3ue.series().select(np.array([0, 1]))
+    full = trace_3ue.series()
+    series = BatchMeasurementSeries(
+        positions_km=full.positions_km[:2],
+        distance_km=full.distance_km[:2],
+        power_dbw=full.power_dbw[:2],
+        lengths=full.lengths[:2],
+        layout=full.layout,
+    )
     good = FleetTrace.from_series(
         series, trace_3ue.speeds_kmh[:2], trace_3ue.params
     )

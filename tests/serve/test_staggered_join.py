@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.core import FuzzyHandoverSystem
 from repro.serve import Report, identity_report, service_for_trace
 from repro.sim import (
+    BatchMeasurementSeries,
     BatchSimulator,
     PolicyConfig,
     SimulationParameters,
@@ -35,7 +36,7 @@ pytestmark = pytest.mark.serve
 @pytest.fixture(scope="module")
 def trace_urban_lagged():
     """urban_mix with a vehicular cohort on its own threshold and a
-    two-epoch CSSP lag: two policy groups with different windows."""
+    two-epoch CSSP lag: two policies with different windows."""
     params = SimulationParameters(
         shadow_sigma_db=4.0, measurement_spacing_km=0.25
     )
@@ -49,8 +50,9 @@ def trace_urban_lagged():
 
 
 def offline_events(trace) -> list[tuple]:
-    """Every handover of the offline engine, one pass per policy group,
-    as sorted ``(ue, local_epoch, source, target, output)`` tuples."""
+    """Every handover of the offline engine, one pass per policy over
+    that policy's UEs, as sorted ``(ue, local_epoch, source, target,
+    output)`` tuples."""
     groups = defaultdict(list)
     for i in range(trace.n_ues):
         groups[trace.ue_policy(i)].append(i)
@@ -68,9 +70,16 @@ def offline_events(trace) -> list[tuple]:
                 trace.params.cell_radius_km,
                 flc_backend=trace.params.flc_backend,
             )
+        sub = BatchMeasurementSeries(
+            positions_km=series.positions_km[idx],
+            distance_km=series.distance_km[idx],
+            power_dbw=series.power_dbw[idx],
+            lengths=series.lengths[idx],
+            layout=series.layout,
+        )
         result = BatchSimulator(
             system, speed_kmh=trace.speeds_kmh[idx]
-        ).run(series.select(idx))
+        ).run(sub)
         events += zip(
             idx[result.event_ue].tolist(),
             result.event_step.tolist(),

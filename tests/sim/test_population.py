@@ -7,13 +7,14 @@ The contract of :mod:`repro.sim.population`:
 * a single-cohort population matching the pre-population fleet defaults
   is *byte-identical* to the plain :class:`~repro.sim.fleet.FleetSpec`
   path (the ISSUE-4 acceptance pin);
-* per-cohort policy groups never change any per-UE value — grouped
-  execution reassembles to exactly the joint run;
+* per-cohort policies never change another UE's values — every engine
+  path runs each UE under its own cohort's policy;
 * cohort-sliced metrics are an exact partition of the fleet totals and
   survive the shard merge.
 """
 
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.sim import (
     PopulationSpec,
     SimulationParameters,
     UECohort,
+    compute_fleet_metrics,
     merge_fleet_metrics,
     named_population,
     partition_fleet,
@@ -84,6 +86,22 @@ def make_population(n_ues=9, cohorts=None, params=FAST, **kwargs):
     return PopulationSpec(
         n_ues=n_ues, cohorts=cohorts, params=params, **kwargs
     )
+
+
+class TestPolicyConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("threshold", 0.0),
+            ("threshold", 1.5),
+            ("potlc_gate_dbw", float("nan")),
+            ("cssp_lag", 0),
+            ("prtlc_enabled", 1),
+        ],
+    )
+    def test_refuses_a_bad_field_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PolicyConfig(**{field: value})
 
 
 class TestCohortValidation:
@@ -185,6 +203,28 @@ class TestExpansion:
         assert ((speeds >= 30.0) & (speeds <= 60.0)).all()
         # slices reproduce the same draws
         np.testing.assert_array_equal(speeds[2:5], pop.ue_speeds(2, 5))
+
+    def test_speed_range_draws_are_made_once_per_process(self, monkeypatch):
+        cohort = UECohort(
+            name="v", model=walker(), fraction=1.0,
+            speed_range_kmh=(30.0, 60.0),
+        )
+        pop = make_population(
+            n_ues=6, cohorts=(cohort,), speed_base_seed=987_654
+        )
+        before = pickle.dumps(pop)
+        built = []
+        real = np.random.default_rng
+        monkeypatch.setattr(
+            np.random, "default_rng",
+            lambda seed=None: built.append(seed) or real(seed),
+        )
+        first = pop.ue_speeds()
+        assert len(built) == 6
+        assert pop.ue_speeds().tobytes() == first.tobytes()
+        assert len(built) == 6
+        # the spec's pickle (the checkpoint fingerprint) stores nothing
+        assert pickle.dumps(pop) == before
 
     def test_cohort_ids_index_sorted_names(self):
         pop = named_population("urban_mix", n_ues=10, params=FAST)
@@ -471,10 +511,35 @@ class TestPolicyGroups:
             pop.run_sharded(n_shards=1), pop.run_sharded(n_shards=3)
         )
 
-    def test_full_log_run_rejects_mixed_policies(self):
-        spec = FleetSpec.from_population(self.two_policy_population())
-        with pytest.raises(ValueError, match="single handover policy"):
-            spec.shard(1)[0].run()
+    def test_full_log_run_matches_metrics_for_mixed_policies(self):
+        pop = self.two_policy_population()
+        shard = FleetSpec.from_population(pop).shard(1)[0]
+        full = compute_fleet_metrics(shard.run()).with_cohorts(
+            pop.cohort_ids(), pop.cohort_names
+        )
+        assert pickle.dumps(full) == pickle.dumps(shard.metrics())
+
+    def test_shard_simulator_runs_the_cohort_policy(self):
+        """A one-cohort population's policy reaches every engine path,
+        the shard's own simulator included."""
+        pop = PopulationSpec(
+            n_ues=4,
+            cohorts=(
+                UECohort(
+                    name="eager", model=walker(), count=4,
+                    speeds_kmh=(0.0, 30.0),
+                    policy=PolicyConfig(threshold=0.3),
+                ),
+            ),
+            params=FAST,
+        )
+        shard = FleetSpec.from_population(pop).shard(1)[0]
+        streamed = shard.metrics()
+        direct = shard.simulator().run_metrics(shard.measure())
+        assert_metrics_identical(direct, streamed)
+        assert_metrics_identical(compute_fleet_metrics(shard.run()), streamed)
+        paper = shard.simulator(pop.make_system()).run_metrics(shard.measure())
+        assert paper.n_handovers != streamed.n_handovers
 
 
 class TestPerCohortFading:
@@ -545,24 +610,3 @@ class TestMeasurementProfiles:
         batch = pop.traces()
         with pytest.raises(ValueError, match="fading profiles"):
             pop.make_sampler().measure_batch(batch, fading_profiles=[None])
-
-    def test_series_select_is_bit_identical_per_ue(self):
-        pop = make_population(n_ues=5)
-        series = pop.measure()
-        sub = series.select(np.array([3, 1]))
-        np.testing.assert_array_equal(
-            sub.power_dbw[0], series.power_dbw[3]
-        )
-        np.testing.assert_array_equal(
-            sub.positions_km[1], series.positions_km[1]
-        )
-        np.testing.assert_array_equal(
-            sub.lengths, series.lengths[[3, 1]]
-        )
-
-    def test_series_select_validates_indices(self):
-        series = make_population(n_ues=3).measure()
-        with pytest.raises(ValueError):
-            series.select(np.array([0, 7]))
-        with pytest.raises(ValueError):
-            series.select(np.array([], dtype=np.intp))

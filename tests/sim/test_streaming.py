@@ -253,25 +253,6 @@ class TestTiledMeasurement:
         with pytest.raises(RuntimeError):
             next(iter(tiled.tiles()))
 
-    def test_select_disjoint_groups_then_overlap_rejected(self):
-        sampler = make_sampler(self.FADING_PARAMS, with_fading=True)
-        tiled = sampler.measure_batch_tiles(
-            make_batch(self.FADING_PARAMS, 6),
-            tile_epochs=4,
-            fading_rngs=list(range(6)),
-        )
-        a = tiled.select(np.array([0, 1, 2]))
-        b = tiled.select(np.array([3, 5]))
-        # disjoint groups each own their UEs' fading generators
-        assert a.materialize().power_dbw.shape[0] == 3
-        assert b.materialize().power_dbw.shape[0] == 2
-        # row 3's generator is donated: re-selecting it is an error
-        with pytest.raises(RuntimeError):
-            tiled.select(np.array([3]))
-        # and so is consuming the parent after any donation
-        with pytest.raises(RuntimeError):
-            next(iter(tiled.tiles()))
-
     def test_shared_fading_process_not_tileable(self):
         sampler = make_sampler(self.FADING_PARAMS, with_fading=True)
         batch = make_batch(self.FADING_PARAMS, 4)
