@@ -21,9 +21,9 @@ in :func:`resolve_tile_epochs` / :func:`auto_tile_epochs`.
 Every batch path fades through one
 :class:`~repro.radio.fading.FadingBank` over per-UE processes, so the
 materialised series, the tile stream and a checkpoint resume all draw
-the same values.  Batch
-fading needs one process per UE (``fading_rngs`` or
-``fading_profiles``); a sampler's single shared process is refused.
+the same values.  Batch fading needs one process per UE
+(``fading_rngs`` or ``fading_profiles``); a sampler's single shared
+process is refused.
 """
 
 from __future__ import annotations

@@ -51,13 +51,18 @@ def test_subscribe_rejects_a_nonfinite_speed(speed):
 
 
 @pytest.mark.parametrize(
-    "policy",
-    [{"threshold": 1.5}, {"potlc_gate_dbw": math.nan}, {"cssp_lag": 0}],
+    "policy, field",
+    [
+        ({"threshold": 1.5}, "threshold"),
+        ({"potlc_gate_dbw": math.nan}, "potlc_gate_dbw"),
+        ({"cssp_lag": 0}, "cssp_lag"),
+        ("eager", "PolicyConfig"),
+    ],
 )
-def test_subscribe_rejects_a_bad_policy(policy):
+def test_subscribe_rejects_a_bad_policy(policy, field):
     service = DecisionService()
     service.subscribe(1)
-    with pytest.raises(ValueError, match=next(iter(policy))):
+    with pytest.raises(ValueError, match=field):
         service.subscribe(5, policy=policy)
     assert not service.engine.knows(5)
     assert service.engine.n_ues == 1

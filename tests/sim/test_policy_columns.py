@@ -41,8 +41,8 @@ from repro.sim import (
 pytestmark = pytest.mark.population
 
 MODELS = (
-    RandomWalk(n_walks=3, mean_step_km=0.6, step_sigma_km=0.2),
-    ManhattanGrid(n_legs=4, block_km=0.35, max_blocks=2),
+    RandomWalk(n_walks=4, mean_step_km=0.6, step_sigma_km=0.2),
+    ManhattanGrid(n_legs=6, block_km=0.35, max_blocks=2),
 )
 
 policies = st.one_of(
@@ -64,7 +64,7 @@ def populations(draw) -> PopulationSpec:
         UECohort(
             name=f"c{j}",
             model=draw(st.sampled_from(MODELS)),
-            count=draw(st.integers(1, 3)),
+            count=draw(st.integers(2, 5)),
             speeds_kmh=draw(st.sampled_from(((0.0,), (5.0, 40.0), (60.0,)))),
             shadow_sigma_db=draw(st.sampled_from((0.0, 4.0))),
             policy=draw(policies),
