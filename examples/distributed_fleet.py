@@ -20,6 +20,10 @@ Against real remote hosts the only change is the address list:
     PYTHONPATH=src python -m repro fleet --ues 100000 --shards 32 \\
         --hosts hostA:7000,hostB:7000
 
+A worker unpickles whatever a peer sends it, and unpickling can run
+code, so a worker listens only where every peer that can reach its port
+is trusted.
+
 Run:  PYTHONPATH=src python examples/distributed_fleet.py
 """
 

@@ -37,24 +37,26 @@ Commands
     Serve fleet shards (or any executor tasks) over TCP to a
     :class:`~repro.sim.distributed.DistributedExecutor` — the unit of
     a distributed fleet.  ``--listen host:0`` binds an ephemeral port;
-    the worker announces ``listening on host:port`` on stdout.
+    the worker announces ``listening on host:port`` on stdout.  A worker
+    unpickles whatever a peer sends: listen only where every peer that
+    can reach the port is trusted.
     ``--die-after K`` arms fault injection: the process exits abruptly
     while handling its K-th task (the X17 fault-tolerance harness).
 ``serve --listen HOST:PORT [--deadline S] [--ring N] [--flc-backend F]``
     Run the streaming handover-decision service: per-UE measurement
-    reports arrive as length-prefixed JSON/pickle frames, epochs close
-    on the subscribed-fleet watermark (or the ``--deadline`` timer),
-    and each closed epoch runs one batched FLC sweep — byte-identical
-    decisions to the offline engine.  Announces ``serving on
-    host:port`` on stdout.
+    reports arrive as length-prefixed JSON frames (the service never
+    unpickles a client's bytes), epochs close on the subscribed-fleet
+    watermark (or the ``--deadline`` timer), and each closed epoch runs
+    one batched FLC sweep — byte-identical decisions to the offline
+    engine.  Announces ``serving on host:port`` on stdout.
 ``replay [--trace PATH | --record ...] [--connect H:P | --spawn]
-[--verify] [--rate R] [--codec {json,pickle}]``
+[--verify] [--rate R]``
     Stream a recorded fleet trace through the service — in process by
     default, against a live server with ``--connect``, or against a
     freshly spawned ``repro serve`` subprocess with ``--spawn`` — and
     print the resulting fleet metrics.  ``--verify`` re-runs the trace
     through the offline batch engine and exits non-zero unless the two
-    paths agree exactly.
+    paths agree exactly, per-UE arrays and cohort labels included.
 """
 
 from __future__ import annotations
@@ -228,7 +230,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_worker.add_argument("--listen", default="127.0.0.1:0",
                           metavar="HOST:PORT",
                           help="address to bind (default 127.0.0.1:0 — "
-                               "an ephemeral port, announced on stdout)")
+                               "an ephemeral port, announced on stdout); "
+                               "the worker unpickles what peers send, "
+                               "so bind only where every peer is "
+                               "trusted")
     p_worker.add_argument("--max-tasks", type=int, default=None,
                           metavar="N",
                           help="exit cleanly after serving N tasks "
@@ -314,12 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="spawn a `repro serve` subprocess and "
                                "stream to it over TCP (mutually "
                                "exclusive with --connect)")
-    p_replay.add_argument("--codec", default="pickle",
-                          choices=["json", "pickle"],
-                          help="wire codec for TCP replays "
-                               "(default pickle; JSON is the "
-                               "language-neutral path and preserves "
-                               "identity too)")
     p_replay.add_argument("--rate", type=float, default=None, metavar="R",
                           help="pace the stream at about R reports/s "
                                "(default: as fast as the socket "
@@ -442,19 +441,15 @@ def _cmd_replay(parser, args) -> int:
 
         host, port = parse_address(args.connect)
         stats, streamed = asyncio.run(
-            replay_to_server(
-                trace, host, port, codec=args.codec, rate=args.rate
-            )
+            replay_to_server(trace, host, port, rate=args.rate)
         )
-        where = f"tcp {host}:{port} ({args.codec})"
+        where = f"tcp {host}:{port}"
     elif args.spawn:
         with spawned_server() as (host, port):
             stats, streamed = asyncio.run(
-                replay_to_server(
-                    trace, host, port, codec=args.codec, rate=args.rate
-                )
+                replay_to_server(trace, host, port, rate=args.rate)
             )
-        where = f"spawned server ({args.codec})"
+        where = "spawned server"
     else:
         service, streamed = replay_in_process(
             trace, service_for_trace(trace)
@@ -471,27 +466,12 @@ def _cmd_replay(parser, args) -> int:
           f"{stats['forced_closes']} forced); "
           f"p99 decision latency "
           f"{latency.get('p99_s', float('nan')) * 1e3:.2f} ms")
-    summary = (
-        streamed if isinstance(streamed, dict) else streamed.as_dict()
-    )
-    print(f"handovers: {summary['n_handovers']:g} "
-          f"(ping-pongs {summary['n_ping_pongs']:g}, "
-          f"necessary {summary['n_necessary']:g})")
+    print(f"handovers: {streamed.n_handovers} "
+          f"(ping-pongs {streamed.n_ping_pongs}, "
+          f"necessary {streamed.n_necessary})")
 
     if args.verify:
-        reference = offline_reference_metrics(trace)
-        if isinstance(streamed, dict):
-            # JSON-codec TCP replays ship the scalar summary only
-            problems = (
-                []
-                if streamed == reference.as_dict()
-                else [
-                    f"scalar summary differs: {streamed} != "
-                    f"{reference.as_dict()}"
-                ]
-            )
-        else:
-            problems = identity_report(streamed, reference)
+        problems = identity_report(streamed, offline_reference_metrics(trace))
         if problems:
             print("identity : FAILED")
             for problem in problems:

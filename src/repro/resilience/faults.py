@@ -21,8 +21,7 @@ Injection points across the repo consume the plan through
   ``"frame"`` rules (abrupt exit, truncated frame, garbage frame,
   silent hang, delay) — the shared scaffolding the serve fault tests
   run on;
-* ``"report"`` rules silence (or burst-duplicate) a UE's report stream
-  in replay drivers;
+* ``"report"`` rules silence a UE's report stream during replays;
 * :class:`~repro.serve.service.DecisionService` derives per-epoch
   deadline jitter from ``"deadline"`` rules and a skewed monotonic
   clock from ``"clock"`` rules (via :func:`make_clock`);
@@ -62,8 +61,8 @@ FAULT_SCOPES: dict[str, tuple[str, ...]] = {
     "worker": ("exit", "drop", "hang"),
     # serve-transport frames (misbehaving_client): connection chaos
     "frame": ("exit", "drop", "corrupt", "hang", "delay"),
-    # UE report emission (replay drivers): silence / duplicate bursts
-    "report": ("silence", "burst"),
+    # UE report emission during replays: silence
+    "report": ("silence",),
     # serve epoch deadlines: ± jitter on the effective deadline
     "deadline": ("jitter",),
     # the service's monotonic clock: rate skew
@@ -100,8 +99,7 @@ class FaultRule:
     magnitude:
         Mode-specific size: jitter half-width as a fraction of the base
         deadline (``"jitter"``), clock rate skew (``"skew"``; +0.25 runs
-        25 % fast), sleep seconds (``"delay"`` / ``"hang"``), burst
-        copies (``"burst"``).
+        25 % fast), sleep seconds (``"delay"`` / ``"hang"``).
     ue:
         Restrict the rule to one UE (``"report"`` scope); ``None``
         matches any.
@@ -272,15 +270,6 @@ class FaultInjector:
             return rule
         return None
 
-    def magnitude(self, rule: FaultRule, event: Optional[int] = None) -> float:
-        """A deterministic signed draw in ``[-magnitude, +magnitude]``
-        for jitter-style rules, keyed by the event index (defaults to
-        the current event count)."""
-        i = self.plan.rules.index(rule)
-        e = self.events if event is None else event
-        rng = np.random.default_rng([self.plan.seed, i, e])
-        return float(rng.uniform(-rule.magnitude, rule.magnitude))
-
     def jitter(self, index: int) -> float:
         """Total signed jitter fraction at event ``index`` (e.g. epoch
         number) across this scope's ``"jitter"`` rules — a pure function
@@ -349,7 +338,6 @@ async def misbehaving_client(
     *,
     ue: int,
     speed_kmh: float = 30.0,
-    codec: str = "json",
 ) -> FaultInjector:
     """Stream ``reports`` to a serve server, misbehaving per the plan.
 
@@ -369,26 +357,24 @@ async def misbehaving_client(
 
     Returns the frame injector so callers can assert fired counters.
     """
-    from ..serve.protocol import encode_frame
+    from .. import wire
+    from ..serve.protocol import encode_frame, read_frame
 
     injector = plan.injector("frame")
     reader, writer = await asyncio.open_connection(host, port)
     try:
         writer.write(
             encode_frame(
-                {"type": "subscribe", "ue": ue, "speed_kmh": speed_kmh},
-                codec=codec,
+                {"type": "subscribe", "ue": ue, "speed_kmh": speed_kmh}
             )
         )
         await writer.drain()
         # the subscribe ack is a full frame; read it through the
         # protocol reader so the stream stays aligned
-        from ..serve.protocol import read_frame
-
         await read_frame(reader)
         for report in reports:
             # Report.to_payload() is already the typed wire message
-            frame = encode_frame(report.to_payload(), codec=codec)
+            frame = encode_frame(report.to_payload())
             writer.write(frame)
             await writer.drain()
             rule = injector.poll()
@@ -402,8 +388,7 @@ async def misbehaving_client(
                 writer.write(frame[: max(5, len(frame) // 2)])
                 await writer.drain()
             elif rule.mode == "corrupt":
-                body = b"Jnot json at all"
-                writer.write(len(body).to_bytes(4, "big") + body)
+                writer.write(wire.frame(b"Jnot json at all"))
                 await writer.drain()
             elif rule.mode == "hang":
                 await asyncio.sleep(rule.magnitude or 0.2)

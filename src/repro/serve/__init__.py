@@ -1,17 +1,19 @@
 """Streaming handover-decision service.
 
 The :mod:`repro.serve` package turns the offline batch engine into an
-online service: per-UE measurement reports stream in (TCP frames or the
-in-process API), an epoch scheduler aligns them into closable service
-epochs (watermark or deadline), and each closed epoch runs one batched
-FLC sweep through the exact ``BatchSimulator`` decision pipeline —
-replaying a recorded run through the service yields **byte-identical**
-handover / ping-pong decisions and fleet metrics to the offline engine.
+online service: per-UE measurement reports stream in (JSON frames over
+TCP or the in-process API), an epoch scheduler aligns them into closable
+service epochs (watermark or deadline), and each closed epoch runs one
+batched FLC sweep through the exact ``BatchSimulator`` decision pipeline
+— replaying a recorded run through the service yields
+**byte-identical** handover / ping-pong decisions and fleet metrics to
+the offline engine.
 
 Layers, bottom-up:
 
-* :mod:`~repro.serve.protocol` — length-prefixed JSON/pickle frames and
-  the :class:`~repro.serve.protocol.Report` message;
+* :mod:`~repro.serve.protocol` — JSON messages in :mod:`repro.wire`
+  frames (nothing a client sends is ever unpickled) and the
+  :class:`~repro.serve.protocol.Report` message;
 * :mod:`~repro.serve.epochs` — epoch-indexed report buckets and
   deterministic epoch close semantics;
 * :mod:`~repro.serve.engine` — the per-epoch vectorised decision sweep
@@ -26,7 +28,6 @@ Layers, bottom-up:
 from .engine import HandoverCommand, StreamingFleetEngine
 from .epochs import DEFAULT_RING_CAPACITY, EpochScheduler
 from .protocol import (
-    CODECS,
     FrameError,
     MAX_FRAME_BYTES,
     Report,
@@ -54,7 +55,6 @@ from .service import (
 )
 
 __all__ = [
-    "CODECS",
     "CommandListener",
     "DecisionService",
     "DEFAULT_LISTENER_CAPACITY",

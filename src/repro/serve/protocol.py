@@ -1,20 +1,18 @@
 """Wire protocol of the streaming decision service.
 
-Framing matches the distributed executor's idiom
-(:mod:`repro.sim.distributed`): every message is one length-prefixed
-frame — a 4-byte big-endian payload length, then the payload.  The
-payload's first byte is a codec tag (``J`` = UTF-8 JSON, ``P`` =
-pickle) followed by the encoded message body, so JSON clients (any
-language) and pickle clients (fast Python-to-Python) interoperate on
-one socket; the server answers each request in the codec it arrived in.
+Every message is one :mod:`repro.wire` frame (a 4-byte big-endian
+payload length, then the payload).  The payload is the tag ``J``
+followed by the message as UTF-8 JSON, so clients in any language can
+speak it.  A payload under any other tag is refused before its body is
+looked at: the service never unpickles a client's bytes.
 
 Messages are plain dicts with a ``"type"`` key (``subscribe``,
 ``report``, ``unsubscribe``, ``listen``, ``close_epoch``, ``stats``,
 ``metrics`` from clients; ``ok``, ``error``, ``commands``, ``stats``,
 ``metrics`` from the server).  Measurement reports travel as
-:class:`Report` payloads; JSON's ``repr``-based float serialisation
-round-trips IEEE-754 doubles exactly, which is what lets the JSON codec
-preserve the stream-vs-batch byte-identity guarantee.
+:class:`Report` payloads.  JSON writes floats by ``repr``, which
+round-trips IEEE-754 doubles exactly; that is what keeps the wire
+stream byte-identical to the offline batch engine.
 
 Truncated, oversized or undecodable frames raise :class:`FrameError` —
 the server counts them and closes only the offending connection.
@@ -26,109 +24,54 @@ import asyncio
 import json
 import math
 import numbers
-import pickle
-import struct
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from ..sim.distributed import MAX_FRAME_BYTES
+from ..wire import MAX_FRAME_BYTES, FrameError, frame, read_payload
 
 __all__ = [
     "FrameError",
     "Report",
     "check_index",
     "MAX_FRAME_BYTES",
-    "CODECS",
     "encode_frame",
     "decode_payload",
     "read_frame",
     "write_frame",
 ]
 
-_LEN = struct.Struct(">I")
-
 _TAG_JSON = b"J"
-_TAG_PICKLE = b"P"
-CODECS = ("json", "pickle")
 
 
-class FrameError(Exception):
-    """A malformed, truncated or undecodable wire frame."""
-
-
-def encode_frame(message: object, codec: str = "pickle") -> bytes:
-    """One complete frame (length prefix + codec tag + body)."""
-    if codec == "json":
-        payload = _TAG_JSON + json.dumps(message).encode("utf-8")
-    elif codec == "pickle":
-        payload = _TAG_PICKLE + pickle.dumps(
-            message, protocol=pickle.HIGHEST_PROTOCOL
-        )
-    else:
-        raise ValueError(f"unknown codec {codec!r}; expected one of {CODECS}")
-    if len(payload) > MAX_FRAME_BYTES:
-        raise FrameError(
-            f"frame of {len(payload)} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte limit"
-        )
-    return _LEN.pack(len(payload)) + payload
+def encode_frame(message: object, codec: str = "json") -> bytes:
+    """One complete frame (length prefix, ``J`` tag, JSON body)."""
+    if codec != "json":
+        raise ValueError(f"unknown codec {codec!r}; the serve wire is JSON")
+    return frame(_TAG_JSON + json.dumps(message).encode("utf-8"))
 
 
 def decode_payload(payload: bytes) -> tuple[object, str]:
-    """``(message, codec_name)`` from one frame payload."""
-    if not payload:
-        raise FrameError("empty frame payload")
+    """``(message, "json")`` from one frame payload."""
     tag, body = payload[:1], payload[1:]
-    if tag == _TAG_JSON:
-        try:
-            return json.loads(body.decode("utf-8")), "json"
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise FrameError(f"undecodable JSON frame: {exc}") from None
-    if tag == _TAG_PICKLE:
-        try:
-            return pickle.loads(body), "pickle"
-        except Exception as exc:
-            raise FrameError(f"undecodable pickle frame: {exc}") from None
-    raise FrameError(f"unknown codec tag {tag!r}")
-
-
-async def read_frame(
-    reader: asyncio.StreamReader,
-) -> Optional[tuple[object, str]]:
-    """Read one frame: ``(message, codec)``, or ``None`` on a clean EOF
-    at a frame boundary.  EOF mid-frame raises :class:`FrameError`."""
+    if tag != _TAG_JSON:
+        raise FrameError(f"unknown codec tag {tag!r}; the serve wire is JSON")
     try:
-        header = await reader.readexactly(_LEN.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise FrameError(
-            f"connection closed mid-header ({len(exc.partial)}/"
-            f"{_LEN.size} bytes)"
-        ) from None
-    (length,) = _LEN.unpack(header)
-    if length == 0:
-        raise FrameError("zero-length frame")
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(
-            f"frame length {length} exceeds the {MAX_FRAME_BYTES}-byte limit"
-        )
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise FrameError(
-            f"connection closed mid-frame ({len(exc.partial)}/{length} bytes)"
-        ) from None
-    return decode_payload(payload)
+        return json.loads(body.decode("utf-8")), "json"
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FrameError(f"undecodable JSON frame: {exc}") from None
 
 
-async def write_frame(
-    writer: asyncio.StreamWriter, message: object, codec: str = "pickle"
-) -> None:
+async def read_frame(reader: asyncio.StreamReader) -> object:
+    """Read one message, or ``None`` on a clean EOF at a frame
+    boundary.  EOF mid-frame raises :class:`FrameError`."""
+    payload = await read_payload(reader)
+    return None if payload is None else decode_payload(payload)[0]
+
+
+async def write_frame(writer: asyncio.StreamWriter, message: object) -> None:
     """Encode and send one frame, honouring transport backpressure."""
-    writer.write(encode_frame(message, codec))
+    writer.write(encode_frame(message))
     await writer.drain()
 
 

@@ -14,17 +14,15 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import dataclasses
-import os
-import re
-import subprocess
-import sys
 import time
 from typing import Iterator, Optional
 
 import numpy as np
 
+from ..sim.distributed import parse_address
 from ..sim.metrics import FleetMetrics
 from ..sim.tracefile import FleetTrace
+from ..wire import local_endpoints
 from .protocol import Report
 from .server import ServeClient
 from .service import DecisionService
@@ -110,17 +108,16 @@ async def replay_to_server(
     host: str,
     port: int,
     *,
-    codec: str = "pickle",
     rate: Optional[float] = None,
 ) -> tuple[dict, FleetMetrics]:
     """Stream the trace to a live server over one TCP connection.
 
     ``rate`` paces the stream at roughly that many reports per second
     (``None`` = as fast as the socket drains).  Returns the server's
-    final ``(stats, metrics)``; with the JSON codec the metrics come
-    back as the scalar summary dict rather than a FleetMetrics object.
+    final ``(stats, metrics)``, the metrics exact down to the per-UE
+    arrays and cohort labels.
     """
-    client = ServeClient(host, port, codec=codec)
+    client = ServeClient(host, port)
     await client.connect()
     try:
         for i in range(trace.n_ues):
@@ -191,65 +188,9 @@ def identity_report(a: FleetMetrics, b: FleetMetrics) -> list[str]:
     return problems
 
 
-_ANNOUNCE_RE = re.compile(r"serving on (\S+):(\d+)")
-
-
 @contextlib.contextmanager
-def spawned_server(
-    *extra_args: str,
-    env: Optional[dict] = None,
-):
-    """Run ``repro serve`` as a subprocess; yields ``(host, port)``.
-
-    Mirrors the distributed executor's worker-pool idiom: the server
-    announces ``serving on host:port`` on stdout, we parse it, and the
-    process is terminated on exit.
-    """
-    run_env = dict(os.environ if env is None else env)
-    src_root = os.path.dirname(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    )
-    existing = run_env.get("PYTHONPATH")
-    run_env["PYTHONPATH"] = (
-        src_root if not existing else src_root + os.pathsep + existing
-    )
-    proc = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro",
-            "serve",
-            "--listen",
-            "127.0.0.1:0",
-            *extra_args,
-        ],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        env=run_env,
-    )
-    try:
-        assert proc.stdout is not None
-        deadline = time.monotonic() + 30.0
-        address = None
-        while time.monotonic() < deadline:
-            line = proc.stdout.readline()
-            if not line:
-                raise RuntimeError(
-                    "repro serve exited before announcing its address "
-                    f"(rc={proc.poll()})"
-                )
-            match = _ANNOUNCE_RE.search(line)
-            if match:
-                address = (match.group(1), int(match.group(2)))
-                break
-        if address is None:
-            raise RuntimeError("timed out waiting for the serve announce line")
-        yield address
-    finally:
-        proc.terminate()
-        try:
-            proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
+def spawned_server() -> Iterator[tuple[str, int]]:
+    """Run ``repro serve`` as a subprocess (see
+    :func:`repro.wire.local_endpoints`); yields ``(host, port)``."""
+    with local_endpoints([["serve"]]) as (address,):
+        yield parse_address(address)

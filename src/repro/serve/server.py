@@ -1,10 +1,10 @@
 """Asyncio TCP front-end for the streaming decision service.
 
 One :class:`ServeServer` wraps one :class:`~repro.serve.service.DecisionService`
-behind length-prefixed frames (:mod:`repro.serve.protocol`).  Connections
-are serviced concurrently; each connection's requests are processed
-serially, and the service core itself runs on the single event loop, so
-no locking is needed and epoch closes stay deterministic.
+behind length-prefixed JSON frames (:mod:`repro.serve.protocol`).
+Connections are serviced concurrently; each connection's requests are
+processed serially, and the service core itself runs on the single event
+loop, so no locking is needed and epoch closes stay deterministic.
 
 Request messages (dicts with a ``"type"`` key):
 
@@ -28,9 +28,15 @@ Request messages (dicts with a ``"type"`` key):
 ``stats`` / ``metrics`` / ``health``
     snapshot requests; because requests are serial per connection they
     double as flush barriers after a burst of reports.  ``health``
-    returns the readiness payload (``ok`` vs ``degraded``).
+    returns the readiness payload (``ok`` vs ``degraded``).  The
+    ``metrics`` reply carries the scalar summary
+    (:meth:`~repro.sim.metrics.FleetMetrics.as_dict`) under
+    ``"metrics"`` and the exact per-UE arrays and cohort labels
+    (:meth:`~repro.sim.metrics.FleetMetrics.to_payload`) under
+    ``"fleet"``; both are ``None`` before any epoch has closed.
 
-A malformed or truncated frame (:class:`~repro.serve.protocol.FrameError`)
+A malformed, truncated or non-JSON frame
+(:class:`~repro.serve.protocol.FrameError`)
 increments ``transport_errors`` and closes *that* connection only; a
 semantically invalid request gets an ``error`` reply and likewise closes
 only its own connection.  The epoch scheduler is untouched either way —
@@ -45,6 +51,7 @@ import contextlib
 import logging
 from typing import Optional
 
+from ..sim.metrics import FleetMetrics
 from .protocol import FrameError, Report, check_index, read_frame, write_frame
 from .service import DecisionService
 
@@ -121,10 +128,9 @@ class ServeServer:
         listener = None
         try:
             while True:
-                frame = await read_frame(reader)
-                if frame is None:
+                message = await read_frame(reader)
+                if message is None:
                     break
-                message, codec = frame
                 if not isinstance(message, dict) or "type" not in message:
                     raise FrameError(
                         f"frame is not a typed message: {type(message).__name__}"
@@ -134,62 +140,44 @@ class ServeServer:
                     if kind == "report":
                         # hot path: no ack
                         self.service.submit(Report.from_payload(message))
-                    elif kind == "subscribe":
+                        continue
+                    if kind == "subscribe":
                         self.service.subscribe(
                             message["ue"],
                             speed_kmh=message.get("speed_kmh", 0.0),
                             cohort=message.get("cohort"),
                             policy=message.get("policy"),
                         )
-                        await write_frame(writer, {"type": "ok"}, codec)
+                        reply = {"type": "ok"}
                     elif kind == "unsubscribe":
                         removed = self.service.unsubscribe(message["ue"])
-                        await write_frame(
-                            writer, {"type": "ok", "removed": removed}, codec
-                        )
+                        reply = {"type": "ok", "removed": removed}
                     elif kind == "close_epoch":
                         epoch = self.service.force_close()
-                        await write_frame(
-                            writer, {"type": "ok", "epoch": epoch}, codec
-                        )
+                        reply = {"type": "ok", "epoch": epoch}
                     elif kind == "stats":
-                        await write_frame(
-                            writer,
-                            {
-                                "type": "stats",
-                                "stats": self.service.stats_payload(),
-                            },
-                            codec,
-                        )
+                        stats = self.service.stats_payload()
+                        reply = {"type": "stats", "stats": stats}
                     elif kind == "health":
-                        await write_frame(
-                            writer,
-                            {
-                                "type": "health",
-                                "health": self.service.health_payload(),
-                            },
-                            codec,
-                        )
+                        health = self.service.health_payload()
+                        reply = {"type": "health", "health": health}
                     elif kind == "metrics":
-                        await write_frame(
-                            writer, self._metrics_reply(codec), codec
-                        )
+                        reply = self._metrics_reply()
                     elif kind == "listen":
                         listener = self.service.attach_listener(
                             message.get("capacity")
                         )
-                        await write_frame(writer, {"type": "ok"}, codec)
-                        await self._drain_listener(listener, writer, codec)
+                        await write_frame(writer, {"type": "ok"})
+                        await self._drain_listener(listener, writer)
                         break
                     else:
                         raise ValueError(f"unknown message type {kind!r}")
+                    await write_frame(writer, reply)
                 except (KeyError, TypeError, ValueError) as exc:
                     logger.warning("protocol error from %s: %s", peer, exc)
                     with contextlib.suppress(Exception):
                         await write_frame(
-                            writer,
-                            {"type": "error", "error": str(exc)},
-                            codec,
+                            writer, {"type": "error", "error": str(exc)}
                         )
                     break
         except FrameError as exc:
@@ -205,18 +193,16 @@ class ServeServer:
             # handlers are parked in read_frame
             writer.close()
 
-    def _metrics_reply(self, codec: str) -> dict:
+    def _metrics_reply(self) -> dict:
         try:
             metrics = self.service.metrics()
         except ValueError as exc:
-            return {"type": "metrics", "metrics": None, "error": str(exc)}
-        if codec == "pickle":
-            # Python peers get the full FleetMetrics object (per-UE
-            # arrays included) for exact identity checks.
-            return {"type": "metrics", "metrics": metrics}
-        return {"type": "metrics", "metrics": metrics.as_dict()}
+            return {"type": "metrics", "metrics": None, "fleet": None,
+                    "error": str(exc)}
+        return {"type": "metrics", "metrics": metrics.as_dict(),
+                "fleet": metrics.to_payload()}
 
-    async def _drain_listener(self, listener, writer, codec: str) -> None:
+    async def _drain_listener(self, listener, writer) -> None:
         while True:
             batches = await listener.get_all()
             if not batches:
@@ -232,17 +218,15 @@ class ServeServer:
                             c.to_payload() for c in batch.commands
                         ],
                     },
-                    codec,
                 )
 
 
 class ServeClient:
     """Minimal asyncio client for one server connection."""
 
-    def __init__(self, host: str, port: int, codec: str = "pickle") -> None:
+    def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = int(port)
-        self.codec = codec
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
 
@@ -262,14 +246,13 @@ class ServeClient:
 
     async def _send(self, message: dict) -> None:
         assert self._writer is not None, "client is not connected"
-        await write_frame(self._writer, message, self.codec)
+        await write_frame(self._writer, message)
 
     async def _recv(self) -> dict:
         assert self._reader is not None, "client is not connected"
-        frame = await read_frame(self._reader)
-        if frame is None:
+        message = await read_frame(self._reader)
+        if message is None:
             raise ConnectionError("server closed the connection")
-        message, _codec = frame
         if isinstance(message, dict) and message.get("type") == "error":
             raise ValueError(f"server error: {message.get('error')}")
         return message
@@ -318,10 +301,13 @@ class ServeClient:
         reply = await self._recv()
         return reply["health"]
 
-    async def metrics(self):
+    async def metrics(self) -> Optional[FleetMetrics]:
+        """The service's exact fleet metrics (per-UE arrays and cohort
+        labels included), or ``None`` before any epoch has closed."""
         await self._send({"type": "metrics"})
         reply = await self._recv()
-        return reply["metrics"]
+        fleet = reply["fleet"]
+        return None if fleet is None else FleetMetrics.from_payload(fleet)
 
     async def listen(self, capacity: Optional[int] = None) -> None:
         msg: dict = {"type": "listen"}

@@ -17,8 +17,8 @@ shard, or how many times a shard is reissued after a failure.
 
 Wire protocol
 -------------
-Length-prefixed pickle frames: a 4-byte big-endian payload length
-followed by a pickled message tuple.  Client→worker messages::
+:mod:`repro.wire` frames: a 4-byte big-endian payload length followed
+by a pickled message tuple.  Client→worker messages::
 
     ("ping",)                      liveness probe → ("pong",)
     ("task", id, fn, arg, hb_s)    run fn(arg); heartbeat every hb_s
@@ -30,10 +30,13 @@ Worker→client messages::
     ("result", id, value)          task id finished
     ("error", id, exc)             fn(arg) raised exc (application error)
 
-A length prefix above :data:`MAX_FRAME_BYTES` (the cap the serve wire
-enforces too) is refused before its body is read.  A worker drops a
-client that sends an oversize, undecodable or unknown frame, logs why,
-and goes back to accepting the next one.
+A zero length prefix, or one above :data:`MAX_FRAME_BYTES` (the cap
+the serve wire enforces too), is refused before its body is read.  A
+worker drops a client that sends such a frame, an undecodable or an
+unknown one, logs why, and goes back to accepting the next one.
+
+The worker unpickles whatever a peer sends, and a pickle can run code:
+a worker listens only where every peer that can reach it is trusted.
 
 While a task computes in a worker thread, the worker's connection loop
 emits ``heartbeat`` frames every ``hb_s`` seconds — the client treats
@@ -70,19 +73,16 @@ stay byte-identical through worker death and shard reissue.
 
 from __future__ import annotations
 
-import io
 import logging
 import os
 import pickle
 import socket
-import struct
-import subprocess
-import sys
 import threading
 import time
-from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from contextlib import AbstractContextManager
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
+from ..wire import MAX_FRAME_BYTES, frame, local_endpoints, recv_payload
 from .executor import Executor
 
 __all__ = [
@@ -101,14 +101,6 @@ R = TypeVar("R")
 
 logger = logging.getLogger(__name__)
 
-_LEN = struct.Struct(">I")
-
-#: Hard ceiling on one frame's payload on both wires (worker frames and
-#: the serve protocol): a measurement report is a few hundred bytes, a
-#: fleet shard or a full-fleet metrics reply a few MiB; anything larger
-#: is a corrupt or hostile length prefix.
-MAX_FRAME_BYTES = 64 * 1024 * 1024
-
 #: Default client-side knobs (also the CLI defaults).
 DEFAULT_HEARTBEAT_INTERVAL_S = 0.5
 DEFAULT_MAX_RETRIES = 3
@@ -121,37 +113,20 @@ DEFAULT_CONNECT_TIMEOUT_S = 5.0
 # framing
 # ----------------------------------------------------------------------
 def send_frame(sock: socket.socket, message: object) -> None:
-    """Write one length-prefixed pickle frame."""
+    """Write one pickle frame."""
     payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
-    sock.sendall(_LEN.pack(len(payload)) + payload)
+    sock.sendall(frame(payload))
 
 
 def recv_frame(sock: socket.socket) -> object:
-    """Read one length-prefixed pickle frame.
+    """Read and unpickle one frame.
 
-    Raises :class:`ConnectionError` on a cleanly closed peer or a length
-    prefix above :data:`MAX_FRAME_BYTES` (the body is never read), and
-    :class:`socket.timeout` when the socket's timeout elapses first.
+    Raises :class:`~repro.wire.FrameError` (a :class:`ConnectionError`)
+    on a closed peer or a zero or over-cap length prefix (the body is
+    never read), and :class:`socket.timeout` when the socket's timeout
+    elapses first.
     """
-    header = _recv_exact(sock, _LEN.size)
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise ConnectionError(
-            f"frame length {length} exceeds the {MAX_FRAME_BYTES}-byte limit"
-        )
-    return pickle.loads(_recv_exact(sock, length))
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = io.BytesIO()
-    remaining = n
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise ConnectionError("peer closed the connection")
-        buf.write(chunk)
-        remaining -= len(chunk)
-    return buf.getvalue()
+    return pickle.loads(recv_payload(sock))
 
 
 def parse_address(address: str) -> tuple[str, int]:
@@ -739,70 +714,25 @@ def _close_quietly(sock: socket.socket) -> None:
 # ----------------------------------------------------------------------
 # local worker fleets (benchmarks, examples, CI smoke)
 # ----------------------------------------------------------------------
-@contextmanager
 def local_worker_pool(
     n_workers: int,
     *,
     die_after: Optional[Sequence[Optional[int]]] = None,
-    python: Optional[str] = None,
-    startup_timeout: float = 30.0,
-) -> Iterator[list[str]]:
+) -> AbstractContextManager[list[str]]:
     """Spawn ``n_workers`` localhost socket workers; yield their
     ``"host:port"`` addresses; terminate them on exit.
 
     Each worker is a real ``python -m repro worker`` subprocess on an
-    ephemeral port (parsed from its announce line), so benchmarks and
-    examples exercise the same process/socket boundary a multi-host
-    deployment would.  ``die_after[i]`` arms worker *i* with ``--die-after
-    K`` fault injection (exit mid-task on its K-th task).
+    ephemeral port (see :func:`repro.wire.local_endpoints`), so
+    benchmarks and examples exercise the same process/socket boundary a
+    multi-host deployment would.  ``die_after[i]`` arms worker *i* with
+    ``--die-after K`` fault injection (exit mid-task on its K-th task).
     """
     if n_workers < 1:
         raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-    env = os.environ.copy()
-    src_dir = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))))
-    env["PYTHONPATH"] = (
-        src_dir + os.pathsep + env["PYTHONPATH"]
-        if env.get("PYTHONPATH")
-        else src_dir
-    )
-    procs: list[subprocess.Popen] = []
-    addresses: list[str] = []
-    try:
-        for i in range(n_workers):
-            cmd = [
-                python or sys.executable, "-m", "repro", "worker",
-                "--listen", "127.0.0.1:0",
-            ]
-            fault = die_after[i] if die_after and i < len(die_after) else None
-            if fault is not None:
-                cmd += ["--die-after", str(fault)]
-            proc = subprocess.Popen(
-                cmd,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
-                env=env,
-                text=True,
-                bufsize=1,
-            )
-            procs.append(proc)
-        deadline = time.monotonic() + startup_timeout
-        for proc in procs:
-            line = proc.stdout.readline().strip()
-            if time.monotonic() > deadline or "listening on" not in line:
-                raise RuntimeError(
-                    f"worker failed to start (announce line: {line!r})"
-                )
-            addresses.append(line.rsplit(" ", 1)[-1])
-        yield addresses
-    finally:
-        for proc in procs:
-            if proc.poll() is None:
-                proc.terminate()
-        for proc in procs:
-            try:
-                proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                proc.kill()
-            if proc.stdout is not None:
-                proc.stdout.close()
+    faults = list(die_after or ())
+    faults += [None] * (n_workers - len(faults))
+    return local_endpoints([
+        ["worker"] + ([] if k is None else ["--die-after", str(k)])
+        for k in faults[:n_workers]
+    ])

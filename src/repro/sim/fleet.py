@@ -124,29 +124,48 @@ class FleetSpec:
     params: SimulationParameters = field(default_factory=SimulationParameters)
     fading_base_seed: int = DEFAULT_FADING_BASE_SEED
     #: the fleet's UEs; ``None`` at construction builds the single
-    #: ``"default"`` cohort from the fields above, and a population
-    #: given here must agree with ``n_ues``, ``params`` and both seeds
-    #: (``n_walks`` and ``speeds_kmh`` only shape the default cohort)
+    #: ``"default"`` cohort from the fields above.  A population given
+    #: here must agree with ``n_ues``, ``params`` and both seeds.
+    #: ``n_walks`` and ``speeds_kmh`` only shape the default cohort: left
+    #: at their defaults they are ignored, set they must build exactly
+    #: the given population
     population: Optional[PopulationSpec] = None
 
     def __post_init__(self) -> None:
         # the population validates n_ues, and the default cohort's walk
         # and speed cycle validate n_walks and speeds_kmh
-        population = self.population or PopulationSpec.homogeneous(
-            self.n_ues,
-            self.n_walks,
-            self.speeds_kmh,
-            self.params,
-            base_seed=self.base_seed,
-            fading_base_seed=self.fading_base_seed,
-        )
+        def default_cohort() -> PopulationSpec:
+            return PopulationSpec.homogeneous(
+                self.n_ues,
+                self.n_walks,
+                self.speeds_kmh,
+                self.params,
+                base_seed=self.base_seed,
+                fading_base_seed=self.fading_base_seed,
+            )
+
+        if self.population is None:
+            object.__setattr__(self, "population", default_cohort())
+            return
         for name in ("n_ues", "params", "base_seed", "fading_base_seed"):
-            if getattr(population, name) != getattr(self, name):
+            if getattr(self.population, name) != getattr(self, name):
                 raise ValueError(
                     f"population.{name} must equal the spec's {name} "
                     "(build via FleetSpec.from_population)"
                 )
-        object.__setattr__(self, "population", population)
+        # dataclasses.replace(spec, n_walks=...) passes the old population
+        # on; refuse it rather than run the old walks under new fields
+        # (the class attributes are the fields' defaults)
+        changed = [
+            name for name in ("n_walks", "speeds_kmh")
+            if getattr(self, name) != getattr(FleetSpec, name)
+        ]
+        if changed and self.population != default_cohort():
+            raise ValueError(
+                ", ".join(f"{n}={getattr(self, n)!r}" for n in changed)
+                + " must build the given population; pass "
+                "population=None to rebuild the default cohort from them"
+            )
 
     # ------------------------------------------------------------------
     @classmethod

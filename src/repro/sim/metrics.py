@@ -341,6 +341,41 @@ class FleetMetrics:
         takes them."""
         return {key: getattr(self, attr) for key, attr in _PER_UE.items()}
 
+    # -- JSON schema ---------------------------------------------------
+    def to_payload(self) -> dict:
+        """JSON-safe dict form: the :meth:`per_ue` arrays as lists, the
+        ping-pong window, the outage threshold and the cohort labels.
+
+        JSON writes floats by ``repr`` (and ``-inf``, the maximum of a UE
+        that never reached the FLC, as ``-Infinity``), so
+        :meth:`from_payload` rebuilds exactly these metrics.
+        """
+        return {
+            "per_ue": {key: a.tolist() for key, a in self.per_ue().items()},
+            "window_km": self.window_km,
+            "outage_dbw": self.outage_dbw,
+            "cohort_names": self.cohort_names,
+            "cohort_ids": (
+                None
+                if self.cohort_ids_per_ue is None
+                else self.cohort_ids_per_ue.tolist()
+            ),
+        }
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "FleetMetrics":
+        """Rebuild the metrics of :meth:`to_payload`."""
+        metrics = cls.from_per_ue(
+            window_km=payload["window_km"],
+            outage_dbw=payload["outage_dbw"],
+            **{key: np.asarray(payload["per_ue"][key]) for key in _PER_UE},
+        )
+        if payload["cohort_names"] is None:
+            return metrics
+        return metrics.with_cohorts(
+            payload["cohort_ids"], payload["cohort_names"]
+        )
+
     def merge(self, *others: "FleetMetrics") -> "FleetMetrics":
         """Combine disjoint fleet shards (UE-order concatenation).
 

@@ -62,6 +62,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown fault scope"):
             FaultPlan().injector("universe")
 
+    def test_report_burst_is_refused(self):
+        # nothing duplicates a report stream, so no rule may ask for it
+        with pytest.raises(ValueError, match="'burst' is not valid"):
+            FaultRule(scope="report", mode="burst", repeat=True)
+        with pytest.raises(ValueError, match="'burst' is not valid"):
+            FaultPlan.from_payload(
+                {"rules": [{"scope": "report", "mode": "burst"}]}
+            )
+
     def test_every_scope_mode_pair_constructs(self):
         for scope, modes in FAULT_SCOPES.items():
             for mode in modes:

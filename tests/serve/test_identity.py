@@ -2,7 +2,7 @@
 streaming service.
 
 Replaying a recorded fleet trace through the service (in process or
-over TCP, either wire codec) must produce **exactly** the metrics the
+over the JSON wire) must produce **exactly** the metrics the
 offline ``BatchSimulator`` computes from the same arrays: identical
 scalar summary, identical per-UE arrays, identical handover command
 sequence.  Not approximately — byte-identical.
@@ -11,12 +11,19 @@ sequence.  Not approximately — byte-identical.
 from __future__ import annotations
 
 import asyncio
+import json
 
 import numpy as np
 import pytest
 
 from repro.core import FuzzyHandoverSystem
-from repro.sim import BatchSimulator, offline_reference_metrics
+from repro.sim import (
+    BatchSimulator,
+    FleetMetrics,
+    FleetSpec,
+    offline_reference_metrics,
+    run_fleet,
+)
 from repro.serve import (
     DecisionService,
     ServeServer,
@@ -127,11 +134,10 @@ def test_commands_match_offline_events(trace_n7):
         assert c.target_cell == tuple(layout.cells[c.target])
 
 
-@pytest.mark.parametrize("codec", ["pickle", "json"])
-def test_tcp_identity(trace_n7, codec):
+def test_tcp_identity(trace_n7):
     """The full wire path — subscribe/report frames in, metrics out —
-    preserves identity on both codecs (JSON round-trips IEEE-754
-    doubles exactly via repr)."""
+    preserves identity down to the per-UE arrays (JSON round-trips
+    IEEE-754 doubles exactly via repr)."""
     trace = trace_n7
     reference = offline_reference_metrics(trace)
 
@@ -140,17 +146,14 @@ def test_tcp_identity(trace_n7, codec):
         server = ServeServer(service)
         host, port = await server.start()
         try:
-            return await replay_to_server(trace, host, port, codec=codec)
+            return await replay_to_server(trace, host, port)
         finally:
             await server.stop()
 
     stats, metrics = asyncio.run(run())
     assert stats["reports_accepted"] == int(np.sum(trace.lengths))
     assert stats["epochs_closed"] == trace.max_epochs
-    if codec == "pickle":
-        assert_identical(metrics, reference)
-    else:
-        assert metrics == reference.as_dict()
+    assert_identical(metrics, reference)
 
 
 def test_tcp_identity_mixed_policy(trace_mixed_policy):
@@ -164,13 +167,42 @@ def test_tcp_identity_mixed_policy(trace_mixed_policy):
         server = ServeServer(service)
         host, port = await server.start()
         try:
-            return await replay_to_server(trace, host, port, codec="pickle")
+            return await replay_to_server(trace, host, port)
         finally:
             await server.stop()
 
     _stats, metrics = asyncio.run(run())
     assert_identical(metrics, reference)
     assert metrics.cohort_names == reference.cohort_names
+
+
+@pytest.mark.parametrize(
+    "fleet", ["mixed_policy", "unlabelled", "never_evaluated"]
+)
+def test_metrics_payload_round_trips_through_json(
+    fleet, trace_mixed_policy, trace_n7
+):
+    """The ``metrics`` reply's JSON rebuilds the exact metrics: cohort
+    labels, unlabelled metrics, and the -inf maximum of a UE that never
+    reached the FLC."""
+    if fleet == "mixed_policy":
+        metrics = offline_reference_metrics(trace_mixed_policy)
+        assert len(metrics.cohort_names) == 2
+    elif fleet == "unlabelled":
+        system = FuzzyHandoverSystem(
+            cell_radius_km=trace_n7.params.cell_radius_km,
+            flc_backend=trace_n7.params.flc_backend,
+        )
+        metrics = BatchSimulator(
+            system, speed_kmh=trace_n7.speeds_kmh
+        ).run_metrics(trace_n7.series())
+        assert metrics.cohort_names is None
+    else:
+        metrics = run_fleet(FleetSpec(n_ues=6, n_walks=1))
+        assert np.isneginf(metrics.output_max_per_ue).any()
+    text = json.dumps(metrics.to_payload())
+    assert ("-Infinity" in text) == (fleet == "never_evaluated")
+    assert_identical(FleetMetrics.from_payload(json.loads(text)), metrics)
 
 
 def test_offline_reference_matches_run_metrics(trace_n7):

@@ -107,16 +107,14 @@ def test_wire_nan_speed_gets_an_error_and_the_fleet_keeps_closing(
         server = ServeServer(service)
         host, port = await server.start()
         try:
-            bad = ServeClient(host, port, codec="json")
+            bad = ServeClient(host, port)
             await bad.connect()
             try:
                 with pytest.raises(ValueError, match="finite"):
                     await bad.subscribe(2, speed_kmh=math.nan)
             finally:
                 await bad.close()
-            stats, _summary = await replay_to_server(
-                good, host, port, codec="json"
-            )
+            stats, _metrics = await replay_to_server(good, host, port)
             return service, listener, stats
         finally:
             await server.stop()

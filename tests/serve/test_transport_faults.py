@@ -4,14 +4,17 @@ Drives misbehaving clients from the shared
 :class:`~repro.resilience.faults.FaultPlan` runtime (``"frame"``-scope
 rules: abrupt exits, truncated and undecodable frames, silent hangs) —
 plus raw-socket cases the plan can't express (garbage and oversized
-length prefixes, half a header).  In every case the server counts the
-error, closes *that* connection only, and keeps serving healthy clients
-— a dying client can never kill or stall the decision loop.
+length prefixes, half a header, a pickle payload).  In every case the
+server counts the error, closes *that* connection only, and keeps
+serving healthy clients — a dying client can never kill or stall the
+decision loop.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
+import pickle
 import struct
 
 import numpy as np
@@ -26,7 +29,8 @@ from repro.serve import (
     ServeServer,
     encode_frame,
 )
-from repro.serve.protocol import MAX_FRAME_BYTES
+from repro.serve.protocol import MAX_FRAME_BYTES, decode_payload
+from repro.wire import FrameError, frame
 
 pytestmark = pytest.mark.serve
 
@@ -60,9 +64,9 @@ async def _send_ok(writer, message) -> None:
 async def _read_reply(reader):
     from repro.serve.protocol import read_frame
 
-    frame = await read_frame(reader)
-    assert frame is not None
-    return frame[0]
+    message = await read_frame(reader)
+    assert message is not None
+    return message
 
 
 def run_with_server(coro_factory):
@@ -160,6 +164,49 @@ def test_zero_length_frame_is_a_transport_error():
         writer.close()
 
     run_with_server(scenario)
+
+
+class _CreatesFile:
+    """Unpickling this opens ``path`` for writing, creating the file."""
+
+    def __init__(self, path) -> None:
+        self.path = path
+
+    def __reduce__(self):
+        return open, (str(self.path), "w")
+
+
+def test_pickle_frame_is_refused_before_unpickling(tmp_path):
+    marker = tmp_path / "unpickled"
+
+    async def scenario(service, host, port):
+        _reader, writer = await asyncio.open_connection(host, port)
+        writer.write(frame(b"P" + pickle.dumps(_CreatesFile(marker))))
+        await writer.drain()
+        await _await_transport_errors(service, 1)
+        writer.close()
+
+        healthy = await ServeClient(host, port).connect()
+        await healthy.subscribe(0)
+        await healthy.report(make_report(0, 0))
+        stats = await healthy.stats()
+        assert stats["epochs_closed"] == 1
+        assert stats["transport_errors"] == 1
+        await healthy.close()
+
+    run_with_server(scenario)
+    assert not marker.exists()
+
+
+def test_serve_frames_are_tagged_json_only():
+    message = {"type": "stats"}
+    body = b"J" + json.dumps(message).encode("utf-8")
+    assert encode_frame(message) == struct.pack(">I", len(body)) + body
+    assert decode_payload(body) == (message, "json")
+    with pytest.raises(ValueError, match="codec"):
+        encode_frame(message, "pickle")
+    with pytest.raises(FrameError, match="codec tag"):
+        decode_payload(b"P" + pickle.dumps(message))
 
 
 def test_undecodable_body_is_a_transport_error():

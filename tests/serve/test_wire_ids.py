@@ -165,7 +165,7 @@ async def raw_exchange(host, port, message):
         after = await asyncio.wait_for(read_frame(reader), 5.0)
     finally:
         writer.close()
-    return reply[0], after
+    return reply, after
 
 
 def run_against_served_service(scenario):
@@ -193,7 +193,7 @@ def test_wire_subscribe_with_a_bad_id_is_an_error(bad):
         assert service.engine.n_ues == 1
         assert frozen_metrics(service) == before
         # everyone else is still served
-        client = await ServeClient(host, port, codec="json").connect()
+        client = await ServeClient(host, port).connect()
         try:
             await client.subscribe(5)
         finally:
@@ -216,7 +216,7 @@ def test_wire_report_with_a_coerced_field_is_an_error(field, bad):
         assert service.scheduler.pending_reports() == pending
         assert service.stats.transport_errors == 0
         # the good report for the same epoch still closes it
-        client = await ServeClient(host, port, codec="json").connect()
+        client = await ServeClient(host, port).connect()
         try:
             await client.report(Report.from_payload(report_payload(epoch=1)))
             stats = await client.stats()
@@ -230,7 +230,7 @@ def test_wire_report_with_a_coerced_field_is_an_error(field, bad):
 
 def test_client_refuses_a_bad_id_before_sending():
     async def scenario(service, host, port):
-        client = await ServeClient(host, port, codec="json").connect()
+        client = await ServeClient(host, port).connect()
         try:
             with pytest.raises(ValueError, match="ue"):
                 await client.subscribe(3.7)

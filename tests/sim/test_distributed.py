@@ -112,6 +112,16 @@ class TestProtocol:
             a.close()
             b.close()
 
+    def test_frame_is_a_length_prefixed_pickle(self):
+        a, b = socket.socketpair()
+        try:
+            send_frame(a, ("ping",))
+            body = pickle.dumps(("ping",), protocol=pickle.HIGHEST_PROTOCOL)
+            assert b.recv(1024) == struct.pack(">I", len(body)) + body
+        finally:
+            a.close()
+            b.close()
+
     def test_recv_on_closed_peer_raises(self):
         a, b = socket.socketpair()
         a.close()
@@ -199,18 +209,19 @@ def _frame(body: bytes) -> bytes:
 
 class TestWorkerSurvivesBadFrames:
     @pytest.mark.parametrize(
-        "frame",
+        "frame, reason",
         [
-            struct.pack(">I", MAX_FRAME_BYTES + 1),
-            _frame(b"hello"),
-            _frame(pickle.dumps(("bogus",))),
-            _frame(pickle.dumps(("task", 1))),
-            _frame(pickle.dumps(42)),
+            (struct.pack(">I", MAX_FRAME_BYTES + 1), "exceeds"),
+            (struct.pack(">I", 0), "zero-length frame"),
+            (_frame(b"hello"), "undecodable"),
+            (_frame(pickle.dumps(("bogus",))), "unknown message"),
+            (_frame(pickle.dumps(("task", 1))), "unknown message"),
+            (_frame(pickle.dumps(42)), "unknown message"),
         ],
-        ids=["oversize", "undecodable", "unknown-kind", "short-task",
-             "not-a-tuple"],
+        ids=["oversize", "zero-length", "undecodable", "unknown-kind",
+             "short-task", "not-a-tuple"],
     )
-    def test_bad_frame_costs_only_its_connection(self, frame, caplog):
+    def test_bad_frame_costs_only_its_connection(self, frame, reason, caplog):
         with worker_servers(1) as (servers, _):
             address = servers[0].address
             with socket.create_connection(address, timeout=5.0) as bad:
@@ -220,6 +231,7 @@ class TestWorkerSurvivesBadFrames:
                 send_frame(good, ("ping",))
                 assert recv_frame(good) == ("pong",)
         assert "dropping worker client" in caplog.text
+        assert reason in caplog.text
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,12 @@ import dataclasses
 
 import pytest
 
-from repro.sim import FleetSpec, SimulationParameters, named_population
+from repro.sim import (
+    FleetSpec,
+    PopulationSpec,
+    SimulationParameters,
+    named_population,
+)
 
 FAST = SimulationParameters(measurement_spacing_km=0.2)
 
@@ -82,6 +87,34 @@ class TestPopulationMustAgree:
             dataclasses.replace(spec, base_seed=2000)
         with pytest.raises(ValueError, match="fading_base_seed"):
             dataclasses.replace(spec, fading_base_seed=7)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"n_walks": 5, "speeds_kmh": (7.0,)}, {"speeds_kmh": (7.0,)}],
+        ids=["both", "speeds"],
+    )
+    def test_replace_cannot_rewalk_a_spec(self, changes):
+        """A replaced walk or speed cycle raises naming the field instead
+        of keeping the old cohort."""
+        spec = FleetSpec(n_ues=3, n_walks=2, params=FAST)
+        with pytest.raises(ValueError) as info:
+            dataclasses.replace(spec, **changes)
+        assert all(f"{name}=" in str(info.value) for name in changes)
+
+    def test_replace_with_population_none_runs_the_new_walk(self):
+        spec = FleetSpec(n_ues=3, n_walks=2, params=FAST)
+        copy = dataclasses.replace(
+            spec, n_walks=5, speeds_kmh=(7.0,), population=None
+        )
+        assert copy.population.cohorts[0].model.n_walks == 5
+        assert list(copy.ue_speeds()) == [7.0, 7.0, 7.0]
+
+    def test_from_population_keeps_a_homogeneous_population(self):
+        pop = PopulationSpec.homogeneous(3, 2, (7.0,), FAST)
+        spec = FleetSpec.from_population(pop)
+        assert spec.population == pop
+        assert (spec.n_walks, spec.speeds_kmh) == (10, FleetSpec.speeds_kmh)
+        assert dataclasses.replace(spec).population == pop
 
     @pytest.mark.parametrize(
         "field,value",
