@@ -78,7 +78,7 @@ def run_homogeneous():
 
 
 def run_heterogeneous():
-    return run_fleet(THREE_COHORTS.to_fleet_spec(), n_shards=1)
+    return run_fleet(FleetSpec.from_population(THREE_COHORTS), n_shards=1)
 
 
 @pytest.mark.benchmark(group="x15-heterogeneous-fleet")

@@ -45,6 +45,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,6 +62,7 @@ from repro.core.system import FuzzyHandoverSystem
 from repro.fuzzy import available_flc_backends, build_lut
 from repro.mobility import GaussMarkov, ManhattanGrid, RandomWalk
 from repro.sim import (
+    FleetSpec,
     PopulationSpec,
     SimulationParameters,
     UECohort,
@@ -134,9 +136,10 @@ def time_kernel(backend):
 
 
 def run_cohort_fleet(flc_backend):
-    return run_fleet(
-        THREE_COHORTS.to_fleet_spec(), n_shards=1, flc_backend=flc_backend
+    population = replace(
+        THREE_COHORTS, params=PARAMS.with_(flc_backend=flc_backend)
     )
+    return run_fleet(FleetSpec.from_population(population), n_shards=1)
 
 
 @pytest.mark.flc_backend

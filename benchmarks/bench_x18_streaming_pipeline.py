@@ -1,21 +1,23 @@
 """X18 — epoch-tiled streaming measurement vs the materialized pipeline.
 
 The same fleet spec through ``run_fleet`` with the measurement pass
-materialized up front (``tile_epochs=0``, the pre-PR-7 behaviour) and
-streamed through ``X18_TILE``-epoch tiles (``tile_epochs=16``).  The
-streamed path keeps only the mobility arrays and one recycled
-``(N, tile, cells)`` power buffer resident, so its peak footprint is
-O(N·tile·cells) in place of the materialized O(N·T·cells) power cube.
+materialized up front (the original pipeline) and streamed through
+``X18_TILE``-epoch tiles (16 by default).  The measurement layer picks
+the path from the workload size; :func:`tile_policy` forces each one by
+patching its threshold and tile size.  The streamed path keeps only the
+mobility arrays and one recycled ``(N, tile, cells)`` power buffer
+resident, so its peak footprint is O(N·tile·cells) in place of the
+materialized O(N·T·cells) power cube.
 
 ``test_x18_streaming_memory_and_runtime`` is the ISSUE-7 acceptance
 check, asserted at the full N = 20000 × T ≈ 200 workload: peak traced
 memory at least 4× below the materialized path, end-to-end runtime no
 worse than 1.05× — and byte-identical ``FleetMetrics`` at every size.
-``test_x18_tile_identity`` pins the identity across
-``tile_epochs ∈ {1, 3, 64}`` against the auto policy (``None``) at a
-size every CI run affords.  ``test_x18_scale_datapoint`` records the
-repo's first N = 10^5 fleet run (tiny horizon, streamed) into the same
-``BENCH_x18.json``.  ``test_x18_fading_bank_speedup`` times the fleet
+``test_x18_tile_identity`` pins the identity across 1-, 3- and
+64-epoch tiles against the size policy at a size every CI run affords.
+``test_x18_scale_datapoint`` records the repo's first N = 10^5 fleet
+run (tiny horizon, streamed) into the same ``BENCH_x18.json``.
+``test_x18_fading_bank_speedup`` times the fleet
 fading bank against one ``ShadowFadingStream`` per UE over the same
 tiles of min(N, 2000) fading UEs (median of 5 back-to-back pairs):
 identical tile bytes always, at least 4x faster asserted at N = 20000.
@@ -29,6 +31,8 @@ import hashlib
 import json
 import os
 import time
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,6 +43,7 @@ from repro.sim import (
     FleetSpec,
     MeasurementSampler,
     SimulationParameters,
+    measurement,
     run_fleet,
 )
 
@@ -58,12 +63,17 @@ PARAMS = SimulationParameters(n_walks=WALKS)
 SPEC = FleetSpec(n_ues=N, n_walks=WALKS, base_seed=3000, params=PARAMS)
 
 
-def run_materialized():
-    return run_fleet(SPEC, n_shards=1, tile_epochs=0)
-
-
-def run_streamed():
-    return run_fleet(SPEC, n_shards=1, tile_epochs=TILE)
+@contextmanager
+def tile_policy(k):
+    """Force the measurement layer's size policy: ``0`` materializes,
+    ``k >= 1`` streams ``k``-epoch tiles (in-process runs only: a
+    worker process would not see the patch)."""
+    with mock.patch.multiple(
+        measurement,
+        AUTO_TILE_THRESHOLD=float("inf") if k == 0 else 0,
+        DEFAULT_TILE_EPOCHS=k or measurement.DEFAULT_TILE_EPOCHS,
+    ):
+        yield
 
 
 def assert_identical_metrics(got, ref):
@@ -90,16 +100,16 @@ def assert_identical_metrics(got, ref):
 
 @pytest.mark.streaming
 def test_x18_tile_identity():
-    """Streaming is a memory knob, not a physics knob: every tile width
-    reproduces the auto-policy metrics bit-for-bit (asserted at a size
-    every CI run affords)."""
+    """Streaming is a memory choice, not a physics one: every tile
+    width reproduces the size policy's metrics bit-for-bit (asserted at
+    a size every CI run affords)."""
     params = SimulationParameters(n_walks=8)
     spec = FleetSpec(n_ues=32, n_walks=8, base_seed=3000, params=params)
-    ref = run_fleet(spec, n_shards=1, tile_epochs=None)
+    ref = run_fleet(spec, n_shards=1)
     for k in (1, 3, 64):
-        assert_identical_metrics(
-            run_fleet(spec, n_shards=1, tile_epochs=k), ref
-        )
+        with tile_policy(k):
+            got = run_fleet(spec, n_shards=1, max_workers=1)
+        assert_identical_metrics(got, ref)
 
 
 @pytest.mark.streaming
@@ -107,8 +117,15 @@ def test_x18_streaming_memory_and_runtime():
     """ISSUE-7 acceptance: >= 4x lower peak memory and <= 1.05x runtime
     vs the materialized pipeline at N = 20000 x T ~ 200, byte-identical
     metrics at every size."""
-    streamed, t_streamed, mem_streamed = run_measured(run_streamed)
-    materialized, t_mat, mem_mat = run_measured(run_materialized)
+    # the patches sit outside the traced calls, which run only run_fleet
+    with tile_policy(TILE):
+        streamed, t_streamed, mem_streamed = run_measured(
+            run_fleet, SPEC, n_shards=1, max_workers=1
+        )
+    with tile_policy(0):
+        materialized, t_mat, mem_mat = run_measured(
+            run_fleet, SPEC, n_shards=1, max_workers=1
+        )
 
     # streaming must never change the physics, whatever the fleet size
     assert_identical_metrics(streamed, materialized)
@@ -160,9 +177,10 @@ def test_x18_scale_datapoint():
     spec = FleetSpec(
         n_ues=SCALE_UES, n_walks=SCALE_WALKS, base_seed=3000, params=params
     )
-    fleet, t, mem = run_measured(
-        run_fleet, spec, n_shards=1, tile_epochs=TILE
-    )
+    with tile_policy(TILE):
+        fleet, t, mem = run_measured(
+            run_fleet, spec, n_shards=1, max_workers=1
+        )
     assert fleet.n_ues == SCALE_UES
     print(
         f"\nx18 scale: {SCALE_UES} UEs x {SCALE_WALKS} walks streamed in "

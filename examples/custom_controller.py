@@ -44,16 +44,12 @@ def main() -> None:
 
     class TwoInputAdapter(FuzzyHandoverSystem):
         """Adapter: feed the two-input FLC from the same observations
-        (CSSP computed but ignored by the controller)."""
+        (CSSP computed but ignored by the controller).  The controller
+        goes in at construction, where the pipeline probes its call
+        shape."""
 
         def __init__(self, **kwargs):
-            super().__init__(flc=None, **kwargs)
-            self._naive = build_two_input_flc()
-
-        def decide(self, obs):
-            # reuse the pipeline bookkeeping but swap the controller
-            self.flc = _Shim(self._naive)
-            return super().decide(obs)
+            super().__init__(flc=_Shim(build_two_input_flc()), **kwargs)
 
     class _Shim:
         """Present the 2-input controller under the 3-input call shape."""

@@ -22,11 +22,13 @@ Run:  PYTHONPATH=src python examples/heterogeneous_fleet.py
 
 from repro.mobility import GaussMarkov, RandomWalk
 from repro.sim import (
+    FleetSpec,
     PolicyConfig,
     PopulationSpec,
     SimulationParameters,
     UECohort,
     named_population,
+    run_fleet,
 )
 
 
@@ -47,8 +49,9 @@ def main() -> None:
     # 2. Sharding never changes the physics — cohort expansion is a
     #    function of the global UE index.
     # ------------------------------------------------------------------
-    unsharded = pop.run_sharded(n_shards=1)
-    sharded = pop.run_sharded(n_shards=4)
+    spec = FleetSpec.from_population(pop)
+    unsharded = run_fleet(spec, n_shards=1)
+    sharded = run_fleet(spec, n_shards=4)
     assert sharded == unsharded
     print(f"fleet      : {sharded.n_ues} UEs, "
           f"{sharded.n_epochs_total} epochs "
@@ -91,7 +94,7 @@ def main() -> None:
         ),
         params=params,
     )
-    fleet = custom.run_sharded(n_shards=2)
+    fleet = run_fleet(FleetSpec.from_population(custom), n_shards=2)
     print("custom mix (per-cohort fading + policy):")
     for cm in fleet.per_cohort():
         print(f"  {cm.describe(12)}")

@@ -14,7 +14,7 @@ Commands
     Run the full pipeline on a frozen paper scenario.
 ``fleet [--ues N] [--walks K] [--seed S] [--speeds V ...]
 [--population MIX] [--shards N] [--workers W] [--hosts H:P,...]
-[--backend B] [--flc-backend F] [--tile-epochs K]
+[--backend B] [--flc-backend F]
 [--checkpoint DIR] [--metrics-out PATH] [--heartbeat-interval S]
 [--heartbeat-timeout S] [--max-retries N] [--no-serial-fallback]``
     Run a whole UE population through the vectorised batch engine —
@@ -62,6 +62,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 
@@ -81,15 +82,17 @@ from .experiments import (
     EXPERIMENTS,
     SCENARIO_CROSSING,
     SCENARIO_PINGPONG,
-    FleetScenario,
     full_report,
     get_experiment,
 )
 from .sim import (
     PAPER_SPEEDS_KMH,
     POPULATION_MIXES,
-    TILE_EPOCHS_ENV_VAR,
+    FleetSpec,
     SimulationParameters,
+    named_population,
+    partition_fleet,
+    run_fleet,
     run_trace,
 )
 
@@ -214,15 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "the hot path; handover decisions are "
                               "identical on every backend.  Validated "
                               "at first use")
-    p_fleet.add_argument("--tile-epochs", type=int, default=None,
-                         metavar="K",
-                         help="epoch-tile policy of the measurement "
-                              "pipeline: 0 materialises the full power "
-                              "cube, K >= 1 streams K-epoch tiles "
-                              "(constant memory in the horizon, "
-                              "byte-identical metrics).  Default: the "
-                              f"{TILE_EPOCHS_ENV_VAR} env var, then "
-                              "auto from the workload size")
 
     p_worker = sub.add_parser(
         "worker", help="serve fleet shards over TCP (distributed executor)"
@@ -394,9 +388,7 @@ def _cmd_replay(parser, args) -> int:
         spawned_server,
     )
     from .sim import (
-        FleetSpec,
         FleetTrace,
-        named_population,
         offline_reference_metrics,
         record_fleet_trace,
     )
@@ -435,28 +427,30 @@ def _cmd_replay(parser, args) -> int:
               f"{trace.max_epochs} epochs)")
 
     n_reports = int(sum(trace.lengths))
-    t0 = time.perf_counter()
-    if args.connect is not None:
-        from .sim.distributed import parse_address
+    with contextlib.ExitStack() as stack:
+        # the clock starts once the server is up: it times the replay
+        if args.connect is not None:
+            from .sim.distributed import parse_address
 
-        host, port = parse_address(args.connect)
-        stats, streamed = asyncio.run(
-            replay_to_server(trace, host, port, rate=args.rate)
-        )
-        where = f"tcp {host}:{port}"
-    elif args.spawn:
-        with spawned_server() as (host, port):
+            host, port = parse_address(args.connect)
+            where = f"tcp {host}:{port}"
+        elif args.spawn:
+            host, port = stack.enter_context(spawned_server())
+            where = "spawned server"
+        else:
+            host = port = None
+            where = "in-process"
+        t0 = time.perf_counter()
+        if host is None:
+            service, streamed = replay_in_process(
+                trace, service_for_trace(trace)
+            )
+            stats = service.stats_payload()
+        else:
             stats, streamed = asyncio.run(
                 replay_to_server(trace, host, port, rate=args.rate)
             )
-        where = "spawned server"
-    else:
-        service, streamed = replay_in_process(
-            trace, service_for_trace(trace)
-        )
-        stats = service.stats_payload()
-        where = "in-process"
-    elapsed = time.perf_counter() - t0
+        elapsed = time.perf_counter() - t0
 
     latency = stats.get("latency", {})
     print(f"replayed : {n_reports} reports in {elapsed:.3f} s "
@@ -572,24 +566,30 @@ def main(argv: list[str] | None = None) -> int:
                 "--walks/--speeds configure the homogeneous fleet; a "
                 "--population mix defines mobility and speeds per cohort"
             )
-        walks = 10 if args.walks is None else args.walks
+        params = SimulationParameters(
+            pathloss_backend=args.backend, flc_backend=args.flc_backend
+        )
         if args.population:
-            scenario = FleetScenario.from_mix(
-                args.population, n_ues=args.ues, base_seed=args.seed
+            spec = FleetSpec.from_population(
+                named_population(
+                    args.population, args.ues, params, base_seed=args.seed
+                )
             )
+            name = f"{args.population}-{args.ues}"
             legs = f"{args.population} mix"
         else:
-            scenario = FleetScenario(
-                name=f"fleet-{args.ues}",
+            walks = 10 if args.walks is None else args.walks
+            spec = FleetSpec(
                 n_ues=args.ues,
                 n_walks=walks,
                 base_seed=args.seed,
                 speeds_kmh=(
                     tuple(args.speeds) if args.speeds else PAPER_SPEEDS_KMH
                 ),
+                params=params,
             )
+            name = f"fleet-{args.ues}"
             legs = f"{walks} legs/UE"
-        from .sim import partition_fleet
 
         tuning_flags = (
             args.heartbeat_interval is not None
@@ -657,25 +657,14 @@ def main(argv: list[str] | None = None) -> int:
             from .resilience import run_fleet_checkpointed
 
             fleet = run_fleet_checkpointed(
-                scenario.to_spec(
-                    SimulationParameters(
-                        pathloss_backend=args.backend,
-                        flc_backend=args.flc_backend,
-                    )
-                ),
-                checkpoint_dir=args.checkpoint,
-                n_shards=args.shards,
-                tile_epochs=args.tile_epochs,
+                spec, checkpoint_dir=args.checkpoint, n_shards=args.shards
             )
         else:
-            fleet = scenario.run_sharded(
-                SimulationParameters(),
+            fleet = run_fleet(
+                spec,
                 n_shards=args.shards,
                 max_workers=args.workers,
-                backend=args.backend,
-                flc_backend=args.flc_backend,
                 hosts=None if executor is not None else hosts,
-                tile_epochs=args.tile_epochs,
                 executor=executor,
             )
         elapsed = time.perf_counter() - t0
@@ -689,7 +678,7 @@ def main(argv: list[str] | None = None) -> int:
             else requested
         )
         flc_label = resolve_flc_backend(args.flc_backend)
-        print(f"scenario : {scenario.name} (seeds {args.seed}.."
+        print(f"scenario : {name} (seeds {args.seed}.."
               f"{args.seed + args.ues - 1}, {legs})")
         print(f"backend  : {label} pathloss kernel, "
               f"{flc_label} FLC kernel")

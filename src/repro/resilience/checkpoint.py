@@ -78,7 +78,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from ..sim.fleet import FleetSpec
-from ..sim.measurement import DEFAULT_TILE_EPOCHS, resolve_tile_epochs
+from ..sim.measurement import DEFAULT_TILE_EPOCHS
 from ..sim.metrics import (
     DEFAULT_OUTAGE_DBW,
     DEFAULT_WINDOW_KM,
@@ -178,16 +178,17 @@ def run_fleet_checkpointed(
     n_shards: int = 1,
     window_km: Optional[float] = None,
     outage_dbw: Optional[float] = None,
-    tile_epochs: Optional[int] = None,
+    tile_epochs: int = DEFAULT_TILE_EPOCHS,
     checkpoint_every_tiles: int = 1,
     fault_plan: Optional[FaultPlan] = None,
 ) -> FleetMetrics:
     """Run (or resume) a fleet with crash-safe checkpointing.
 
     Shards run serially in-process (checkpointing owns the execution
-    order; distribute *or* checkpoint, not both), each through the
-    forced epoch-tiled streaming path so there are tile boundaries to
-    snapshot at.  Call again with the same arguments after a crash and
+    order; distribute *or* checkpoint, not both), each streamed in
+    ``tile_epochs``-epoch tiles (at least 1) so there are tile
+    boundaries to snapshot at; the tile size is part of the workload's
+    fingerprint.  Call again with the same arguments after a crash and
     the run continues from the last checkpoint; the merged
     :class:`FleetMetrics` is byte-identical to the uninterrupted run and
     to :func:`~repro.sim.fleet.run_fleet` over the same spec.
@@ -206,14 +207,13 @@ def run_fleet_checkpointed(
             f"checkpoint_every_tiles must be >= 1, "
             f"got {checkpoint_every_tiles}"
         )
+    if tile_epochs < 1:
+        raise ValueError(f"tile_epochs must be >= 1, got {tile_epochs}")
     window = DEFAULT_WINDOW_KM if window_km is None else float(window_km)
     outage = DEFAULT_OUTAGE_DBW if outage_dbw is None else float(outage_dbw)
-    tile_k = resolve_tile_epochs(tile_epochs, spec.params.tile_epochs)
-    if not tile_k:  # None (auto) and 0 (materialise) both force tiles here
-        tile_k = DEFAULT_TILE_EPOCHS
 
     shards = spec.shard(n_shards)
-    fingerprint = _fingerprint(spec, len(shards), window, outage, tile_k)
+    fingerprint = _fingerprint(spec, len(shards), window, outage, tile_epochs)
     path = checkpoint_path(checkpoint_dir)
 
     state = load_checkpoint(checkpoint_dir)
@@ -251,7 +251,11 @@ def run_fleet_checkpointed(
         if in_progress is not None and in_progress["shard"] == idx:
             resume = in_progress["snapshot"]
 
-        stream = shard.measure_streamed(tile_k)
+        stream = population.make_sampler().measure_batch_tiles(
+            population.traces(shard.lo, shard.hi),
+            tile_epochs,
+            fading_profiles=population.fading_profiles(shard.lo, shard.hi),
+        )
         sim = shard.simulator()
         boundaries = 0
 

@@ -10,14 +10,12 @@ layer, and the sweep and sharded-fleet runners built on it.
 from .config import PAPER_SPEEDS_KMH, SimulationParameters
 from .measurement import (
     DEFAULT_TILE_EPOCHS,
-    TILE_EPOCHS_ENV_VAR,
     BatchMeasurementSeries,
     MeasurementSampler,
     MeasurementSeries,
     MeasurementTile,
     TiledBatchMeasurement,
     auto_tile_epochs,
-    resolve_tile_epochs,
 )
 from .engine import HandoverEvent, SimulationResult, Simulator
 from .batch import BatchSimulationResult, BatchSimulator
@@ -97,9 +95,7 @@ __all__ = [
     "BatchMeasurementSeries",
     "MeasurementTile",
     "TiledBatchMeasurement",
-    "resolve_tile_epochs",
     "auto_tile_epochs",
-    "TILE_EPOCHS_ENV_VAR",
     "DEFAULT_TILE_EPOCHS",
     "Simulator",
     "SimulationResult",

@@ -95,14 +95,6 @@ class SimulationParameters:
         :meth:`repro.core.system.FuzzyHandoverSystem.decision_outputs_batch`.
         Like the pathloss backend, an unknown name fails at first use
         on the executing host.
-    tile_epochs:
-        Epoch-tile policy of the measurement pipeline (``None`` = the
-        :func:`repro.sim.measurement.resolve_tile_epochs` policy:
-        ``REPRO_TILE_EPOCHS``, then auto-from-size).  ``0`` pins the
-        fully materialised path; ``>= 1`` streams measurement tiles of
-        that many epochs through the metrics engine, keeping peak
-        memory O(N·tile_epochs·cells) in the power term — byte-identical
-        metrics either way.
     """
 
     distribution_law: Literal["gaussian"] = "gaussian"
@@ -123,7 +115,6 @@ class SimulationParameters:
     n_repetitions: int = 10
     pathloss_backend: str | None = None
     flc_backend: str | None = None
-    tile_epochs: int | None = None
 
     def __post_init__(self) -> None:
         if self.distribution_law != "gaussian":
@@ -176,13 +167,6 @@ class SimulationParameters:
                     f"{field_name} must be None or a non-empty string, "
                     f"got {value!r}"
                 )
-        if self.tile_epochs is not None and (
-            not isinstance(self.tile_epochs, int) or self.tile_epochs < 0
-        ):
-            raise ValueError(
-                f"tile_epochs must be None or an integer >= 0, "
-                f"got {self.tile_epochs!r}"
-            )
 
     # ------------------------------------------------------------------
     # factories

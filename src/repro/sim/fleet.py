@@ -30,17 +30,18 @@ Work is distributed over the shared
 pattern as the sweep runner in :mod:`repro.sim.parallel`.
 
 The measurement pass runs on a pluggable pathloss kernel
-(:mod:`repro.radio.backends`); ``run_fleet(..., backend=...)`` or
-``spec.with_backend(...)`` pins one.  Backend names resolve on the
-*executing* host, so a future distributed executor can ship the same
-spec to heterogeneous workers and let each shard run its fastest
+(:mod:`repro.radio.backends`) and the FLC on a pluggable inference
+kernel (:mod:`repro.fuzzy.compiled`); ``spec.params.pathloss_backend``
+and ``spec.params.flc_backend`` pin them.  Backend names resolve on the
+*executing* host, so a distributed executor can ship the same spec to
+heterogeneous workers and let each shard run its fastest
 locally-registered kernel (exact for the NumPy family, within the
 documented conformance tolerance for accelerators).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -99,6 +100,29 @@ def partition_fleet(n_ues: int, n_shards: int) -> list[tuple[int, int]]:
     return bounds
 
 
+def _walk_fields(population: PopulationSpec) -> dict:
+    """``n_walks`` and ``speeds_kmh`` of a population that
+    :meth:`PopulationSpec.homogeneous` builds from them; empty for any
+    other population."""
+    if len(population.cohorts) != 1:
+        return {}
+    cohort = population.cohorts[0]
+    n_walks = getattr(cohort.model, "n_walks", None)
+    if n_walks is None:
+        return {}
+    rebuilt = PopulationSpec.homogeneous(
+        population.n_ues,
+        n_walks,
+        cohort.speeds_kmh,
+        population.params,
+        base_seed=population.base_seed,
+        fading_base_seed=population.fading_base_seed,
+    )
+    if rebuilt != population:
+        return {}
+    return {"n_walks": n_walks, "speeds_kmh": cohort.speeds_kmh}
+
+
 @dataclass(frozen=True)
 class FleetSpec:
     """A picklable description of a whole fleet workload.
@@ -114,7 +138,8 @@ class FleetSpec:
     ``params.shadow_sigma_db > 0``, owns the fading stream
     ``fading_base_seed + i``.  All three are functions of the *global*
     UE index, which is what makes any sharding of the fleet
-    bit-identical to the unsharded run.
+    bit-identical to the unsharded run.  ``params`` also pins the
+    pathloss and FLC kernels every shard runs on.
     """
 
     n_ues: int = 100
@@ -125,17 +150,16 @@ class FleetSpec:
     fading_base_seed: int = DEFAULT_FADING_BASE_SEED
     #: the fleet's UEs; ``None`` at construction builds the single
     #: ``"default"`` cohort from the fields above.  A population given
-    #: here must agree with ``n_ues``, ``params`` and both seeds.
-    #: ``n_walks`` and ``speeds_kmh`` only shape the default cohort: left
-    #: at their defaults they are ignored, set they must build exactly
-    #: the given population
+    #: here must agree with ``n_ues``, ``params`` and both seeds, and
+    #: with ``n_walks`` and ``speeds_kmh``: a homogeneous population's
+    #: walk and speed cycle, the defaults beside any other population
     population: Optional[PopulationSpec] = None
 
     def __post_init__(self) -> None:
-        # the population validates n_ues, and the default cohort's walk
-        # and speed cycle validate n_walks and speeds_kmh
-        def default_cohort() -> PopulationSpec:
-            return PopulationSpec.homogeneous(
+        if self.population is None:
+            # the population validates n_ues, and the default cohort's
+            # walk and speed cycle validate n_walks and speeds_kmh
+            population = PopulationSpec.homogeneous(
                 self.n_ues,
                 self.n_walks,
                 self.speeds_kmh,
@@ -143,9 +167,7 @@ class FleetSpec:
                 base_seed=self.base_seed,
                 fading_base_seed=self.fading_base_seed,
             )
-
-        if self.population is None:
-            object.__setattr__(self, "population", default_cohort())
+            object.__setattr__(self, "population", population)
             return
         for name in ("n_ues", "params", "base_seed", "fading_base_seed"):
             if getattr(self.population, name) != getattr(self, name):
@@ -156,11 +178,14 @@ class FleetSpec:
         # dataclasses.replace(spec, n_walks=...) passes the old population
         # on; refuse it rather than run the old walks under new fields
         # (the class attributes are the fields' defaults)
-        changed = [
-            name for name in ("n_walks", "speeds_kmh")
-            if getattr(self, name) != getattr(FleetSpec, name)
-        ]
-        if changed and self.population != default_cohort():
+        want = {
+            "n_walks": FleetSpec.n_walks,
+            "speeds_kmh": FleetSpec.speeds_kmh,
+            **_walk_fields(self.population),
+        }
+        have = {"n_walks": self.n_walks, "speeds_kmh": tuple(self.speeds_kmh)}
+        changed = [name for name in want if have[name] != want[name]]
+        if changed:
             raise ValueError(
                 ", ".join(f"{n}={getattr(self, n)!r}" for n in changed)
                 + " must build the given population; pass "
@@ -170,12 +195,13 @@ class FleetSpec:
     # ------------------------------------------------------------------
     @classmethod
     def from_population(cls, population: PopulationSpec) -> "FleetSpec":
-        """Wrap a heterogeneous population as a fleet-execution spec.
+        """Wrap a population as a fleet-execution spec.
 
-        Fleet size, seeds and physics mirror the population.  The
-        homogeneous-only fields (``n_walks``, ``speeds_kmh``) stay at
-        their defaults and are *ignored* — each cohort defines its own
-        walks and speeds.
+        Fleet size, seeds and physics mirror the population.  A
+        homogeneous population's walk and speed cycle fill ``n_walks``
+        and ``speeds_kmh``; beside any other population they stay at
+        their defaults, because each cohort defines its own walks and
+        speeds.
         """
         return cls(
             n_ues=population.n_ues,
@@ -183,6 +209,7 @@ class FleetSpec:
             params=population.params,
             fading_base_seed=population.fading_base_seed,
             population=population,
+            **_walk_fields(population),
         )
 
     # ------------------------------------------------------------------
@@ -194,43 +221,6 @@ class FleetSpec:
         """Speeds of UEs ``[lo, hi)`` from the population's cohort
         profiles, indexed by *global* UE index."""
         return self.population.ue_speeds(lo, hi)
-
-    def with_backend(self, backend: Optional[str]) -> "FleetSpec":
-        """A copy of this spec pinned to a pathloss-kernel backend.
-
-        The NumPy-family backends are bit-identical, so pinning one
-        never changes the physics; per-host accelerator backends
-        (numba/jax) agree within the conformance tolerance documented
-        in :mod:`repro.radio.backends`.  The name — including ``"auto"``,
-        the fastest-registered-kernel probe — resolves on the *executing*
-        host at first kernel use.
-        """
-        return self._with_params(self.params.with_(pathloss_backend=backend))
-
-    def with_flc_backend(self, flc_backend: Optional[str]) -> "FleetSpec":
-        """A copy of this spec pinned to an FLC inference backend
-        (:mod:`repro.fuzzy.compiled` name).
-
-        Approximate kernels (``lut``/``numba``) change FLC *outputs*
-        only within their documented error bound and never a handover
-        decision (the decision path re-evaluates the guard band through
-        the reference kernel), so handover/ping-pong counts are
-        identical on every backend.  The name resolves on the
-        *executing* host at first evaluation.
-        """
-        return self._with_params(self.params.with_(flc_backend=flc_backend))
-
-    def with_tile_epochs(self, tile_epochs: Optional[int]) -> "FleetSpec":
-        """A copy of this spec pinned to an epoch-tile policy
-        (see :data:`repro.sim.config.SimulationParameters.tile_epochs`:
-        ``0`` materialises, ``>= 1`` streams tiles of that many epochs —
-        byte-identical metrics either way)."""
-        return self._with_params(self.params.with_(tile_epochs=tile_epochs))
-
-    def _with_params(self, params: SimulationParameters) -> "FleetSpec":
-        return replace(
-            self, params=params, population=self.population.with_params(params)
-        )
 
     def make_system(self) -> FuzzyHandoverSystem:
         """The default pipeline configuration for this spec (FLC
@@ -286,20 +276,6 @@ class FleetShard:
         """
         return self.spec.population.measure(self.lo, self.hi)
 
-    def measure_streamed(self, tile_epochs: Optional[int] = None):
-        """This shard's measurements under the epoch-tile policy:
-        the materialised series or a
-        :class:`~repro.sim.measurement.TiledBatchMeasurement`, per
-        :func:`~repro.sim.measurement.resolve_tile_epochs` (explicit
-        argument > spec ``params.tile_epochs`` > ``REPRO_TILE_EPOCHS`` >
-        auto-from-size).  Byte-identical per UE to :meth:`measure`
-        either way; an explicit ``tile_epochs >= 1`` always tiles, which
-        is what the checkpoint runner snapshots at.
-        """
-        return self.spec.population.measure_streamed(
-            self.lo, self.hi, tile_epochs=tile_epochs
-        )
-
     def simulator(
         self, system: Optional[FuzzyHandoverSystem] = None
     ) -> BatchSimulator:
@@ -319,22 +295,21 @@ class FleetShard:
         window_km: float = DEFAULT_WINDOW_KM,
         system: Optional[FuzzyHandoverSystem] = None,
         outage_dbw: float = DEFAULT_OUTAGE_DBW,
-        tile_epochs: Optional[int] = None,
     ) -> FleetMetrics:
         """Streaming, cohort-labelled shard metrics — never
         materialises the full log.
 
         One vectorised pass over the shard, each UE under its cohort's
         policy.  The measurement side follows the epoch-tile policy
-        (see :meth:`measure_streamed`), so large shards stream their
-        power cube tile by tile with byte-identical metrics."""
+        (:func:`~repro.sim.measurement.auto_tile_epochs`), so large
+        shards stream their power cube tile by tile with byte-identical
+        metrics."""
         return self.spec.population.run_metrics(
             self.lo,
             self.hi,
             window_km=window_km,
             outage_dbw=outage_dbw,
             system=system,
-            tile_epochs=tile_epochs,
         )
 
 
@@ -350,11 +325,8 @@ def run_fleet(
     max_workers: Optional[int] = None,
     window_km: float = DEFAULT_WINDOW_KM,
     executor: Optional[Executor] = None,
-    backend: Optional[str] = None,
     outage_dbw: float = DEFAULT_OUTAGE_DBW,
-    flc_backend: Optional[str] = None,
     hosts: Optional[Sequence[str]] = None,
-    tile_epochs: Optional[int] = None,
 ) -> FleetMetrics:
     """Run a fleet in ``n_shards`` partitions and merge the metrics.
 
@@ -366,12 +338,12 @@ def run_fleet(
     count).  The merged result is bit-identical to the unsharded
     ``n_shards=1`` run — sharding changes wall-clock, never physics.
     Pass ``executor`` to supply a pre-built backend instead of a worker
-    count (the two are mutually exclusive), ``backend`` to pin the
-    pathloss kernel (:mod:`repro.radio.backends` name) the shards'
-    measurement passes run on, ``flc_backend`` to pin the FLC inference
-    kernel (:mod:`repro.fuzzy.compiled` name — handover decisions are
-    identical on every FLC backend), and ``outage_dbw`` to set the
-    serving-power sensitivity below which an epoch counts as outage.
+    count (the two are mutually exclusive), and ``outage_dbw`` to set
+    the serving-power sensitivity below which an epoch counts as
+    outage.  The shards run on the kernels ``spec.params`` pins, and
+    each measures its UEs materialised or in epoch tiles by its own
+    size (:func:`~repro.sim.measurement.auto_tile_epochs`) — the same
+    metrics either way.
 
     ``hosts`` — ``"host:port"`` addresses of running ``repro worker``
     socket workers — runs the shards on the distributed backend
@@ -381,24 +353,11 @@ def run_fleet(
     metrics stay byte-identical to the serial run even when a dead
     worker forces shard reissue.
 
-    ``tile_epochs`` pins the epoch-tile policy of every shard's
-    measurement pass (``0`` materialises, ``>= 1`` streams tiles of
-    that many epochs — byte-identical metrics, O(shard·K·cells) peak
-    memory in the power term); ``None`` defers to ``spec.params``, the
-    ``REPRO_TILE_EPOCHS`` environment of the executing host, then the
-    auto-from-size heuristic.
-
     A long-lived worker process — including a ``repro worker`` that
     rejoined after a disconnect — serves repeat rule bases from the
     process-wide compiled-table cache (:mod:`repro.fuzzy.compiled`)
     instead of recompiling per task.
     """
-    if backend is not None:
-        spec = spec.with_backend(backend)
-    if flc_backend is not None:
-        spec = spec.with_flc_backend(flc_backend)
-    if tile_epochs is not None:
-        spec = spec.with_tile_epochs(tile_epochs)
     tasks = [
         (shard, float(window_km), float(outage_dbw))
         for shard in spec.shard(n_shards)

@@ -14,9 +14,11 @@ measure_batch_tiles` instead produces a :class:`TiledBatchMeasurement`
 still walking, a bounded chunk of rows per call, and continue the
 fleet's fading on demand, into one recycled ``(n_ues, tile_epochs,
 n_cells)`` buffer — byte-identical to the materialised path, padding
-included (pinned by the streaming test suite).  The tile size policy
-(explicit pin > ``REPRO_TILE_EPOCHS`` > auto-from-size heuristic) lives
-in :func:`resolve_tile_epochs` / :func:`auto_tile_epochs`.
+included (pinned by the streaming test suite).  The one tile policy is
+:func:`auto_tile_epochs`: a fleet materialises while its power cube is
+small and streams :data:`DEFAULT_TILE_EPOCHS`-epoch tiles above
+:data:`AUTO_TILE_THRESHOLD` entries; :meth:`MeasurementSampler.
+measure_batch_streamed` applies it.
 
 Every batch path fades through one
 :class:`~repro.radio.fading.FadingBank` over per-UE processes, so the
@@ -29,7 +31,6 @@ process is refused.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
@@ -46,17 +47,11 @@ __all__ = [
     "MeasurementSampler",
     "MeasurementTile",
     "TiledBatchMeasurement",
-    "resolve_tile_epochs",
     "auto_tile_epochs",
-    "TILE_EPOCHS_ENV_VAR",
     "DEFAULT_TILE_EPOCHS",
 ]
 
 Cell = tuple[int, int]
-
-#: Environment override for the epoch-tile policy: an integer tile size,
-#: or ``0`` to force the fully materialised path.
-TILE_EPOCHS_ENV_VAR = "REPRO_TILE_EPOCHS"
 
 #: Tile size the auto heuristic streams with.  Small enough that the
 #: per-tile power buffer stays a fraction of the resident positions /
@@ -64,44 +59,14 @@ TILE_EPOCHS_ENV_VAR = "REPRO_TILE_EPOCHS"
 DEFAULT_TILE_EPOCHS = 16
 
 #: Auto heuristic cut-over: power cubes up to this many float64 entries
-#: (~32 MB) are cheaper to materialise than to stream.
+#: (~32 MB) are cheaper to materialise than to stream.  Tests that need
+#: tiles at a small size patch it and :data:`DEFAULT_TILE_EPOCHS`
+#: (``0`` forces tiles, ``float("inf")`` the materialised path).
 AUTO_TILE_THRESHOLD = 4_000_000
 
 #: Live UE rows per pathloss call when a tile is filled: the kernel's
 #: output beside the recycled tile buffer stays one chunk, not a tile.
 _ROWS_PER_CALL = 2048
-
-
-def resolve_tile_epochs(*pins: Optional[int]) -> Optional[int]:
-    """Resolve the epoch-tile policy: first explicit pin, then the
-    :data:`TILE_EPOCHS_ENV_VAR` environment variable, else ``None``
-    (auto — decide from the workload size at measure time).
-
-    A resolved value of ``0`` forces the materialised path; ``>= 1`` is
-    a tile size in epochs.
-    """
-    for pin in pins:
-        if pin is not None:
-            k = int(pin)
-            if k != pin or k < 0:
-                raise ValueError(
-                    f"tile_epochs must be an integer >= 0, got {pin!r}"
-                )
-            return k
-    env = os.environ.get(TILE_EPOCHS_ENV_VAR)
-    if env is not None and env.strip():
-        try:
-            k = int(env)
-        except ValueError:
-            raise ValueError(
-                f"{TILE_EPOCHS_ENV_VAR} must be an integer, got {env!r}"
-            ) from None
-        if k < 0:
-            raise ValueError(
-                f"{TILE_EPOCHS_ENV_VAR} must be >= 0, got {env!r}"
-            )
-        return k
-    return None
 
 
 def _fading_bank(
@@ -733,7 +698,7 @@ class MeasurementSampler:
     def measure_batch_tiles(
         self,
         batch: TraceBatch,
-        tile_epochs: Optional[int] = None,
+        tile_epochs: int = DEFAULT_TILE_EPOCHS,
         fading_rngs: Optional[
             Sequence[Union[int, np.random.Generator, None]]
         ] = None,
@@ -742,65 +707,36 @@ class MeasurementSampler:
         """The epoch-tiled streaming counterpart of :meth:`measure_batch`.
 
         Mobility is densified once (positions and cumulative distances
-        stay resident); the power cube is generated tile by tile as the
-        returned :class:`TiledBatchMeasurement` is consumed —
-        byte-identical per UE to the materialised path, at
-        O(N·tile_epochs·cells) peak memory in the power term.
-
-        ``tile_epochs`` pins the tile size (``None`` resolves the
-        :data:`TILE_EPOCHS_ENV_VAR` override, then the auto heuristic,
-        with :data:`DEFAULT_TILE_EPOCHS` as the floor — this method
-        always tiles; use :meth:`measure_batch_streamed` to let the
-        policy fall back to the materialised path).  Fading takes the
-        same per-UE arguments as :meth:`measure_batch`.
+        stay resident); the power cube is generated in ``tile_epochs``
+        tiles (at least 1) as the returned
+        :class:`TiledBatchMeasurement` is consumed — byte-identical per
+        UE to the materialised path, at O(N·tile_epochs·cells) peak
+        memory in the power term.  Fading takes the same per-UE
+        arguments as :meth:`measure_batch`.
         """
-        k = resolve_tile_epochs(tile_epochs)
-        if k == 0:
-            raise ValueError(
-                "tile_epochs=0 requests the materialised path; call "
-                "measure_batch (or measure_batch_streamed) instead"
-            )
         dense = batch.densify(self.spacing_km)
         profiles = self._fading_profiles_for(
             dense, fading_rngs, fading_profiles
         )
-        if k is None:
-            k = (
-                auto_tile_epochs(
-                    dense.n_traces, dense.max_points, self.layout.n_cells
-                )
-                or DEFAULT_TILE_EPOCHS
-            )
-        return self._tiled(dense, profiles, k)
+        return self._tiled(dense, profiles, tile_epochs)
 
     def measure_batch_streamed(
         self,
         batch: TraceBatch,
-        tile_epochs: Optional[int] = None,
-        fading_rngs: Optional[
-            Sequence[Union[int, np.random.Generator, None]]
-        ] = None,
         fading_profiles: Optional[Sequence[Optional[ShadowFading]]] = None,
     ) -> Union[BatchMeasurementSeries, TiledBatchMeasurement]:
-        """Measure a fleet under the epoch-tile *policy*.
-
-        Resolves ``tile_epochs`` (explicit pin > ``REPRO_TILE_EPOCHS`` >
-        auto-from-size heuristic) and returns either the materialised
-        :class:`BatchMeasurementSeries` (resolved ``0`` or a small
-        workload) or a :class:`TiledBatchMeasurement`.  Both are
-        accepted directly by
+        """Measure a fleet under the epoch-tile policy
+        (:func:`auto_tile_epochs`): the materialised
+        :class:`BatchMeasurementSeries` for a small workload, else a
+        :class:`TiledBatchMeasurement`.  Both are accepted directly by
         :meth:`repro.sim.batch.BatchSimulator.run_metrics` and produce
         byte-identical metrics.
         """
-        k = resolve_tile_epochs(tile_epochs)
         dense = batch.densify(self.spacing_km)
-        profiles = self._fading_profiles_for(
-            dense, fading_rngs, fading_profiles
+        profiles = self._fading_profiles_for(dense, None, fading_profiles)
+        k = auto_tile_epochs(
+            dense.n_traces, dense.max_points, self.layout.n_cells
         )
-        if k is None:
-            k = auto_tile_epochs(
-                dense.n_traces, dense.max_points, self.layout.n_cells
-            )
         if k == 0:
             return self._measure_dense(dense, profiles)
         return self._tiled(dense, profiles, k)

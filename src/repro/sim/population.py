@@ -61,11 +61,7 @@ from .config import (
     DEFAULT_FADING_BASE_SEED,
     SimulationParameters,
 )
-from .measurement import (
-    BatchMeasurementSeries,
-    MeasurementSampler,
-    resolve_tile_epochs,
-)
+from .measurement import BatchMeasurementSeries, MeasurementSampler
 from .metrics import (
     DEFAULT_OUTAGE_DBW,
     DEFAULT_WINDOW_KM,
@@ -515,10 +511,6 @@ class PopulationSpec:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def with_params(self, params: SimulationParameters) -> "PopulationSpec":
-        """A copy under different physics (used by backend pinning)."""
-        return replace(self, params=params)
-
     def make_sampler(self) -> MeasurementSampler:
         """The measurement stack shared by every cohort (fading is
         injected per UE via :meth:`fading_profiles`, not here)."""
@@ -559,26 +551,18 @@ class PopulationSpec:
             self.traces(lo, hi), fading_profiles=self.fading_profiles(lo, hi)
         )
 
-    def measure_streamed(
-        self,
-        lo: int = 0,
-        hi: Optional[int] = None,
-        tile_epochs: Optional[int] = None,
-    ):
-        """The range's measurements under the epoch-tile policy — the
-        materialised series or a
-        :class:`~repro.sim.measurement.TiledBatchMeasurement`, per
-        :func:`~repro.sim.measurement.resolve_tile_epochs` (explicit
-        argument > ``params.tile_epochs`` > ``REPRO_TILE_EPOCHS`` >
-        auto-from-size).  The population's per-UE fading profiles are
-        exactly the per-UE-process shape the tile stream requires, so
-        heterogeneous cohorts stream byte-identically.
+    def measure_streamed(self, lo: int = 0, hi: Optional[int] = None):
+        """The range's measurements under the epoch-tile policy
+        (:func:`~repro.sim.measurement.auto_tile_epochs`): the
+        materialised series for a small range, else a
+        :class:`~repro.sim.measurement.TiledBatchMeasurement`.  The
+        population's per-UE fading profiles are exactly the
+        per-UE-process shape the tile stream requires, so heterogeneous
+        cohorts stream byte-identically.
         """
         lo, hi = self._range(lo, hi)
         return self.make_sampler().measure_batch_streamed(
-            self.traces(lo, hi),
-            resolve_tile_epochs(tile_epochs, self.params.tile_epochs),
-            fading_profiles=self.fading_profiles(lo, hi),
+            self.traces(lo, hi), fading_profiles=self.fading_profiles(lo, hi)
         )
 
     def run_metrics(
@@ -588,7 +572,6 @@ class PopulationSpec:
         window_km: float = DEFAULT_WINDOW_KM,
         outage_dbw: float = DEFAULT_OUTAGE_DBW,
         system: Optional[FuzzyHandoverSystem] = None,
-        tile_epochs: Optional[int] = None,
     ) -> FleetMetrics:
         """Streaming cohort-labelled metrics of UEs ``[lo, hi)``: one
         :meth:`simulator` pass, every UE under its cohort's policy (pass
@@ -597,45 +580,12 @@ class PopulationSpec:
         byte-identical to the materialised run.
         """
         lo, hi = self._range(lo, hi)
-        series = self.measure_streamed(lo, hi, tile_epochs=tile_epochs)
+        series = self.measure_streamed(lo, hi)
         metrics = self.simulator(lo, hi, system).run_metrics(
             series, window_km=window_km, outage_dbw=outage_dbw
         )
         return metrics.with_cohorts(
             self.cohort_ids(lo, hi), self.cohort_names
-        )
-
-    def to_fleet_spec(self):
-        """This population as a :class:`~repro.sim.fleet.FleetSpec` —
-        the sharded execution layer's unit of distribution."""
-        from .fleet import FleetSpec
-
-        return FleetSpec.from_population(self)
-
-    def run_sharded(
-        self,
-        n_shards: int = 1,
-        max_workers: Optional[int] = None,
-        window_km: float = DEFAULT_WINDOW_KM,
-        backend: Optional[str] = None,
-        outage_dbw: float = DEFAULT_OUTAGE_DBW,
-        flc_backend: Optional[str] = None,
-        tile_epochs: Optional[int] = None,
-    ) -> FleetMetrics:
-        """Partition the population with the fleet layer and merge the
-        cohort-labelled shard metrics (bit-identical for any shard
-        count)."""
-        from .fleet import run_fleet
-
-        return run_fleet(
-            self.to_fleet_spec(),
-            n_shards=n_shards,
-            max_workers=max_workers,
-            window_km=window_km,
-            backend=backend,
-            outage_dbw=outage_dbw,
-            flc_backend=flc_backend,
-            tile_epochs=tile_epochs,
         )
 
 

@@ -255,17 +255,18 @@ class TestAutoProbe:
         from repro.sim import run_fleet
 
         monkeypatch.setattr(B, "_auto_choice", "reference")
-        spec = FleetSpec(
-            n_ues=4, n_walks=3,
-            params=SP(measurement_spacing_km=0.2, n_walks=3),
-        )
-        auto = run_fleet(
-            spec, n_shards=2, executor=SerialExecutor(), backend="auto"
-        )
-        pinned = run_fleet(
-            spec, n_shards=2, executor=SerialExecutor(), backend="reference"
-        )
-        assert auto == pinned
+
+        def run(backend):
+            spec = FleetSpec(
+                n_ues=4, n_walks=3,
+                params=SP(
+                    measurement_spacing_km=0.2, n_walks=3,
+                    pathloss_backend=backend,
+                ),
+            )
+            return run_fleet(spec, n_shards=2, executor=SerialExecutor())
+
+        assert run("auto") == run("reference")
 
 
 class TestKernelParams:

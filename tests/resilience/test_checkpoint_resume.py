@@ -158,6 +158,16 @@ def test_malformed_checkpoint_raises(tmp_path):
         run(make_spec(2), tmp_path)
 
 
+@pytest.mark.parametrize("tile_epochs", [0, -1])
+def test_tile_size_below_one_is_refused(tmp_path, tile_epochs):
+    # the tile size sets where snapshots fall; there is no "auto" here
+    with pytest.raises(ValueError, match="tile_epochs"):
+        run_fleet_checkpointed(
+            make_spec(2), checkpoint_dir=tmp_path, tile_epochs=tile_epochs
+        )
+    assert load_checkpoint(tmp_path) is None
+
+
 def mixed_policy_spec() -> FleetSpec:
     """Three policies with fading, one cohort on a two-epoch CSSP lag
     beside one-epoch cohorts."""

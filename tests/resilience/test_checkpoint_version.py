@@ -60,14 +60,16 @@ def per_ue_stream_fading_state(spec, tile_epochs, next_epoch):
     :class:`ShadowFadingStream` per UE drew the tiles before
     ``next_epoch`` — the layout checkpoints were written in before the
     fading bank."""
-    shard = spec.shard(1)[0]
-    tiled = shard.measure_streamed(tile_epochs)
+    population = spec.population
+    tiled = population.make_sampler().measure_batch_tiles(
+        population.traces(), tile_epochs
+    )
     cells = tiled.layout.n_cells
     streams = [
         ShadowFadingStream(
             spec.params.make_fading(rng=spec.fading_base_seed + g)
         )
-        for g in range(shard.lo, shard.hi)
+        for g in range(spec.n_ues)
     ]
     for lo in range(0, next_epoch, tiled.tile_epochs):
         hi = min(lo + tiled.tile_epochs, tiled.max_epochs)

@@ -359,12 +359,10 @@ class TestDistributedFleet:
         assert "lo=" in message and "hi=" in message
 
     def test_run_sharded_threads_hosts(self):
-        from repro.experiments import FleetScenario
-
-        scenario = FleetScenario(name="dist-test", n_ues=8, n_walks=3)
-        local = scenario.run_sharded(n_shards=2)
+        spec = FleetSpec(n_ues=8, n_walks=3)
+        local = run_fleet(spec, n_shards=2)
         with worker_servers(2) as (_, hosts):
-            dist = scenario.run_sharded(n_shards=2, hosts=hosts)
+            dist = run_fleet(spec, n_shards=2, hosts=hosts)
         assert dist == local
 
 

@@ -28,8 +28,11 @@ from repro.sim import (
 FAST = SimulationParameters(measurement_spacing_km=0.2, n_walks=4)
 
 
-def make_spec(n_ues, **kwargs):
-    kwargs.setdefault("params", FAST)
+def make_spec(n_ues, pathloss_backend=None, flc_backend=None, **kwargs):
+    kwargs.setdefault(
+        "params",
+        FAST.with_(pathloss_backend=pathloss_backend, flc_backend=flc_backend),
+    )
     kwargs.setdefault("speeds_kmh", (0.0, 20.0, 50.0))
     # a low POTLC gate keeps the FLC busy so output aggregates are
     # exercised, not NaN
@@ -269,11 +272,12 @@ class TestBackendEquivalence:
     def test_run_fleet_bit_identical_across_numpy_backends(
         self, n_ues, n_shards
     ):
-        spec = make_spec(n_ues)
         reference = run_fleet(
-            spec, n_shards=n_shards, backend="reference"
+            make_spec(n_ues, pathloss_backend="reference"), n_shards=n_shards
         )
-        optimized = run_fleet(spec, n_shards=n_shards, backend="numpy")
+        optimized = run_fleet(
+            make_spec(n_ues, pathloss_backend="numpy"), n_shards=n_shards
+        )
         assert optimized == reference
         assert_metrics_identical(optimized, reference)
 
@@ -281,17 +285,14 @@ class TestBackendEquivalence:
     def test_run_metrics_bit_identical_across_numpy_backends(self, n_ues):
         results = {}
         for backend in ("reference", "numpy"):
-            shard = make_spec(n_ues).with_backend(backend).shard(1)[0]
+            shard = make_spec(n_ues, pathloss_backend=backend).shard(1)[0]
             results[backend] = shard.simulator().run_metrics(shard.measure())
         assert_metrics_identical(results["numpy"], results["reference"])
 
     def test_with_backend_threads_into_params(self):
-        spec = make_spec(4).with_backend("reference")
-        assert spec.params.pathloss_backend == "reference"
+        spec = make_spec(4, pathloss_backend="reference")
         sampler = spec.population.make_sampler()
         assert sampler.propagation.backend == "reference"
-        # everything else of the spec is untouched
-        assert spec.with_backend(None).params == make_spec(4).params
 
     def test_default_backend_matches_reference(self, monkeypatch):
         # the policy default (optimized numpy) never changes the physics;
@@ -300,15 +301,15 @@ class TestBackendEquivalence:
         from repro.radio import BACKEND_ENV_VAR
 
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        spec = make_spec(5)
         assert_metrics_identical(
-            run_fleet(spec, n_shards=2),
-            run_fleet(spec, n_shards=2, backend="reference"),
+            run_fleet(make_spec(5), n_shards=2),
+            run_fleet(make_spec(5, pathloss_backend="reference"), n_shards=2),
         )
 
     def test_unknown_backend_fails_in_worker(self):
+        spec = make_spec(3, pathloss_backend="not-a-kernel")
         with pytest.raises(ValueError, match="unknown pathloss backend"):
-            run_fleet(make_spec(3), backend="not-a-kernel")
+            run_fleet(spec)
 
 
 @pytest.mark.flc_backend
@@ -319,11 +320,10 @@ class TestFLCBackendEquivalence:
 
     @pytest.mark.parametrize("n_shards", [1, 4])
     def test_run_fleet_decisions_identical_on_lut(self, n_shards):
-        spec = make_spec(16)
         reference = run_fleet(
-            spec, n_shards=n_shards, flc_backend="reference"
+            make_spec(16, flc_backend="reference"), n_shards=n_shards
         )
-        lut = run_fleet(spec, n_shards=n_shards, flc_backend="lut")
+        lut = run_fleet(make_spec(16, flc_backend="lut"), n_shards=n_shards)
         for name in (
             "handovers_per_ue",
             "ping_pongs_per_ue",
@@ -348,32 +348,30 @@ class TestFLCBackendEquivalence:
         assert np.all(diff <= budget)
 
     def test_with_flc_backend_threads_into_params(self):
-        spec = make_spec(4).with_flc_backend("lut")
-        assert spec.params.flc_backend == "lut"
+        spec = make_spec(4, flc_backend="lut")
         assert spec.make_system().flc_backend == "lut"
-        # everything else of the spec is untouched
-        assert spec.with_flc_backend(None).params == make_spec(4).params
+        assert spec.population.make_system().flc_backend == "lut"
 
     def test_default_flc_backend_is_reference(self, monkeypatch):
         from repro.fuzzy import FLC_BACKEND_ENV_VAR
 
         monkeypatch.delenv(FLC_BACKEND_ENV_VAR, raising=False)
-        spec = make_spec(5)
         assert_metrics_identical(
-            run_fleet(spec, n_shards=2),
-            run_fleet(spec, n_shards=2, flc_backend="reference"),
+            run_fleet(make_spec(5), n_shards=2),
+            run_fleet(make_spec(5, flc_backend="reference"), n_shards=2),
         )
 
     def test_unknown_flc_backend_fails_in_worker(self):
+        spec = make_spec(3, flc_backend="not-a-kernel")
         with pytest.raises(ValueError, match="unknown FLC backend"):
-            run_fleet(make_spec(3), flc_backend="not-a-kernel")
+            run_fleet(spec)
 
     def test_both_backend_kinds_compose(self):
-        spec = make_spec(6)
         combined = run_fleet(
-            spec, n_shards=2, backend="numpy", flc_backend="lut"
+            make_spec(6, pathloss_backend="numpy", flc_backend="lut"),
+            n_shards=2,
         )
-        plain = run_fleet(spec, n_shards=2)
+        plain = run_fleet(make_spec(6), n_shards=2)
         np.testing.assert_array_equal(
             combined.handovers_per_ue, plain.handovers_per_ue
         )

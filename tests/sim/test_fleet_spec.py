@@ -3,14 +3,18 @@ one :class:`~repro.sim.population.PopulationSpec`, and refuses a
 population that contradicts its own fields."""
 
 import dataclasses
+import inspect
 
 import pytest
 
+from repro import experiments, sim
 from repro.sim import (
+    PAPER_SPEEDS_KMH,
     FleetSpec,
     PopulationSpec,
     SimulationParameters,
     named_population,
+    run_fleet,
 )
 
 FAST = SimulationParameters(measurement_spacing_km=0.2)
@@ -35,23 +39,23 @@ class TestDefaultPopulation:
         assert spec.walk_seeds() == [70, 71, 72, 73, 74]
         assert list(spec.ue_speeds()) == [0.0, 40.0, 0.0, 40.0, 0.0]
 
-    def test_fleet_scenario_builds_the_same_population(self):
-        from repro.experiments import FleetScenario
-
-        scenario = FleetScenario(
-            name="t", n_ues=4, n_walks=3, base_seed=70, speeds_kmh=(5.0,)
-        )
-        spec = FleetSpec(
-            n_ues=4, n_walks=3, base_seed=70, speeds_kmh=(5.0,), params=FAST
-        )
-        assert scenario.to_population(FAST) == spec.population
-
-    def test_repinning_params_repins_the_population(self):
-        spec = FleetSpec(n_ues=3, n_walks=2, params=FAST)
-        pinned = spec.with_flc_backend("reference").with_tile_epochs(4)
-        assert pinned.population.params == pinned.params
-        assert pinned.params.flc_backend == "reference"
-        assert pinned.params.tile_epochs == 4
+    def test_the_spec_is_the_only_fleet_configuration(self):
+        """Kernels come from ``params``, tiles from the workload size:
+        the per-call overrides, the spec re-pinning helpers, the tile
+        field and the third fleet description are gone."""
+        for name in ("with_backend", "with_flc_backend", "with_tile_epochs"):
+            assert not hasattr(FleetSpec, name), name
+        for name in ("run_sharded", "to_fleet_spec", "with_params"):
+            assert not hasattr(PopulationSpec, name), name
+        assert "tile_epochs" not in {
+            f.name for f in dataclasses.fields(SimulationParameters)
+        }
+        params = inspect.signature(run_fleet).parameters
+        assert not {"backend", "flc_backend", "tile_epochs"} & set(params)
+        for name in ("resolve_tile_epochs", "TILE_EPOCHS_ENV_VAR"):
+            assert not hasattr(sim, name), name
+        for name in ("FleetScenario", "SCENARIO_FLEET"):
+            assert not hasattr(experiments, name), name
 
 
 class TestPopulationMustAgree:
@@ -101,6 +105,26 @@ class TestPopulationMustAgree:
             dataclasses.replace(spec, **changes)
         assert all(f"{name}=" in str(info.value) for name in changes)
 
+    @pytest.mark.parametrize(
+        "spec,changes",
+        [
+            (FleetSpec(n_ues=3, n_walks=2), {"n_walks": 10}),
+            (
+                FleetSpec(n_ues=3, speeds_kmh=(7.0,)),
+                {"speeds_kmh": PAPER_SPEEDS_KMH},
+            ),
+        ],
+        ids=["walks", "speeds"],
+    )
+    def test_replace_cannot_rewalk_a_spec_to_the_defaults(
+        self, spec, changes
+    ):
+        """A field replaced by its default value still names the walk
+        the spec runs, so the old population is refused."""
+        with pytest.raises(ValueError) as info:
+            dataclasses.replace(spec, **changes)
+        assert all(f"{name}=" in str(info.value) for name in changes)
+
     def test_replace_with_population_none_runs_the_new_walk(self):
         spec = FleetSpec(n_ues=3, n_walks=2, params=FAST)
         copy = dataclasses.replace(
@@ -113,8 +137,17 @@ class TestPopulationMustAgree:
         pop = PopulationSpec.homogeneous(3, 2, (7.0,), FAST)
         spec = FleetSpec.from_population(pop)
         assert spec.population == pop
-        assert (spec.n_walks, spec.speeds_kmh) == (10, FleetSpec.speeds_kmh)
+        assert (spec.n_walks, spec.speeds_kmh) == (2, (7.0,))
         assert dataclasses.replace(spec).population == pop
+        assert spec == FleetSpec(
+            n_ues=3, n_walks=2, speeds_kmh=(7.0,), params=FAST
+        )
+
+    def test_from_population_leaves_a_mix_at_the_defaults(self):
+        spec = FleetSpec.from_population(urban())
+        assert (spec.n_walks, spec.speeds_kmh) == (10, PAPER_SPEEDS_KMH)
+        with pytest.raises(ValueError, match="n_walks="):
+            dataclasses.replace(spec, n_walks=3)
 
     @pytest.mark.parametrize(
         "field,value",

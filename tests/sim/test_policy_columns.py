@@ -19,6 +19,8 @@ UEs with a short window share state with longer ones).
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,10 +31,12 @@ from repro.serve import replay_in_process
 from repro.sim import (
     BatchMeasurementSeries,
     BatchSimulator,
+    FleetSpec,
     PolicyConfig,
     PopulationSpec,
     SimulationParameters,
     UECohort,
+    measurement,
     offline_reference_metrics,
     record_fleet_trace,
     run_fleet,
@@ -120,21 +124,39 @@ def assert_matches(metrics, want: dict, population: PopulationSpec, path):
     )
 
 
+#: the measurement layer's size threshold and tile size: each shard
+#: materialises (inf), streams 2-epoch tiles (0) or decides by size
+SIZE_POLICIES = {
+    "materialised": (float("inf"), measurement.DEFAULT_TILE_EPOCHS),
+    "2-epoch tiles": (0, 2),
+    "by size": (
+        measurement.AUTO_TILE_THRESHOLD, measurement.DEFAULT_TILE_EPOCHS
+    ),
+}
+
+
 @settings(derandomize=True, max_examples=18, deadline=None)
 @given(
     population=populations(),
     n_shards=st.sampled_from((1, 3)),
-    tile_epochs=st.sampled_from((0, 2, None)),
+    tiles=st.sampled_from(sorted(SIZE_POLICIES)),
 )
 def test_mixed_policies_match_each_policy_run_alone(
-    population, n_shards, tile_epochs
+    population, n_shards, tiles
 ):
     want = alone(population)
-    assert_matches(
-        run_fleet(population.to_fleet_spec(), n_shards=n_shards,
-                  max_workers=1, tile_epochs=tile_epochs),
-        want, population, "run_fleet",
-    )
+    threshold, tile_epochs = SIZE_POLICIES[tiles]
+    with mock.patch.multiple(
+        measurement,
+        AUTO_TILE_THRESHOLD=threshold,
+        DEFAULT_TILE_EPOCHS=tile_epochs,
+    ):
+        fleet = run_fleet(
+            FleetSpec.from_population(population),
+            n_shards=n_shards,
+            max_workers=1,
+        )
+    assert_matches(fleet, want, population, f"run_fleet, {tiles}")
     trace = record_fleet_trace(population)
     assert_matches(
         offline_reference_metrics(trace), want, population, "offline"

@@ -43,6 +43,11 @@ pytestmark = pytest.mark.population
 FAST = SimulationParameters(measurement_spacing_km=0.2, n_walks=4)
 
 
+def run_population(pop, n_shards=1):
+    """``run_fleet`` over the population's fleet spec."""
+    return run_fleet(FleetSpec.from_population(pop), n_shards=n_shards)
+
+
 def assert_metrics_identical(a, b):
     """Exact equality, field by field (NaN-aware for the output stats)."""
     for key, va in a.as_dict().items():
@@ -370,19 +375,6 @@ class TestHomogeneousByteIdentity:
         np.testing.assert_array_equal(a.event_ue, b.event_ue)
         np.testing.assert_array_equal(a.event_step, b.event_step)
 
-    def test_fleet_scenario_to_spec_goes_through_population(self):
-        from repro.experiments import FleetScenario
-
-        scenario = FleetScenario(
-            name="t", n_ues=6, n_walks=4, base_seed=500,
-            speeds_kmh=(0.0, 20.0, 50.0),
-        )
-        spec = scenario.to_spec(FAST)
-        assert spec.population is not None
-        plain, _ = self.plain_and_population(n_ues=6)
-        assert_metrics_identical(
-            run_fleet(spec, n_shards=2), run_fleet(plain, n_shards=2)
-        )
 
 
 # --------------------------------------------------------------------
@@ -392,8 +384,8 @@ class TestHeterogeneousSharding:
     @pytest.mark.parametrize("n_shards", [2, 4])
     def test_mixed_population_shards_bit_identically(self, n_shards):
         pop = named_population("urban_mix", n_ues=13, params=FAST)
-        unsharded = pop.run_sharded(n_shards=1)
-        sharded = pop.run_sharded(n_shards=n_shards)
+        unsharded = run_population(pop, 1)
+        sharded = run_population(pop, n_shards)
         assert sharded == unsharded
         assert_metrics_identical(sharded, unsharded)
         np.testing.assert_array_equal(
@@ -403,7 +395,7 @@ class TestHeterogeneousSharding:
 
     def test_per_cohort_partitions_fleet_totals(self):
         pop = named_population("urban_mix", n_ues=12, params=FAST)
-        fleet = pop.run_sharded(n_shards=3)
+        fleet = run_population(pop, 3)
         per = fleet.per_cohort()
         assert [c.name for c in per] == list(fleet.cohort_names)
         assert sum(c.n_ues for c in per) == fleet.n_ues
@@ -433,7 +425,7 @@ class TestHeterogeneousSharding:
     def test_all_named_mixes_expand_and_run(self):
         for name in sorted(POPULATION_MIXES):
             pop = named_population(name, n_ues=6, params=FAST)
-            fleet = pop.run_sharded(n_shards=2)
+            fleet = run_population(pop, 2)
             assert fleet.n_ues == 6
             assert sum(pop.cohort_counts()) == 6
 
@@ -476,20 +468,24 @@ class TestPolicyGroups:
         # global seeds, must reproduce its slice of the grouped run
         n_a, n_b = 4, 5
         pop = self.two_policy_population(n_a, n_b)
-        fleet = pop.run_sharded(n_shards=1)
+        fleet = run_population(pop, 1)
 
-        solo_a = PopulationSpec(
-            n_ues=n_a,
-            cohorts=(replace(pop.cohorts[0], count=n_a),),
-            params=FAST,
-            base_seed=pop.base_seed,
-        ).run_sharded()
-        solo_b = PopulationSpec(
-            n_ues=n_b,
-            cohorts=(replace(pop.cohorts[1], count=n_b),),
-            params=FAST,
-            base_seed=pop.base_seed + n_a,
-        ).run_sharded()
+        solo_a = run_population(
+            PopulationSpec(
+                n_ues=n_a,
+                cohorts=(replace(pop.cohorts[0], count=n_a),),
+                params=FAST,
+                base_seed=pop.base_seed,
+            )
+        )
+        solo_b = run_population(
+            PopulationSpec(
+                n_ues=n_b,
+                cohorts=(replace(pop.cohorts[1], count=n_b),),
+                params=FAST,
+                base_seed=pop.base_seed + n_a,
+            )
+        )
         np.testing.assert_array_equal(
             fleet.handovers_per_ue,
             np.concatenate([solo_a.handovers_per_ue, solo_b.handovers_per_ue]),
@@ -508,7 +504,7 @@ class TestPolicyGroups:
     def test_mixed_policy_population_shards_bit_identically(self):
         pop = self.two_policy_population()
         assert_metrics_identical(
-            pop.run_sharded(n_shards=1), pop.run_sharded(n_shards=3)
+            run_population(pop, 1), run_population(pop, 3)
         )
 
     def test_full_log_run_matches_metrics_for_mixed_policies(self):
@@ -580,7 +576,7 @@ class TestPerCohortFading:
             params=FAST,
         )
         assert_metrics_identical(
-            pop.run_sharded(n_shards=1), pop.run_sharded(n_shards=4)
+            run_population(pop, 1), run_population(pop, 4)
         )
 
 

@@ -1,12 +1,13 @@
 """Epoch-tiled streaming measurement: byte-identity and memory pins.
 
-The PR-7 contract in one file: streaming is a *memory* knob, never a
-physics knob.  Every tile width, shard count and population mix must
+The streaming contract in one file: it is a *memory* choice, never a
+physics one.  Every tile width, shard count and population mix must
 reproduce the materialised pipeline bit-for-bit (same RNG draw order
 per UE), and the streamed ``run_metrics`` pass must not allocate
 proportionally to the horizon.
 """
 
+import contextlib
 import tracemalloc
 from unittest import mock
 
@@ -18,14 +19,13 @@ from repro.mobility import GaussMarkov, TraceBatch
 from repro.radio.fading import ShadowFading, ShadowFadingStream
 from repro.sim import (
     DEFAULT_TILE_EPOCHS,
-    TILE_EPOCHS_ENV_VAR,
     BatchSimulator,
     FleetSpec,
     MeasurementSampler,
     SimulationParameters,
+    TiledBatchMeasurement,
     auto_tile_epochs,
     named_population,
-    resolve_tile_epochs,
     run_fleet,
 )
 from repro.sim import measurement
@@ -59,6 +59,22 @@ def assert_identical(got, ref):
         np.testing.assert_array_equal(
             got.cohort_ids_per_ue, ref.cohort_ids_per_ue
         )
+
+
+@contextlib.contextmanager
+def tile_policy(k):
+    """Force the measurement layer's size policy: ``0`` materialises,
+    ``k >= 1`` streams ``k``-epoch tiles, ``None`` leaves it alone
+    (serial runs only: a worker process would not see the patch)."""
+    if k is None:
+        yield
+        return
+    threshold = float("inf") if k == 0 else 0
+    with mock.patch.object(measurement, "AUTO_TILE_THRESHOLD", threshold):
+        with mock.patch.object(
+            measurement, "DEFAULT_TILE_EPOCHS", k or DEFAULT_TILE_EPOCHS
+        ):
+            yield
 
 
 def make_sampler(params, with_fading=False):
@@ -124,31 +140,9 @@ class TestShadowFadingStream:
 
 
 # ----------------------------------------------------------------------
-# the tile policy: explicit > env > auto
+# the tile policy: the workload size decides
 # ----------------------------------------------------------------------
 class TestTilePolicy:
-    def test_first_pin_wins(self, monkeypatch):
-        monkeypatch.delenv(TILE_EPOCHS_ENV_VAR, raising=False)
-        assert resolve_tile_epochs(3, 7) == 3
-        assert resolve_tile_epochs(None, 7) == 7
-        assert resolve_tile_epochs(None, None) is None
-        assert resolve_tile_epochs(0, 7) == 0
-
-    def test_env_var_between_pins_and_auto(self, monkeypatch):
-        monkeypatch.setenv(TILE_EPOCHS_ENV_VAR, "5")
-        assert resolve_tile_epochs(None, None) == 5
-        assert resolve_tile_epochs(2, None) == 2
-
-    def test_invalid_values_rejected(self, monkeypatch):
-        monkeypatch.delenv(TILE_EPOCHS_ENV_VAR, raising=False)
-        with pytest.raises(ValueError):
-            resolve_tile_epochs(-1)
-        with pytest.raises(ValueError):
-            resolve_tile_epochs(2.5)
-        monkeypatch.setenv(TILE_EPOCHS_ENV_VAR, "nope")
-        with pytest.raises(ValueError):
-            resolve_tile_epochs(None)
-
     def test_auto_threshold(self):
         # below the threshold: materialise; above: the default tile,
         # clamped to the horizon
@@ -262,8 +256,9 @@ class TestTiledMeasurement:
         with pytest.raises(ValueError, match="fading_rngs"):
             sampler.measure_batch_tiles(batch, tile_epochs=2)
         for k in (None, 0, 2):
-            with pytest.raises(ValueError, match="fading_rngs"):
-                sampler.measure_batch_streamed(batch, k)
+            with tile_policy(k):
+                with pytest.raises(ValueError, match="fading_rngs"):
+                    sampler.measure_batch_streamed(batch)
         with pytest.raises(ValueError, match="fading_rngs"):
             sampler.measure_batch(batch)
 
@@ -289,10 +284,12 @@ class TestStreamingFleetIdentity:
         spec = FleetSpec(
             n_ues=n, n_walks=3, base_seed=900, params=self.PARAMS
         )
-        ref = run_fleet(spec, n_shards=1, tile_epochs=0)
+        with tile_policy(0):
+            ref = run_fleet(spec, n_shards=1)
         for k in (1, 3, 64, None):
             for shards in (1, 4):
-                got = run_fleet(spec, n_shards=shards, tile_epochs=k)
+                with tile_policy(k):
+                    got = run_fleet(spec, n_shards=shards, max_workers=1)
                 assert_identical(got, ref)
 
     def test_heterogeneous_population(self):
@@ -324,23 +321,37 @@ class TestStreamingFleetIdentity:
         pop = PopulationSpec(
             n_ues=15, cohorts=cohorts, params=params, base_seed=4000
         )
-        ref = pop.run_metrics(tile_epochs=0)
+        with tile_policy(0):
+            ref = pop.run_metrics()
         for k in (1, 3, 64, None):
-            assert_identical(pop.run_metrics(tile_epochs=k), ref)
+            with tile_policy(k):
+                assert_identical(pop.run_metrics(), ref)
+        spec = FleetSpec.from_population(pop)
         for shards in (1, 4):
-            assert_identical(
-                pop.run_sharded(n_shards=shards, tile_epochs=3), ref
-            )
+            with tile_policy(3):
+                got = run_fleet(spec, n_shards=shards, max_workers=1)
+            assert_identical(got, ref)
 
-    def test_params_tile_epochs_pin_flows_through(self):
-        spec = FleetSpec(
-            n_ues=5,
-            n_walks=3,
-            base_seed=900,
-            params=self.PARAMS.with_(tile_epochs=2),
-        )
-        ref = run_fleet(spec, n_shards=1, tile_epochs=0)
-        assert_identical(run_fleet(spec, n_shards=2), ref)
+    def test_size_policy_streams_each_shard_in_tiles(self):
+        """Above the threshold every shard streams its own
+        ``DEFAULT_TILE_EPOCHS``-epoch tiles: one tile stream per shard,
+        the same metrics as the materialised run."""
+        spec = FleetSpec(n_ues=8, n_walks=3, base_seed=900, params=self.PARAMS)
+        with tile_policy(0):
+            ref = run_fleet(spec)
+        streams = []
+        real = TiledBatchMeasurement.__init__
+
+        def spy(stream, *args, **kwargs):
+            real(stream, *args, **kwargs)
+            streams.append(stream.tile_epochs)
+
+        with tile_policy(3), mock.patch.object(
+            TiledBatchMeasurement, "__init__", spy
+        ):
+            got = run_fleet(spec, n_shards=4, max_workers=1)
+        assert streams == [3, 3, 3, 3]
+        assert_identical(got, ref)
 
 
 # ----------------------------------------------------------------------

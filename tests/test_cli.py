@@ -1,8 +1,20 @@
 """CLI tests (``python -m repro``)."""
 
+import contextlib
+import pickle
+import re
+import time
+from types import SimpleNamespace
+
 import pytest
 
 from repro.__main__ import build_parser, main
+from repro.sim import (
+    FleetSpec,
+    SimulationParameters,
+    named_population,
+    run_fleet,
+)
 
 
 class TestParser:
@@ -290,3 +302,80 @@ class TestFleetBackends:
             return [l for l in lines if not l.startswith("backend")]
 
         assert metrics("reference") == metrics("numpy")
+
+
+#: ``repro fleet`` options and the spec they describe
+FLEET_SPECS = {
+    "homogeneous": (
+        ["--ues", "12", "--walks", "4", "--speeds", "0", "30",
+         "--backend", "reference", "--flc-backend", "lut", "--shards", "2"],
+        FleetSpec(
+            n_ues=12,
+            n_walks=4,
+            base_seed=1000,
+            speeds_kmh=(0.0, 30.0),
+            params=SimulationParameters(
+                pathloss_backend="reference", flc_backend="lut"
+            ),
+        ),
+    ),
+    "urban_mix": (
+        ["--ues", "15", "--population", "urban_mix"],
+        FleetSpec.from_population(
+            named_population("urban_mix", 15, base_seed=1000)
+        ),
+    ),
+}
+
+
+class TestFleetSpecPin:
+    """``repro fleet`` builds one :class:`FleetSpec` and runs exactly it,
+    with or without ``--checkpoint``."""
+
+    @pytest.mark.parametrize("checkpoint", [False, True])
+    @pytest.mark.parametrize("case", sorted(FLEET_SPECS))
+    def test_metrics_out_is_the_spec_run(
+        self, case, checkpoint, tmp_path, capsys
+    ):
+        argv, spec = FLEET_SPECS[case]
+        path = tmp_path / "metrics.pkl"
+        if checkpoint:
+            argv = [*argv, "--checkpoint", str(tmp_path / "ckpt")]
+        assert main(["fleet", *argv, "--metrics-out", str(path)]) == 0
+        want = pickle.dumps(run_fleet(spec), protocol=pickle.HIGHEST_PROTOCOL)
+        assert path.read_bytes() == want
+
+    def test_tile_epochs_option_is_gone(self, capsys):
+        # the measurement layer picks tiles from the workload size
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet", "--ues", "4", "--tile-epochs", "4"])
+        assert exc.value.code == 2
+
+
+class TestReplayTiming:
+    def test_spawned_replay_times_the_replay_only(self, capsys, monkeypatch):
+        """The printed replay time leaves out the spawned server's
+        start-up."""
+        import repro.serve
+
+        @contextlib.contextmanager
+        def slow_server():
+            time.sleep(0.3)
+            yield "127.0.0.1", 1
+
+        async def instant_replay(trace, host, port, rate=None):
+            stats = {"epochs_closed": 0, "watermark_closes": 0,
+                     "forced_closes": 0}
+            metrics = SimpleNamespace(
+                n_handovers=0, n_ping_pongs=0, n_necessary=0
+            )
+            return stats, metrics
+
+        monkeypatch.setattr(repro.serve, "spawned_server", slow_server)
+        monkeypatch.setattr(repro.serve, "replay_to_server", instant_replay)
+        assert main(
+            ["replay", "--record", "--ues", "2", "--walks", "2", "--spawn"]
+        ) == 0
+        out = capsys.readouterr().out
+        elapsed = float(re.search(r"reports in ([0-9.]+) s", out).group(1))
+        assert elapsed < 0.3
