@@ -40,7 +40,8 @@ from conftest import (
     write_bench_artifact,
 )
 
-from repro.radio import available_backends, backends, get_backend
+from repro import fanout
+from repro.radio import available_backends, get_backend
 from repro.sim import SimulationParameters
 
 N = int(os.environ.get("X14_FLEET_SIZE", "2000"))
@@ -151,7 +152,7 @@ def run_numpy_kernel(label):
     """``(output, seconds)`` of the numpy kernel over the 19-site
     workload, on one thread or on every usable CPU."""
     pin = (
-        mock.patch.object(backends, "_usable_cpus", lambda: 1)
+        mock.patch.object(fanout, "usable_cpus", lambda: 1)
         if label == "one_thread"
         else contextlib.nullcontext()
     )
@@ -166,7 +167,7 @@ def run_numpy_kernel(label):
 def test_x14_threads():
     """The numpy kernel on every usable CPU against one thread, 19
     sites: identical bytes; not slower in the median with >= 2 CPUs."""
-    cpus = backends._usable_cpus()
+    cpus = fanout.usable_cpus()
     single, _ = run_numpy_kernel("one_thread")
     identical = run_numpy_kernel("all_cpus")[0].tobytes() == single.tobytes()
     times = {"one_thread": [], "all_cpus": []}

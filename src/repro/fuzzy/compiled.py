@@ -85,6 +85,7 @@ the ``REPRO_FLC_BACKEND`` environment variable beats
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -499,6 +500,10 @@ _BUILD_CHUNK = 1024
 # wrapper all reuse one compiled surface per controller structure
 _LUT_CACHE: dict[tuple, DecisionLUT] = {}
 
+# guards the cache's check-then-build: threads that need one table at
+# once (the blocks of a fleet range) wait for a single build
+_LUT_LOCK = threading.RLock()
+
 #: Process-wide count of *actual* LUT compilations (cache misses).
 #: Observable via :func:`lut_build_count`; the distributed warm-path
 #: tests pin that a rejoining worker serves repeat fingerprints from
@@ -595,16 +600,23 @@ def build_lut(
 
     Results are cached per process by the controller's structural
     fingerprint, so compiling the same rule base twice (every shard of
-    a fleet) costs one table.
+    a fleet) costs one table, also when threads ask for it at once.
     """
     _check_points_per_segment(points_per_segment)
-    key = None
     skey = getattr(controller, "_structural_key", None)
-    if callable(skey):
-        key = (skey(), int(points_per_segment))
-        cached = _LUT_CACHE.get(key)
-        if cached is not None:
-            return cached
+    key = (skey(), int(points_per_segment)) if callable(skey) else None
+    with _LUT_LOCK:
+        cached = _LUT_CACHE.get(key) if key is not None else None
+        if cached is None:
+            cached = _compile_lut(controller, points_per_segment)
+            if key is not None:
+                _LUT_CACHE[key] = cached
+    return cached
+
+
+def _compile_lut(controller, points_per_segment: int) -> DecisionLUT:
+    """One validated table for ``controller`` (see :func:`build_lut`),
+    counted by :func:`lut_build_count`."""
     global _LUT_BUILDS
     _LUT_BUILDS += 1
     names = tuple(controller.input_names)
@@ -621,10 +633,7 @@ def build_lut(
         - _sample_surface(controller, names, mid_grids).ravel()
     )
     bound = max(LUT_ERROR_BOUND, _RESIDUAL_SAFETY * float(residual.max()))
-    lut = DecisionLUT(grids, table, error_bound=bound)
-    if key is not None:
-        _LUT_CACHE[key] = lut
-    return lut
+    return DecisionLUT(grids, table, error_bound=bound)
 
 
 def _lut_factory(controller) -> FLCKernel:

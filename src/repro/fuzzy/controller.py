@@ -31,7 +31,9 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .compiled import (
+    _BUILD_CHUNK,
     DEFAULT_FLC_BACKEND,
+    _spans,
     controller_kernel,
     refuse_nan,
     resolve_flc_backend,
@@ -193,8 +195,21 @@ class FuzzyController:
     def _reference_batch(self, cols: Sequence[np.ndarray]) -> np.ndarray:
         """The exact grid Mamdani pipeline on coerced input columns —
         the ``reference`` backend of :mod:`repro.fuzzy.compiled` and the
-        conformance oracle every compiled kernel is pinned against."""
-        return self._defuzzify_batch(self._term_activation_batch(cols))
+        conformance oracle every compiled kernel is pinned against.
+
+        Runs in balanced spans of at most ``_BUILD_CHUNK`` samples, so
+        its ``(samples, grid)`` surfaces stay about 1.6 MiB each for any
+        batch; a sample's output depends on its own activations alone,
+        and no span holds a lone sample, so the bytes are those of one
+        call over the whole batch.
+        """
+        n = cols[0].shape[0]
+        out = np.empty(n)
+        for lo, hi in _spans(n, _BUILD_CHUNK):
+            out[lo:hi] = self._defuzzify_batch(
+                self._term_activation_batch([c[lo:hi] for c in cols])
+            )
+        return out
 
     def _term_activation_batch(self, cols: Sequence[np.ndarray]) -> np.ndarray:
         """``(n_output_terms, N)`` output-term activations of coerced

@@ -70,13 +70,12 @@ from __future__ import annotations
 import math
 import os
 import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
+from ..fanout import fan_out
 from .units import FREE_SPACE_IMPEDANCE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -242,6 +241,10 @@ def resolve_backend(name: Optional[str] = None, probe: bool = True) -> str:
 # one probe per process; "auto" must not re-time kernels on every epoch
 _auto_choice: Optional[str] = None
 
+# serialises the probes: two threads resolving "auto" at once would time
+# each other, and a registration half done must not look finished
+_probe_lock = threading.RLock()
+
 
 def fastest_backend(
     refresh: bool = False,
@@ -258,8 +261,19 @@ def fastest_backend(
     fleet measurement epoch; the best (minimum) time wins, with ties
     broken towards :data:`DEFAULT_BACKEND` and then name order.  The
     choice is cached per process (``refresh=True`` re-probes, e.g.
-    after registering a new kernel).
+    after registering a new kernel); probes run one at a time, so
+    concurrent first uses of ``"auto"`` probe once.
     """
+    with _probe_lock:
+        return _fastest_backend(refresh, candidates, n_points, repeats)
+
+
+def _fastest_backend(
+    refresh: bool,
+    candidates: Optional[tuple[str, ...]],
+    n_points: int,
+    repeats: int,
+) -> str:
     global _auto_choice
     if candidates is None and not refresh and _auto_choice is not None:
         return _auto_choice
@@ -365,15 +379,6 @@ def reference_kernel(
 _BLOCK_POINTS = 2048
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the
-    platform has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - no affinity on this OS
-        return os.cpu_count() or 1
-
-
 def optimized_numpy_kernel(
     bs: np.ndarray, pts: np.ndarray, params: KernelParams
 ) -> np.ndarray:
@@ -391,41 +396,25 @@ def optimized_numpy_kernel(
     both give ``-inf``).
 
     Blocks are independent and NumPy releases the GIL inside every
-    ufunc loop, so the caller and up to ``usable CPUs − 1`` pool
-    threads take blocks from one shared iterator.  The pool lives only
-    for the call: every thread is joined before the kernel returns or
-    raises, and a block that raises ends the hand-out of blocks.
+    ufunc loop, so the blocks run through :func:`repro.fanout.fan_out`:
+    on every usable CPU, or inline on the caller's thread when the
+    kernel runs inside another fan-out.  Every thread is joined before
+    the kernel returns or raises, and a block that raises ends the
+    hand-out of blocks.
     """
     n_pts, n_bs = pts.shape[0], bs.shape[0]
     block = _BLOCK_POINTS
     out = np.empty((n_pts, n_bs))
-    starts = iter(range(0, n_pts, block))
-    lock = threading.Lock()
+    scratch = threading.local()
 
-    def next_start() -> Optional[int]:
-        with lock:
-            return next(starts, None)
+    def run(lo: int) -> None:
+        hi = min(lo + block, n_pts)
+        tmp = getattr(scratch, "tmp", None)
+        if tmp is None:
+            tmp = scratch.tmp = np.empty((min(block, n_pts), n_bs))
+        _chain(bs, pts[lo:hi], params, out[lo:hi], tmp[: hi - lo])
 
-    def work() -> None:
-        tmp = np.empty((min(block, n_pts), n_bs))
-        try:
-            while (lo := next_start()) is not None:
-                hi = min(lo + block, n_pts)
-                _chain(bs, pts[lo:hi], params, out[lo:hi], tmp[: hi - lo])
-        except BaseException:
-            with lock:  # the other threads stop after their current block
-                deque(starts, maxlen=0)
-            raise
-
-    n_threads = min(_usable_cpus(), -(-n_pts // block))
-    if n_threads <= 1:
-        work()
-        return out
-    with ThreadPoolExecutor(max_workers=n_threads - 1) as pool:
-        futures = [pool.submit(work) for _ in range(n_threads - 1)]
-        work()
-    for future in futures:
-        future.result()
+    fan_out(run, range(0, n_pts, block))
     return out
 
 
@@ -481,11 +470,12 @@ _optional_probed = False
 def _probe_optional_backends() -> None:
     """Attempt the optional registrations, once per process."""
     global _optional_probed
-    if _optional_probed:
-        return
-    _optional_probed = True
-    _register_numba()
-    _register_jax()
+    with _probe_lock:
+        if _optional_probed:
+            return
+        _optional_probed = True
+        _register_numba()
+        _register_jax()
 
 
 def _register_numba() -> None:

@@ -30,11 +30,12 @@ count and an optional host list, so every call site shares one policy
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
+
+from ..fanout import usable_cpus
 
 __all__ = [
     "Executor",
@@ -49,8 +50,10 @@ R = TypeVar("R")
 
 
 def default_workers() -> int:
-    """A sane worker count: physical parallelism minus one, min 1."""
-    return max(1, (os.cpu_count() or 2) - 1)
+    """A sane worker count: the CPUs this process may use
+    (:func:`repro.fanout.usable_cpus`, its affinity mask) minus one,
+    min 1."""
+    return max(1, usable_cpus() - 1)
 
 
 def _coerce_workers(max_workers) -> int:

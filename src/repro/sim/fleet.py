@@ -62,7 +62,7 @@ from .metrics import (
     FleetMetrics,
     merge_fleet_metrics,
 )
-from .population import PopulationSpec, policy_system
+from .population import PopulationSpec, partition_fleet, policy_system
 
 __all__ = [
     "FleetSpec",
@@ -70,34 +70,6 @@ __all__ = [
     "partition_fleet",
     "run_fleet",
 ]
-
-
-def partition_fleet(n_ues: int, n_shards: int) -> list[tuple[int, int]]:
-    """Contiguous, balanced ``[lo, hi)`` UE ranges.
-
-    Shard sizes differ by at most one (the remainder goes to the
-    leading shards).  Degenerate inputs degrade gracefully instead of
-    producing invalid ranges: more shards than UEs collapses to one UE
-    per shard (surplus shards are dropped, never emitted empty), and an
-    empty fleet partitions into no shards at all.  Concatenating the
-    ranges in order reproduces ``range(0, n_ues)`` — the invariant the
-    exact metrics merge relies on.
-    """
-    if n_ues < 0:
-        raise ValueError(f"n_ues must be >= 0, got {n_ues}")
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    if n_ues == 0:
-        return []
-    shards = min(n_shards, n_ues)
-    base, rem = divmod(n_ues, shards)
-    bounds: list[tuple[int, int]] = []
-    lo = 0
-    for s in range(shards):
-        hi = lo + base + (1 if s < rem else 0)
-        bounds.append((lo, hi))
-        lo = hi
-    return bounds
 
 
 def _walk_fields(population: PopulationSpec) -> dict:
@@ -299,11 +271,13 @@ class FleetShard:
         """Streaming, cohort-labelled shard metrics — never
         materialises the full log.
 
-        One vectorised pass over the shard, each UE under its cohort's
-        policy.  The measurement side follows the epoch-tile policy
-        (:func:`~repro.sim.measurement.auto_tile_epochs`), so large
-        shards stream their power cube tile by tile with byte-identical
-        metrics."""
+        Vectorised passes over the shard, each UE under its cohort's
+        policy: one, or one per UE block on its own thread for a large
+        shard (:meth:`~repro.sim.population.PopulationSpec.
+        run_metrics`).  The measurement side follows the epoch-tile
+        policy (:func:`~repro.sim.measurement.auto_tile_epochs`), so
+        large shards stream their power cube tile by tile with
+        byte-identical metrics."""
         return self.spec.population.run_metrics(
             self.lo,
             self.hi,

@@ -17,8 +17,9 @@ n_cells)`` buffer — byte-identical to the materialised path, padding
 included (pinned by the streaming test suite).  The one tile policy is
 :func:`auto_tile_epochs`: a fleet materialises while its power cube is
 small and streams :data:`DEFAULT_TILE_EPOCHS`-epoch tiles above
-:data:`AUTO_TILE_THRESHOLD` entries; :meth:`MeasurementSampler.
-measure_batch_streamed` applies it.
+:data:`AUTO_TILE_THRESHOLD` entries; a fleet range decides it once and
+measures each of its blocks' densified walks through
+:meth:`MeasurementSampler.measure_dense`.
 
 Every batch path fades through one
 :class:`~repro.radio.fading.FadingBank` over per-UE processes, so the
@@ -595,12 +596,12 @@ class MeasurementSampler:
             with ``fading_rngs``.
         """
         dense = batch.densify(self.spacing_km)
-        return self._measure_dense(
+        return self._materialised(
             dense,
             self._fading_profiles_for(dense, fading_rngs, fading_profiles),
         )
 
-    def _measure_dense(
+    def _materialised(
         self,
         dense: TraceBatch,
         profiles: Optional[list[Optional[ShadowFading]]],
@@ -642,25 +643,15 @@ class MeasurementSampler:
             raise ValueError(
                 "pass either fading_rngs or fading_profiles, not both"
             )
-        if fading_profiles is not None:
-            if len(fading_profiles) != dense.n_traces:
-                raise ValueError(
-                    f"{dense.n_traces} traces but {len(fading_profiles)} "
-                    "fading profiles"
-                )
-            return list(fading_profiles)
-        fades = self.fading is not None and self.fading.sigma_db > 0.0
         if fading_rngs is None:
-            if fades:
-                raise ValueError(
-                    "this sampler fades, so batch measurement needs "
-                    "fading_rngs (one seed or Generator per UE) or "
-                    "per-UE fading_profiles; one process shared by every "
-                    "UE is not supported"
-                )
-            return None
+            return self._given_profiles(
+                dense,
+                fading_profiles,
+                "fading_rngs (one seed or Generator per UE) or per-UE "
+                "fading_profiles",
+            )
         # fail loudly rather than silently measuring noise-free
-        if not fades:
+        if not self._fades():
             raise ValueError(
                 "fading_rngs given but this sampler has no fading "
                 "process to consume them"
@@ -678,6 +669,32 @@ class MeasurementSampler:
             )
             for rng in fading_rngs
         ]
+
+    def _fades(self) -> bool:
+        return self.fading is not None and self.fading.sigma_db > 0.0
+
+    def _given_profiles(
+        self,
+        dense: TraceBatch,
+        fading_profiles: Optional[Sequence[Optional[ShadowFading]]],
+        wanted: str,
+    ) -> Optional[list[Optional[ShadowFading]]]:
+        """``fading_profiles`` checked against the batch; without them a
+        fading sampler is refused, naming ``wanted`` — the fading
+        arguments of the method that was called."""
+        if fading_profiles is not None:
+            if len(fading_profiles) != dense.n_traces:
+                raise ValueError(
+                    f"{dense.n_traces} traces but {len(fading_profiles)} "
+                    "fading profiles"
+                )
+            return list(fading_profiles)
+        if self._fades():
+            raise ValueError(
+                f"this sampler fades, so batch measurement needs {wanted}; "
+                "one process shared by every UE is not supported"
+            )
+        return None
 
     def _tiled(
         self,
@@ -720,26 +737,27 @@ class MeasurementSampler:
         )
         return self._tiled(dense, profiles, tile_epochs)
 
-    def measure_batch_streamed(
+    def measure_dense(
         self,
-        batch: TraceBatch,
+        dense: TraceBatch,
+        tile_epochs: int,
         fading_profiles: Optional[Sequence[Optional[ShadowFading]]] = None,
     ) -> Union[BatchMeasurementSeries, TiledBatchMeasurement]:
-        """Measure a fleet under the epoch-tile policy
-        (:func:`auto_tile_epochs`): the materialised
-        :class:`BatchMeasurementSeries` for a small workload, else a
-        :class:`TiledBatchMeasurement`.  Both are accepted directly by
+        """Measure walks already densified at this sampler's spacing:
+        the materialised :class:`BatchMeasurementSeries` for
+        ``tile_epochs == 0``, else a :class:`TiledBatchMeasurement` of
+        ``tile_epochs``-epoch tiles (the two answers of
+        :func:`auto_tile_epochs`).  Both are accepted directly by
         :meth:`repro.sim.batch.BatchSimulator.run_metrics` and produce
-        byte-identical metrics.
+        byte-identical metrics.  A fading sampler needs per-UE
+        ``fading_profiles``.
         """
-        dense = batch.densify(self.spacing_km)
-        profiles = self._fading_profiles_for(dense, None, fading_profiles)
-        k = auto_tile_epochs(
-            dense.n_traces, dense.max_points, self.layout.n_cells
+        profiles = self._given_profiles(
+            dense, fading_profiles, "per-UE fading_profiles"
         )
-        if k == 0:
-            return self._measure_dense(dense, profiles)
-        return self._tiled(dense, profiles, k)
+        if tile_epochs == 0:
+            return self._materialised(dense, profiles)
+        return self._tiled(dense, profiles, tile_epochs)
 
     def measure_points(self, points_km: np.ndarray) -> np.ndarray:
         """Power matrix for isolated points (no fading, no path order).

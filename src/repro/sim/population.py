@@ -36,7 +36,9 @@ Trace generation is grouped per cohort model (one
 and measurement/simulation stay fully batched across the whole mixed
 fleet: per-cohort handover policies ride into the batch engine as
 per-UE columns (:meth:`PopulationSpec.ue_policies`), so a mixed-policy
-range is one vectorised pass, like a homogeneous one.
+range is one vectorised pass, like a homogeneous one.  A range of at
+least twice :data:`MIN_BLOCK_UES` UEs runs as contiguous UE blocks, one
+per usable CPU, on threads (:meth:`PopulationSpec.run_metrics`).
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .. import fanout
 from ..core.flc import HANDOVER_THRESHOLD
 from ..core.system import FuzzyHandoverSystem
 from ..mobility.base import TraceBatch
@@ -61,11 +64,16 @@ from .config import (
     DEFAULT_FADING_BASE_SEED,
     SimulationParameters,
 )
-from .measurement import BatchMeasurementSeries, MeasurementSampler
+from .measurement import (
+    BatchMeasurementSeries,
+    MeasurementSampler,
+    auto_tile_epochs,
+)
 from .metrics import (
     DEFAULT_OUTAGE_DBW,
     DEFAULT_WINDOW_KM,
     FleetMetrics,
+    merge_fleet_metrics,
 )
 
 __all__ = [
@@ -74,7 +82,46 @@ __all__ = [
     "PopulationSpec",
     "POPULATION_MIXES",
     "named_population",
+    "partition_fleet",
+    "MIN_BLOCK_UES",
 ]
+
+#: Fewest UEs per block when :meth:`PopulationSpec.run_metrics` splits a
+#: range over threads.  Below about 3,000 UEs per block the epoch loop's
+#: many small NumPy calls pass the GIL back and forth between blocks:
+#: on 2 vCPUs with the ``lut`` FLC and 10 walks, two blocks ran at 0.93×
+#: one block's speed over 4,000 UEs and at 1.09× over 8,000.  The
+#: reference FLC gains from far smaller blocks (1.31× over 2,000 UEs);
+#: the floor follows the ``lut`` crossover.
+MIN_BLOCK_UES = 4096
+
+
+def partition_fleet(n_ues: int, n_shards: int) -> list[tuple[int, int]]:
+    """Contiguous, balanced ``[lo, hi)`` UE ranges.
+
+    Shard sizes differ by at most one (the remainder goes to the
+    leading shards).  Degenerate inputs degrade gracefully instead of
+    producing invalid ranges: more shards than UEs collapses to one UE
+    per shard (surplus shards are dropped, never emitted empty), and an
+    empty fleet partitions into no shards at all.  Concatenating the
+    ranges in order reproduces ``range(0, n_ues)`` — the invariant the
+    exact metrics merge relies on.
+    """
+    if n_ues < 0:
+        raise ValueError(f"n_ues must be >= 0, got {n_ues}")
+    if n_shards < 1:
+        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
+    if n_ues == 0:
+        return []
+    shards = min(n_shards, n_ues)
+    base, rem = divmod(n_ues, shards)
+    bounds: list[tuple[int, int]] = []
+    lo = 0
+    for s in range(shards):
+        hi = lo + base + (1 if s < rem else 0)
+        bounds.append((lo, hi))
+        lo = hi
+    return bounds
 
 
 @dataclass(frozen=True)
@@ -551,20 +598,6 @@ class PopulationSpec:
             self.traces(lo, hi), fading_profiles=self.fading_profiles(lo, hi)
         )
 
-    def measure_streamed(self, lo: int = 0, hi: Optional[int] = None):
-        """The range's measurements under the epoch-tile policy
-        (:func:`~repro.sim.measurement.auto_tile_epochs`): the
-        materialised series for a small range, else a
-        :class:`~repro.sim.measurement.TiledBatchMeasurement`.  The
-        population's per-UE fading profiles are exactly the
-        per-UE-process shape the tile stream requires, so heterogeneous
-        cohorts stream byte-identically.
-        """
-        lo, hi = self._range(lo, hi)
-        return self.make_sampler().measure_batch_streamed(
-            self.traces(lo, hi), fading_profiles=self.fading_profiles(lo, hi)
-        )
-
     def run_metrics(
         self,
         lo: int = 0,
@@ -573,18 +606,52 @@ class PopulationSpec:
         outage_dbw: float = DEFAULT_OUTAGE_DBW,
         system: Optional[FuzzyHandoverSystem] = None,
     ) -> FleetMetrics:
-        """Streaming cohort-labelled metrics of UEs ``[lo, hi)``: one
-        :meth:`simulator` pass, every UE under its cohort's policy (pass
-        ``system`` to override every cohort's policy).  The measurement
-        side follows the epoch-tile policy (see :meth:`measure_streamed`),
-        byte-identical to the materialised run.
+        """Streaming cohort-labelled metrics of UEs ``[lo, hi)``, every
+        UE under its cohort's policy (pass ``system`` to override every
+        cohort's policy).
+
+        The range runs as contiguous UE blocks, ``min(usable CPUs, n //
+        MIN_BLOCK_UES)`` of them (at least one), on threads through
+        :func:`repro.fanout.fan_out`.  Each block generates and
+        densifies its own walks; the range then picks materialised or
+        tiled measurement once, from its own size and longest walk
+        (:func:`~repro.sim.measurement.auto_tile_epochs`); each block
+        measures its rows and drives its own simulator.  Every UE is
+        seeded by global index and stepped on its own, so the blocks'
+        metrics merge to exactly the one-block bytes, as shards do.
         """
         lo, hi = self._range(lo, hi)
-        series = self.measure_streamed(lo, hi)
-        metrics = self.simulator(lo, hi, system).run_metrics(
-            series, window_km=window_km, outage_dbw=outage_dbw
+        if lo == hi:
+            raise ValueError("cannot run an empty UE range")
+        n_blocks = max(
+            1, min(fanout.usable_cpus(), (hi - lo) // MIN_BLOCK_UES)
         )
-        return metrics.with_cohorts(
+        blocks = [
+            (lo + b_lo, lo + b_hi)
+            for b_lo, b_hi in partition_fleet(hi - lo, n_blocks)
+        ]
+        sampler = self.make_sampler()
+        walks = fanout.fan_out(
+            lambda block: self.traces(*block).densify(sampler.spacing_km),
+            blocks,
+        )
+        tile_epochs = auto_tile_epochs(
+            hi - lo,
+            max(dense.max_points for dense in walks),
+            sampler.layout.n_cells,
+        )
+
+        def run_block(task) -> FleetMetrics:
+            (b_lo, b_hi), dense = task
+            source = sampler.measure_dense(
+                dense, tile_epochs, self.fading_profiles(b_lo, b_hi)
+            )
+            return self.simulator(b_lo, b_hi, system).run_metrics(
+                source, window_km=window_km, outage_dbw=outage_dbw
+            )
+
+        parts = fanout.fan_out(run_block, zip(blocks, walks))
+        return merge_fleet_metrics(parts).with_cohorts(
             self.cohort_ids(lo, hi), self.cohort_names
         )
 

@@ -512,6 +512,39 @@ class TestBuildMemory:
         )
 
 
+class TestChunkedReference:
+    """The reference backend runs in balanced spans of at most
+    ``_BUILD_CHUNK`` samples: the bytes of one call over the whole
+    batch, and ``(samples, grid)`` surfaces that do not grow with it."""
+
+    #: tracemalloc peak of one 20,000-sample reference call: 4.9 MiB in
+    #: spans, 92.8 MiB as one call over the batch.
+    PEAK_LIMIT = 12 * 2**20
+
+    @pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 2049, 20000])
+    def test_bytes_equal_one_call_over_the_batch(self, flc, n):
+        cols = flc._coerce_batch(box_samples(n, seed=n, margin=1.0))
+        whole = flc._defuzzify_batch(flc._term_activation_batch(cols))
+        assert flc._reference_batch(cols).tobytes() == whole.tobytes()
+
+    def test_peak_pinned(self, flc):
+        cols = flc._coerce_batch(box_samples(20000))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            flc._reference_batch(cols)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak - base <= self.PEAK_LIMIT, (
+            f"reference call peaked at {(peak - base) / 2**20:.1f} MiB"
+        )
+
+
 class TestConformanceMatrix:
     """Every backend vs the reference oracle over regions and shapes."""
 

@@ -49,6 +49,7 @@ from repro.radio import (
     resolve_backend,
     unregister_backend,
 )
+from repro import fanout
 from repro.radio import backends
 from repro.radio.backends import optimized_numpy_kernel, reference_kernel
 
@@ -482,8 +483,9 @@ NULL_PARAMS = PropagationModel(
 
 
 def kernel_threads(n):
-    """Patch the numpy kernel's usable-CPU count to ``n``."""
-    return mock.patch.object(backends, "_usable_cpus", lambda: n)
+    """Patch the usable-CPU count the numpy kernel's fan-out reads to
+    ``n``."""
+    return mock.patch.object(fanout, "usable_cpus", lambda: n)
 
 
 def block_points(n):

@@ -2,6 +2,7 @@
 pool lifecycle, and failure semantics."""
 
 import os
+from unittest import mock
 
 import pytest
 from concurrent.futures.process import BrokenProcessPool
@@ -213,3 +214,17 @@ class TestMakeExecutor:
 class TestDefaultWorkers:
     def test_at_least_one(self):
         assert default_workers() >= 1
+
+    @pytest.mark.parametrize(
+        "mask, want", [({0, 1}, 1), ({3}, 1), (set(range(6)), 5)]
+    )
+    def test_follows_the_affinity_mask(self, mask, want):
+        """A 16-CPU host that lets this process use a few of them: the
+        pool is sized by the usable CPUs, not the host's count."""
+        with mock.patch.multiple(
+            os,
+            sched_getaffinity=lambda pid: mask,
+            cpu_count=lambda: 16,
+            create=True,
+        ):
+            assert default_workers() == want

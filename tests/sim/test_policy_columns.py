@@ -8,7 +8,8 @@ The oracle here is the plainest such fleet: for each distinct policy, a
 :class:`~repro.sim.batch.BatchSimulator` on that policy's own pipeline
 over the sub-series built by indexing ``population.measure()``'s arrays
 with that policy's UEs.  ``run_fleet`` (sharded, materialised or
-tiled), :func:`~repro.sim.tracefile.offline_reference_metrics` and an
+tiled, split into UE blocks on threads),
+:func:`~repro.sim.tracefile.offline_reference_metrics` and an
 in-process service replay must all reproduce its per-UE arrays and the
 population's cohort labels.
 
@@ -26,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import fanout
 from repro.mobility import ManhattanGrid, RandomWalk
 from repro.serve import replay_in_process
 from repro.sim import (
@@ -41,6 +43,7 @@ from repro.sim import (
     record_fleet_trace,
     run_fleet,
 )
+from repro.sim import population as sim_population
 
 pytestmark = pytest.mark.population
 
@@ -140,23 +143,28 @@ SIZE_POLICIES = {
     population=populations(),
     n_shards=st.sampled_from((1, 3)),
     tiles=st.sampled_from(sorted(SIZE_POLICIES)),
+    blocks=st.sampled_from((1, 2, 3)),
 )
 def test_mixed_policies_match_each_policy_run_alone(
-    population, n_shards, tiles
+    population, n_shards, tiles, blocks
 ):
     want = alone(population)
     threshold, tile_epochs = SIZE_POLICIES[tiles]
+    # each shard's range runs as `blocks` UE blocks on threads
     with mock.patch.multiple(
         measurement,
         AUTO_TILE_THRESHOLD=threshold,
         DEFAULT_TILE_EPOCHS=tile_epochs,
-    ):
+    ), mock.patch.object(sim_population, "MIN_BLOCK_UES", 1), \
+            mock.patch.object(fanout, "usable_cpus", lambda: blocks):
         fleet = run_fleet(
             FleetSpec.from_population(population),
             n_shards=n_shards,
             max_workers=1,
         )
-    assert_matches(fleet, want, population, f"run_fleet, {tiles}")
+    assert_matches(
+        fleet, want, population, f"run_fleet, {tiles}, {blocks} blocks"
+    )
     trace = record_fleet_trace(population)
     assert_matches(
         offline_reference_metrics(trace), want, population, "offline"

@@ -255,12 +255,15 @@ class TestTiledMeasurement:
         # batch path refuses it and names the missing argument
         with pytest.raises(ValueError, match="fading_rngs"):
             sampler.measure_batch_tiles(batch, tile_epochs=2)
-        for k in (None, 0, 2):
-            with tile_policy(k):
-                with pytest.raises(ValueError, match="fading_rngs"):
-                    sampler.measure_batch_streamed(batch)
         with pytest.raises(ValueError, match="fading_rngs"):
             sampler.measure_batch(batch)
+        # measure_dense takes no fading_rngs, so it names only
+        # fading_profiles, materialised (0) or tiled alike
+        dense = batch.densify(sampler.spacing_km)
+        for k in (0, 2):
+            with pytest.raises(ValueError, match="fading_profiles") as err:
+                sampler.measure_dense(dense, k)
+            assert "fading_rngs" not in str(err.value)
 
     def test_zero_tile_epochs_rejected(self):
         sampler = make_sampler(self.PARAMS)
