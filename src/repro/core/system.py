@@ -337,6 +337,16 @@ class FuzzyHandoverSystem:
             return self.flc.evaluate_batch(inputs)
         return self.flc.evaluate_batch(inputs, backend=self.flc_backend)
 
+    def resolved_flc_backend(self) -> str:
+        """The concrete FLC backend batch decisions run on: the system
+        pin, else the controller's, else the
+        :func:`~repro.fuzzy.compiled.resolve_flc_backend` policy
+        (``REPRO_FLC_BACKEND``, then the default)."""
+        name = self.flc_backend
+        if name is None:
+            name = getattr(self.flc, "backend", None)
+        return resolve_flc_backend(name)
+
     def decision_outputs_batch(
         self, cssp_db: np.ndarray, ssn_db: np.ndarray, dmb: np.ndarray,
         threshold: Optional[np.ndarray] = None,
@@ -372,12 +382,8 @@ class FuzzyHandoverSystem:
                 ]
             )
         # the name must resolve to a concrete backend here (the guard
-        # band needs its error bound), so apply the full precedence
-        # chain: system pin > controller pin > env var > default
-        name = self.flc_backend
-        if name is None:
-            name = getattr(self.flc, "backend", None)
-        name = resolve_flc_backend(name)
+        # band needs its error bound)
+        name = self.resolved_flc_backend()
         out = self.flc.evaluate_batch(
             {"CSSP": cssp_db, "SSN": ssn_db, "DMB": dmb}, backend=name
         )

@@ -50,7 +50,9 @@ Built-in backends
     The same precompiled table evaluated by an
     ``@njit(parallel=True)`` gather loop; probed lazily and registered
     only when the numba import succeeds, so the pure-NumPy default
-    never pays the import.
+    never pays the import.  It runs a thread pool of its own
+    (:func:`flc_runs_own_threads`), so a fleet range on it runs as one
+    UE block.
 
 Accuracy contract
 -----------------
@@ -101,6 +103,7 @@ __all__ = [
     "resolve_flc_backend",
     "get_flc_backend",
     "flc_error_bound",
+    "flc_runs_own_threads",
     "compile_flc",
     "controller_kernel",
     "kernel_error_bound",
@@ -165,21 +168,27 @@ FLCKernelFactory = Callable[[object], FLCKernel]
 # name -> (factory, documented absolute error bound vs reference)
 _REGISTRY: dict[str, tuple[FLCKernelFactory, float]] = {}
 
+# kernels that run a thread pool of their own (see flc_runs_own_threads)
+_OWN_THREADS: set[str] = set()
+
 
 def register_flc_backend(
     name: str,
     factory: FLCKernelFactory,
     error_bound: float = 0.0,
     overwrite: bool = False,
+    own_threads: bool = False,
 ) -> None:
     """Register a kernel factory under ``name``.
 
     ``error_bound`` is the documented absolute output-error bound of the
     backend vs ``reference`` (0.0 for exact backends); the decision
     guard band in :class:`~repro.core.system.FuzzyHandoverSystem` is
-    exactly this wide.  Re-registering an existing name raises unless
-    ``overwrite=True`` — silently shadowing the built-in kernels is how
-    conformance drifts in unnoticed.
+    exactly this wide.  ``own_threads`` marks a kernel that runs a
+    thread pool of its own (:func:`flc_runs_own_threads`).
+    Re-registering an existing name raises unless ``overwrite=True`` —
+    silently shadowing the built-in kernels is how conformance drifts
+    in unnoticed.
     """
     if not name or not isinstance(name, str):
         raise ValueError(
@@ -197,11 +206,16 @@ def register_flc_backend(
             "(pass overwrite=True to replace it)"
         )
     _REGISTRY[name] = (factory, float(error_bound))
+    if own_threads:
+        _OWN_THREADS.add(name)
+    else:
+        _OWN_THREADS.discard(name)
 
 
 def unregister_flc_backend(name: str) -> None:
     """Remove a registered backend (KeyError if absent)."""
     del _REGISTRY[name]
+    _OWN_THREADS.discard(name)
 
 
 def available_flc_backends() -> tuple[str, ...]:
@@ -249,6 +263,19 @@ def flc_error_bound(name: Optional[str] = None) -> float:
     guard-band half-width applied by
     :meth:`repro.core.system.FuzzyHandoverSystem.decision_outputs_batch`."""
     return _lookup(resolve_flc_backend(name))[1]
+
+
+def flc_runs_own_threads(name: Optional[str] = None) -> bool:
+    """Whether the backend the :func:`resolve_flc_backend` policy
+    selects runs a thread pool of its own (``numba``'s ``prange``).
+
+    Such a kernel already spreads over the CPUs and is not entered from
+    several threads at once, so a fleet range on it runs as one UE
+    block.  Unknown names fail as in :func:`get_flc_backend`.
+    """
+    name = resolve_flc_backend(name)
+    _lookup(name)
+    return name in _OWN_THREADS
 
 
 def compile_flc(controller, name: Optional[str] = None) -> FLCKernel:
@@ -646,14 +673,18 @@ def _lut_factory(controller) -> FLCKernel:
 # ----------------------------------------------------------------------
 _optional_probed = False
 
+# serialises the probe: a thread that finds it started waits for the
+# registration instead of taking a half-done probe for a finished one
+_PROBE_LOCK = threading.RLock()
+
 
 def _probe_optional_backends() -> None:
     """Attempt the optional registrations, once per process."""
     global _optional_probed
-    if _optional_probed:
-        return
-    _optional_probed = True
-    _register_numba()
+    with _PROBE_LOCK:
+        if not _optional_probed:
+            _register_numba()
+            _optional_probed = True
 
 
 def _register_numba() -> None:
@@ -732,7 +763,9 @@ def _register_numba() -> None:
         return kernel
 
     # same table as "lut": same documented bound vs the reference
-    register_flc_backend("numba", numba_factory, error_bound=LUT_ERROR_BOUND)
+    register_flc_backend(
+        "numba", numba_factory, error_bound=LUT_ERROR_BOUND, own_threads=True
+    )
 
 
 register_flc_backend("reference", _reference_factory, error_bound=0.0)

@@ -45,6 +45,8 @@ Built-in backends
     ``jax`` builds the chain with ``jit``/``vmap`` (enabling
     ``jax_enable_x64`` on first *use* of the jax kernel — the
     conformance contract is float64 — never as an import side effect).
+    Both run a thread pool of their own (:func:`runs_own_threads`), so
+    a fleet range on either runs as one UE block.
 
 Conformance-tolerance contract
 ------------------------------
@@ -90,6 +92,7 @@ __all__ = [
     "get_backend",
     "resolve_backend",
     "fastest_backend",
+    "runs_own_threads",
     "reference_kernel",
     "optimized_numpy_kernel",
     "AUTO_BACKEND",
@@ -170,11 +173,18 @@ class KernelParams:
 # ----------------------------------------------------------------------
 _REGISTRY: dict[str, PathlossKernel] = {}
 
+# kernels that run a thread pool of their own (see runs_own_threads)
+_OWN_THREADS: set[str] = set()
+
 
 def register_backend(
-    name: str, kernel: PathlossKernel, overwrite: bool = False
+    name: str,
+    kernel: PathlossKernel,
+    overwrite: bool = False,
+    own_threads: bool = False,
 ) -> None:
-    """Register a kernel under ``name``.
+    """Register a kernel under ``name``; ``own_threads`` marks a kernel
+    that runs a thread pool of its own (:func:`runs_own_threads`).
 
     Re-registering an existing name raises unless ``overwrite=True`` —
     silently shadowing the default kernels is how conformance drifts in
@@ -195,6 +205,10 @@ def register_backend(
             "(pass overwrite=True to replace it)"
         )
     _REGISTRY[name] = kernel
+    if own_threads:
+        _OWN_THREADS.add(name)
+    else:
+        _OWN_THREADS.discard(name)
     # the field changed; let the next "auto" resolution re-probe
     global _auto_choice
     _auto_choice = None
@@ -209,6 +223,7 @@ def unregister_backend(name: str) -> None:
     """
     global _auto_choice
     del _REGISTRY[name]
+    _OWN_THREADS.discard(name)
     if _auto_choice == name:
         _auto_choice = None
 
@@ -335,6 +350,20 @@ def get_backend(name: Optional[str] = None) -> PathlossKernel:
             f"available: {', '.join(available_backends())}"
         )
     return kernel
+
+
+def runs_own_threads(name: Optional[str] = None) -> bool:
+    """Whether the kernel :func:`get_backend` selects for ``name`` runs
+    a thread pool of its own (``numba``'s ``prange``, XLA's).
+
+    Such a kernel already spreads over the CPUs and is not entered from
+    several threads at once, so a fleet range on it runs as one UE
+    block.  ``"auto"`` is resolved (and, once per process, probed) on
+    the calling thread; unknown names fail as in :func:`get_backend`.
+    """
+    resolved = resolve_backend(name)
+    get_backend(resolved)
+    return resolved in _OWN_THREADS
 
 
 # ----------------------------------------------------------------------
@@ -471,11 +500,10 @@ def _probe_optional_backends() -> None:
     """Attempt the optional registrations, once per process."""
     global _optional_probed
     with _probe_lock:
-        if _optional_probed:
-            return
-        _optional_probed = True
-        _register_numba()
-        _register_jax()
+        if not _optional_probed:
+            _register_numba()
+            _register_jax()
+            _optional_probed = True
 
 
 def _register_numba() -> None:
@@ -521,7 +549,7 @@ def _register_numba() -> None:
             params.effective_aperture_m2,
         )
 
-    register_backend("numba", numba_kernel)
+    register_backend("numba", numba_kernel, own_threads=True)
 
 
 def _register_jax() -> None:
@@ -572,4 +600,4 @@ def _register_jax() -> None:
         )
         return np.asarray(out, dtype=np.float64)
 
-    register_backend("jax", jax_kernel)
+    register_backend("jax", jax_kernel, own_threads=True)

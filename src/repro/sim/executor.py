@@ -35,7 +35,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
-from ..fanout import usable_cpus
+from ..fanout import limit_threads, usable_cpus
 
 __all__ = [
     "Executor",
@@ -130,6 +130,11 @@ class ProcessExecutor(Executor):
     :class:`SerialExecutor` (what :func:`make_executor` selects for one
     effective worker).
 
+    Each worker's fan-outs (:func:`repro.fanout.fan_out`) run on
+    ``usable_cpus() // max_workers`` threads, at least one, so the
+    pool's processes share the CPUs instead of each fanning out over
+    all of them.
+
     A worker death mid-map raises
     :class:`~concurrent.futures.process.BrokenProcessPool` to the
     caller; the broken pool is discarded so the *next* map starts
@@ -143,7 +148,13 @@ class ProcessExecutor(Executor):
     # -- lifecycle -----------------------------------------------------
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.max_workers)
+            # each worker's fan-outs (a fleet range's UE blocks, the
+            # pathloss kernel's point blocks) get its share of the CPUs
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.max_workers,
+                initializer=limit_threads,
+                initargs=(max(1, usable_cpus() // self.max_workers),),
+            )
         return self._pool
 
     def close(self) -> None:

@@ -17,9 +17,9 @@ n_cells)`` buffer — byte-identical to the materialised path, padding
 included (pinned by the streaming test suite).  The one tile policy is
 :func:`auto_tile_epochs`: a fleet materialises while its power cube is
 small and streams :data:`DEFAULT_TILE_EPOCHS`-epoch tiles above
-:data:`AUTO_TILE_THRESHOLD` entries; a fleet range decides it once and
-measures each of its blocks' densified walks through
-:meth:`MeasurementSampler.measure_dense`.
+:data:`AUTO_TILE_THRESHOLD` entries; each UE block of a fleet range
+decides it from the range's size and its own longest walk and measures
+its densified walks through :meth:`MeasurementSampler.measure_dense`.
 
 Every batch path fades through one
 :class:`~repro.radio.fading.FadingBank` over per-UE processes, so the

@@ -38,7 +38,8 @@ fleet: per-cohort handover policies ride into the batch engine as
 per-UE columns (:meth:`PopulationSpec.ue_policies`), so a mixed-policy
 range is one vectorised pass, like a homogeneous one.  A range of at
 least twice :data:`MIN_BLOCK_UES` UEs runs as contiguous UE blocks, one
-per usable CPU, on threads (:meth:`PopulationSpec.run_metrics`).
+per thread of the process's fan-out budget, on threads
+(:meth:`PopulationSpec.run_metrics`).
 """
 
 from __future__ import annotations
@@ -53,10 +54,12 @@ import numpy as np
 from .. import fanout
 from ..core.flc import HANDOVER_THRESHOLD
 from ..core.system import FuzzyHandoverSystem
+from ..fuzzy.compiled import flc_runs_own_threads
 from ..mobility.base import TraceBatch
 from ..mobility.gauss_markov import GaussMarkov
 from ..mobility.manhattan import ManhattanGrid
 from ..mobility.random_walk import RandomWalk
+from ..radio.backends import runs_own_threads
 from ..radio.fading import ShadowFading
 from .batch import BatchSimulator
 from .config import (
@@ -610,39 +613,41 @@ class PopulationSpec:
         UE under its cohort's policy (pass ``system`` to override every
         cohort's policy).
 
-        The range runs as contiguous UE blocks, ``min(usable CPUs, n //
-        MIN_BLOCK_UES)`` of them (at least one), on threads through
-        :func:`repro.fanout.fan_out`.  Each block generates and
-        densifies its own walks; the range then picks materialised or
-        tiled measurement once, from its own size and longest walk
-        (:func:`~repro.sim.measurement.auto_tile_epochs`); each block
-        measures its rows and drives its own simulator.  Every UE is
-        seeded by global index and stepped on its own, so the blocks'
-        metrics merge to exactly the one-block bytes, as shards do.
+        The range runs as contiguous UE blocks, ``min(threads, n //
+        MIN_BLOCK_UES)`` of them (at least one), on the threads of
+        :func:`repro.fanout.fan_out` (``threads`` is its
+        :func:`~repro.fanout.thread_budget`).  A range whose pathloss or
+        FLC kernel runs a thread pool of its own (numba) stays one
+        block, and an ``"auto"`` pathloss kernel is resolved here, on
+        the caller.  Each block generates, densifies and measures its
+        own walks, materialised or tiled by
+        :func:`~repro.sim.measurement.auto_tile_epochs` of the range's
+        size and the block's longest walk (so the materialised blocks'
+        power cubes add up to at most what the range may hold), and
+        drives its own simulator.  Every UE is seeded by global index
+        and stepped on its own, so the blocks' metrics merge to exactly
+        the one-block bytes, as shards do.
         """
         lo, hi = self._range(lo, hi)
         if lo == hi:
             raise ValueError("cannot run an empty UE range")
-        n_blocks = max(
-            1, min(fanout.usable_cpus(), (hi - lo) // MIN_BLOCK_UES)
-        )
-        blocks = [
-            (lo + b_lo, lo + b_hi)
-            for b_lo, b_hi in partition_fleet(hi - lo, n_blocks)
-        ]
         sampler = self.make_sampler()
-        walks = fanout.fan_out(
-            lambda block: self.traces(*block).densify(sampler.spacing_km),
-            blocks,
+        n_blocks = max(
+            1, min(fanout.thread_budget(), (hi - lo) // MIN_BLOCK_UES)
         )
-        tile_epochs = auto_tile_epochs(
-            hi - lo,
-            max(dense.max_points for dense in walks),
-            sampler.layout.n_cells,
-        )
+        if n_blocks > 1:
+            flc = system if system is not None else self.make_system()
+            if runs_own_threads(
+                sampler.propagation.backend
+            ) or flc_runs_own_threads(flc.resolved_flc_backend()):
+                n_blocks = 1
 
-        def run_block(task) -> FleetMetrics:
-            (b_lo, b_hi), dense = task
+        def run_block(block: tuple[int, int]) -> FleetMetrics:
+            b_lo, b_hi = block
+            dense = self.traces(b_lo, b_hi).densify(sampler.spacing_km)
+            tile_epochs = auto_tile_epochs(
+                hi - lo, dense.max_points, sampler.layout.n_cells
+            )
             source = sampler.measure_dense(
                 dense, tile_epochs, self.fading_profiles(b_lo, b_hi)
             )
@@ -650,7 +655,13 @@ class PopulationSpec:
                 source, window_km=window_km, outage_dbw=outage_dbw
             )
 
-        parts = fanout.fan_out(run_block, zip(blocks, walks))
+        parts = fanout.fan_out(
+            run_block,
+            [
+                (lo + b_lo, lo + b_hi)
+                for b_lo, b_hi in partition_fleet(hi - lo, n_blocks)
+            ],
+        )
         return merge_fleet_metrics(parts).with_cohorts(
             self.cohort_ids(lo, hi), self.cohort_names
         )

@@ -22,7 +22,9 @@ optional-deps CI leg installs numba and runs this module via
 """
 
 import hashlib
+import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -56,6 +58,7 @@ from repro.fuzzy import (
     sugeno_from_mamdani,
     unregister_flc_backend,
 )
+from repro import fanout
 from repro.fuzzy import compiled
 from repro.fuzzy.compiled import DecisionLUT, _lut_factory, _reference_factory
 
@@ -193,6 +196,47 @@ class TestRegistry:
         flc2.backend = "not-a-kernel"
         with pytest.raises(ValueError, match="unknown FLC backend"):
             flc2.evaluate_batch(box_samples(4))
+
+
+    def test_own_threads_marks_the_backend(self, monkeypatch):
+        monkeypatch.setattr(compiled, "_REGISTRY", dict(compiled._REGISTRY))
+        monkeypatch.setattr(compiled, "_OWN_THREADS", set())
+        register_flc_backend("tmp-kernel", _lut_factory, own_threads=True)
+        assert compiled.flc_runs_own_threads("tmp-kernel")
+        assert not compiled.flc_runs_own_threads("lut")
+        assert not compiled.flc_runs_own_threads("reference")
+        register_flc_backend("tmp-kernel", _lut_factory, overwrite=True)
+        assert not compiled.flc_runs_own_threads("tmp-kernel")
+        with pytest.raises(ValueError, match="unknown FLC backend"):
+            compiled.flc_runs_own_threads("no-such-kernel")
+
+    def test_numba_runs_own_threads(self):
+        pytest.importorskip("numba")
+        assert compiled.flc_runs_own_threads("numba")
+
+    def test_a_lookup_waits_for_a_probe_in_progress(self, monkeypatch):
+        """Two threads miss the registry at once: the second waits for
+        the first one's registration of the optional kernel instead of
+        finding the probe flagged done and the kernel missing."""
+        monkeypatch.setattr(
+            compiled,
+            "_REGISTRY",
+            {k: v for k, v in compiled._REGISTRY.items() if k != "numba"},
+        )
+        monkeypatch.setattr(compiled, "_optional_probed", False)
+
+        def slow_registration():
+            time.sleep(0.3)  # numba's import takes about 0.5 s
+            register_flc_backend(
+                "numba", _lut_factory, error_bound=LUT_ERROR_BOUND
+            )
+
+        monkeypatch.setattr(compiled, "_register_numba", slow_registration)
+        with mock.patch.object(fanout, "usable_cpus", lambda: 2):
+            got = fanout.fan_out(
+                lambda _: get_flc_backend("numba"), range(2)
+            )
+        assert got == [_lut_factory, _lut_factory]
 
 
 class TestLUTConstruction:

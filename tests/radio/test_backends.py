@@ -168,6 +168,28 @@ class TestRegistry:
             register_backend("auto", reference_kernel)
 
 
+    def test_own_threads_marks_the_kernel(self, monkeypatch):
+        monkeypatch.setattr(backends, "_REGISTRY", dict(backends._REGISTRY))
+        monkeypatch.setattr(backends, "_OWN_THREADS", set())
+        monkeypatch.setattr(backends, "_auto_choice", None)
+        register_backend("tmp-pool", reference_kernel, own_threads=True)
+        assert backends.runs_own_threads("tmp-pool")
+        assert not backends.runs_own_threads("numpy")
+        assert not backends.runs_own_threads("reference")
+        # "auto" answers for the kernel it resolves to
+        monkeypatch.setattr(backends, "_auto_choice", "tmp-pool")
+        assert backends.runs_own_threads("auto")
+        register_backend("tmp-pool", reference_kernel, overwrite=True)
+        assert not backends.runs_own_threads("tmp-pool")
+        with pytest.raises(ValueError, match="unknown pathloss backend"):
+            backends.runs_own_threads("no-such-kernel")
+
+    @pytest.mark.parametrize("name", ["numba", "jax"])
+    def test_accelerators_run_own_threads(self, name):
+        pytest.importorskip(name)
+        assert backends.runs_own_threads(name)
+
+
 class TestAutoProbe:
     """ISSUE-4 satellite: ``resolve_backend("auto")`` picks the fastest
     registered kernel on the executing host."""

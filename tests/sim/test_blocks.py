@@ -7,12 +7,15 @@ size by patching ``MIN_BLOCK_UES`` to 1 and ``repro.fanout.usable_cpus``
 to the block count, with ``max_workers=1`` so every shard runs in this
 process and sees the patches.  Every split must pickle exactly as the
 unsplit run, and the threads must share one LUT build, one ``auto``
-kernel probe and at most one thread per usable CPU.
+kernel probe (on the caller) and at most one thread per usable CPU.  A
+range whose kernel runs a thread pool of its own (numba) stays one
+block.
 """
 
 import pickle
 import sys
 import threading
+import time
 from contextlib import contextmanager
 from unittest import mock
 
@@ -20,7 +23,7 @@ import pytest
 
 from repro import fanout
 from repro.fuzzy import compiled
-from repro.fuzzy.compiled import lut_build_count
+from repro.fuzzy.compiled import LUT_ERROR_BOUND, lut_build_count
 from repro.radio import backends
 from repro.sim import (
     FleetSpec,
@@ -176,13 +179,17 @@ def test_blocks_share_one_cold_lut_build(monkeypatch):
     assert lut_build_count() == before + 1
 
 
-def test_blocks_share_one_auto_kernel_probe(monkeypatch):
+def test_blocks_share_one_auto_kernel_probe_on_the_caller(monkeypatch):
+    """``"auto"`` is probed before the blocks start: on the caller's
+    thread and outside any fan-out, where the ``numpy`` kernel it times
+    fans out as it would unsplit, not inline in a block."""
     monkeypatch.setattr(backends, "_auto_choice", None)
     probes = []
     listed = backends.available_backends
 
     def counted():
-        probes.append(threading.get_ident())
+        in_fan_out = getattr(fanout._fanning, "active", False)
+        probes.append((threading.get_ident(), in_fan_out))
         return listed()
 
     monkeypatch.setattr(backends, "available_backends", counted)
@@ -194,7 +201,7 @@ def test_blocks_share_one_auto_kernel_probe(monkeypatch):
     )
     with blocks(2):
         run_fleet(spec, max_workers=1)
-    assert len(probes) == 1
+    assert probes == [(threading.get_ident(), False)]
 
 
 def thread_starts(monkeypatch) -> list:
@@ -211,7 +218,7 @@ def thread_starts(monkeypatch) -> list:
 
 
 def test_a_split_runs_at_most_one_thread_per_cpu(monkeypatch):
-    """Four blocks on four CPUs: each phase starts three threads beside
+    """Four blocks on four CPUs: the range starts three threads beside
     the caller, and the pathloss kernel inside a block runs its point
     blocks inline instead of starting threads of its own."""
     chain = backends._chain
@@ -227,7 +234,7 @@ def test_a_split_runs_at_most_one_thread_per_cpu(monkeypatch):
     started = thread_starts(monkeypatch)
     with blocks(4), tiles("materialised"):
         run_fleet(SPECS["lut"](), max_workers=1)
-    assert len(started) == 2 * 3
+    assert len(started) == 3
     assert active and max(active) <= before + 3
 
 
@@ -241,3 +248,105 @@ def test_unsplit_range_keeps_the_all_cpu_kernel(monkeypatch):
         run_fleet(SPECS["lut"](), max_workers=1)
     assert started
     assert all(name.startswith("fan-out") for name in started)
+
+
+def simulators(monkeypatch) -> list:
+    """The ``(lo, hi)`` of every block simulator built from here on."""
+    built = []
+    simulator = PopulationSpec.simulator
+
+    def counted(self, lo=0, hi=None, system=None):
+        built.append((lo, hi))
+        return simulator(self, lo, hi, system)
+
+    monkeypatch.setattr(PopulationSpec, "simulator", counted)
+    return built
+
+
+def test_a_slow_optional_flc_registration_serves_every_block(monkeypatch):
+    """``--flc-backend numba`` on a cold process: the optional kernel's
+    registration takes a while, and a block that asks for it meanwhile
+    must wait for it, not be told the backend is unknown."""
+    want = pickled(SPECS["lut"]())
+    monkeypatch.setattr(
+        compiled,
+        "_REGISTRY",
+        {k: v for k, v in compiled._REGISTRY.items() if k != "numba"},
+    )
+    monkeypatch.setattr(compiled, "_optional_probed", False)
+
+    def slow_registration():
+        time.sleep(0.3)
+        compiled.register_flc_backend(
+            "numba", compiled._lut_factory, error_bound=LUT_ERROR_BOUND
+        )
+
+    monkeypatch.setattr(compiled, "_register_numba", slow_registration)
+    spec = FleetSpec(  # SPECS["lut"] on the stand-in "numba"
+        n_ues=29, n_walks=4, base_seed=900,
+        params=SimulationParameters(
+            measurement_spacing_km=0.2, flc_backend="numba"
+        ),
+    )
+    built = simulators(monkeypatch)
+    with blocks(2):
+        assert pickled(spec) == want
+    assert len(built) == 2
+
+
+#: stand-ins for kernels that run a thread pool of their own
+OWN_THREADS = {
+    "pathloss": dict(pathloss_backend="pool-kernel"),
+    "pathloss auto": dict(pathloss_backend="auto"),
+    "flc": dict(flc_backend="pool-kernel"),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(OWN_THREADS))
+def test_a_kernel_with_its_own_threads_keeps_one_block(kernel, monkeypatch):
+    """K blocks would enter a numba kernel from K threads at once,
+    each launching its own parallel region; the range stays one block,
+    with the unsplit bytes."""
+    monkeypatch.setattr(backends, "_REGISTRY", dict(backends._REGISTRY))
+    monkeypatch.setattr(backends, "_OWN_THREADS", set())
+    monkeypatch.setattr(compiled, "_REGISTRY", dict(compiled._REGISTRY))
+    monkeypatch.setattr(compiled, "_OWN_THREADS", set())
+    backends.register_backend(
+        "pool-kernel", backends.reference_kernel, own_threads=True
+    )
+    compiled.register_flc_backend(
+        "pool-kernel", compiled._lut_factory,
+        error_bound=LUT_ERROR_BOUND, own_threads=True,
+    )
+    monkeypatch.setattr(backends, "_auto_choice", "pool-kernel")
+    spec = FleetSpec(
+        n_ues=29, n_walks=4, base_seed=903,
+        params=SimulationParameters(
+            measurement_spacing_km=0.2, **OWN_THREADS[kernel]
+        ),
+    )
+    want = pickled(spec)
+    built = simulators(monkeypatch)
+    with blocks(4):
+        assert pickled(spec) == want
+    assert built == [(0, 29)]
+
+
+@pytest.mark.backend
+@pytest.mark.flc_backend
+@pytest.mark.parametrize(
+    "pin", [dict(pathloss_backend="numba"), dict(flc_backend="numba")]
+)
+def test_numba_ranges_stay_one_block(pin, monkeypatch):
+    """The real numba kernels (skipped without numba): a forced split
+    runs as one block and gives the unsplit bytes."""
+    pytest.importorskip("numba")
+    spec = FleetSpec(
+        n_ues=29, n_walks=4, base_seed=904,
+        params=SimulationParameters(measurement_spacing_km=0.2, **pin),
+    )
+    want = pickled(spec)
+    built = simulators(monkeypatch)
+    with blocks(4):
+        assert pickled(spec) == want
+    assert built == [(0, 29)]

@@ -7,6 +7,7 @@ from unittest import mock
 import pytest
 from concurrent.futures.process import BrokenProcessPool
 
+from repro.fanout import thread_budget, usable_cpus
 from repro.sim import (
     DistributedExecutor,
     Executor,
@@ -32,6 +33,10 @@ def raise_value_error(x):
 
 def die_abruptly(_):
     os._exit(13)  # simulates a worker killed mid-task (OOM, SIGKILL)
+
+
+def fan_out_budget(_):
+    return thread_budget()
 
 
 class TestSerialExecutor:
@@ -99,6 +104,13 @@ class TestProcessExecutor:
 
     def test_accepts_integral_float(self):
         assert ProcessExecutor(max_workers=2.0).max_workers == 2
+
+    def test_workers_share_the_cpus(self):
+        """Each pool worker's fan-outs get its share of the CPUs, so two
+        workers on two CPUs run one thread each, not two."""
+        with ProcessExecutor(max_workers=2) as ex:
+            got = ex.map(fan_out_budget, range(4))
+        assert got == [max(1, usable_cpus() // 2)] * 4
 
     def test_default_worker_count(self):
         assert ProcessExecutor().max_workers == default_workers()

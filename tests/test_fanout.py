@@ -156,3 +156,30 @@ class TestFanOut:
         with cpus(3):
             fan_out(outer, range(6))
         assert max(peak) <= 3
+
+
+class TestThreadLimit:
+    def test_caps_every_fan_out(self, monkeypatch):
+        monkeypatch.setattr(fanout, "_limit", None)
+        with cpus(4):
+            assert fanout.thread_budget() == 4
+            fanout.limit_threads(2)
+            assert fanout.thread_budget() == 2
+            idents = fan_out(lambda _: threading.get_ident(), range(40))
+            assert 1 <= len(set(idents)) <= 2
+            fanout.limit_threads(1)
+            assert fan_out(lambda _: threading.get_ident(), range(8)) == (
+                [threading.get_ident()] * 8
+            )
+
+    def test_never_above_the_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(fanout, "_limit", 8)
+        with cpus(2):
+            assert fanout.thread_budget() == 2
+
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_rejects_a_limit_below_one(self, bad, monkeypatch):
+        monkeypatch.setattr(fanout, "_limit", None)
+        with pytest.raises(ValueError, match=">= 1"):
+            fanout.limit_threads(bad)
+        assert fanout._limit is None
