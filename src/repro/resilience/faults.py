@@ -369,9 +369,8 @@ async def misbehaving_client(
             )
         )
         await writer.drain()
-        # the subscribe ack is a full frame; read it through the
-        # protocol reader so the stream stays aligned
-        await read_frame(reader)
+        # the subscribe ack is the only frame this connection reads
+        await read_frame(wire.FrameReader(reader))
         for report in reports:
             # Report.to_payload() is already the typed wire message
             frame = encode_frame(report.to_payload())

@@ -16,6 +16,11 @@ stream byte-identical to the offline batch engine.
 
 Truncated, oversized or undecodable frames raise :class:`FrameError` —
 the server counts them and closes only the offending connection.
+
+The server reads a connection in batches: :func:`typed_messages` decodes
+every frame one read delivered, in order, and
+:meth:`Report.from_payloads` validates each run of consecutive reports
+once, as column blocks.
 """
 
 from __future__ import annotations
@@ -24,11 +29,14 @@ import asyncio
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass
+from itertools import chain
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from ..wire import MAX_FRAME_BYTES, FrameError, frame, read_payload
+from ..wire import MAX_FRAME_BYTES, FrameError, FrameReader, frame
 
 __all__ = [
     "FrameError",
@@ -38,6 +46,7 @@ __all__ = [
     "encode_frame",
     "decode_payload",
     "read_frame",
+    "typed_messages",
     "write_frame",
 ]
 
@@ -58,15 +67,31 @@ def decode_payload(payload: bytes) -> tuple[object, str]:
         raise FrameError(f"unknown codec tag {tag!r}; the serve wire is JSON")
     try:
         return json.loads(body.decode("utf-8")), "json"
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # bad UTF-8 or JSON, an integer literal past Python's digit
+        # limit, or arrays nested past the recursion limit
         raise FrameError(f"undecodable JSON frame: {exc}") from None
 
 
-async def read_frame(reader: asyncio.StreamReader) -> object:
+async def read_frame(frames: FrameReader) -> object:
     """Read one message, or ``None`` on a clean EOF at a frame
     boundary.  EOF mid-frame raises :class:`FrameError`."""
-    payload = await read_payload(reader)
-    return None if payload is None else decode_payload(payload)[0]
+    payloads = await frames.read_payloads(1)
+    return decode_payload(payloads[0])[0] if payloads else None
+
+
+def typed_messages(payloads: Iterable[bytes]) -> Iterator[dict]:
+    """Each payload's message, decoded only when the caller asks for it,
+    so a frame that is undecodable or not a typed message (a dict with a
+    ``"type"`` key) raises :class:`FrameError` after the messages before
+    it have been handled."""
+    for payload in payloads:
+        message = decode_payload(payload)[0]
+        if not isinstance(message, dict) or "type" not in message:
+            raise FrameError(
+                f"frame is not a typed message: {type(message).__name__}"
+            )
+        yield message
 
 
 async def write_frame(writer: asyncio.StreamWriter, message: object) -> None:
@@ -95,10 +120,19 @@ def _is_real(value: object) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _too_large(name: str) -> ValueError:
+    return ValueError(
+        f"{name} must be finite, got an integer too large for a float"
+    )
+
+
 def _real(name: str, value: object) -> float:
     if type(value) is not float and not _is_real(value):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise _too_large(name) from None
 
 
 _PLAIN_REALS = frozenset((float, int))
@@ -115,7 +149,10 @@ def _real_array(name: str, value: object) -> np.ndarray:
                         raise ValueError(
                             f"{name} must hold real numbers, got {item!r}"
                         )
-            return np.asarray(value, dtype=float)
+            try:
+                return np.asarray(value, dtype=float)
+            except OverflowError:
+                raise _too_large(name) from None
         value = np.asarray(value)
     if value.dtype.kind not in "fiu":
         raise ValueError(
@@ -181,6 +218,19 @@ class Report:
             "power_dbw": self.power_dbw.tolist(),
         }
 
+    def detached(self) -> "Report":
+        """This report, with its own copies of arrays that are views.
+
+        The reports of :meth:`from_payloads` hold rows of their run's
+        blocks; whatever keeps a report for long keeps this instead, so
+        it does not pin a whole block."""
+        if self.position_km.base is None and self.power_dbw.base is None:
+            return self
+        return _unchecked_report(
+            self.ue, self.epoch, self.position_km.copy(), self.distance_km,
+            self.power_dbw.copy(),
+        )
+
     @classmethod
     def from_payload(cls, message: dict) -> "Report":
         """Validate and rebuild a report from a ``report`` message."""
@@ -194,3 +244,91 @@ class Report:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"invalid report payload: {exc}") from None
+
+    @classmethod
+    def from_payloads(
+        cls, messages: Sequence[dict]
+    ) -> tuple[list["Report"], Optional[ValueError]]:
+        """Validate a run of ``report`` messages at once.
+
+        Returns the reports of the messages before the first invalid one,
+        and the :class:`ValueError` that :meth:`from_payload` raises for
+        that message (``None`` when all are valid).  A run of plain JSON
+        messages is type-checked element by element, then converted and
+        checked for finiteness once per column; its reports' arrays are
+        rows of those column blocks.  A run that fails a check, or holds
+        anything but JSON's ints, floats and lists, goes through
+        :meth:`from_payload` message by message instead.
+        """
+        try:
+            reports = _validated_block(messages)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            reports = None
+        if reports is not None:
+            return reports, None
+        reports = []
+        for message in messages:
+            try:
+                reports.append(cls.from_payload(message))
+            except ValueError as exc:
+                return reports, exc
+        return reports, None
+
+
+_new_report = object.__new__
+_set = object.__setattr__
+
+
+def _unchecked_report(
+    ue, epoch, position_km, distance_km, power_dbw
+) -> Report:
+    """A :class:`Report` of already validated fields (no
+    ``__post_init__``)."""
+    report = _new_report(Report)
+    _set(report, "ue", ue)
+    _set(report, "epoch", epoch)
+    _set(report, "position_km", position_km)
+    _set(report, "distance_km", distance_km)
+    _set(report, "power_dbw", power_dbw)
+    return report
+
+
+_FIELDS = operator.itemgetter(
+    "ue", "epoch", "position_km", "distance_km", "power_dbw"
+)
+_INTS = frozenset((int,))
+_LISTS = frozenset((list,))
+
+
+def _validated_block(messages: Sequence[dict]) -> Optional[list[Report]]:
+    """The reports of a run of plain JSON report messages, validated as
+    :meth:`Report.from_payload` validates each, or ``None`` when a check
+    fails."""
+    if not messages:
+        return []
+    ues, epochs, positions, distances, powers = zip(*map(_FIELDS, messages))
+    plain = (
+        _INTS.issuperset(map(type, ues)) and min(ues) >= 0
+        and _INTS.issuperset(map(type, epochs)) and min(epochs) >= 0
+        and _PLAIN_REALS.issuperset(map(type, distances))
+        and _LISTS.issuperset(map(type, positions))
+        and set(map(len, positions)) == {2}
+        and _PLAIN_REALS.issuperset(map(type, chain.from_iterable(positions)))
+        and _LISTS.issuperset(map(type, powers))
+        and len(cells := set(map(len, powers))) == 1 and 0 not in cells
+        and _PLAIN_REALS.issuperset(map(type, chain.from_iterable(powers)))
+    )
+    if not plain:
+        return None
+    position = np.array(positions, dtype=float)
+    distance = np.array(distances, dtype=float)
+    power = np.array(powers, dtype=float)
+    if not (
+        np.isfinite(position).all()
+        and np.isfinite(distance).all()
+        and np.isfinite(power).all()
+    ):
+        return None
+    return list(map(
+        _unchecked_report, ues, epochs, position, distance.tolist(), power
+    ))

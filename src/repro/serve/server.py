@@ -35,13 +35,18 @@ Request messages (dicts with a ``"type"`` key):
     (:meth:`~repro.sim.metrics.FleetMetrics.to_payload`) under
     ``"fleet"``; both are ``None`` before any epoch has closed.
 
-A malformed, truncated or non-JSON frame
+Each read takes every frame a connection has delivered; the frames are
+handled in order, and each run of consecutive reports is validated as
+one block (:meth:`~repro.serve.protocol.Report.from_payloads`), so
+replies, errors and counters are those of handling the frames one by
+one.  A malformed, truncated or non-JSON frame
 (:class:`~repro.serve.protocol.FrameError`)
 increments ``transport_errors`` and closes *that* connection only; a
 semantically invalid request gets an ``error`` reply and likewise closes
-only its own connection.  The epoch scheduler is untouched either way —
-the fault-injection tests pin that a client dying mid-frame cannot stall
-or kill the service.
+only its own connection.  Either way the reports before it are
+submitted, nothing after it is processed, and the epoch scheduler is
+otherwise untouched — the fault-injection tests pin that a client dying
+mid-frame cannot stall or kill the service.
 """
 
 from __future__ import annotations
@@ -52,7 +57,15 @@ import logging
 from typing import Optional
 
 from ..sim.metrics import FleetMetrics
-from .protocol import FrameError, Report, check_index, read_frame, write_frame
+from ..wire import FrameReader
+from .protocol import (
+    FrameError,
+    Report,
+    check_index,
+    read_frame,
+    typed_messages,
+    write_frame,
+)
 from .service import DecisionService
 
 __all__ = ["ServeServer", "ServeClient", "DEADLINE_POLL_S"]
@@ -125,61 +138,22 @@ class ServeServer:
     ) -> None:
         peer = writer.get_extra_info("peername")
         self.service.stats.connections_total += 1
+        frames = FrameReader(reader)
         listener = None
         try:
-            while True:
-                message = await read_frame(reader)
-                if message is None:
-                    break
-                if not isinstance(message, dict) or "type" not in message:
-                    raise FrameError(
-                        f"frame is not a typed message: {type(message).__name__}"
+            while payloads := await frames.read_payloads():
+                listen = await self._dispatch(payloads, writer)
+                if listen is not None:
+                    listener = self.service.attach_listener(
+                        listen.get("capacity")
                     )
-                kind = message["type"]
-                try:
-                    if kind == "report":
-                        # hot path: no ack
-                        self.service.submit(Report.from_payload(message))
-                        continue
-                    if kind == "subscribe":
-                        self.service.subscribe(
-                            message["ue"],
-                            speed_kmh=message.get("speed_kmh", 0.0),
-                            cohort=message.get("cohort"),
-                            policy=message.get("policy"),
-                        )
-                        reply = {"type": "ok"}
-                    elif kind == "unsubscribe":
-                        removed = self.service.unsubscribe(message["ue"])
-                        reply = {"type": "ok", "removed": removed}
-                    elif kind == "close_epoch":
-                        epoch = self.service.force_close()
-                        reply = {"type": "ok", "epoch": epoch}
-                    elif kind == "stats":
-                        stats = self.service.stats_payload()
-                        reply = {"type": "stats", "stats": stats}
-                    elif kind == "health":
-                        health = self.service.health_payload()
-                        reply = {"type": "health", "health": health}
-                    elif kind == "metrics":
-                        reply = self._metrics_reply()
-                    elif kind == "listen":
-                        listener = self.service.attach_listener(
-                            message.get("capacity")
-                        )
-                        await write_frame(writer, {"type": "ok"})
-                        await self._drain_listener(listener, writer)
-                        break
-                    else:
-                        raise ValueError(f"unknown message type {kind!r}")
-                    await write_frame(writer, reply)
-                except (KeyError, TypeError, ValueError) as exc:
-                    logger.warning("protocol error from %s: %s", peer, exc)
-                    with contextlib.suppress(Exception):
-                        await write_frame(
-                            writer, {"type": "error", "error": str(exc)}
-                        )
+                    await write_frame(writer, {"type": "ok"})
+                    await self._drain_listener(listener, writer)
                     break
+        except (KeyError, TypeError, ValueError) as exc:
+            logger.warning("protocol error from %s: %s", peer, exc)
+            with contextlib.suppress(Exception):
+                await write_frame(writer, {"type": "error", "error": str(exc)})
         except FrameError as exc:
             self.service.stats.transport_errors += 1
             logger.warning("transport error from %s: %s", peer, exc)
@@ -190,8 +164,68 @@ class ServeServer:
                 self.service.detach_listener(listener)
             # close() is enough; awaiting wait_closed() here would raise
             # spurious CancelledErrors when the server shuts down while
-            # handlers are parked in read_frame
+            # handlers are parked in read_payloads
             writer.close()
+
+    async def _dispatch(
+        self, payloads: list[bytes], writer: asyncio.StreamWriter
+    ) -> Optional[dict]:
+        """Handle one read's frames in order.  Consecutive reports
+        collect into a run, validated and submitted as one block before
+        the next other message, before a later bad frame's error, and at
+        the end of the read.  Stops at a ``listen`` request and returns
+        it (the frames after it are ignored), else returns ``None``."""
+        run: list[dict] = []
+        try:
+            for message in typed_messages(payloads):
+                kind = message["type"]
+                if kind == "report":
+                    run.append(message)  # hot path: no ack
+                    continue
+                self._submit(run)
+                run = []
+                if kind == "subscribe":
+                    self.service.subscribe(
+                        message["ue"],
+                        speed_kmh=message.get("speed_kmh", 0.0),
+                        cohort=message.get("cohort"),
+                        policy=message.get("policy"),
+                    )
+                    reply = {"type": "ok"}
+                elif kind == "unsubscribe":
+                    removed = self.service.unsubscribe(message["ue"])
+                    reply = {"type": "ok", "removed": removed}
+                elif kind == "close_epoch":
+                    epoch = self.service.force_close()
+                    reply = {"type": "ok", "epoch": epoch}
+                elif kind == "stats":
+                    stats = self.service.stats_payload()
+                    reply = {"type": "stats", "stats": stats}
+                elif kind == "health":
+                    health = self.service.health_payload()
+                    reply = {"type": "health", "health": health}
+                elif kind == "metrics":
+                    reply = self._metrics_reply()
+                elif kind == "listen":
+                    return message
+                else:
+                    raise ValueError(f"unknown message type {kind!r}")
+                await write_frame(writer, reply)
+        except FrameError:
+            self._submit(run)
+            raise
+        self._submit(run)
+        return None
+
+    def _submit(self, run: list[dict]) -> None:
+        """Submit a run's valid prefix, then raise the first invalid
+        report's error."""
+        reports, error = Report.from_payloads(run)
+        submit = self.service.submit
+        for report in reports:
+            submit(report)
+        if error is not None:
+            raise error
 
     def _metrics_reply(self) -> dict:
         try:
@@ -227,13 +261,14 @@ class ServeClient:
     def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = int(port)
-        self._reader: Optional[asyncio.StreamReader] = None
+        self._frames: Optional[FrameReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
 
     async def connect(self) -> "ServeClient":
-        self._reader, self._writer = await asyncio.open_connection(
+        reader, self._writer = await asyncio.open_connection(
             self.host, self.port
         )
+        self._frames = FrameReader(reader)
         return self
 
     async def close(self) -> None:
@@ -242,15 +277,15 @@ class ServeClient:
             with contextlib.suppress(Exception):
                 await self._writer.wait_closed()
             self._writer = None
-            self._reader = None
+            self._frames = None
 
     async def _send(self, message: dict) -> None:
         assert self._writer is not None, "client is not connected"
         await write_frame(self._writer, message)
 
     async def _recv(self) -> dict:
-        assert self._reader is not None, "client is not connected"
-        message = await read_frame(self._reader)
+        assert self._frames is not None, "client is not connected"
+        message = await read_frame(self._frames)
         if message is None:
             raise ConnectionError("server closed the connection")
         if isinstance(message, dict) and message.get("type") == "error":

@@ -412,7 +412,9 @@ class DecisionService:
         reported = {r.ue for r in reports}
         if self.silent_policy == "hold":
             for r in reports:
-                self._last_report[r.ue] = r
+                # a held report outlives its epoch: keep no view that
+                # would pin a wire run's whole column block
+                self._last_report[r.ue] = r.detached()
         for ue in reported:
             self._missed.pop(ue, None)
         if watermark:

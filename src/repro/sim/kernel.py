@@ -57,7 +57,13 @@ def speed_penalties(speed_kmh) -> np.ndarray:
     turn the FLC's SSN input into NaN/-inf, and negative ones have no
     penalty.
     """
-    speeds = np.atleast_1d(np.asarray(speed_kmh, dtype=float))
+    try:
+        speeds = np.atleast_1d(np.asarray(speed_kmh, dtype=float))
+    except OverflowError:
+        raise ValueError(
+            "speed_kmh must be finite and >= 0, got an integer too large "
+            "for a float"
+        ) from None
     if speeds.ndim != 1:
         raise ValueError(
             f"speed_kmh must be a scalar or 1-D, got shape {speeds.shape}"
@@ -197,7 +203,9 @@ class EpochState:
         """Append one UE under ``policy`` (``None``: the system's);
         returns its row.  Capacity doubles, so adding N UEs one by one
         costs O(N); a longer lag than any so far widens ``hist``."""
-        (penalty,) = speed_penalties(float(speed_kmh))
+        if np.ndim(speed_kmh):
+            raise ValueError(f"speed_kmh must be a scalar, got {speed_kmh!r}")
+        (penalty,) = speed_penalties(speed_kmh)
         columns = self._policy_columns((policy,), 1)
         width = max(self.width, int(columns["cssp_lag"][0]))
         if self.n == self.serving.shape[0] or width > self.width:

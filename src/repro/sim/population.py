@@ -127,6 +127,11 @@ def partition_fleet(n_ues: int, n_shards: int) -> list[tuple[int, int]]:
     return bounds
 
 
+#: The largest lag the engines' per-UE ``cssp_lag`` column holds: a
+#: representability limit, not a policy bound.
+_MAX_LAG = int(np.iinfo(np.intp).max)
+
+
 @dataclass(frozen=True)
 class PolicyConfig:
     """A picklable per-cohort handover-pipeline configuration.
@@ -147,7 +152,11 @@ class PolicyConfig:
             raise ValueError(
                 f"threshold must be in (0, 1), got {self.threshold!r}"
             )
-        if not math.isfinite(self.potlc_gate_dbw):
+        try:
+            finite = math.isfinite(self.potlc_gate_dbw)
+        except OverflowError:  # an int past the float range
+            finite = False
+        if not finite:
             raise ValueError(
                 f"potlc_gate_dbw must be finite, got {self.potlc_gate_dbw!r}"
             )
@@ -160,6 +169,11 @@ class PolicyConfig:
             raise ValueError(f"cssp_lag must be an integer, got {lag!r}")
         if lag < 1:
             raise ValueError(f"cssp_lag must be >= 1, got {lag}")
+        if lag > _MAX_LAG:
+            raise ValueError(
+                f"cssp_lag must be <= {_MAX_LAG}, the largest its integer "
+                f"column holds, got {lag}"
+            )
 
     def make_system(
         self,

@@ -4,9 +4,11 @@ The worker wire (:mod:`repro.sim.distributed`) and the decision-service
 wire (:mod:`repro.serve.protocol`) frame every message the same way: a
 4-byte big-endian payload length, then the payload (an untagged pickle
 on the worker wire, ``J`` plus UTF-8 JSON on the serve wire).  Only this
-module packs or parses that prefix.  Both readers refuse a zero or
-over-cap length before reading any body byte.  :class:`FrameError` is a
-:class:`ConnectionError`, so transport-failure handlers catch it too.
+module packs or parses that prefix.  Both readers (:func:`recv_payload`
+on a blocking socket, :class:`FrameReader` on an asyncio stream) refuse a
+zero or over-cap length as soon as its prefix is in, before reading any
+body byte.  :class:`FrameError` is a :class:`ConnectionError`, so
+transport-failure handlers catch it too.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import sys
 from contextlib import contextmanager
 from typing import Iterator, Optional, Sequence
 
-__all__ = ["MAX_FRAME_BYTES", "FrameError", "frame", "recv_payload",
-           "read_payload", "local_endpoints"]
+__all__ = ["MAX_FRAME_BYTES", "READ_CHUNK_BYTES", "FrameError",
+           "FrameReader", "frame", "recv_payload", "local_endpoints"]
 
 _LEN = struct.Struct(">I")
 
@@ -30,6 +32,10 @@ _LEN = struct.Struct(">I")
 #: report is a few hundred bytes, a fleet shard or a full-fleet metrics
 #: reply a few MiB; anything larger is a corrupt or hostile length prefix.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+#: Bytes :class:`FrameReader` asks its stream for per read: about a
+#: hundred measurement reports.
+READ_CHUNK_BYTES = 64 * 1024
 
 
 class FrameError(ConnectionError):
@@ -46,8 +52,8 @@ def frame(payload: bytes) -> bytes:
     return _LEN.pack(len(payload)) + payload
 
 
-def _length(header: bytes) -> int:
-    (length,) = _LEN.unpack(header)
+def _length(header, offset: int = 0) -> int:
+    (length,) = _LEN.unpack_from(header, offset)
     if length == 0:
         raise FrameError("zero-length frame")
     if length > MAX_FRAME_BYTES:
@@ -79,26 +85,65 @@ def recv_payload(sock: socket.socket) -> bytes:
     return _recv_exact(sock, _length(_recv_exact(sock, _LEN.size)))
 
 
-async def read_payload(reader: asyncio.StreamReader) -> Optional[bytes]:
-    """One frame's payload, or ``None`` on a clean EOF at a frame
-    boundary.  EOF mid-frame and a bad length prefix raise
-    :class:`FrameError`."""
-    try:
-        header = await reader.readexactly(_LEN.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise FrameError(
-            f"connection closed mid-header ({len(exc.partial)}/"
-            f"{_LEN.size} bytes)"
-        ) from None
-    length = _length(header)
-    try:
-        return await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise FrameError(
-            f"connection closed mid-frame ({len(exc.partial)}/{length} bytes)"
-        ) from None
+class FrameReader:
+    """Splits an asyncio byte stream into frame payloads.
+
+    Each :meth:`read_payloads` call hands out every complete frame
+    buffered so far, reading one :data:`READ_CHUNK_BYTES` chunk at a time
+    only while none is complete; a partial frame stays buffered for the
+    next call.
+    """
+
+    def __init__(self, reader: asyncio.StreamReader) -> None:
+        self._reader = reader
+        self._buffer = bytearray()
+
+    async def read_payloads(self, limit: Optional[int] = None) -> list[bytes]:
+        """The payloads of the buffered complete frames, in order (at
+        most ``limit``), or ``[]`` on a clean EOF at a frame boundary.
+
+        A zero or over-cap length prefix raises :class:`FrameError` as
+        soon as its 4 bytes are in, without reading its body; the frames
+        before it are returned first and the next call raises.  EOF
+        mid-frame raises :class:`FrameError` too.
+        """
+        buffer = self._buffer
+        while not (payloads := self._split(limit)):
+            chunk = await self._reader.read(READ_CHUNK_BYTES)
+            if not chunk:
+                if not buffer:
+                    return []
+                if len(buffer) < _LEN.size:
+                    raise FrameError(
+                        f"connection closed mid-header ({len(buffer)}/"
+                        f"{_LEN.size} bytes)"
+                    )
+                raise FrameError(
+                    f"connection closed mid-frame ({len(buffer) - _LEN.size}"
+                    f"/{_length(buffer)} bytes)"
+                )
+            buffer += chunk
+        return payloads
+
+    def _split(self, limit: Optional[int]) -> list[bytes]:
+        buffer = self._buffer
+        payloads: list[bytes] = []
+        start, end = 0, len(buffer)
+        with memoryview(buffer) as view:
+            while end - start >= _LEN.size and len(payloads) != limit:
+                try:
+                    length = _length(buffer, start)
+                except FrameError:
+                    if payloads:
+                        break  # the next call raises, with nothing before it
+                    raise
+                stop = start + _LEN.size + length
+                if stop > end:
+                    break
+                payloads.append(view[start + _LEN.size:stop].tobytes())
+                start = stop
+        del buffer[:start]
+        return payloads
 
 
 # ----------------------------------------------------------------------

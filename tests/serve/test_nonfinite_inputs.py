@@ -5,7 +5,10 @@ A NaN or infinite UE speed would turn the FLC's SSN input into NaN or
 epoch (+inf) as outage.  Both are refused where they enter the service,
 as is a policy no pipeline can run (a NaN gate, a threshold outside
 (0, 1), a zero CSSP lag), and one client's bad subscribe must not stall
-or break the epochs of the UEs that behave.
+or break the epochs of the UEs that behave.  A JSON integer past the
+float range (or, for the CSSP lag, past its integer column) is refused
+the same way: a ``ValueError`` naming the field, an ``error`` reply on
+the wire.
 """
 
 from __future__ import annotations
@@ -19,9 +22,12 @@ import pytest
 from repro.core import FuzzyHandoverSystem
 from repro.serve import (
     DecisionService,
+    Report,
     ServeClient,
     ServeServer,
+    encode_frame,
     identity_report,
+    read_frame,
     replay_to_server,
 )
 from repro.sim import (
@@ -33,6 +39,7 @@ from repro.sim import (
     offline_reference_metrics,
     record_fleet_trace,
 )
+from repro.wire import FrameReader
 
 pytestmark = pytest.mark.serve
 
@@ -146,3 +153,104 @@ def test_wire_nan_speed_gets_an_error_and_the_fleet_keeps_closing(
             result.event_output.tolist(),
         )
     )
+
+
+# ----------------------------------------------------------------------
+# JSON integers past the float range
+# ----------------------------------------------------------------------
+#: A legal JSON integer literal that no float64 holds.
+HUGE = 10**400
+
+HUGE_REPORT_FIELDS = {
+    "position_km": [HUGE, 0.0],
+    "distance_km": HUGE,
+    "power_dbw": [-80.0] * 6 + [-HUGE],
+}
+
+HUGE_SUBSCRIBES = {
+    "speed_kmh": {"speed_kmh": HUGE},
+    "potlc_gate_dbw": {"policy": {"potlc_gate_dbw": -HUGE}},
+    "cssp_lag": {"policy": {"cssp_lag": 10**30}},
+}
+
+
+def report_payload(ue: int = 0, **fields) -> dict:
+    return {
+        "type": "report",
+        "ue": ue,
+        "epoch": 0,
+        "position_km": [1.0, 1.0],
+        "distance_km": 0.5,
+        "power_dbw": [-80.0] * 7,
+        **fields,
+    }
+
+
+@pytest.mark.parametrize("field", HUGE_REPORT_FIELDS)
+def test_report_refuses_an_integer_past_the_float_range(field):
+    message = report_payload(**{field: HUGE_REPORT_FIELDS[field]})
+    with pytest.raises(ValueError, match=f"{field} must be finite") as exc:
+        Report.from_payload(message)
+    good = report_payload(1)
+    reports, error = Report.from_payloads([good, message, good])
+    assert [r.ue for r in reports] == [1]
+    assert str(error) == str(exc.value)
+
+
+@pytest.mark.parametrize("field", HUGE_SUBSCRIBES)
+def test_subscribe_refuses_an_integer_past_its_range(field):
+    service = DecisionService()
+    with pytest.raises(ValueError, match=field):
+        service.subscribe(5, **HUGE_SUBSCRIBES[field])
+    assert not service.engine.knows(5)
+    assert service.scheduler.n_subscribed == 0
+
+
+def served_exchange(messages: list) -> tuple[DecisionService, list]:
+    """Send ``messages`` on one connection; every reply until the
+    server closes it."""
+
+    async def run():
+        service = DecisionService()
+        server = ServeServer(service)
+        host, port = await server.start()
+        try:
+            reader, writer = await asyncio.open_connection(host, port)
+            frames = FrameReader(reader)
+            replies = []
+            for message in messages:
+                writer.write(encode_frame(message))
+            await writer.drain()
+            while (reply := await asyncio.wait_for(
+                read_frame(frames), 5.0
+            )) is not None:
+                replies.append(reply)
+            writer.close()
+            return service, replies
+        finally:
+            await server.stop()
+
+    return asyncio.run(run())
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        *(
+            (field, {"type": "subscribe", "ue": 5, **fields})
+            for field, fields in HUGE_SUBSCRIBES.items()
+        ),
+        *(
+            (field, report_payload(**{field: value}))
+            for field, value in HUGE_REPORT_FIELDS.items()
+        ),
+    ],
+    ids=[*HUGE_SUBSCRIBES, *(f"report-{f}" for f in HUGE_REPORT_FIELDS)],
+)
+def test_wire_integer_past_its_range_gets_an_error_reply(field, message):
+    service, replies = served_exchange([message])
+    (reply,) = replies
+    assert reply["type"] == "error" and field in reply["error"]
+    assert service.stats.transport_errors == 0
+    assert not service.engine.knows(5)
+    assert service.scheduler.pending_reports() == 0

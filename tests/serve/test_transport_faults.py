@@ -29,8 +29,8 @@ from repro.serve import (
     ServeServer,
     encode_frame,
 )
-from repro.serve.protocol import MAX_FRAME_BYTES, decode_payload
-from repro.wire import FrameError, frame
+from repro.serve.protocol import MAX_FRAME_BYTES, decode_payload, read_frame
+from repro.wire import FrameError, FrameReader, frame
 
 pytestmark = pytest.mark.serve
 
@@ -61,10 +61,14 @@ async def _send_ok(writer, message) -> None:
     await writer.drain()
 
 
-async def _read_reply(reader):
-    from repro.serve.protocol import read_frame
+async def _open(host, port):
+    """A raw connection: its frame reader and its writer."""
+    reader, writer = await asyncio.open_connection(host, port)
+    return FrameReader(reader), writer
 
-    message = await read_frame(reader)
+
+async def _read_reply(frames):
+    message = await read_frame(frames)
     assert message is not None
     return message
 
@@ -221,11 +225,35 @@ def test_undecodable_body_is_a_transport_error():
     run_with_server(scenario)
 
 
+#: JSON bodies the decoder refuses with something other than a
+#: ``JSONDecodeError``: an integer past Python's digit limit for int
+#: parsing, and arrays nested past the recursion limit.
+UNPARSABLE = {
+    "long-integer": b"J" + b"7" * 5000,
+    "deep-nesting": b"J" + b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("body", UNPARSABLE.values(), ids=UNPARSABLE)
+def test_json_past_the_decoder_limits_is_a_transport_error(body):
+    with pytest.raises(FrameError, match="undecodable"):
+        decode_payload(body)
+
+    async def scenario(service, host, port):
+        _reader, writer = await asyncio.open_connection(host, port)
+        writer.write(frame(body))
+        await writer.drain()
+        await _await_transport_errors(service, 1)
+        writer.close()
+
+    run_with_server(scenario)
+
+
 def test_unknown_message_type_gets_error_reply():
     async def scenario(service, host, port):
-        reader, writer = await asyncio.open_connection(host, port)
+        frames, writer = await _open(host, port)
         await _send_ok(writer, {"type": "frobnicate"})
-        reply = await _read_reply(reader)
+        reply = await _read_reply(frames)
         assert reply["type"] == "error"
         assert "frobnicate" in reply["error"]
         writer.close()
@@ -237,13 +265,13 @@ def test_unknown_message_type_gets_error_reply():
 
 def test_malformed_report_payload_gets_error_reply():
     async def scenario(service, host, port):
-        reader, writer = await asyncio.open_connection(host, port)
+        frames, writer = await _open(host, port)
         await _send_ok(writer, {"type": "subscribe", "ue": 0})
-        await _read_reply(reader)
+        await _read_reply(frames)
         await _send_ok(
             writer, {"type": "report", "ue": 0}  # missing every field
         )
-        reply = await _read_reply(reader)
+        reply = await _read_reply(frames)
         assert reply["type"] == "error"
         writer.close()
         # nothing was buffered
@@ -254,13 +282,13 @@ def test_malformed_report_payload_gets_error_reply():
 
 def test_wrong_cell_count_report_rejected_not_buffered():
     async def scenario(service, host, port):
-        reader, writer = await asyncio.open_connection(host, port)
+        frames, writer = await _open(host, port)
         await _send_ok(writer, {"type": "subscribe", "ue": 0})
-        await _read_reply(reader)
+        await _read_reply(frames)
         payload = make_report(0, 0).to_payload()
         payload["power_dbw"] = payload["power_dbw"][:3]
         await _send_ok(writer, payload)
-        reply = await _read_reply(reader)
+        reply = await _read_reply(frames)
         assert reply["type"] == "error"
         assert service.scheduler.pending_reports() == 0
         writer.close()

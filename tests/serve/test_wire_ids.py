@@ -20,6 +20,7 @@ import pytest
 from repro.serve import DecisionService, Report, ServeClient, ServeServer
 from repro.serve.protocol import encode_frame, read_frame
 from repro.sim import SimulationParameters
+from repro.wire import FrameReader
 
 pytestmark = pytest.mark.serve
 
@@ -161,8 +162,9 @@ async def raw_exchange(host, port, message):
     try:
         writer.write(encode_frame(message, "json"))
         await writer.drain()
-        reply = await asyncio.wait_for(read_frame(reader), 5.0)
-        after = await asyncio.wait_for(read_frame(reader), 5.0)
+        frames = FrameReader(reader)
+        reply = await asyncio.wait_for(read_frame(frames), 5.0)
+        after = await asyncio.wait_for(read_frame(frames), 5.0)
     finally:
         writer.close()
     return reply, after

@@ -358,13 +358,6 @@ class TestDistributedFleet:
         message = str(excinfo.value)
         assert "lo=" in message and "hi=" in message
 
-    def test_run_sharded_threads_hosts(self):
-        spec = FleetSpec(n_ues=8, n_walks=3)
-        local = run_fleet(spec, n_shards=2)
-        with worker_servers(2) as (_, hosts):
-            dist = run_fleet(spec, n_shards=2, hosts=hosts)
-        assert dist == local
-
 
 # ----------------------------------------------------------------------
 # worker warm path: cached systems and compiled tables across reconnects
