@@ -33,12 +33,9 @@ import numpy as np
 
 import inspect
 
-from ..fuzzy.compiled import (
-    kernel_error_bound,
-    resolve_flc_backend,
-    validate_backend_pin,
-)
+from ..fuzzy.compiled import kernel_error_bound, resolve_flc_backend
 from ..fuzzy.controller import FuzzyController
+from ..kernels import validate_backend_pin
 from .flc import HANDOVER_THRESHOLD, build_handover_flc
 from .inputs import HandoverInputs, inputs_from_observation
 
@@ -187,12 +184,11 @@ class FuzzyHandoverSystem:
         sample available on the current serving cell.
     flc_backend:
         FLC inference-backend pin for every controller evaluation this
-        pipeline makes (``None`` = the
-        :func:`~repro.fuzzy.compiled.resolve_flc_backend` policy:
-        ``REPRO_FLC_BACKEND``, then ``"reference"``).  Approximate
-        backends (``lut``/``numba``) never change a *decision*: outputs
-        within the backend's documented error bound of ``threshold``
-        are re-evaluated through the reference kernel (see
+        pipeline makes (``None`` = the controller's pin, then the name
+        policy of :mod:`repro.kernels`).  Approximate backends
+        (``lut``/``numba``) never change a *decision*: outputs within
+        the backend's documented error bound of ``threshold`` are
+        re-evaluated through the reference kernel (see
         :meth:`decision_outputs_batch`).
     """
 
@@ -339,9 +335,7 @@ class FuzzyHandoverSystem:
 
     def resolved_flc_backend(self) -> str:
         """The concrete FLC backend batch decisions run on: the system
-        pin, else the controller's, else the
-        :func:`~repro.fuzzy.compiled.resolve_flc_backend` policy
-        (``REPRO_FLC_BACKEND``, then the default)."""
+        pin, else the controller's, else the name policy."""
         name = self.flc_backend
         if name is None:
             name = getattr(self.flc, "backend", None)

@@ -78,20 +78,23 @@ samples (``benchmarks/bench_x16_flc_backends.py``; 2×10^5 in tier-1)
 finds no decision that differs from ``reference``, so handover and
 ping-pong counts do not change.
 
-Backend selection policy lives in one place, mirroring
-:func:`repro.radio.backends.resolve_backend`: an explicit name beats
-the ``REPRO_FLC_BACKEND`` environment variable beats
-:data:`DEFAULT_FLC_BACKEND`.
+The backends are one :class:`~repro.kernels.KernelRegistry`,
+:data:`KERNELS`: its name policy, shared with the pathloss kernels,
+reads ``REPRO_FLC_BACKEND`` and :data:`DEFAULT_FLC_BACKEND`.  The
+registry functions below are its methods.  Both controller classes
+evaluate through one dispatch, :func:`controller_evaluate_batch` and
+:func:`controller_evaluate`.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
+
+from ..kernels import KernelRegistry, validate_backend_pin
 
 __all__ = [
     "DecisionLUT",
@@ -106,6 +109,9 @@ __all__ = [
     "flc_runs_own_threads",
     "compile_flc",
     "controller_kernel",
+    "controller_evaluate_batch",
+    "controller_evaluate",
+    "coerce_inputs",
     "kernel_error_bound",
     "refuse_nan",
     "validate_backend_pin",
@@ -165,11 +171,19 @@ FLCKernelFactory = Callable[[object], FLCKernel]
 # ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
-# name -> (factory, documented absolute error bound vs reference)
-_REGISTRY: dict[str, tuple[FLCKernelFactory, float]] = {}
+#: The FLC kernel factories and their name policy.
+KERNELS = KernelRegistry("FLC", FLC_BACKEND_ENV_VAR, DEFAULT_FLC_BACKEND)
 
-# kernels that run a thread pool of their own (see flc_runs_own_threads)
-_OWN_THREADS: set[str] = set()
+unregister_flc_backend = KERNELS.unregister
+available_flc_backends = KERNELS.available
+resolve_flc_backend = KERNELS.resolve
+get_flc_backend = KERNELS.get
+flc_runs_own_threads = KERNELS.runs_own_threads
+
+#: The absolute output-error bound of a backend against ``reference``
+#: (0.0 for exact backends): the decision guard-band half-width of
+#: :meth:`repro.core.system.FuzzyHandoverSystem.decision_outputs_batch`.
+flc_error_bound = KERNELS.error_bound
 
 
 def register_flc_backend(
@@ -179,103 +193,9 @@ def register_flc_backend(
     overwrite: bool = False,
     own_threads: bool = False,
 ) -> None:
-    """Register a kernel factory under ``name``.
-
-    ``error_bound`` is the documented absolute output-error bound of the
-    backend vs ``reference`` (0.0 for exact backends); the decision
-    guard band in :class:`~repro.core.system.FuzzyHandoverSystem` is
-    exactly this wide.  ``own_threads`` marks a kernel that runs a
-    thread pool of its own (:func:`flc_runs_own_threads`).
-    Re-registering an existing name raises unless ``overwrite=True`` —
-    silently shadowing the built-in kernels is how conformance drifts
-    in unnoticed.
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError(
-            f"FLC backend name must be a non-empty string, got {name!r}"
-        )
-    if not callable(factory):
-        raise ValueError(f"factory for {name!r} must be callable")
-    if not (isinstance(error_bound, (int, float)) and error_bound >= 0.0):
-        raise ValueError(
-            f"error_bound for {name!r} must be >= 0, got {error_bound!r}"
-        )
-    if name in _REGISTRY and not overwrite:
-        raise ValueError(
-            f"FLC backend {name!r} is already registered "
-            "(pass overwrite=True to replace it)"
-        )
-    _REGISTRY[name] = (factory, float(error_bound))
-    if own_threads:
-        _OWN_THREADS.add(name)
-    else:
-        _OWN_THREADS.discard(name)
-
-
-def unregister_flc_backend(name: str) -> None:
-    """Remove a registered backend (KeyError if absent)."""
-    del _REGISTRY[name]
-    _OWN_THREADS.discard(name)
-
-
-def available_flc_backends() -> tuple[str, ...]:
-    """Registered backend names, sorted (probes the optional numba
-    kernel on first call)."""
-    _probe_optional_backends()
-    return tuple(sorted(_REGISTRY))
-
-
-def resolve_flc_backend(name: Optional[str] = None) -> str:
-    """The shared selection policy: explicit name >
-    ``REPRO_FLC_BACKEND`` environment variable >
-    :data:`DEFAULT_FLC_BACKEND`."""
-    if name is None:
-        name = os.environ.get(FLC_BACKEND_ENV_VAR) or DEFAULT_FLC_BACKEND
-    return name
-
-
-def _lookup(name: str) -> tuple[FLCKernelFactory, float]:
-    entry = _REGISTRY.get(name)
-    if entry is None:
-        _probe_optional_backends()
-        entry = _REGISTRY.get(name)
-    if entry is None:
-        raise ValueError(
-            f"unknown FLC backend {name!r}; "
-            f"available: {', '.join(available_flc_backends())}"
-        )
-    return entry
-
-
-def get_flc_backend(name: Optional[str] = None) -> FLCKernelFactory:
-    """Resolve a backend name (:func:`resolve_flc_backend` policy) to
-    its kernel factory; unknown names fail with the choices listed.
-
-    The optional numba kernel is probed only when the resolved name is
-    not already registered, so the default path never pays the import.
-    """
-    return _lookup(resolve_flc_backend(name))[0]
-
-
-def flc_error_bound(name: Optional[str] = None) -> float:
-    """Documented absolute output-error bound of a backend vs
-    ``reference`` (0.0 for exact backends).  This is the decision
-    guard-band half-width applied by
-    :meth:`repro.core.system.FuzzyHandoverSystem.decision_outputs_batch`."""
-    return _lookup(resolve_flc_backend(name))[1]
-
-
-def flc_runs_own_threads(name: Optional[str] = None) -> bool:
-    """Whether the backend the :func:`resolve_flc_backend` policy
-    selects runs a thread pool of its own (``numba``'s ``prange``).
-
-    Such a kernel already spreads over the CPUs and is not entered from
-    several threads at once, so a fleet range on it runs as one UE
-    block.  Unknown names fail as in :func:`get_flc_backend`.
-    """
-    name = resolve_flc_backend(name)
-    _lookup(name)
-    return name in _OWN_THREADS
+    """Register a kernel factory under ``name``
+    (:meth:`~repro.kernels.KernelRegistry.register`)."""
+    KERNELS.register(name, factory, error_bound, overwrite, own_threads)
 
 
 def compile_flc(controller, name: Optional[str] = None) -> FLCKernel:
@@ -327,15 +247,98 @@ def refuse_nan(names: Sequence[str], cols: Sequence[np.ndarray]) -> None:
             raise ValueError(f"{name}: cannot fuzzify NaN samples")
 
 
-def validate_backend_pin(backend: Optional[str], field: str = "backend") -> None:
-    """Shared constructor validation for backend pins: ``None`` (the
-    policy default) or a non-empty name, checked at first use."""
-    if backend is not None and (
-        not isinstance(backend, str) or not backend
-    ):
-        raise ValueError(
-            f"{field} must be None or a non-empty string, got {backend!r}"
+# ----------------------------------------------------------------------
+# the one dispatch of both controller classes
+# ----------------------------------------------------------------------
+def coerce_inputs(
+    names: Sequence[str],
+    inputs: Union[Mapping[str, np.ndarray], Sequence[np.ndarray]],
+) -> list[np.ndarray]:
+    """A controller's inputs as ``(N,)`` float columns in variable
+    order.
+
+    ``inputs`` is a mapping ``{variable name: array}`` or a positional
+    sequence in variable order; scalars and length-1 arrays broadcast.
+    A missing or unknown variable, a wrong input count, an input that
+    is not scalar or 1-D, or one of another length raises
+    ``ValueError``.
+    """
+    if isinstance(inputs, Mapping):
+        missing = set(names) - set(inputs)
+        if missing:
+            raise ValueError(f"missing input(s): {sorted(missing)}")
+        extra = set(inputs) - set(names)
+        if extra:
+            raise ValueError(f"unknown input(s): {sorted(extra)}")
+        inputs = [inputs[n] for n in names]
+    else:
+        inputs = list(inputs)
+        if len(inputs) != len(names):
+            raise ValueError(
+                f"expected {len(names)} input arrays "
+                f"({', '.join(names)}), got {len(inputs)}"
+            )
+    cols = [np.atleast_1d(np.asarray(c, dtype=float)) for c in inputs]
+    n = max(c.shape[0] for c in cols)
+    out = []
+    for name, c in zip(names, cols):
+        if c.ndim != 1:
+            raise ValueError(f"input {name!r} must be scalar or 1-D")
+        if c.shape[0] == n:
+            out.append(c)
+        elif c.shape[0] == 1:
+            out.append(np.full(n, c[0]))
+        else:
+            raise ValueError(
+                f"input {name!r} has length {c.shape[0]}, expected {n} or 1"
+            )
+    return out
+
+
+def controller_evaluate_batch(
+    controller,
+    inputs: Union[Mapping[str, np.ndarray], Sequence[np.ndarray]],
+    backend: Optional[str] = None,
+) -> np.ndarray:
+    """Crisp outputs for a batch of crisp inputs (:func:`coerce_inputs`):
+    the ``evaluate_batch`` of both controller classes.
+
+    ``backend`` overrides the inference backend for this call (``None``
+    = the controller's ``backend`` pin, then the name policy).
+    ``reference`` runs the controller's own pipeline, any other backend
+    its compiled kernel (:func:`controller_kernel`).  A NaN input
+    raises ``ValueError`` naming its variable on every backend.
+    """
+    names = controller.input_names
+    cols = coerce_inputs(names, inputs)
+    name = resolve_flc_backend(
+        controller.backend if backend is None else backend
+    )
+    if name == DEFAULT_FLC_BACKEND:
+        return controller._reference_batch(cols)
+    refuse_nan(names, cols)
+    return controller_kernel(controller, name)(cols)
+
+
+def controller_evaluate(
+    controller, *args: float, backend: Optional[str] = None, **kwargs: float
+) -> float:
+    """One crisp output, the ``evaluate`` of both controller classes:
+    positional inputs in variable order or keyword inputs by name (not
+    both), ``backend`` as in :func:`controller_evaluate_batch`."""
+    if args and kwargs:
+        raise TypeError("pass inputs either positionally or by name, not both")
+    names = controller.input_names
+    if kwargs:
+        batch = {k: np.array([v]) for k, v in kwargs.items()}
+    elif len(args) == len(names):
+        batch = [np.array([a]) for a in args]
+    else:
+        raise TypeError(
+            f"expected {len(names)} inputs ({', '.join(names)}), "
+            f"got {len(args)}"
         )
+    return float(controller.evaluate_batch(batch, backend=backend)[0])
 
 
 def _mf_fingerprint(mf) -> tuple:
@@ -671,24 +674,8 @@ def _lut_factory(controller) -> FLCKernel:
 # ----------------------------------------------------------------------
 # optional numba backend — the same table through a parallel gather loop
 # ----------------------------------------------------------------------
-_optional_probed = False
-
-# serialises the probe: a thread that finds it started waits for the
-# registration instead of taking a half-done probe for a finished one
-_PROBE_LOCK = threading.RLock()
-
-
-def _probe_optional_backends() -> None:
-    """Attempt the optional registrations, once per process."""
-    global _optional_probed
-    with _PROBE_LOCK:
-        if not _optional_probed:
-            _register_numba()
-            _optional_probed = True
-
-
 def _register_numba() -> None:
-    if "numba" in _REGISTRY:  # pragma: no cover - user pre-registered
+    if "numba" in KERNELS.entries:  # pragma: no cover - user pre-registered
         return
     try:
         from numba import njit, prange
@@ -770,3 +757,5 @@ def _register_numba() -> None:
 
 register_flc_backend("reference", _reference_factory, error_bound=0.0)
 register_flc_backend("lut", _lut_factory, error_bound=LUT_ERROR_BOUND)
+
+KERNELS.optional.append(_register_numba)

@@ -14,11 +14,11 @@ substrate (paper Fig. 2).  It binds input/output
 * :meth:`decision_surface` — dense grid evaluation for plotting /
   regression-testing the control surface.
 
-Both evaluation paths route through the compiled-kernel registry of
-:mod:`repro.fuzzy.compiled`: the ``backend`` pin (constructor argument
-or per-call override, resolved by
-:func:`~repro.fuzzy.compiled.resolve_flc_backend`) selects between the
-exact ``reference`` grid pipeline (the default) and the precompiled
+Both evaluation paths are the dispatch of :mod:`repro.fuzzy.compiled`
+that :class:`~repro.fuzzy.sugeno.SugenoController` shares: the
+``backend`` pin (constructor argument or per-call override, under the
+name policy of :mod:`repro.kernels`) selects between the exact
+``reference`` grid pipeline (the default) and the precompiled
 interpolation kernels (``lut``, optional ``numba``).  Compiled kernels
 are built lazily on first use and cached per controller.
 """
@@ -26,18 +26,17 @@ are built lazily on first use and cached per controller.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from ..kernels import validate_backend_pin
 from .compiled import (
     _BUILD_CHUNK,
-    DEFAULT_FLC_BACKEND,
     _spans,
-    controller_kernel,
-    refuse_nan,
-    resolve_flc_backend,
-    validate_backend_pin,
+    coerce_inputs,
+    controller_evaluate,
+    controller_evaluate_batch,
     variables_fingerprint,
 )
 from .defuzzify import get_defuzzifier, weighted_average
@@ -102,12 +101,9 @@ class FuzzyController:
     resolution:
         Output-universe sample count for the area-based defuzzifiers.
     backend:
-        Inference-backend pin for this controller (``None`` = the
-        :func:`~repro.fuzzy.compiled.resolve_flc_backend` policy:
-        ``REPRO_FLC_BACKEND`` environment variable, then
-        ``"reference"``).  A name unknown on the executing host fails
-        at first evaluation, which is what lets a pickled spec choose
-        per-host kernels.
+        Inference-backend pin for this controller (``None`` = the name
+        policy of :mod:`repro.kernels`).  A name unknown on the
+        executing host fails at first evaluation.
     """
 
     def __init__(
@@ -152,44 +148,6 @@ class FuzzyController:
     @property
     def input_names(self) -> tuple[str, ...]:
         return self.rule_base.variable_names
-
-    # ------------------------------------------------------------------
-    def _coerce_batch(
-        self, inputs: Union[Mapping[str, np.ndarray], Sequence[np.ndarray]]
-    ) -> list[np.ndarray]:
-        """Normalise inputs (mapping or positional sequence) to arrays in
-        variable order, broadcast to a common length."""
-        if isinstance(inputs, Mapping):
-            missing = set(self.input_names) - set(inputs)
-            if missing:
-                raise ValueError(f"missing input(s): {sorted(missing)}")
-            extra = set(inputs) - set(self.input_names)
-            if extra:
-                raise ValueError(f"unknown input(s): {sorted(extra)}")
-            cols = [np.atleast_1d(np.asarray(inputs[n], dtype=float))
-                    for n in self.input_names]
-        else:
-            seq = list(inputs)
-            if len(seq) != len(self.input_names):
-                raise ValueError(
-                    f"expected {len(self.input_names)} input arrays "
-                    f"({', '.join(self.input_names)}), got {len(seq)}"
-                )
-            cols = [np.atleast_1d(np.asarray(c, dtype=float)) for c in seq]
-        n = max(c.shape[0] for c in cols)
-        out = []
-        for name, c in zip(self.input_names, cols):
-            if c.ndim != 1:
-                raise ValueError(f"input {name!r} must be scalar or 1-D")
-            if c.shape[0] == n:
-                out.append(c)
-            elif c.shape[0] == 1:
-                out.append(np.full(n, c[0]))
-            else:
-                raise ValueError(
-                    f"input {name!r} has length {c.shape[0]}, expected {n} or 1"
-                )
-        return out
 
     # ------------------------------------------------------------------
     def _reference_batch(self, cols: Sequence[np.ndarray]) -> np.ndarray:
@@ -253,68 +211,18 @@ class FuzzyController:
             self.defuzzifier_name,
         )
 
-    def evaluate_batch(
-        self,
-        inputs: Union[Mapping[str, np.ndarray], Sequence[np.ndarray]],
-        backend: Optional[str] = None,
-    ) -> np.ndarray:
-        """Crisp outputs for a batch of crisp inputs.
-
-        ``inputs`` is either a mapping ``{variable name: (N,) array}`` or
-        a positional sequence in rule-base variable order.  Scalars and
-        length-1 arrays broadcast.  Returns an ``(N,)`` array.
-
-        ``backend`` overrides the inference backend for this call
-        (``None`` = the controller's pin, then the
-        :func:`~repro.fuzzy.compiled.resolve_flc_backend` policy).  A
-        NaN input raises ``ValueError`` naming its variable on every
-        backend.
-        """
-        cols = self._coerce_batch(inputs)
-        name = resolve_flc_backend(
-            self.backend if backend is None else backend
-        )
-        if name == DEFAULT_FLC_BACKEND:
-            return self._reference_batch(cols)
-        refuse_nan(self.input_names, cols)
-        return controller_kernel(self, name)(cols)
-
-    def evaluate(
-        self, *args: float, backend: Optional[str] = None, **kwargs: float
-    ) -> float:
-        """Scalar evaluation.
-
-        Accepts positional crisp inputs in variable order or keyword
-        inputs by variable name (not both); ``backend`` overrides the
-        inference backend as in :meth:`evaluate_batch`.
-        """
-        if args and kwargs:
-            raise TypeError("pass inputs either positionally or by name, not both")
-        if kwargs:
-            out = self.evaluate_batch(
-                {k: np.array([v]) for k, v in kwargs.items()},
-                backend=backend,
-            )
-        else:
-            if len(args) != len(self.input_names):
-                raise TypeError(
-                    f"expected {len(self.input_names)} inputs "
-                    f"({', '.join(self.input_names)}), got {len(args)}"
-                )
-            out = self.evaluate_batch(
-                [np.array([a]) for a in args], backend=backend
-            )
-        return float(out[0])
-
+    # the dispatch both controller classes share, bound in this class's
+    # own namespace, where perfbench's tracer wraps evaluate_batch
+    evaluate_batch = controller_evaluate_batch
+    evaluate = controller_evaluate
     __call__ = evaluate
 
     # ------------------------------------------------------------------
     def explain(self, **inputs: float) -> Explanation:
         """Full trace of a single evaluation (for humans)."""
-        missing = set(self.input_names) - set(inputs)
-        if missing:
-            raise ValueError(f"missing input(s): {sorted(missing)}")
-        cols = [np.array([float(inputs[n])]) for n in self.input_names]
+        cols = coerce_inputs(
+            self.input_names, {n: float(v) for n, v in inputs.items()}
+        )
         memberships = [
             var.membership_matrix(col)
             for var, col in zip(self.input_variables, cols)

@@ -15,16 +15,14 @@ comparable.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
+from ..kernels import validate_backend_pin
 from .compiled import (
-    DEFAULT_FLC_BACKEND,
-    controller_kernel,
-    refuse_nan,
-    resolve_flc_backend,
-    validate_backend_pin,
+    controller_evaluate,
+    controller_evaluate_batch,
     variables_fingerprint,
 )
 from .inference import AndMethod
@@ -51,9 +49,8 @@ class SugenoController:
     fallback:
         Output when no rule fires at all.
     backend:
-        Inference-backend pin (``None`` = the
-        :func:`~repro.fuzzy.compiled.resolve_flc_backend` policy), as
-        on :class:`~repro.fuzzy.controller.FuzzyController`.
+        Inference-backend pin, as on
+        :class:`~repro.fuzzy.controller.FuzzyController`.
     """
 
     def __init__(
@@ -101,24 +98,6 @@ class SugenoController:
         return self._ant.shape[0]
 
     # ------------------------------------------------------------------
-    def _coerce_batch(
-        self, inputs: Union[Mapping[str, np.ndarray], Sequence[np.ndarray]]
-    ) -> list[np.ndarray]:
-        if isinstance(inputs, Mapping):
-            missing = set(self.input_names) - set(inputs)
-            if missing:
-                raise ValueError(f"missing input(s): {sorted(missing)}")
-            cols = [np.atleast_1d(np.asarray(inputs[n], dtype=float))
-                    for n in self.input_names]
-        else:
-            cols = [np.atleast_1d(np.asarray(c, dtype=float)) for c in inputs]
-            if len(cols) != len(self.input_names):
-                raise ValueError(
-                    f"expected {len(self.input_names)} inputs, got {len(cols)}"
-                )
-        n = max(c.shape[0] for c in cols)
-        return [np.full(n, c[0]) if c.shape[0] == 1 else c for c in cols]
-
     def _reference_batch(self, cols: Sequence[np.ndarray]) -> np.ndarray:
         """The exact TSK weighted-average pipeline on coerced columns —
         this controller's ``reference`` inference backend."""
@@ -153,43 +132,9 @@ class SugenoController:
             self.fallback,
         )
 
-    def evaluate_batch(
-        self,
-        inputs: Union[Mapping[str, np.ndarray], Sequence[np.ndarray]],
-        backend: Optional[str] = None,
-    ) -> np.ndarray:
-        """Weighted-average TSK output for a batch of crisp inputs.
-
-        ``backend`` overrides the inference backend for this call, as
-        on :meth:`FuzzyController.evaluate_batch`.
-        """
-        cols = self._coerce_batch(inputs)
-        name = resolve_flc_backend(
-            self.backend if backend is None else backend
-        )
-        if name == DEFAULT_FLC_BACKEND:
-            return self._reference_batch(cols)
-        refuse_nan(self.input_names, cols)
-        return controller_kernel(self, name)(cols)
-
-    def evaluate(
-        self, *args: float, backend: Optional[str] = None, **kwargs: float
-    ) -> float:
-        """Scalar evaluation (positional in rule order, or by name)."""
-        if args and kwargs:
-            raise TypeError("pass inputs either positionally or by name")
-        if kwargs:
-            batch = {k: np.array([float(v)]) for k, v in kwargs.items()}
-            return float(self.evaluate_batch(batch, backend=backend)[0])
-        if len(args) != len(self.input_names):
-            raise TypeError(
-                f"expected {len(self.input_names)} inputs, got {len(args)}"
-            )
-        return float(
-            self.evaluate_batch(
-                [np.array([a]) for a in args], backend=backend
-            )[0]
-        )
+    # the dispatch both controller classes share
+    evaluate_batch = controller_evaluate_batch
+    evaluate = controller_evaluate
 
     def __repr__(self) -> str:
         return (

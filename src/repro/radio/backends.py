@@ -61,23 +61,24 @@ conformance matrix in ``tests/radio/test_backends.py``:
   ``rtol = atol = ACCELERATOR_CONFORMANCE_RTOL`` (1e-9 — around 8
   decimal digits of a dB value, far tighter than any physical effect).
 
-Backend selection policy lives in one place, mirroring
-:func:`repro.sim.executor.make_executor`: an explicit name beats the
-``REPRO_PATHLOSS_BACKEND`` environment variable beats
-:data:`DEFAULT_BACKEND`.
+The kernels are one :class:`~repro.kernels.KernelRegistry`,
+:data:`KERNELS`: its name policy, shared with the FLC kernels, reads
+``REPRO_PATHLOSS_BACKEND`` and :data:`DEFAULT_BACKEND` and reserves
+:data:`AUTO_BACKEND`.  The registry functions below are its methods.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
+import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from ..fanout import fan_out
+from ..kernels import AUTO, KernelRegistry
 from .units import FREE_SPACE_IMPEDANCE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -110,7 +111,7 @@ DEFAULT_BACKEND = "numpy"
 #: on the executing host (see :func:`fastest_backend`).  Because
 #: resolution happens at first kernel use, a pickled fleet spec pinned
 #: to ``"auto"`` lets every worker host run its own best kernel.
-AUTO_BACKEND = "auto"
+AUTO_BACKEND = AUTO
 
 #: Environment variable consulted by :func:`resolve_backend`.
 BACKEND_ENV_VAR = "REPRO_PATHLOSS_BACKEND"
@@ -171,96 +172,6 @@ class KernelParams:
 # ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
-_REGISTRY: dict[str, PathlossKernel] = {}
-
-# kernels that run a thread pool of their own (see runs_own_threads)
-_OWN_THREADS: set[str] = set()
-
-
-def register_backend(
-    name: str,
-    kernel: PathlossKernel,
-    overwrite: bool = False,
-    own_threads: bool = False,
-) -> None:
-    """Register a kernel under ``name``; ``own_threads`` marks a kernel
-    that runs a thread pool of its own (:func:`runs_own_threads`).
-
-    Re-registering an existing name raises unless ``overwrite=True`` —
-    silently shadowing the default kernels is how conformance drifts in
-    unnoticed.
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError(f"backend name must be a non-empty string, got {name!r}")
-    if name == AUTO_BACKEND:
-        raise ValueError(
-            f"{AUTO_BACKEND!r} is the reserved fastest-kernel selector "
-            "and cannot name a concrete backend"
-        )
-    if not callable(kernel):
-        raise ValueError(f"kernel for {name!r} must be callable")
-    if name in _REGISTRY and not overwrite:
-        raise ValueError(
-            f"backend {name!r} is already registered "
-            "(pass overwrite=True to replace it)"
-        )
-    _REGISTRY[name] = kernel
-    if own_threads:
-        _OWN_THREADS.add(name)
-    else:
-        _OWN_THREADS.discard(name)
-    # the field changed; let the next "auto" resolution re-probe
-    global _auto_choice
-    _auto_choice = None
-
-
-def unregister_backend(name: str) -> None:
-    """Remove a registered kernel (KeyError if absent).
-
-    Invalidates the cached :func:`fastest_backend` choice when it names
-    the removed kernel, so a later ``"auto"`` resolution re-probes
-    instead of returning a backend that no longer exists.
-    """
-    global _auto_choice
-    del _REGISTRY[name]
-    _OWN_THREADS.discard(name)
-    if _auto_choice == name:
-        _auto_choice = None
-
-
-def available_backends() -> tuple[str, ...]:
-    """Registered backend names, sorted (probes the optional
-    accelerator packages on first call)."""
-    _probe_optional_backends()
-    return tuple(sorted(_REGISTRY))
-
-
-def resolve_backend(name: Optional[str] = None, probe: bool = True) -> str:
-    """The shared selection policy: explicit name > ``REPRO_PATHLOSS_BACKEND``
-    environment variable > :data:`DEFAULT_BACKEND`.
-
-    The reserved name ``"auto"`` (from either source) resolves further
-    to :func:`fastest_backend` — the quickest kernel registered on *this*
-    host — so the returned name is always a concrete backend.  Pass
-    ``probe=False`` to apply only the precedence policy and keep
-    ``"auto"`` symbolic (display paths that must not pay the timing
-    probe of a host that never runs a kernel).
-    """
-    if name is None:
-        name = os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND
-    if name == AUTO_BACKEND and probe:
-        return fastest_backend()
-    return name
-
-
-# one probe per process; "auto" must not re-time kernels on every epoch
-_auto_choice: Optional[str] = None
-
-# serialises the probes: two threads resolving "auto" at once would time
-# each other, and a registration half done must not look finished
-_probe_lock = threading.RLock()
-
-
 def fastest_backend(
     refresh: bool = False,
     candidates: Optional[tuple[str, ...]] = None,
@@ -279,91 +190,73 @@ def fastest_backend(
     after registering a new kernel); probes run one at a time, so
     concurrent first uses of ``"auto"`` probe once.
     """
-    with _probe_lock:
-        return _fastest_backend(refresh, candidates, n_points, repeats)
-
-
-def _fastest_backend(
-    refresh: bool,
-    candidates: Optional[tuple[str, ...]],
-    n_points: int,
-    repeats: int,
-) -> str:
-    global _auto_choice
-    if candidates is None and not refresh and _auto_choice is not None:
-        return _auto_choice
-    names = available_backends() if candidates is None else tuple(candidates)
-    if not names:
-        raise ValueError("no pathloss backends registered to probe")
-    # deterministic synthetic workload: a 7-site ring and a point grid
-    # spanning the layout scale (values are irrelevant, shape is not)
-    angles = np.linspace(0.0, 2.0 * math.pi, 7, endpoint=False)
-    bs = np.column_stack([np.cos(angles), np.sin(angles)])
-    side = int(math.ceil(math.sqrt(n_points)))
-    grid = np.linspace(-2.0, 2.0, side)
-    pts = np.stack(
-        np.meshgrid(grid, grid), axis=-1
-    ).reshape(-1, 2)[:n_points]
-    params = KernelParams(
-        height_delta_m=-38.5,
-        tilt_rad=math.radians(3.0),
-        field_amp=math.sqrt(45.0 * 10.0 / 1.5 * 1.5),
-        path_loss_exponent=1.1,
-        effective_aperture_m2=0.0027,
-    )
-    # stable tie-break: the policy default first, then name order
-    ranked = sorted(names, key=lambda n: (n != DEFAULT_BACKEND, n))
-    best_name, best_time = ranked[0], math.inf
-    import time
-
-    for name in ranked:
-        kernel = get_backend(name)
-        kernel(bs, pts, params)  # warm-up (JIT compilation, caches)
-        elapsed = math.inf
-        for _ in range(max(1, repeats)):
-            t0 = time.perf_counter()
-            kernel(bs, pts, params)
-            elapsed = min(elapsed, time.perf_counter() - t0)
-        if elapsed < best_time:
-            best_name, best_time = name, elapsed
-    if candidates is None:
-        _auto_choice = best_name
-    return best_name
-
-
-def get_backend(name: Optional[str] = None) -> PathlossKernel:
-    """Resolve a backend name (:func:`resolve_backend` policy) to its
-    kernel; unknown names fail with the available choices listed.
-
-    The optional accelerator packages are probed only when the resolved
-    name is not already registered, so the default NumPy path never
-    pays a numba/jax import.
-    """
-    resolved = resolve_backend(name)
-    kernel = _REGISTRY.get(resolved)
-    if kernel is None:
-        _probe_optional_backends()
-        kernel = _REGISTRY.get(resolved)
-    if kernel is None:
-        raise ValueError(
-            f"unknown pathloss backend {resolved!r}; "
-            f"available: {', '.join(available_backends())}"
+    with KERNELS.lock:
+        cached = KERNELS.auto_choice
+        if candidates is None and not refresh and cached is not None:
+            return cached
+        names = (
+            available_backends() if candidates is None else tuple(candidates)
         )
-    return kernel
+        if not names:
+            raise ValueError("no pathloss backends registered to probe")
+        # deterministic synthetic workload: a 7-site ring and a point
+        # grid spanning the layout scale (values are irrelevant, shape
+        # is not)
+        angles = np.linspace(0.0, 2.0 * math.pi, 7, endpoint=False)
+        bs = np.column_stack([np.cos(angles), np.sin(angles)])
+        side = int(math.ceil(math.sqrt(n_points)))
+        grid = np.linspace(-2.0, 2.0, side)
+        pts = np.stack(
+            np.meshgrid(grid, grid), axis=-1
+        ).reshape(-1, 2)[:n_points]
+        params = KernelParams(
+            height_delta_m=-38.5,
+            tilt_rad=math.radians(3.0),
+            field_amp=math.sqrt(45.0 * 10.0 / 1.5 * 1.5),
+            path_loss_exponent=1.1,
+            effective_aperture_m2=0.0027,
+        )
+        # stable tie-break: the policy default first, then name order
+        ranked = sorted(names, key=lambda n: (n != DEFAULT_BACKEND, n))
+        best_name, best_time = ranked[0], math.inf
+        for name in ranked:
+            kernel = get_backend(name)
+            kernel(bs, pts, params)  # warm-up (JIT compilation, caches)
+            elapsed = math.inf
+            for _ in range(max(1, repeats)):
+                t0 = time.perf_counter()
+                kernel(bs, pts, params)
+                elapsed = min(elapsed, time.perf_counter() - t0)
+            if elapsed < best_time:
+                best_name, best_time = name, elapsed
+        if candidates is None:
+            KERNELS.auto_choice = best_name
+        return best_name
 
 
-def runs_own_threads(name: Optional[str] = None) -> bool:
-    """Whether the kernel :func:`get_backend` selects for ``name`` runs
-    a thread pool of its own (``numba``'s ``prange``, XLA's).
+#: The pathloss kernels and their name policy.
+KERNELS = KernelRegistry(
+    "pathloss", BACKEND_ENV_VAR, DEFAULT_BACKEND, choose=fastest_backend
+)
 
-    Such a kernel already spreads over the CPUs and is not entered from
-    several threads at once, so a fleet range on it runs as one UE
-    block.  ``"auto"`` is resolved (and, once per process, probed) on
-    the calling thread; unknown names fail as in :func:`get_backend`.
-    """
-    resolved = resolve_backend(name)
-    get_backend(resolved)
-    return resolved in _OWN_THREADS
+unregister_backend = KERNELS.unregister
+available_backends = KERNELS.available
+resolve_backend = KERNELS.resolve
+get_backend = KERNELS.get
+runs_own_threads = KERNELS.runs_own_threads
+
+
+def register_backend(
+    name: str,
+    kernel: PathlossKernel,
+    overwrite: bool = False,
+    own_threads: bool = False,
+) -> None:
+    """Register a kernel under ``name``
+    (:meth:`~repro.kernels.KernelRegistry.register`)."""
+    KERNELS.register(
+        name, kernel, overwrite=overwrite, own_threads=own_threads
+    )
 
 
 # ----------------------------------------------------------------------
@@ -490,24 +383,11 @@ register_backend("numpy", optimized_numpy_kernel)
 
 
 # ----------------------------------------------------------------------
-# optional accelerator backends — registered only if importable, and
-# probed lazily so the pure-NumPy default never pays a numba/jax import
+# optional accelerator backends — registered only if importable, by the
+# first lookup that misses, so the NumPy default never imports them
 # ----------------------------------------------------------------------
-_optional_probed = False
-
-
-def _probe_optional_backends() -> None:
-    """Attempt the optional registrations, once per process."""
-    global _optional_probed
-    with _probe_lock:
-        if not _optional_probed:
-            _register_numba()
-            _register_jax()
-            _optional_probed = True
-
-
 def _register_numba() -> None:
-    if "numba" in _REGISTRY:  # pragma: no cover - user pre-registered
+    if "numba" in KERNELS.entries:  # pragma: no cover - user pre-registered
         return
     try:
         from numba import njit, prange
@@ -553,7 +433,7 @@ def _register_numba() -> None:
 
 
 def _register_jax() -> None:
-    if "jax" in _REGISTRY:  # pragma: no cover - user pre-registered
+    if "jax" in KERNELS.entries:  # pragma: no cover - user pre-registered
         return
     try:
         import jax
@@ -601,3 +481,6 @@ def _register_jax() -> None:
         return np.asarray(out, dtype=np.float64)
 
     register_backend("jax", jax_kernel, own_threads=True)
+
+
+KERNELS.optional += [_register_numba, _register_jax]

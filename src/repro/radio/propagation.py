@@ -19,7 +19,8 @@ band as the paper's Figs. 9–13 and the FLC's SSN universe
 The site-matrix paths (:meth:`PropagationModel.power_from_sites` and
 ``power_from_sites_batch``) run on a pluggable kernel from
 :mod:`repro.radio.backends`; the :attr:`PropagationModel.backend` field
-(default ``None`` = the shared selection policy) picks which one.
+(default ``None`` = the name policy of :mod:`repro.kernels`) picks
+which one.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from ..kernels import validate_backend_pin
 from .antenna import DipoleAntenna
 from .backends import KernelParams, get_backend
 from .units import FREE_SPACE_IMPEDANCE, dbw_from_watts, wavelength_m
@@ -54,11 +56,9 @@ class PropagationModel:
     rx_gain:
         MS antenna directivity used in the effective aperture.
     backend:
-        Pathloss-kernel name for the site-matrix paths (``None`` defers
-        to the :func:`repro.radio.backends.resolve_backend` policy:
-        ``REPRO_PATHLOSS_BACKEND`` env var, then the optimized NumPy
-        default).  Unknown names fail at first use, listing the
-        backends registered on *this* host.
+        Pathloss-kernel name for the site-matrix paths (``None`` = the
+        name policy of :mod:`repro.kernels`).  Unknown names fail at
+        first use, listing the backends registered on *this* host.
     """
 
     antenna: DipoleAntenna = field(default_factory=DipoleAntenna)
@@ -78,13 +78,7 @@ class PropagationModel:
             )
         if self.rx_gain <= 0:
             raise ValueError(f"rx_gain must be positive, got {self.rx_gain}")
-        if self.backend is not None and (
-            not isinstance(self.backend, str) or not self.backend
-        ):
-            raise ValueError(
-                f"backend must be None or a non-empty string, got "
-                f"{self.backend!r}"
-            )
+        validate_backend_pin(self.backend)
 
     # ------------------------------------------------------------------
     @property

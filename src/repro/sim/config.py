@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Literal
 
 from ..geometry.layout import CellLayout
+from ..kernels import validate_backend_pin
 from ..mobility.random_walk import RandomWalk
 from ..radio.antenna import DipoleAntenna
 from ..radio.fading import ShadowFading
@@ -81,20 +82,16 @@ class SimulationParameters:
     n_repetitions:
         Monte-Carlo repetitions to average (paper: 10).
     pathloss_backend:
-        Pathloss-kernel backend for the propagation model (``None`` =
-        the :func:`repro.radio.backends.resolve_backend` policy).  A
-        name unknown on the executing host fails at first kernel use,
-        which is what lets a pickled spec choose per-host backends.
+        Pathloss-kernel backend for the propagation model.
     flc_backend:
         FLC inference-backend for every handover pipeline built under
-        this configuration (``None`` = the
-        :func:`repro.fuzzy.compiled.resolve_flc_backend` policy:
-        ``REPRO_FLC_BACKEND``, then ``"reference"``).  Approximate
-        kernels (``lut``/``numba``) speed up the controller without
-        changing any handover decision — see
+        this configuration.  Approximate kernels (``lut``/``numba``)
+        speed up the controller without changing any handover decision
+        — see
         :meth:`repro.core.system.FuzzyHandoverSystem.decision_outputs_batch`.
-        Like the pathloss backend, an unknown name fails at first use
-        on the executing host.
+
+    Both backend pins are ``None`` (the name policy) or a name; see
+    :mod:`repro.kernels`.
     """
 
     distribution_law: Literal["gaussian"] = "gaussian"
@@ -155,18 +152,8 @@ class SimulationParameters:
                 f"shadow_decorrelation_km must be >= 0, "
                 f"got {self.shadow_decorrelation_km}"
             )
-        # same pin contract as the backend registries enforce at their
-        # own layers: None (policy default) or a non-empty name, with
-        # unknown names failing at first use on the executing host
-        for field_name in ("pathloss_backend", "flc_backend"):
-            value = getattr(self, field_name)
-            if value is not None and (
-                not isinstance(value, str) or not value
-            ):
-                raise ValueError(
-                    f"{field_name} must be None or a non-empty string, "
-                    f"got {value!r}"
-                )
+        validate_backend_pin(self.pathloss_backend, "pathloss_backend")
+        validate_backend_pin(self.flc_backend, "flc_backend")
 
     # ------------------------------------------------------------------
     # factories

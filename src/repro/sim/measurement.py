@@ -508,13 +508,9 @@ class MeasurementSampler:
         per BS.  ``None`` gives noise-free measurements.  :meth:`measure`
         draws from it directly; the batch paths take its sigma and
         decorrelation for one process per UE (``fading_rngs``).
-    backend:
-        Optional pathloss-kernel override (a
-        :mod:`repro.radio.backends` name).  When given, the propagation
-        model is re-pinned to that backend for every measurement this
-        sampler produces; requires a model with ``with_backend`` (i.e.
-        :class:`~repro.radio.propagation.PropagationModel`, not the X9
-        empirical alternatives).
+
+    The pathloss kernel is the propagation model's own pin
+    (:meth:`~repro.radio.propagation.PropagationModel.with_backend`).
     """
 
     def __init__(
@@ -523,19 +519,11 @@ class MeasurementSampler:
         propagation: PropagationModel,
         spacing_km: float = 0.05,
         fading: Optional[ShadowFading] = None,
-        backend: Optional[str] = None,
     ) -> None:
         if not (spacing_km > 0 and math.isfinite(spacing_km)):
             raise ValueError(
                 f"spacing_km must be positive and finite, got {spacing_km}"
             )
-        if backend is not None:
-            if not hasattr(propagation, "with_backend"):
-                raise ValueError(
-                    f"backend={backend!r} given but {type(propagation).__name__} "
-                    "has no pluggable pathloss kernel"
-                )
-            propagation = propagation.with_backend(backend)
         self.layout = layout
         self.propagation = propagation
         self.spacing_km = float(spacing_km)

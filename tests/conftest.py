@@ -11,6 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+# the registry contract both kernel families' tests bind to
+pytest.register_assert_rewrite("registry_contract")
+
 from repro.core import FuzzyHandoverSystem, build_handover_flc
 from repro.experiments import SCENARIO_CROSSING, SCENARIO_PINGPONG
 from repro.sim import MeasurementSampler, SimulationParameters

@@ -22,9 +22,7 @@ optional-deps CI leg installs numba and runs this module via
 """
 
 import hashlib
-import time
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,7 +36,6 @@ from repro.core.flc import (
 )
 from repro.core.system import FuzzyHandoverSystem
 from repro.fuzzy import (
-    DEFAULT_FLC_BACKEND,
     FLC_BACKEND_ENV_VAR,
     LUT_ERROR_BOUND,
     LUT_POINTS_PER_SEGMENT,
@@ -58,9 +55,15 @@ from repro.fuzzy import (
     sugeno_from_mamdani,
     unregister_flc_backend,
 )
-from repro import fanout
 from repro.fuzzy import compiled
-from repro.fuzzy.compiled import DecisionLUT, _lut_factory, _reference_factory
+from repro.fuzzy.compiled import (
+    DecisionLUT,
+    _lut_factory,
+    _reference_factory,
+    coerce_inputs,
+)
+
+from registry_contract import Family, RegistryContract
 
 pytestmark = pytest.mark.flc_backend
 
@@ -120,66 +123,57 @@ def box_samples(n, seed=3, margin=0.0):
     }
 
 
-class TestRegistry:
-    def test_builtin_backends_present(self):
-        assert set(EXACT_BACKENDS + INTERP_BACKENDS) <= set(
-            available_flc_backends()
-        )
+FLC = Family(
+    name="FLC",
+    registry=compiled.KERNELS,
+    register=register_flc_backend,
+    unregister=unregister_flc_backend,
+    available=available_flc_backends,
+    get=get_flc_backend,
+    resolve=resolve_flc_backend,
+    runs_own_threads=compiled.flc_runs_own_threads,
+    env_var=FLC_BACKEND_ENV_VAR,
+    default="reference",
+    builtins={"reference": _reference_factory, "lut": _lut_factory},
+    alt="lut",
+    kernel=_reference_factory,
+)
 
-    def test_get_backend_resolves_builtins(self):
-        assert get_flc_backend("reference") is _reference_factory
-        assert get_flc_backend("lut") is _lut_factory
 
-    def test_unknown_backend_lists_available(self):
-        with pytest.raises(ValueError, match="available: "):
-            get_flc_backend("no-such-kernel")
-
-    def test_policy_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(FLC_BACKEND_ENV_VAR, "lut")
-        assert resolve_flc_backend("reference") == "reference"
-
-    def test_policy_env_beats_default(self, monkeypatch):
-        monkeypatch.setenv(FLC_BACKEND_ENV_VAR, "lut")
-        assert resolve_flc_backend(None) == "lut"
-
-    def test_policy_default(self, monkeypatch):
-        monkeypatch.delenv(FLC_BACKEND_ENV_VAR, raising=False)
-        assert resolve_flc_backend(None) == DEFAULT_FLC_BACKEND == "reference"
+class TestRegistry(RegistryContract):
+    family = FLC
 
     def test_env_var_selects_kernel_end_to_end(self, monkeypatch, flc):
+        super().test_env_var_selects_kernel_end_to_end(monkeypatch)
         monkeypatch.delenv(FLC_BACKEND_ENV_VAR, raising=False)
         inputs = box_samples(64)
         expected = flc.evaluate_batch(inputs, backend="lut")
         monkeypatch.setenv(FLC_BACKEND_ENV_VAR, "lut")
         np.testing.assert_array_equal(flc.evaluate_batch(inputs), expected)
 
-    def test_register_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_flc_backend("lut", _lut_factory)
-
-    def test_register_unregister_roundtrip(self):
-        register_flc_backend("tmp-kernel", _reference_factory)
-        try:
-            assert get_flc_backend("tmp-kernel") is _reference_factory
-            assert flc_error_bound("tmp-kernel") == 0.0
-        finally:
-            unregister_flc_backend("tmp-kernel")
-        assert "tmp-kernel" not in available_flc_backends()
-
-    @pytest.mark.parametrize("bad", ["", None, 7])
-    def test_register_rejects_bad_names(self, bad):
-        with pytest.raises(ValueError):
-            register_flc_backend(bad, _reference_factory)
-
-    def test_register_rejects_noncallable(self):
-        with pytest.raises(ValueError, match="callable"):
-            register_flc_backend("tmp-kernel", object())
-
     def test_register_rejects_negative_bound(self):
         with pytest.raises(ValueError, match="error_bound"):
             register_flc_backend(
                 "tmp-kernel", _reference_factory, error_bound=-1.0
             )
+
+    @pytest.mark.parametrize(
+        "bound", [np.float32(0.02), np.float64(0.5), np.int64(1), 0.0, 2]
+    )
+    def test_register_takes_any_real_bound(self, bound, isolated):
+        register_flc_backend("tmp-kernel", _lut_factory, error_bound=bound)
+        assert flc_error_bound("tmp-kernel") == float(bound)
+        assert type(flc_error_bound("tmp-kernel")) is float
+
+    @pytest.mark.parametrize(
+        "bound", [True, False, np.bool_(True), float("nan"), "0.1", None]
+    )
+    def test_register_refuses_a_bound_that_is_no_real_number(self, bound):
+        with pytest.raises(ValueError, match="error_bound"):
+            register_flc_backend(
+                "tmp-kernel", _reference_factory, error_bound=bound
+            )
+        assert "tmp-kernel" not in available_flc_backends()
 
     def test_error_bounds_documented(self):
         assert flc_error_bound("reference") == 0.0
@@ -197,46 +191,9 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown FLC backend"):
             flc2.evaluate_batch(box_samples(4))
 
-
-    def test_own_threads_marks_the_backend(self, monkeypatch):
-        monkeypatch.setattr(compiled, "_REGISTRY", dict(compiled._REGISTRY))
-        monkeypatch.setattr(compiled, "_OWN_THREADS", set())
-        register_flc_backend("tmp-kernel", _lut_factory, own_threads=True)
-        assert compiled.flc_runs_own_threads("tmp-kernel")
-        assert not compiled.flc_runs_own_threads("lut")
-        assert not compiled.flc_runs_own_threads("reference")
-        register_flc_backend("tmp-kernel", _lut_factory, overwrite=True)
-        assert not compiled.flc_runs_own_threads("tmp-kernel")
-        with pytest.raises(ValueError, match="unknown FLC backend"):
-            compiled.flc_runs_own_threads("no-such-kernel")
-
     def test_numba_runs_own_threads(self):
         pytest.importorskip("numba")
         assert compiled.flc_runs_own_threads("numba")
-
-    def test_a_lookup_waits_for_a_probe_in_progress(self, monkeypatch):
-        """Two threads miss the registry at once: the second waits for
-        the first one's registration of the optional kernel instead of
-        finding the probe flagged done and the kernel missing."""
-        monkeypatch.setattr(
-            compiled,
-            "_REGISTRY",
-            {k: v for k, v in compiled._REGISTRY.items() if k != "numba"},
-        )
-        monkeypatch.setattr(compiled, "_optional_probed", False)
-
-        def slow_registration():
-            time.sleep(0.3)  # numba's import takes about 0.5 s
-            register_flc_backend(
-                "numba", _lut_factory, error_bound=LUT_ERROR_BOUND
-            )
-
-        monkeypatch.setattr(compiled, "_register_numba", slow_registration)
-        with mock.patch.object(fanout, "usable_cpus", lambda: 2):
-            got = fanout.fan_out(
-                lambda _: get_flc_backend("numba"), range(2)
-            )
-        assert got == [_lut_factory, _lut_factory]
 
 
 class TestLUTConstruction:
@@ -567,12 +524,14 @@ class TestChunkedReference:
 
     @pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 2049, 20000])
     def test_bytes_equal_one_call_over_the_batch(self, flc, n):
-        cols = flc._coerce_batch(box_samples(n, seed=n, margin=1.0))
+        cols = coerce_inputs(
+            flc.input_names, box_samples(n, seed=n, margin=1.0)
+        )
         whole = flc._defuzzify_batch(flc._term_activation_batch(cols))
         assert flc._reference_batch(cols).tobytes() == whole.tobytes()
 
     def test_peak_pinned(self, flc):
-        cols = flc._coerce_batch(box_samples(20000))
+        cols = coerce_inputs(flc.input_names, box_samples(20000))
         tracing = tracemalloc.is_tracing()
         if not tracing:
             tracemalloc.start()

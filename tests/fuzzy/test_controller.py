@@ -166,6 +166,11 @@ class TestExplain:
         with pytest.raises(ValueError, match="missing"):
             c.explain(A=0.5)
 
+    def test_unknown_input_rejected(self):
+        c = small_controller()
+        with pytest.raises(ValueError, match="unknown input.*'C'"):
+            c.explain(A=0.5, B=0.5, C=0.5)
+
 
 class TestDecisionSurface:
     def test_1d_sweep(self):

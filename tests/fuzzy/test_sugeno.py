@@ -130,3 +130,37 @@ class TestFromMamdani:
         # consequent constants are the term centroids
         assert tsk.evaluate(A=0.0) == pytest.approx(out["N"].mf.centroid)
         assert tsk.evaluate(A=1.0) == pytest.approx(out["Y"].mf.centroid)
+
+
+#: the paper controller, Mamdani and converted to TSK
+CONTROLLERS = {
+    "mamdani": build_handover_flc,
+    "sugeno": lambda: sugeno_from_mamdani(build_handover_flc().rule_base),
+}
+
+#: inputs every controller refuses, with the input its error names
+BAD_INPUTS = {
+    "unknown input": (
+        {"CSSP": -5.0, "SSN": -100.0, "DMB": 0.5, "XYZ": 1.0}, "XYZ"
+    ),
+    "2-D input": (
+        {"CSSP": np.full(4, -5.0), "SSN": np.full(4, -100.0),
+         "DMB": np.full((1, 4), 0.5)},
+        "DMB",
+    ),
+    "length mismatch": (
+        {"CSSP": np.zeros(5), "SSN": np.full(5, -100.0),
+         "DMB": np.full(3, 0.5)},
+        "DMB",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+@pytest.mark.parametrize("kind", sorted(CONTROLLERS))
+def test_both_controllers_refuse_bad_inputs_by_name(kind, case):
+    """Both controller classes coerce inputs through one function, so a
+    malformed batch raises the same ``ValueError`` naming the input."""
+    inputs, name = BAD_INPUTS[case]
+    with pytest.raises(ValueError, match=name):
+        CONTROLLERS[kind]().evaluate_batch(inputs)

@@ -38,7 +38,6 @@ from hypothesis.extra import numpy as hnp
 from repro.radio import (
     ACCELERATOR_CONFORMANCE_RTOL,
     BACKEND_ENV_VAR,
-    DEFAULT_BACKEND,
     NUMPY_CONFORMANCE_RTOL,
     DipoleAntenna,
     KernelParams,
@@ -52,6 +51,8 @@ from repro.radio import (
 from repro import fanout
 from repro.radio import backends
 from repro.radio.backends import optimized_numpy_kernel, reference_kernel
+
+from registry_contract import Family, RegistryContract
 
 pytestmark = pytest.mark.backend
 
@@ -114,75 +115,41 @@ def point_grid(n_pts, seed=11):
     return rng.uniform(-7.0, 7.0, size=(n_pts, 2))
 
 
-class TestRegistry:
-    def test_builtin_backends_present(self):
-        assert set(EXACT_BACKENDS) <= set(available_backends())
+PATHLOSS = Family(
+    name="pathloss",
+    registry=backends.KERNELS,
+    register=register_backend,
+    unregister=unregister_backend,
+    available=available_backends,
+    get=get_backend,
+    resolve=resolve_backend,
+    runs_own_threads=backends.runs_own_threads,
+    env_var=BACKEND_ENV_VAR,
+    default="numpy",
+    builtins={"reference": reference_kernel, "numpy": optimized_numpy_kernel},
+    alt="reference",
+    kernel=reference_kernel,
+)
 
-    def test_get_backend_resolves_builtins(self):
-        assert get_backend("reference") is reference_kernel
-        assert get_backend("numpy") is optimized_numpy_kernel
 
-    def test_unknown_backend_lists_available(self):
-        with pytest.raises(ValueError, match="available: "):
-            get_backend("no-such-kernel")
-
-    def test_policy_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "reference")
-        assert resolve_backend("numpy") == "numpy"
-
-    def test_policy_env_beats_default(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "reference")
-        assert resolve_backend(None) == "reference"
-
-    def test_policy_default(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert resolve_backend(None) == DEFAULT_BACKEND == "numpy"
-
-    def test_env_var_selects_kernel_end_to_end(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "reference")
-        assert get_backend(None) is reference_kernel
-
-    def test_register_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("numpy", optimized_numpy_kernel)
-
-    def test_register_unregister_roundtrip(self):
-        register_backend("tmp-kernel", reference_kernel)
-        try:
-            assert get_backend("tmp-kernel") is reference_kernel
-        finally:
-            unregister_backend("tmp-kernel")
-        assert "tmp-kernel" not in available_backends()
-
-    @pytest.mark.parametrize("bad", ["", None, 7])
-    def test_register_rejects_bad_names(self, bad):
-        with pytest.raises(ValueError):
-            register_backend(bad, reference_kernel)
-
-    def test_register_rejects_noncallable(self):
-        with pytest.raises(ValueError, match="callable"):
-            register_backend("tmp-kernel", object())
+class TestRegistry(RegistryContract):
+    family = PATHLOSS
 
     def test_register_rejects_reserved_auto_name(self):
         with pytest.raises(ValueError, match="reserved"):
             register_backend("auto", reference_kernel)
 
+    def test_a_registration_drops_the_auto_choice(self, isolated):
+        isolated.auto_choice = "reference"
+        register_backend("tmp-kernel", reference_kernel)
+        assert isolated.auto_choice is None
 
-    def test_own_threads_marks_the_kernel(self, monkeypatch):
-        monkeypatch.setattr(backends, "_REGISTRY", dict(backends._REGISTRY))
-        monkeypatch.setattr(backends, "_OWN_THREADS", set())
-        monkeypatch.setattr(backends, "_auto_choice", None)
+    def test_auto_runs_own_threads_of_its_choice(self, isolated):
         register_backend("tmp-pool", reference_kernel, own_threads=True)
-        assert backends.runs_own_threads("tmp-pool")
-        assert not backends.runs_own_threads("numpy")
-        assert not backends.runs_own_threads("reference")
-        # "auto" answers for the kernel it resolves to
-        monkeypatch.setattr(backends, "_auto_choice", "tmp-pool")
+        isolated.auto_choice = "tmp-pool"
         assert backends.runs_own_threads("auto")
-        register_backend("tmp-pool", reference_kernel, overwrite=True)
-        assert not backends.runs_own_threads("tmp-pool")
-        with pytest.raises(ValueError, match="unknown pathloss backend"):
-            backends.runs_own_threads("no-such-kernel")
+        isolated.auto_choice = "numpy"
+        assert not backends.runs_own_threads("auto")
 
     @pytest.mark.parametrize("name", ["numba", "jax"])
     def test_accelerators_run_own_threads(self, name):
@@ -201,7 +168,7 @@ class TestAutoProbe:
         assert name != "auto"
         assert name in available_backends()
         # the probe is cached per process
-        assert B._auto_choice == name
+        assert B.KERNELS.auto_choice == name
         assert resolve_backend("auto") == name
 
     def test_env_var_auto_resolves_too(self, monkeypatch):
@@ -240,12 +207,12 @@ class TestAutoProbe:
         try:
             winner = fastest_backend(refresh=True, n_points=64)
             assert winner in available_backends()
-            assert B._auto_choice == winner
+            assert B.KERNELS.auto_choice == winner
         finally:
             unregister_backend("fake-instant")
         # unregistering the cached winner invalidates the cache, so a
         # later "auto" never resolves to a missing kernel
-        assert B._auto_choice != "fake-instant"
+        assert B.KERNELS.auto_choice != "fake-instant"
         assert resolve_backend("auto") in available_backends()
 
     def test_unregister_invalidates_stale_auto_cache(self):
@@ -256,10 +223,11 @@ class TestAutoProbe:
 
         register_backend("fake-winner", instant_kernel)
         try:
-            B._auto_choice = "fake-winner"  # as if the probe picked it
+            # as if the probe picked it
+            B.KERNELS.auto_choice = "fake-winner"
         finally:
             unregister_backend("fake-winner")
-        assert B._auto_choice is None
+        assert B.KERNELS.auto_choice is None
         assert resolve_backend("auto") in available_backends()
 
     def test_probe_with_no_candidates_rejected(self):
@@ -277,7 +245,7 @@ class TestAutoProbe:
         from repro.sim import SimulationParameters as SP
         from repro.sim import run_fleet
 
-        monkeypatch.setattr(B, "_auto_choice", "reference")
+        monkeypatch.setattr(B.KERNELS, "auto_choice", "reference")
 
         def run(backend):
             spec = FleetSpec(

@@ -183,7 +183,7 @@ def test_blocks_share_one_auto_kernel_probe_on_the_caller(monkeypatch):
     """``"auto"`` is probed before the blocks start: on the caller's
     thread and outside any fan-out, where the ``numpy`` kernel it times
     fans out as it would unsplit, not inline in a block."""
-    monkeypatch.setattr(backends, "_auto_choice", None)
+    monkeypatch.setattr(backends.KERNELS, "auto_choice", None)
     probes = []
     listed = backends.available_backends
 
@@ -268,12 +268,13 @@ def test_a_slow_optional_flc_registration_serves_every_block(monkeypatch):
     registration takes a while, and a block that asks for it meanwhile
     must wait for it, not be told the backend is unknown."""
     want = pickled(SPECS["lut"]())
+    kernels = compiled.KERNELS
     monkeypatch.setattr(
-        compiled,
-        "_REGISTRY",
-        {k: v for k, v in compiled._REGISTRY.items() if k != "numba"},
+        kernels,
+        "entries",
+        {k: v for k, v in kernels.entries.items() if k != "numba"},
     )
-    monkeypatch.setattr(compiled, "_optional_probed", False)
+    monkeypatch.setattr(kernels, "probed", False)
 
     def slow_registration():
         time.sleep(0.3)
@@ -281,7 +282,7 @@ def test_a_slow_optional_flc_registration_serves_every_block(monkeypatch):
             "numba", compiled._lut_factory, error_bound=LUT_ERROR_BOUND
         )
 
-    monkeypatch.setattr(compiled, "_register_numba", slow_registration)
+    monkeypatch.setattr(kernels, "optional", [slow_registration])
     spec = FleetSpec(  # SPECS["lut"] on the stand-in "numba"
         n_ues=29, n_walks=4, base_seed=900,
         params=SimulationParameters(
@@ -307,10 +308,8 @@ def test_a_kernel_with_its_own_threads_keeps_one_block(kernel, monkeypatch):
     """K blocks would enter a numba kernel from K threads at once,
     each launching its own parallel region; the range stays one block,
     with the unsplit bytes."""
-    monkeypatch.setattr(backends, "_REGISTRY", dict(backends._REGISTRY))
-    monkeypatch.setattr(backends, "_OWN_THREADS", set())
-    monkeypatch.setattr(compiled, "_REGISTRY", dict(compiled._REGISTRY))
-    monkeypatch.setattr(compiled, "_OWN_THREADS", set())
+    for kernels in (backends.KERNELS, compiled.KERNELS):
+        monkeypatch.setattr(kernels, "entries", dict(kernels.entries))
     backends.register_backend(
         "pool-kernel", backends.reference_kernel, own_threads=True
     )
@@ -318,7 +317,7 @@ def test_a_kernel_with_its_own_threads_keeps_one_block(kernel, monkeypatch):
         "pool-kernel", compiled._lut_factory,
         error_bound=LUT_ERROR_BOUND, own_threads=True,
     )
-    monkeypatch.setattr(backends, "_auto_choice", "pool-kernel")
+    monkeypatch.setattr(backends.KERNELS, "auto_choice", "pool-kernel")
     spec = FleetSpec(
         n_ues=29, n_walks=4, base_seed=903,
         params=SimulationParameters(

@@ -61,7 +61,7 @@ class TestSampler:
     def test_backend_override_pins_propagation(self, stack):
         _, layout, prop = stack
         sampler = MeasurementSampler(
-            layout, prop, spacing_km=0.1, backend="reference"
+            layout, prop.with_backend("reference"), spacing_km=0.1
         )
         assert sampler.propagation.backend == "reference"
         # bit-identical measurements: the override never moves physics
@@ -70,16 +70,6 @@ class TestSampler:
             sampler.measure(straight_trace()).power_dbw,
             default.measure(straight_trace()).power_dbw,
         )
-
-    @pytest.mark.backend
-    def test_backend_override_requires_pluggable_model(self, stack):
-        from repro.radio import FreeSpaceModel
-
-        _, layout, _ = stack
-        with pytest.raises(ValueError, match="no pluggable pathloss"):
-            MeasurementSampler(
-                layout, FreeSpaceModel(), spacing_km=0.1, backend="numpy"
-            )
 
     def test_power_of_and_distances(self, stack):
         _, layout, prop = stack
