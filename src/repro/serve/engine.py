@@ -14,7 +14,8 @@ reports land in, is argued in :mod:`repro.sim.kernel`.
 One ``EpochState`` holds every UE, whatever its policy: a UE's
 :class:`~repro.sim.population.PolicyConfig` fills its row of the
 state's policy columns, so a closed epoch's reports run as one
-``step`` (one ``decision_outputs_batch`` call).
+``step`` (one ``decision_outputs_batch`` call), gathered in one
+columnar pass.
 """
 
 from __future__ import annotations
@@ -35,7 +36,16 @@ from ..sim.metrics import (
 from ..sim.population import PolicyConfig
 from .protocol import Report
 
-__all__ = ["HandoverCommand", "StreamingFleetEngine"]
+__all__ = ["MAX_CSSP_LAG", "HandoverCommand", "StreamingFleetEngine"]
+
+#: The longest CSSP lag a UE may be registered with, in epochs.  The
+#: state keeps every UE's CSSP history as wide as the longest lag so
+#: far, so one registration sizes every UE's row and every close's
+#: gather; the bound holds a row to 512 bytes.  The paper's lag is 1,
+#: and the history restarts at each handover: at the default 50 m
+#: spacing, 64 epochs is 3.2 km of travel, more than the widest
+#: crossing of a 1 km-radius cell (2 km).
+MAX_CSSP_LAG = 64
 
 
 @dataclass(frozen=True)
@@ -91,17 +101,19 @@ class StreamingFleetEngine:
             window_km=window_km,
             outage_dbw=outage_dbw,
         )
-        # ue -> (state row, cohort); rows follow subscription order
-        self._ues: dict[int, tuple[int, Optional[str]]] = {}
+        # ue -> state row; rows follow registration order, and row r's
+        # cohort label is _cohorts[r]
+        self._rows: dict[int, int] = {}
+        self._cohorts: list[Optional[str]] = []
         self.epochs_processed = 0
 
     # ------------------------------------------------------------------
     @property
     def n_ues(self) -> int:
-        return len(self._ues)
+        return len(self._rows)
 
     def knows(self, ue: int) -> bool:
-        return ue in self._ues
+        return ue in self._rows
 
     def add_ue(
         self,
@@ -113,11 +125,26 @@ class StreamingFleetEngine:
         """Register a UE under ``policy`` (``None``: the engine system's
         own).  Its first processed report initialises the serving cell
         by strongest-BS argmax — exactly the offline engine's
-        first-epoch initialisation."""
+        first-epoch initialisation.
+
+        ``cohort`` is ``None`` or a string label, and ``policy``'s CSSP
+        lag at most :data:`MAX_CSSP_LAG`; anything else is refused with
+        a :class:`ValueError` naming the field, before anything is
+        registered or allocated."""
         ue = int(ue)
-        if ue in self._ues:
+        if ue in self._rows:
             raise ValueError(f"UE {ue} is already registered")
-        self._ues[ue] = (self._state.add(speed_kmh, policy), cohort)
+        if cohort is not None and not isinstance(cohort, str):
+            raise ValueError(
+                f"cohort must be a string or None, got {type(cohort).__name__}"
+            )
+        if policy is not None and policy.cssp_lag > MAX_CSSP_LAG:
+            raise ValueError(
+                f"cssp_lag must be <= {MAX_CSSP_LAG} epochs, "
+                f"got {policy.cssp_lag}"
+            )
+        self._rows[ue] = self._state.add(speed_kmh, policy)
+        self._cohorts.append(cohort)
 
     # ------------------------------------------------------------------
     def step_epoch(
@@ -129,14 +156,56 @@ class StreamingFleetEngine:
         POTLC → FLC → PRTLC pipeline and the streaming metric counters.
         UEs without a report this epoch are untouched.  Returns the
         executed handovers, ordered by position in ``reports``.
+
+        The sweep is one columnar pass.  Each report's UE maps to its
+        state row through one dict, the batch is checked whole (every
+        UE registered, none twice, every power vector as long as the
+        layout has cells), and the power and position columns are one
+        concatenation each, copied out of the reports, so a report
+        whose arrays are views of a wire run's block pins nothing.  A
+        batch that fails a check raises the error of its first
+        offending report and changes nothing.
         """
         service_epoch = self.epochs_processed if epoch is None else int(epoch)
+        commands: list[HandoverCommand] = []
+        if reports:
+            m, n_cells = len(reports), self.layout.n_cells
+            ues = [r.ue for r in reports]
+            powers = [r.power_dbw for r in reports]
+            rows = list(map(self._rows.get, ues))
+            if (
+                None in rows
+                or len(set(ues)) < m
+                or set(map(len, powers)) != {n_cells}
+            ):
+                self._refuse(reports)
+            # the kernel returns handovers in report (stepped-row) order
+            handed = step(
+                self._state,
+                np.array(rows, dtype=np.intp),
+                np.concatenate(powers).reshape(m, n_cells),
+                np.concatenate([r.position_km for r in reports]).reshape(m, 2),
+                np.array([r.distance_km for r in reports]),
+            )
+            cells = self.layout.cells
+            # one tolist() per column: Python ints and floats, not NumPy
+            # scalars; fields in HandoverCommand order
+            commands = [
+                HandoverCommand(
+                    ues[i], service_epoch, k, s, t, cells[s], cells[t], o
+                )
+                for i, s, t, o, k in zip(*(c.tolist() for c in handed))
+            ]
+        self.epochs_processed += 1
+        return commands
+
+    def _refuse(self, reports: Sequence[Report]) -> None:
+        """Raise the error of the first report, in batch order, that
+        :meth:`step_epoch`'s whole-batch checks refuse."""
         n_cells = self.layout.n_cells
-        rows = np.empty(len(reports), dtype=np.intp)
         seen: set[int] = set()
-        for pos, report in enumerate(reports):
-            entry = self._ues.get(report.ue)
-            if entry is None:
+        for report in reports:
+            if report.ue not in self._rows:
                 raise ValueError(f"report from unregistered UE {report.ue}")
             if report.ue in seen:
                 raise ValueError(
@@ -148,34 +217,6 @@ class StreamingFleetEngine:
                     f"UE {report.ue} reported {report.power_dbw.shape[0]} "
                     f"cells, layout has {n_cells}"
                 )
-            rows[pos] = entry[0]
-
-        commands: list[HandoverCommand] = []
-        if reports:
-            # the kernel returns handovers in report (stepped-row) order
-            handed = step(
-                self._state,
-                rows,
-                np.stack([r.power_dbw for r in reports]),
-                np.stack([r.position_km for r in reports]),
-                np.array([r.distance_km for r in reports]),
-            )
-            cells = self.layout.cells
-            commands = [
-                HandoverCommand(
-                    ue=reports[i].ue,
-                    epoch=service_epoch,
-                    local_epoch=int(k),
-                    source=int(s),
-                    target=int(t),
-                    source_cell=tuple(cells[s]),
-                    target_cell=tuple(cells[t]),
-                    output=float(o),
-                )
-                for i, s, t, o, k in zip(*handed)
-            ]
-        self.epochs_processed += 1
-        return commands
 
     # ------------------------------------------------------------------
     # crash-recovery snapshots (the supervisor's restore unit)
@@ -191,7 +232,8 @@ class StreamingFleetEngine:
         """
         return {
             "epochs_processed": self.epochs_processed,
-            "ues": dict(self._ues),
+            "rows": dict(self._rows),
+            "cohorts": list(self._cohorts),
             "state": self._state.state_dict(),
         }
 
@@ -202,7 +244,8 @@ class StreamingFleetEngine:
         always does on the supervisor's restart path — the supervisor
         snapshots before every sweep that follows a registration)."""
         self._state.load_state_dict(state["state"])
-        self._ues = dict(state["ues"])
+        self._rows = dict(state["rows"])
+        self._cohorts = list(state["cohorts"])
         self.epochs_processed = int(state["epochs_processed"])
 
     # ------------------------------------------------------------------
@@ -214,12 +257,12 @@ class StreamingFleetEngine:
         byte-identical to ``BatchSimulator.run_metrics`` over the same
         measurements.
         """
-        if not self._ues:
+        if not self._rows:
             raise ValueError("no UEs registered")
         if not self._state.epochs[: self._state.n].any():
             raise ValueError("no epochs processed yet")
         metrics = self._state.metrics.finalize()
-        labels = [cohort for _, cohort in self._ues.values()]
+        labels = self._cohorts
         if all(label is not None for label in labels):
             names = tuple(sorted(set(labels)))
             ids = np.array(

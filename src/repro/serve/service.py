@@ -243,6 +243,7 @@ class DecisionService:
             window_km=window_km,
             outage_dbw=outage_dbw,
         )
+        self._n_cells = self.engine.layout.n_cells
         self.scheduler = EpochScheduler(ring_capacity=ring_capacity)
         self.stats = ServiceStats()
         self.epoch_deadline_s = epoch_deadline_s
@@ -314,26 +315,32 @@ class DecisionService:
     def submit(self, report: Report) -> str:
         """Offer one report; auto-close every epoch whose watermark it
         completes.  Returns the scheduler's verdict (``accepted`` /
-        ``late`` / ``duplicate`` / ``overflow`` / ``rejected``)."""
-        n_cells = self.engine.layout.n_cells
-        if report.power_dbw.shape[0] != n_cells:
+        ``late`` / ``duplicate`` / ``overflow`` / ``rejected``), counted
+        in the matching ``reports_*`` stat.
+
+        A report whose power vector is not as long as the layout has
+        cells is refused with a :class:`ValueError` before it is
+        offered.  The closes a report triggers run in this call, so it
+        returns after their commands are fanned out.
+        """
+        if report.power_dbw.shape[0] != self._n_cells:
             # reject before buffering so one bad report can't poison the
             # epoch close for the whole fleet
             raise ValueError(
                 f"UE {report.ue} reported {report.power_dbw.shape[0]} "
-                f"cells, layout has {n_cells}"
+                f"cells, layout has {self._n_cells}"
             )
-        status = self.scheduler.offer(report)
-        counter = f"reports_{status}"
-        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
-        if status == "accepted":
-            if (
-                self._epoch_opened_at is None
-                and self.scheduler.has_current_reports()
-            ):
-                self._epoch_opened_at = self._clock()
-            while self.scheduler.watermark_reached():
-                self._close_now(watermark=True)
+        scheduler = self.scheduler
+        status = scheduler.offer(report)
+        if status != "accepted":
+            counter = f"reports_{status}"
+            setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+            return status
+        self.stats.reports_accepted += 1
+        if self._epoch_opened_at is None and scheduler.has_current_reports():
+            self._epoch_opened_at = self._clock()
+        while scheduler.watermark_reached():
+            self._close_now(watermark=True)
         return status
 
     def force_close(self) -> int:

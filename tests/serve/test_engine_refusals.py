@@ -5,15 +5,18 @@ a report from an unregistered UE, two reports from one UE, a power
 vector of the wrong cell count — with a :class:`ValueError` that names
 the first offending report in batch order, and it mutates nothing on
 the way: the supervisor's rollback and every caller that catches the
-error rely on the engine being exactly where it was.
+error rely on the engine being exactly where it was.  A batch it
+accepts yields its commands in report order, as Python values.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 import pytest
 
-from repro.serve import Report
+from repro.serve import Report, iter_epoch_reports
 from repro.serve.engine import StreamingFleetEngine
 from repro.sim import SimulationParameters
 
@@ -35,9 +38,12 @@ def make_report(ue: int, epoch: int = 0, n_cells: int = N_CELLS) -> Report:
     )
 
 
-def engine_with(ues=(0, 1, 2, 3)) -> StreamingFleetEngine:
+UES = (0, 1, 2, 3)
+
+
+def make_engine() -> StreamingFleetEngine:
     engine = StreamingFleetEngine(LAYOUT)
-    for ue in ues:
+    for ue in UES:
         engine.add_ue(ue, speed_kmh=3.0 * ue)
     return engine
 
@@ -77,6 +83,16 @@ REFUSED = {
     "bad-cells-then-duplicate": (
         [make_report(0), bad_cells(2), make_report(2)], CELLS,
     ),
+    # one short and one long vector hold as many numbers as two good
+    # ones: each report's length is checked, not the batch's total
+    "cells-that-sum-right": (
+        [
+            make_report(0),
+            make_report(2, n_cells=N_CELLS - 1),
+            make_report(3, n_cells=N_CELLS + 1),
+        ],
+        f"UE 2 reported {N_CELLS - 1} cells, layout has {N_CELLS}",
+    ),
 }
 
 
@@ -95,7 +111,7 @@ def assert_same_state(before: dict, after: dict) -> None:
 @pytest.mark.parametrize("case", REFUSED)
 def test_refusal_names_the_first_offending_report(case):
     reports, message = REFUSED[case]
-    engine = engine_with()
+    engine = make_engine()
     with pytest.raises(ValueError) as exc:
         engine.step_epoch(reports)
     assert str(exc.value) == message
@@ -107,9 +123,9 @@ def test_refused_batch_mutates_nothing(case):
     was: its state, its registry and its epoch count; the next batch
     then decides as on an engine that never saw the refused one."""
     reports, _ = REFUSED[case]
-    engine, twin = engine_with(), engine_with()
+    engine, twin = make_engine(), make_engine()
     for epoch in range(3):
-        warm = [make_report(ue, epoch) for ue in (0, 1, 2, 3)]
+        warm = [make_report(ue, epoch) for ue in UES]
         engine.step_epoch(warm)
         twin.step_epoch(warm)
     before = engine.state_dict()
@@ -123,6 +139,29 @@ def test_refused_batch_mutates_nothing(case):
 
 
 def test_empty_batch_counts_an_epoch():
-    engine = engine_with()
+    engine = make_engine()
     assert engine.step_epoch([]) == []
     assert engine.epochs_processed == 1
+
+
+def test_commands_follow_report_order_as_python_values(trace_n7):
+    """Each UE's decisions do not depend on where its report sits in the
+    batch, so reversing every batch reverses every epoch's commands."""
+
+    def run(order):
+        engine = StreamingFleetEngine(trace_n7.params.make_layout())
+        for ue in range(trace_n7.n_ues):
+            engine.add_ue(ue, speed_kmh=float(trace_n7.speeds_kmh[ue]))
+        return [
+            engine.step_epoch(order(reports), epoch=k)
+            for k, reports in iter_epoch_reports(trace_n7)
+        ]
+
+    forward = run(list)
+    backward = run(lambda reports: reports[::-1])
+    assert sum(map(len, forward)) > 0
+    assert backward == [commands[::-1] for commands in forward]
+    for command in chain.from_iterable(forward):
+        for name in ("ue", "epoch", "local_epoch", "source", "target"):
+            assert type(getattr(command, name)) is int
+        assert type(command.output) is float

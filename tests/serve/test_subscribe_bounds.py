@@ -1,0 +1,126 @@
+"""What one subscribe may ask of the service.
+
+A subscribe's CSSP lag widens every UE's CSSP history row to the
+longest lag so far, so a lag past :data:`MAX_CSSP_LAG` is refused by
+name before anything is registered or allocated.  A cohort label must
+be a string (or absent): the metrics sort the labels, and one label of
+another type would break every later ``metrics`` request.  Both
+refusals are a ``ValueError`` in process and an ``error`` reply on the
+wire, and the UEs that behave keep closing their epochs.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.serve import DecisionService, Report, ServeClient, ServeServer
+from repro.serve.engine import MAX_CSSP_LAG
+from repro.sim import PolicyConfig, SimulationParameters
+
+pytestmark = pytest.mark.serve
+
+N_CELLS = SimulationParameters().make_layout().n_cells
+
+#: subscribe keywords -> the field the refusal names
+REFUSED = {
+    "huge-lag": ({"policy": {"cssp_lag": 200_000}}, "cssp_lag"),
+    "lag-past-bound": (
+        {"policy": {"cssp_lag": MAX_CSSP_LAG + 1}}, "cssp_lag",
+    ),
+    "int-cohort": ({"cohort": 7}, "cohort"),
+    "list-cohort": ({"cohort": ["walkers"]}, "cohort"),
+}
+
+
+def make_report(ue: int, epoch: int = 0) -> Report:
+    power = np.full(N_CELLS, -120.0)
+    power[0] = -70.0
+    return Report(
+        ue=ue,
+        epoch=epoch,
+        position_km=(0.2, 0.1),
+        distance_km=0.05 * (epoch + 1),
+        power_dbw=power,
+    )
+
+
+def history_width(service: DecisionService) -> int:
+    return service.engine.state_dict()["state"]["hist"].shape[1]
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_refused_subscribe_registers_nothing(case):
+    kwargs, field = REFUSED[case]
+    service = DecisionService()
+    service.subscribe(0, cohort="walkers")
+    with pytest.raises(ValueError, match=field):
+        service.subscribe(1, **kwargs)
+    assert not service.engine.knows(1)
+    assert service.scheduler.n_subscribed == 1
+    assert history_width(service) == 1
+    assert service.submit(make_report(0)) == "accepted"
+    assert service.stats.epochs_closed == 1
+    assert service.metrics().cohort_names == ("walkers",)
+
+
+def test_refused_lag_allocates_nothing():
+    service = DecisionService()
+    service.subscribe(0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            ValueError, match=f"cssp_lag must be <= {MAX_CSSP_LAG}"
+        ):
+            service.subscribe(1, policy={"cssp_lag": 200_000})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_lag_at_the_bound_is_accepted():
+    service = DecisionService()
+    service.subscribe(0)
+    with pytest.raises(ValueError, match="cssp_lag"):
+        service.subscribe(1, policy=PolicyConfig(cssp_lag=MAX_CSSP_LAG + 1))
+    service.subscribe(1, policy=PolicyConfig(cssp_lag=MAX_CSSP_LAG))
+    assert history_width(service) == MAX_CSSP_LAG
+    service.subscribe(2, policy={"cssp_lag": 3})
+    assert service.engine.n_ues == 3
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_wire_refusal_is_an_error_reply_and_the_fleet_keeps_closing(case):
+    kwargs, field = REFUSED[case]
+
+    async def run():
+        service = DecisionService()
+        server = ServeServer(service)
+        host, port = await server.start()
+        try:
+            good = await ServeClient(host, port).connect()
+            await good.subscribe(0, cohort="walkers")
+            bad = await ServeClient(host, port).connect()
+            try:
+                with pytest.raises(ValueError, match=field):
+                    await bad.subscribe(1, **kwargs)
+            finally:
+                await bad.close()
+            await good.report(make_report(0))
+            stats = await good.stats()
+            metrics = await good.metrics()
+            await good.close()
+            return service, stats, metrics
+        finally:
+            await server.stop()
+
+    service, stats, metrics = asyncio.run(run())
+    assert not service.engine.knows(1)
+    assert stats["known_ues"] == 1 and stats["subscribed"] == 1
+    assert stats["epochs_closed"] == 1
+    assert metrics.cohort_names == ("walkers",)
+    assert history_width(service) == 1
