@@ -14,21 +14,50 @@ where it can physically hold (enough cores and the full fleet size);
 smaller runs — e.g. the CI smoke at tiny N — still verify that the
 sharded metrics merge to exactly the unsharded result.
 
+``test_x13_blocks`` re-measures the floor below which
+``PopulationSpec.run_metrics`` keeps a fleet range in one UE block:
+one block against two, in alternating rounds, at twice each FLC kind's
+floor (``MIN_BLOCK_UES`` for the exact ``reference`` kernel,
+``MIN_APPROX_BLOCK_UES`` for ``lut``) and for ``lut`` also at twice the
+exact floor, where it loses.  It asserts equal metrics bytes and
+records the ratios in ``BENCH_x13_blocks.json``; it asserts no speed
+ratio, because a second vCPU that another process holds makes two
+blocks lose without any change to the program.
+
 Environment knobs: ``X13_FLEET_SIZE`` (default 2000), ``X13_SHARDS``
-(default 4), ``X13_WORKERS`` (default 4).
+(default 4), ``X13_WORKERS`` (default 4); ``X13_BLOCK_UES`` (UEs per
+block in every block case, default the shipped floors).
 """
 
 import os
+import pickle
+import statistics
+import time
+from unittest import mock
 
 import pytest
 from conftest import run_measured, run_once, write_bench_artifact
 
-from repro.sim import FleetSpec, SimulationParameters, run_fleet
+from repro import fanout
+from repro.sim import FleetSpec, SimulationParameters, population, run_fleet
+from repro.sim.population import MIN_APPROX_BLOCK_UES, MIN_BLOCK_UES
 
 N = int(os.environ.get("X13_FLEET_SIZE", "2000"))
 SHARDS = int(os.environ.get("X13_SHARDS", "4"))
 WORKERS = int(os.environ.get("X13_WORKERS", "4"))
 N_ACCEPT = 2000     # the acceptance-criterion fleet size
+BLOCK_UES = int(os.environ.get("X13_BLOCK_UES", "0"))
+BLOCK_PAIRS = 10
+
+#: (FLC kernel, UEs per block) of every block case
+BLOCK_CASES = sorted({
+    (flc, BLOCK_UES or floor)
+    for flc, floor in (
+        ("reference", MIN_BLOCK_UES),
+        ("lut", MIN_BLOCK_UES),
+        ("lut", MIN_APPROX_BLOCK_UES),
+    )
+})
 
 PARAMS = SimulationParameters(n_walks=8)
 SPEC = FleetSpec(
@@ -98,4 +127,74 @@ def test_x13_speedup_sharded():
     assert speedup >= 2.0, (
         f"sharded fleet only {speedup:.2f}x faster than the unsharded "
         f"batch engine (target 2x at N={N}, {WORKERS} workers)"
+    )
+
+
+def run_blocks(spec: FleetSpec, n_blocks: int) -> tuple[float, bytes]:
+    """Seconds and metrics pickle of ``spec`` run as ``n_blocks`` UE
+    blocks (one or two)."""
+    floor = spec.n_ues + 1 if n_blocks == 1 else spec.n_ues // 2
+    with mock.patch.multiple(
+        population, MIN_BLOCK_UES=floor, MIN_APPROX_BLOCK_UES=floor
+    ), mock.patch.object(fanout, "usable_cpus", lambda: 2):
+        t0 = time.perf_counter()
+        metrics = run_fleet(spec, max_workers=1)
+        return time.perf_counter() - t0, pickle.dumps(metrics)
+
+
+def test_x13_blocks():
+    """One UE block against two at twice each floor: identical bytes;
+    the speed ratios are recorded, not asserted."""
+    cases = {}
+    for flc, per_block in BLOCK_CASES:
+        spec = FleetSpec(
+            n_ues=2 * per_block,
+            base_seed=3100,
+            params=SimulationParameters(flc_backend=flc),
+        )
+        # the first pair builds the LUT and fills the caches
+        assert run_blocks(spec, 1)[1] == run_blocks(spec, 2)[1], (
+            f"two UE blocks changed the {flc} metrics at {spec.n_ues} UEs"
+        )
+        rounds = {"one_block": [], "two_blocks": []}
+        for pair in range(BLOCK_PAIRS):
+            order = (1, 2) if pair % 2 == 0 else (2, 1)
+            for n_blocks in order:
+                label = "one_block" if n_blocks == 1 else "two_blocks"
+                rounds[label].append(run_blocks(spec, n_blocks)[0])
+        medians = {k: statistics.median(v) for k, v in rounds.items()}
+        ratio = medians["one_block"] / medians["two_blocks"]
+        wins = sum(
+            two < one
+            for one, two in zip(rounds["one_block"], rounds["two_blocks"])
+        )
+        cases[f"{flc}_{spec.n_ues}"] = {
+            "flc_backend": flc,
+            "n_ues": spec.n_ues,
+            "rounds_s": rounds,
+            "median_s": medians,
+            "two_blocks_vs_one": ratio,
+            "two_block_wins": wins,
+        }
+        print(
+            f"\nx13 blocks: {flc} {spec.n_ues} UEs, one block "
+            f"{medians['one_block']:.3f} s, two "
+            f"{medians['two_blocks']:.3f} s ({ratio:.2f}x, two won "
+            f"{wins}/{BLOCK_PAIRS})"
+        )
+    write_bench_artifact(
+        "x13_blocks",
+        timings_s={
+            f"{name}_{label}": case["median_s"][label]
+            for name, case in cases.items()
+            for label in ("one_block", "two_blocks")
+        },
+        speedups={
+            f"{name}_two_blocks_vs_one": case["two_blocks_vs_one"]
+            for name, case in cases.items()
+        },
+        usable_cpus=fanout.usable_cpus(),
+        pairs=BLOCK_PAIRS,
+        floors={"exact": MIN_BLOCK_UES, "approximate": MIN_APPROX_BLOCK_UES},
+        cases=cases,
     )

@@ -48,6 +48,7 @@ from .replay import (
 from .server import ServeClient, ServeServer
 from .service import (
     DEFAULT_LISTENER_CAPACITY,
+    MAX_LISTENER_CAPACITY,
     CommandListener,
     DecisionService,
     EpochCommands,
@@ -64,6 +65,7 @@ __all__ = [
     "FrameError",
     "HandoverCommand",
     "MAX_FRAME_BYTES",
+    "MAX_LISTENER_CAPACITY",
     "Report",
     "ServeClient",
     "ServeServer",

@@ -22,7 +22,10 @@ Request messages (dicts with a ``"type"`` key):
     server pushes ``{"type": "commands", "epoch": E, "commands":
     [...]}`` frames until the client disconnects.  The listener queue
     is bounded; a slow consumer sheds oldest epochs (counted) and never
-    blocks the decision loop.
+    blocks the decision loop.  An optional ``"capacity"`` sets the
+    bound: an integer from 1 to
+    :data:`~repro.serve.service.MAX_LISTENER_CAPACITY`, else an
+    ``error`` reply and no listener.
 ``close_epoch``
     forces the current epoch closed; acked with the closed index.
 ``stats`` / ``metrics`` / ``health``

@@ -39,10 +39,19 @@ __all__ = [
     "EpochCommands",
     "ServiceStats",
     "DEFAULT_LISTENER_CAPACITY",
+    "MAX_LISTENER_CAPACITY",
 ]
 
 #: Default bound on a listener's pending epoch batches.
 DEFAULT_LISTENER_CAPACITY = 256
+
+#: The largest capacity a listener may ask for, in epoch batches.  A
+#: consumer this far behind sheds instead: at the default 50 m spacing,
+#: 4,096 epochs is 205 km of one UE's travel, and the suite's longest
+#: keep-every-epoch replay needs a few hundred.  A pending batch costs
+#: about 128 bytes plus about 240 per command, so a full listener holds
+#: about 0.5 MiB plus about 1 MiB for each command an epoch emits.
+MAX_LISTENER_CAPACITY = 4_096
 
 #: Cap on the retained per-epoch latency samples (the percentiles only
 #: need a bounded reservoir; counters keep exact totals regardless).
@@ -103,6 +112,19 @@ class EpochCommands:
     commands: tuple[HandoverCommand, ...]
 
 
+def _check_capacity(name: str, value: object) -> int:
+    """``value`` as a listener capacity: an integer (NumPy integers
+    included, ``bool`` not) from 1 to :data:`MAX_LISTENER_CAPACITY`.
+    Anything else raises a :class:`ValueError` naming ``name``."""
+    capacity = check_index(name, value)
+    if not 1 <= capacity <= MAX_LISTENER_CAPACITY:
+        raise ValueError(
+            f"{name} must be from 1 to {MAX_LISTENER_CAPACITY}, "
+            f"got {capacity}"
+        )
+    return capacity
+
+
 class CommandListener:
     """A bounded subscriber queue with shed-oldest backpressure.
 
@@ -114,9 +136,7 @@ class CommandListener:
     """
 
     def __init__(self, capacity: int = DEFAULT_LISTENER_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError(f"listener capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
+        self.capacity = _check_capacity("capacity", capacity)
         self._queue: deque[EpochCommands] = deque()
         self.dropped = 0
         self.closed = False
@@ -185,7 +205,8 @@ class DecisionService:
         watchdog forces a close.  ``None`` closes on watermark (or
         explicit ``close_epoch``) only.
     listener_capacity:
-        Default bound for attached command listeners.
+        Default bound for attached command listeners (at most
+        :data:`MAX_LISTENER_CAPACITY`).
     silent_after / silent_policy:
         Degraded-mode serving.  When ``silent_after=M`` is set, a
         subscribed UE that misses M consecutive *forced* epoch closes
@@ -247,7 +268,9 @@ class DecisionService:
         self.scheduler = EpochScheduler(ring_capacity=ring_capacity)
         self.stats = ServiceStats()
         self.epoch_deadline_s = epoch_deadline_s
-        self.listener_capacity = int(listener_capacity)
+        self.listener_capacity = _check_capacity(
+            "listener_capacity", listener_capacity
+        )
         self.silent_after = silent_after
         self.silent_policy = silent_policy
         self.fault_plan = fault_plan

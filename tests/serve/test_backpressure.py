@@ -16,6 +16,7 @@ import pytest
 
 from repro.sim import SimulationParameters
 from repro.serve import (
+    MAX_LISTENER_CAPACITY,
     CommandListener,
     DecisionService,
     EpochCommands,
@@ -64,9 +65,39 @@ def test_listener_push_never_blocks_without_consumer():
     assert listener.pending() == 1
 
 
+#: capacities a listener is refused, in process and on the wire: below
+#: one, above the bound, or not an integer
+BAD_CAPACITIES = {
+    "zero": 0,
+    "negative": -3,
+    "past-bound": MAX_LISTENER_CAPACITY + 1,
+    "huge": 10**12,
+    "float": 2.5,
+    "bool": True,
+    "string": "8",
+}
+
+
 def test_listener_capacity_validated():
-    with pytest.raises(ValueError):
-        CommandListener(capacity=0)
+    """Each bad capacity is refused by name, and a refused attach leaves
+    no listener behind."""
+    service = DecisionService()
+    for capacity in BAD_CAPACITIES.values():
+        with pytest.raises(ValueError, match="capacity"):
+            CommandListener(capacity=capacity)
+        with pytest.raises(ValueError, match="capacity"):
+            service.attach_listener(capacity)
+        with pytest.raises(ValueError, match="listener_capacity"):
+            DecisionService(listener_capacity=capacity)
+    assert service.n_listeners == 0
+
+
+def test_listener_capacity_bound_is_inclusive():
+    assert CommandListener(MAX_LISTENER_CAPACITY).capacity == (
+        MAX_LISTENER_CAPACITY
+    )
+    listener = DecisionService().attach_listener(np.int64(5))
+    assert type(listener.capacity) is int and listener.capacity == 5
 
 
 def test_slow_consumer_does_not_affect_decision_loop():
@@ -154,6 +185,39 @@ def test_tcp_listener_receives_commands_and_drop_counter():
             await server.stop()
 
     asyncio.run(run())
+
+
+@pytest.mark.parametrize("case", BAD_CAPACITIES)
+def test_wire_listen_capacity_refused_before_attaching(case):
+    """A refused ``listen`` gets an ``error`` reply naming the field,
+    no listener is attached, and the fleet keeps closing epochs."""
+    capacity = BAD_CAPACITIES[case]
+
+    async def run():
+        service = DecisionService()
+        server = ServeServer(service)
+        host, port = await server.start()
+        try:
+            feeder = await ServeClient(host, port).connect()
+            await feeder.subscribe(0)
+            watcher = await ServeClient(host, port).connect()
+            try:
+                with pytest.raises(ValueError, match="capacity"):
+                    await watcher.listen(capacity=capacity)
+                assert service.n_listeners == 0
+            finally:
+                await watcher.close()
+            for k in range(3):
+                await feeder.report(make_report(0, k))
+            stats = await feeder.stats()
+            await feeder.close()
+            return stats
+        finally:
+            await server.stop()
+
+    stats = asyncio.run(run())
+    assert stats["epochs_closed"] == 3
+    assert stats["commands_dropped"] == 0
 
 
 def test_listener_disconnect_does_not_stall_the_scheduler():
