@@ -16,17 +16,16 @@ sharded metrics merge to exactly the unsharded result.
 
 ``test_x13_blocks`` re-measures the floor below which
 ``PopulationSpec.run_metrics`` keeps a fleet range in one UE block:
-one block against two, in alternating rounds, at twice each FLC kind's
-floor (``MIN_BLOCK_UES`` for the exact ``reference`` kernel,
-``MIN_APPROX_BLOCK_UES`` for ``lut``) and for ``lut`` also at twice the
-exact floor, where it loses.  It asserts equal metrics bytes and
-records the ratios in ``BENCH_x13_blocks.json``; it asserts no speed
-ratio, because a second vCPU that another process holds makes two
-blocks lose without any change to the program.
+one block against two, in alternating rounds, at twice
+``MIN_BLOCK_UES`` on the ``lut`` and the ``reference`` FLC.  It asserts
+equal metrics bytes and records the ratios in
+``BENCH_x13_blocks.json``; it asserts no speed ratio, because a second
+vCPU that another process holds makes two blocks lose without any
+change to the program.
 
 Environment knobs: ``X13_FLEET_SIZE`` (default 2000), ``X13_SHARDS``
 (default 4), ``X13_WORKERS`` (default 4); ``X13_BLOCK_UES`` (UEs per
-block in every block case, default the shipped floors).
+block in every block case, default ``MIN_BLOCK_UES``).
 """
 
 import os
@@ -40,24 +39,14 @@ from conftest import run_measured, run_once, write_bench_artifact
 
 from repro import fanout
 from repro.sim import FleetSpec, SimulationParameters, population, run_fleet
-from repro.sim.population import MIN_APPROX_BLOCK_UES, MIN_BLOCK_UES
+from repro.sim.population import MIN_BLOCK_UES
 
 N = int(os.environ.get("X13_FLEET_SIZE", "2000"))
 SHARDS = int(os.environ.get("X13_SHARDS", "4"))
 WORKERS = int(os.environ.get("X13_WORKERS", "4"))
 N_ACCEPT = 2000     # the acceptance-criterion fleet size
-BLOCK_UES = int(os.environ.get("X13_BLOCK_UES", "0"))
+BLOCK_UES = int(os.environ.get("X13_BLOCK_UES", str(MIN_BLOCK_UES)))
 BLOCK_PAIRS = 10
-
-#: (FLC kernel, UEs per block) of every block case
-BLOCK_CASES = sorted({
-    (flc, BLOCK_UES or floor)
-    for flc, floor in (
-        ("reference", MIN_BLOCK_UES),
-        ("lut", MIN_BLOCK_UES),
-        ("lut", MIN_APPROX_BLOCK_UES),
-    )
-})
 
 PARAMS = SimulationParameters(n_walks=8)
 SPEC = FleetSpec(
@@ -134,21 +123,20 @@ def run_blocks(spec: FleetSpec, n_blocks: int) -> tuple[float, bytes]:
     """Seconds and metrics pickle of ``spec`` run as ``n_blocks`` UE
     blocks (one or two)."""
     floor = spec.n_ues + 1 if n_blocks == 1 else spec.n_ues // 2
-    with mock.patch.multiple(
-        population, MIN_BLOCK_UES=floor, MIN_APPROX_BLOCK_UES=floor
-    ), mock.patch.object(fanout, "usable_cpus", lambda: 2):
+    with mock.patch.object(population, "MIN_BLOCK_UES", floor), \
+            mock.patch.object(fanout, "usable_cpus", lambda: 2):
         t0 = time.perf_counter()
         metrics = run_fleet(spec, max_workers=1)
         return time.perf_counter() - t0, pickle.dumps(metrics)
 
 
 def test_x13_blocks():
-    """One UE block against two at twice each floor: identical bytes;
+    """One UE block against two at twice the floor: identical bytes;
     the speed ratios are recorded, not asserted."""
     cases = {}
-    for flc, per_block in BLOCK_CASES:
+    for flc in ("lut", "reference"):
         spec = FleetSpec(
-            n_ues=2 * per_block,
+            n_ues=2 * BLOCK_UES,
             base_seed=3100,
             params=SimulationParameters(flc_backend=flc),
         )
@@ -195,6 +183,6 @@ def test_x13_blocks():
         },
         usable_cpus=fanout.usable_cpus(),
         pairs=BLOCK_PAIRS,
-        floors={"exact": MIN_BLOCK_UES, "approximate": MIN_APPROX_BLOCK_UES},
+        min_block_ues=MIN_BLOCK_UES,
         cases=cases,
     )

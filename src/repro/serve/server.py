@@ -69,7 +69,7 @@ from .protocol import (
     typed_messages,
     write_frame,
 )
-from .service import DecisionService
+from .service import MAX_LISTENER_CAPACITY, DecisionService, check_capacity
 
 __all__ = ["ServeServer", "ServeClient", "DEADLINE_POLL_S"]
 
@@ -147,9 +147,12 @@ class ServeServer:
             while payloads := await frames.read_payloads():
                 listen = await self._dispatch(payloads, writer)
                 if listen is not None:
-                    listener = self.service.attach_listener(
-                        listen.get("capacity")
-                    )
+                    capacity = listen.get("capacity")
+                    if capacity is not None:
+                        capacity = check_capacity(
+                            "capacity", capacity, MAX_LISTENER_CAPACITY
+                        )
+                    listener = self.service.attach_listener(capacity)
                     await write_frame(writer, {"type": "ok"})
                     await self._drain_listener(listener, writer)
                     break

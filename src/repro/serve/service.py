@@ -17,6 +17,7 @@ slow consumer can never block or slow the decision loop.
 
 from __future__ import annotations
 
+import numbers
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -40,17 +41,21 @@ __all__ = [
     "ServiceStats",
     "DEFAULT_LISTENER_CAPACITY",
     "MAX_LISTENER_CAPACITY",
+    "check_capacity",
 ]
 
 #: Default bound on a listener's pending epoch batches.
 DEFAULT_LISTENER_CAPACITY = 256
 
-#: The largest capacity a listener may ask for, in epoch batches.  A
-#: consumer this far behind sheds instead: at the default 50 m spacing,
-#: 4,096 epochs is 205 km of one UE's travel, and the suite's longest
-#: keep-every-epoch replay needs a few hundred.  A pending batch costs
-#: about 128 bytes plus about 240 per command, so a full listener holds
-#: about 0.5 MiB plus about 1 MiB for each command an epoch emits.
+#: The largest capacity a wire ``listen`` request may ask for, in epoch
+#: batches.  A consumer this far behind sheds instead: at the default
+#: 50 m spacing, 4,096 epochs is 205 km of one UE's travel.  A pending
+#: batch costs about 128 bytes plus about 240 per command, so a full
+#: listener holds about 0.5 MiB plus about 1 MiB for each command an
+#: epoch emits.  In process (:class:`CommandListener`,
+#: :meth:`DecisionService.attach_listener`, ``listener_capacity``) any
+#: integer from 1 up is taken: a replay that keeps every epoch attaches
+#: ``max_epochs + 1``.
 MAX_LISTENER_CAPACITY = 4_096
 
 #: Cap on the retained per-epoch latency samples (the percentiles only
@@ -112,17 +117,22 @@ class EpochCommands:
     commands: tuple[HandoverCommand, ...]
 
 
-def _check_capacity(name: str, value: object) -> int:
+def check_capacity(
+    name: str, value: object, maximum: Optional[int] = None
+) -> int:
     """``value`` as a listener capacity: an integer (NumPy integers
-    included, ``bool`` not) from 1 to :data:`MAX_LISTENER_CAPACITY`.
-    Anything else raises a :class:`ValueError` naming ``name``."""
-    capacity = check_index(name, value)
-    if not 1 <= capacity <= MAX_LISTENER_CAPACITY:
-        raise ValueError(
-            f"{name} must be from 1 to {MAX_LISTENER_CAPACITY}, "
-            f"got {capacity}"
-        )
-    return capacity
+    included, ``bool`` not) of at least 1 and, if ``maximum`` is given,
+    at most ``maximum``.  Anything else raises a :class:`ValueError`
+    naming ``name`` and the allowed range."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < 1
+        or (maximum is not None and value > maximum)
+    ):
+        allowed = ">= 1" if maximum is None else f"from 1 to {maximum}"
+        raise ValueError(f"{name} must be an integer {allowed}, got {value!r}")
+    return int(value)
 
 
 class CommandListener:
@@ -133,10 +143,11 @@ class CommandListener:
     either poll :meth:`pop_all` (sync) or await :meth:`get_all`
     (asyncio) — the wakeup event binds to the running loop lazily, so
     the listener is usable from fully synchronous tests too.
+    ``capacity`` is any integer from 1 up.
     """
 
     def __init__(self, capacity: int = DEFAULT_LISTENER_CAPACITY) -> None:
-        self.capacity = _check_capacity("capacity", capacity)
+        self.capacity = check_capacity("capacity", capacity)
         self._queue: deque[EpochCommands] = deque()
         self.dropped = 0
         self.closed = False
@@ -205,7 +216,8 @@ class DecisionService:
         watchdog forces a close.  ``None`` closes on watermark (or
         explicit ``close_epoch``) only.
     listener_capacity:
-        Default bound for attached command listeners (at most
+        Default bound for attached command listeners: any integer from
+        1 up (only a wire ``listen`` request is held to
         :data:`MAX_LISTENER_CAPACITY`).
     silent_after / silent_policy:
         Degraded-mode serving.  When ``silent_after=M`` is set, a
@@ -268,7 +280,7 @@ class DecisionService:
         self.scheduler = EpochScheduler(ring_capacity=ring_capacity)
         self.stats = ServiceStats()
         self.epoch_deadline_s = epoch_deadline_s
-        self.listener_capacity = _check_capacity(
+        self.listener_capacity = check_capacity(
             "listener_capacity", listener_capacity
         )
         self.silent_after = silent_after
@@ -479,6 +491,10 @@ class DecisionService:
     def attach_listener(
         self, capacity: Optional[int] = None
     ) -> CommandListener:
+        """A new listener bounded at ``capacity`` pending epoch batches
+        (``listener_capacity`` if ``None``): any integer from 1 up; the
+        server holds a wire ``listen`` to
+        :data:`MAX_LISTENER_CAPACITY`."""
         listener = CommandListener(
             self.listener_capacity if capacity is None else capacity
         )

@@ -37,9 +37,8 @@ and measurement/simulation stay fully batched across the whole mixed
 fleet: per-cohort handover policies ride into the batch engine as
 per-UE columns (:meth:`PopulationSpec.ue_policies`), so a mixed-policy
 range is one vectorised pass, like a homogeneous one.  A range of at
-least twice :data:`MIN_BLOCK_UES` UEs (:data:`MIN_APPROX_BLOCK_UES` on
-an approximate FLC kernel) runs as contiguous UE blocks, one per thread
-of the process's fan-out budget, on threads
+least twice :data:`MIN_BLOCK_UES` UEs runs as contiguous UE blocks, one
+per thread of the process's fan-out budget, on threads
 (:meth:`PopulationSpec.run_metrics`).
 """
 
@@ -55,7 +54,7 @@ import numpy as np
 from .. import fanout
 from ..core.flc import HANDOVER_THRESHOLD
 from ..core.system import FuzzyHandoverSystem
-from ..fuzzy.compiled import flc_error_bound, flc_runs_own_threads
+from ..fuzzy.compiled import flc_runs_own_threads
 from ..mobility.base import TraceBatch
 from ..mobility.gauss_markov import GaussMarkov
 from ..mobility.manhattan import ManhattanGrid
@@ -88,37 +87,39 @@ __all__ = [
     "named_population",
     "partition_fleet",
     "MIN_BLOCK_UES",
-    "MIN_APPROX_BLOCK_UES",
 ]
 
 #: Fewest UEs per block when :meth:`PopulationSpec.run_metrics` splits a
-#: range over threads on an exact FLC kernel (``flc_error_bound(name) ==
-#: 0.0``, the default ``reference``).  Two blocks gain 1.1-1.3x, not 2x:
-#: per-UE seeding (walk draws, fading streams) and the epoch loop's many
-#: small NumPy calls hold the GIL, and the cheaper the FLC, the larger
-#: their share.  One block against two on 2 vCPUs, seconds per
-#: ``run_fleet``, medians of 10 alternating pairs (16 for ``urban_mix``;
-#: homogeneous fleets walk 10 legs, ``urban_mix`` fades at 6 dB on the
-#: reference FLC):
+#: range over threads, so with two usable CPUs a range splits from 4,000
+#: UEs on.  Two blocks gain 1.1-1.3x, not 2x: per-UE seeding (walk
+#: draws, fading streams) and the epoch loop's many small NumPy calls
+#: hold the GIL, and the cheaper the FLC kernel, the larger their share.
+#: One block against two on 2 vCPUs, seconds per ``run_fleet``, medians
+#: of alternating pairs, one row per series (homogeneous fleets walk 10
+#: legs; ``urban_mix`` fades at 6 dB on the reference FLC):
 #:
 #: ========================  =====  =====  =====  ========
 #: range                     one    two    ratio  two wins
 #: ========================  =====  =====  =====  ========
 #: ``lut``, 2,000 UEs        0.187  0.233  0.80x  0/10
 #: ``lut``, 4,000 UEs        0.339  0.372  0.91x  2/10
+#: ``lut``, 4,000 UEs        0.341  0.368  0.93x  4/16
+#: ``lut``, 4,000 UEs        0.317  0.319  0.99x  4/10
 #: ``lut``, 6,000 UEs        0.516  0.549  0.94x  5/10
 #: ``lut``, 8,000 UEs        0.685  0.590  1.16x  10/10
 #: ``reference``, 4,000 UEs  0.739  0.612  1.21x  9/10
+#: ``reference``, 4,000 UEs  0.711  0.550  1.29x  16/16
 #: ``urban_mix``, 4,000 UEs  0.540  0.486  1.11x  14/16
 #: ========================  =====  =====  =====  ========
 #:
+#: ``lut`` from 4,000 to 7,999 UEs reads 0.91-0.99x, a loss not
+#: established, and no benchmark workload runs there (``fleet_paper`` is
+#: 20,000 UEs on ``lut``), so one floor serves every FLC kernel.  Only
+#: two blocks were measured: on 4 or more CPUs, 8,000 UEs run as four
+#: blocks of 2,000, which is unverified.
 #: ``benchmarks/bench_x13_sharded_fleet.py -k blocks`` re-runs the
-#: ``lut`` and ``reference`` rows at twice each floor.
+#: 4,000-UE ``lut`` and ``reference`` rows.
 MIN_BLOCK_UES = 2000
-
-#: Fewest UEs per block on an approximate FLC kernel (``lut``): its
-#: crossover lies between 6,000 and 8,000 UEs (table above).
-MIN_APPROX_BLOCK_UES = 4000
 
 
 def partition_fleet(n_ues: int, n_shards: int) -> list[tuple[int, int]]:
@@ -650,9 +651,8 @@ class PopulationSpec:
         cohort's policy).
 
         The range runs as contiguous UE blocks, ``min(threads, n //
-        MIN_BLOCK_UES)`` of them (at least one; ``n //
-        MIN_APPROX_BLOCK_UES`` on an approximate FLC kernel), on the
-        threads of :func:`repro.fanout.fan_out` (``threads`` is its
+        MIN_BLOCK_UES)`` of them (at least one), on the threads of
+        :func:`repro.fanout.fan_out` (``threads`` is its
         :func:`~repro.fanout.thread_budget`).  A range whose pathloss or
         FLC kernel runs a thread pool of its own (numba) stays one
         block, and an ``"auto"`` pathloss kernel is resolved here, on
@@ -669,17 +669,15 @@ class PopulationSpec:
         if lo == hi:
             raise ValueError("cannot run an empty UE range")
         sampler = self.make_sampler()
-        n_blocks = min(fanout.thread_budget(), (hi - lo) // MIN_BLOCK_UES)
+        n_blocks = max(
+            1, min(fanout.thread_budget(), (hi - lo) // MIN_BLOCK_UES)
+        )
         if n_blocks > 1:
             flc = system if system is not None else self.make_system()
-            flc_backend = flc.resolved_flc_backend()
             if runs_own_threads(
                 sampler.propagation.backend
-            ) or flc_runs_own_threads(flc_backend):
+            ) or flc_runs_own_threads(flc.resolved_flc_backend()):
                 n_blocks = 1
-            elif flc_error_bound(flc_backend) > 0.0:
-                n_blocks = min(n_blocks, (hi - lo) // MIN_APPROX_BLOCK_UES)
-        n_blocks = max(1, n_blocks)
 
         def run_block(block: tuple[int, int]) -> FleetMetrics:
             b_lo, b_hi = block

@@ -65,38 +65,51 @@ def test_listener_push_never_blocks_without_consumer():
     assert listener.pending() == 1
 
 
-#: capacities a listener is refused, in process and on the wire: below
-#: one, above the bound, or not an integer
+#: capacities no listener takes, in process or on the wire: below one,
+#: or not an integer
 BAD_CAPACITIES = {
     "zero": 0,
     "negative": -3,
-    "past-bound": MAX_LISTENER_CAPACITY + 1,
-    "huge": 10**12,
     "float": 2.5,
     "bool": True,
     "string": "8",
 }
 
+#: capacities only a wire ``listen`` is refused
+PAST_BOUND_CAPACITIES = {
+    "past-bound": MAX_LISTENER_CAPACITY + 1,
+    "huge": 10**12,
+}
+
 
 def test_listener_capacity_validated():
-    """Each bad capacity is refused by name, and a refused attach leaves
-    no listener behind."""
+    """Each bad capacity is refused by name with the allowed range, and
+    a refused attach leaves no listener behind."""
     service = DecisionService()
     for capacity in BAD_CAPACITIES.values():
-        with pytest.raises(ValueError, match="capacity"):
+        with pytest.raises(ValueError, match="^capacity must be an integer >= 1"):
             CommandListener(capacity=capacity)
-        with pytest.raises(ValueError, match="capacity"):
+        with pytest.raises(ValueError, match="^capacity must be an integer >= 1"):
             service.attach_listener(capacity)
-        with pytest.raises(ValueError, match="listener_capacity"):
+        with pytest.raises(
+            ValueError, match="^listener_capacity must be an integer >= 1"
+        ):
             DecisionService(listener_capacity=capacity)
     assert service.n_listeners == 0
 
 
-def test_listener_capacity_bound_is_inclusive():
-    assert CommandListener(MAX_LISTENER_CAPACITY).capacity == (
-        MAX_LISTENER_CAPACITY
-    )
-    listener = DecisionService().attach_listener(np.int64(5))
+def test_in_process_listener_capacity_has_no_upper_bound():
+    """Only the wire holds a listener to ``MAX_LISTENER_CAPACITY``: in
+    process a replay that keeps every epoch attaches ``max_epochs + 1``,
+    whatever the trace's length."""
+    service = DecisionService(listener_capacity=MAX_LISTENER_CAPACITY + 1)
+    listener = service.attach_listener()
+    for epoch in range(MAX_LISTENER_CAPACITY + 1):
+        listener.push(EpochCommands(epoch=epoch, commands=()))
+    assert listener.dropped == 0
+    assert listener.pending() == MAX_LISTENER_CAPACITY + 1
+    assert service.attach_listener(10**12).capacity == 10**12
+    listener = service.attach_listener(np.int64(5))
     assert type(listener.capacity) is int and listener.capacity == 5
 
 
@@ -187,11 +200,18 @@ def test_tcp_listener_receives_commands_and_drop_counter():
     asyncio.run(run())
 
 
-@pytest.mark.parametrize("case", BAD_CAPACITIES)
+WIRE_BAD_CAPACITIES = {**BAD_CAPACITIES, **PAST_BOUND_CAPACITIES}
+
+
+@pytest.mark.parametrize("case", WIRE_BAD_CAPACITIES)
 def test_wire_listen_capacity_refused_before_attaching(case):
-    """A refused ``listen`` gets an ``error`` reply naming the field,
-    no listener is attached, and the fleet keeps closing epochs."""
-    capacity = BAD_CAPACITIES[case]
+    """A refused ``listen`` gets an ``error`` reply naming the field and
+    its range, no listener is attached, and the fleet keeps closing
+    epochs."""
+    capacity = WIRE_BAD_CAPACITIES[case]
+    refusal = (
+        f"capacity must be an integer from 1 to {MAX_LISTENER_CAPACITY}"
+    )
 
     async def run():
         service = DecisionService()
@@ -202,7 +222,7 @@ def test_wire_listen_capacity_refused_before_attaching(case):
             await feeder.subscribe(0)
             watcher = await ServeClient(host, port).connect()
             try:
-                with pytest.raises(ValueError, match="capacity"):
+                with pytest.raises(ValueError, match=refusal):
                     await watcher.listen(capacity=capacity)
                 assert service.n_listeners == 0
             finally:
@@ -218,6 +238,33 @@ def test_wire_listen_capacity_refused_before_attaching(case):
     stats = asyncio.run(run())
     assert stats["epochs_closed"] == 3
     assert stats["commands_dropped"] == 0
+
+
+def test_wire_listen_capacity_bound_is_inclusive():
+    async def run():
+        service = DecisionService()
+        attached = []
+        attach = service.attach_listener
+
+        def spy(capacity=None):
+            attached.append(attach(capacity))
+            return attached[-1]
+
+        service.attach_listener = spy
+        server = ServeServer(service)
+        host, port = await server.start()
+        try:
+            watcher = await ServeClient(host, port).connect()
+            await watcher.listen(capacity=MAX_LISTENER_CAPACITY)
+            await watcher.close()
+        finally:
+            await server.stop()
+        return attached
+
+    attached = asyncio.run(run())
+    assert [listener.capacity for listener in attached] == [
+        MAX_LISTENER_CAPACITY
+    ]
 
 
 def test_listener_disconnect_does_not_stall_the_scheduler():

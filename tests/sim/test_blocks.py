@@ -2,15 +2,14 @@
 
 :meth:`~repro.sim.population.PopulationSpec.run_metrics` runs a range
 as ``min(usable CPUs, n // MIN_BLOCK_UES)`` contiguous UE blocks
-(``n // MIN_APPROX_BLOCK_UES`` on an approximate FLC kernel) through
-:func:`repro.fanout.fan_out`.  Tests force a split at a small size by
-patching both floors to 1 and ``repro.fanout.usable_cpus`` to the block
-count, with ``max_workers=1`` so every shard runs in this process and
-sees the patches.  Every split must pickle exactly as the unsplit run,
-and the threads must share one LUT build, one ``auto`` kernel probe (on
-the caller) and at most one thread per usable CPU.  A range whose
-kernel runs a thread pool of its own (numba) stays one block.  The
-shipped floors are pinned on two CPUs, unpatched.
+through :func:`repro.fanout.fan_out`.  Tests force a split at a small
+size by patching ``MIN_BLOCK_UES`` to 1 and ``repro.fanout.usable_cpus``
+to the block count, with ``max_workers=1`` so every shard runs in this
+process and sees the patches.  Every split must pickle exactly as the
+unsplit run, and the threads must share one LUT build, one ``auto``
+kernel probe (on the caller) and at most one thread per usable CPU.  A
+range whose kernel runs a thread pool of its own (numba) stays one
+block.  The shipped floor is pinned on two CPUs, unpatched.
 """
 
 import pickle
@@ -45,9 +44,8 @@ pytestmark = pytest.mark.population
 @contextmanager
 def blocks(k):
     """Split every range of at least ``k`` UEs into ``k`` blocks."""
-    with mock.patch.multiple(
-        population, MIN_BLOCK_UES=1, MIN_APPROX_BLOCK_UES=1
-    ), mock.patch.object(fanout, "usable_cpus", lambda: k):
+    with mock.patch.object(population, "MIN_BLOCK_UES", 1), \
+            mock.patch.object(fanout, "usable_cpus", lambda: k):
         yield
 
 
@@ -265,18 +263,13 @@ def simulators(monkeypatch) -> list:
     return built
 
 
-#: FLC kernel -> the largest range that stays one block on two CPUs
-#: (exact kernels split from 4,000 UEs on, approximate ones from 8,000)
-ONE_BLOCK_UP_TO = {"reference": 3_999, "lut": 7_999}
-
-
-@pytest.mark.parametrize("flc", sorted(ONE_BLOCK_UP_TO))
+@pytest.mark.parametrize("flc", ["lut", "reference"])
 def test_the_shipped_floor_on_two_cpus(flc, monkeypatch):
-    last = ONE_BLOCK_UP_TO[flc]
-    half = (last + 1) // 2
+    """Whatever the FLC kernel, 3,999 UEs run as one block and 4,000 as
+    two."""
     monkeypatch.setattr(fanout, "usable_cpus", lambda: 2)
     built = simulators(monkeypatch)
-    for n_ues in (last, last + 1):
+    for n_ues in (3_999, 4_000):
         run_fleet(
             FleetSpec(
                 n_ues=n_ues, n_walks=1,
@@ -286,13 +279,14 @@ def test_the_shipped_floor_on_two_cpus(flc, monkeypatch):
             ),
             max_workers=1,
         )
-    assert built[0] == (0, last)
-    assert sorted(built[1:]) == [(0, half), (half, last + 1)]
+    assert built[0] == (0, 3_999)
+    assert sorted(built[1:]) == [(0, 2_000), (2_000, 4_000)]
 
 
 def test_a_4000_ue_urban_mix_splits_with_its_one_thread_bytes(monkeypatch):
-    """The smallest range an exact FLC kernel splits on two CPUs, three
-    cohorts with per-UE fading: two blocks, the one-thread bytes."""
+    """The smallest range that splits on two CPUs, three cohorts with
+    per-UE fading on the reference FLC: two blocks, the one-thread
+    bytes."""
     spec = FleetSpec.from_population(
         named_population(
             "urban_mix",

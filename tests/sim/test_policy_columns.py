@@ -155,9 +155,8 @@ def test_mixed_policies_match_each_policy_run_alone(
         measurement,
         AUTO_TILE_THRESHOLD=threshold,
         DEFAULT_TILE_EPOCHS=tile_epochs,
-    ), mock.patch.multiple(
-        sim_population, MIN_BLOCK_UES=1, MIN_APPROX_BLOCK_UES=1
-    ), mock.patch.object(fanout, "usable_cpus", lambda: blocks):
+    ), mock.patch.object(sim_population, "MIN_BLOCK_UES", 1), \
+            mock.patch.object(fanout, "usable_cpus", lambda: blocks):
         fleet = run_fleet(
             FleetSpec.from_population(population),
             n_shards=n_shards,
