@@ -91,7 +91,7 @@ __all__ = [
 
 #: Fewest UEs per block when :meth:`PopulationSpec.run_metrics` splits a
 #: range over threads, so with two usable CPUs a range splits from 4,000
-#: UEs on.  Two blocks gain 1.1-1.3x, not 2x: per-UE seeding (walk
+#: UEs on.  Two blocks gain 1.1-1.4x, not 2x: per-UE seeding (walk
 #: draws, fading streams) and the epoch loop's many small NumPy calls
 #: hold the GIL, and the cheaper the FLC kernel, the larger their share.
 #: One block against two on 2 vCPUs, seconds per ``run_fleet``, medians
@@ -105,14 +105,16 @@ __all__ = [
 #: ``lut``, 4,000 UEs        0.339  0.372  0.91x  2/10
 #: ``lut``, 4,000 UEs        0.341  0.368  0.93x  4/16
 #: ``lut``, 4,000 UEs        0.317  0.319  0.99x  4/10
+#: ``lut``, 4,000 UEs        0.313  0.302  1.04x  6/10
 #: ``lut``, 6,000 UEs        0.516  0.549  0.94x  5/10
 #: ``lut``, 8,000 UEs        0.685  0.590  1.16x  10/10
 #: ``reference``, 4,000 UEs  0.739  0.612  1.21x  9/10
 #: ``reference``, 4,000 UEs  0.711  0.550  1.29x  16/16
+#: ``reference``, 4,000 UEs  0.570  0.416  1.37x  10/10
 #: ``urban_mix``, 4,000 UEs  0.540  0.486  1.11x  14/16
 #: ========================  =====  =====  =====  ========
 #:
-#: ``lut`` from 4,000 to 7,999 UEs reads 0.91-0.99x, a loss not
+#: ``lut`` from 4,000 to 7,999 UEs reads 0.91-1.04x, a loss not
 #: established, and no benchmark workload runs there (``fleet_paper`` is
 #: 20,000 UEs on ``lut``), so one floor serves every FLC kernel.  Only
 #: two blocks were measured: on 4 or more CPUs, 8,000 UEs run as four
