@@ -1,22 +1,24 @@
 """X18 — epoch-tiled streaming measurement vs the materialized pipeline.
 
-The same fleet spec through ``run_fleet`` with the measurement pass
-materialized up front (the original pipeline) and streamed through
-``X18_TILE``-epoch tiles (16 by default).  The measurement layer picks
-the path from the workload size; :func:`tile_policy` forces each one by
-patching its threshold and tile size.  The streamed path keeps only the
-mobility arrays and one recycled ``(N, tile, cells)`` power buffer
-resident, so its peak footprint is O(N·tile·cells) in place of the
-materialized O(N·T·cells) power cube.
+The same fleet range, all N UEs as one block on the calling thread,
+measured two ways and run through the same batch engine: materialized
+up front (``MeasurementSampler.measure_batch``, the series full logs
+and recorded traces use) and streamed through ``X18_TILE``-epoch tiles
+(``measure_batch_tiles``, 16 by default, the path every fleet range
+takes).  The streamed path keeps only the mobility arrays and one
+recycled ``(N, tile, cells)`` power buffer resident, so its peak
+footprint is O(N·tile·cells) in place of the materialized O(N·T·cells)
+power cube.
 
 ``test_x18_streaming_memory_and_runtime`` is the ISSUE-7 acceptance
 check, asserted at the full N = 20000 × T ≈ 200 workload: peak traced
-memory at least 4× below the materialized path, end-to-end runtime no
-worse than 1.05× — and byte-identical ``FleetMetrics`` at every size.
-``test_x18_tile_identity`` pins the identity across 1-, 3- and
-64-epoch tiles against the size policy at a size every CI run affords.
-``test_x18_scale_datapoint`` records the repo's first N = 10^5 fleet
-run (tiny horizon, streamed) into the same ``BENCH_x18.json``.
+memory at least 4× below the materialized path, runtime no worse than
+1.05× — and byte-identical ``FleetMetrics`` at every size.
+``test_x18_tile_identity`` pins ``run_fleet`` across 1-, 3- and
+64-epoch tiles against the materialized range at a size every CI run
+affords.  ``test_x18_scale_datapoint`` records the repo's first
+N = 10^5 fleet run (tiny horizon, streamed) into the same
+``BENCH_x18.json``.
 ``test_x18_fading_bank_speedup`` times the fleet
 fading bank against one ``ShadowFadingStream`` per UE over the same
 tiles of min(N, 2000) fading UEs (median of 5 back-to-back pairs):
@@ -46,6 +48,7 @@ from repro.sim import (
     measurement,
     run_fleet,
 )
+from repro.sim.metrics import DEFAULT_OUTAGE_DBW, DEFAULT_WINDOW_KM
 
 N = int(os.environ.get("X18_FLEET_SIZE", "20000"))
 WALKS = int(os.environ.get("X18_WALKS", "17"))
@@ -64,16 +67,34 @@ SPEC = FleetSpec(n_ues=N, n_walks=WALKS, base_seed=3000, params=PARAMS)
 
 
 @contextmanager
-def tile_policy(k):
-    """Force the measurement layer's size policy: ``0`` materializes,
-    ``k >= 1`` streams ``k``-epoch tiles (in-process runs only: a
-    worker process would not see the patch)."""
-    with mock.patch.multiple(
-        measurement,
-        AUTO_TILE_THRESHOLD=float("inf") if k == 0 else 0,
-        DEFAULT_TILE_EPOCHS=k or measurement.DEFAULT_TILE_EPOCHS,
-    ):
+def tile_size(k):
+    """Stream ``k``-epoch tiles on every fleet range (in-process runs
+    only: a worker process would not see the patch)."""
+    with mock.patch.object(measurement, "DEFAULT_TILE_EPOCHS", k):
         yield
+
+
+def run_range(spec, tile_epochs):
+    """The fleet's metrics with all its UEs as one block on this
+    thread, as one block of ``run_fleet`` runs them: materialized for
+    ``tile_epochs == 0``, else streamed in ``tile_epochs``-epoch
+    tiles."""
+    population = spec.population
+    sampler = population.make_sampler()
+    traces = population.traces()
+    profiles = population.fading_profiles()
+    if tile_epochs:
+        source = sampler.measure_batch_tiles(
+            traces, tile_epochs, fading_profiles=profiles
+        )
+    else:
+        source = sampler.measure_batch(traces, fading_profiles=profiles)
+    metrics = population.simulator().run_metrics(
+        source, window_km=DEFAULT_WINDOW_KM, outage_dbw=DEFAULT_OUTAGE_DBW
+    )
+    return metrics.with_cohorts(
+        population.cohort_ids(), population.cohort_names
+    )
 
 
 def assert_identical_metrics(got, ref):
@@ -100,14 +121,14 @@ def assert_identical_metrics(got, ref):
 
 @pytest.mark.streaming
 def test_x18_tile_identity():
-    """Streaming is a memory choice, not a physics one: every tile
-    width reproduces the size policy's metrics bit-for-bit (asserted at
-    a size every CI run affords)."""
+    """Streaming is a memory choice, not a physics one: ``run_fleet``
+    at every tile width reproduces the materialized range's metrics
+    bit-for-bit (asserted at a size every CI run affords)."""
     params = SimulationParameters(n_walks=8)
     spec = FleetSpec(n_ues=32, n_walks=8, base_seed=3000, params=params)
-    ref = run_fleet(spec, n_shards=1)
+    ref = run_range(spec, 0)
     for k in (1, 3, 64):
-        with tile_policy(k):
+        with tile_size(k):
             got = run_fleet(spec, n_shards=1, max_workers=1)
         assert_identical_metrics(got, ref)
 
@@ -117,15 +138,8 @@ def test_x18_streaming_memory_and_runtime():
     """ISSUE-7 acceptance: >= 4x lower peak memory and <= 1.05x runtime
     vs the materialized pipeline at N = 20000 x T ~ 200, byte-identical
     metrics at every size."""
-    # the patches sit outside the traced calls, which run only run_fleet
-    with tile_policy(TILE):
-        streamed, t_streamed, mem_streamed = run_measured(
-            run_fleet, SPEC, n_shards=1, max_workers=1
-        )
-    with tile_policy(0):
-        materialized, t_mat, mem_mat = run_measured(
-            run_fleet, SPEC, n_shards=1, max_workers=1
-        )
+    streamed, t_streamed, mem_streamed = run_measured(run_range, SPEC, TILE)
+    materialized, t_mat, mem_mat = run_measured(run_range, SPEC, 0)
 
     # streaming must never change the physics, whatever the fleet size
     assert_identical_metrics(streamed, materialized)
@@ -177,7 +191,7 @@ def test_x18_scale_datapoint():
     spec = FleetSpec(
         n_ues=SCALE_UES, n_walks=SCALE_WALKS, base_seed=3000, params=params
     )
-    with tile_policy(TILE):
+    with tile_size(TILE):
         fleet, t, mem = run_measured(
             run_fleet, spec, n_shards=1, max_workers=1
         )
@@ -229,27 +243,26 @@ def test_x18_fading_bank_speedup():
     spec = FleetSpec(
         n_ues=FADING_UES, n_walks=WALKS, base_seed=3000, params=params
     )
-    batch = params.make_walk(WALKS).generate_batch_seeded(
-        spec.walk_seeds(0, FADING_UES)
-    )
+    batch = spec.population.traces()
     seeds = [spec.fading_base_seed + i for i in range(FADING_UES)]
     sampler = MeasurementSampler(
         params.make_layout(),
         params.make_propagation(),
         spacing_km=params.measurement_spacing_km,
-        fading=params.make_fading(),
-    )
-    plain_sampler = MeasurementSampler(
-        sampler.layout, sampler.propagation, spacing_km=sampler.spacing_km
     )
     cells = sampler.layout.n_cells
 
     def bank_pass():
-        tiled = sampler.measure_batch_tiles(batch, TILE, fading_rngs=seeds)
+        # fresh processes per pass: a pass consumes their generators
+        tiled = sampler.measure_batch_tiles(
+            batch,
+            TILE,
+            fading_profiles=[params.make_fading(rng=s) for s in seeds],
+        )
         return timed_pass(tiled.tiles())
 
     def stream_pass():
-        tiled = plain_sampler.measure_batch_tiles(batch, TILE)
+        tiled = sampler.measure_batch_tiles(batch, TILE)
         streams = [
             ShadowFadingStream(params.make_fading(rng=s)) for s in seeds
         ]

@@ -3,10 +3,12 @@
 
 Walks through the sharded fleet API layer by layer:
 
-1. describe a fleet as a picklable :class:`FleetSpec`;
-2. partition it into contiguous :class:`FleetShard` units;
-3. run shards individually (streaming metrics, O(shard) memory) and
-   merge them with :func:`merge_fleet_metrics`;
+1. describe a fleet as a picklable :class:`FleetSpec`, whose
+   population is the fleet;
+2. partition it into contiguous ``[lo, hi)`` UE ranges with
+   :func:`partition_fleet`;
+3. run each range through the population (streaming metrics, O(range)
+   memory) and merge them with :func:`merge_fleet_metrics`;
 4. let :func:`run_fleet` do all of that over serial or process
    executors — and verify the merged metrics are *bit-identical* to the
    unsharded batch engine.
@@ -25,6 +27,7 @@ from repro.sim import (
     compute_fleet_metrics,
     default_workers,
     merge_fleet_metrics,
+    partition_fleet,
     run_fleet,
 )
 
@@ -43,20 +46,22 @@ def main() -> None:
         speeds_kmh=(0.0, 20.0, 50.0),
         params=params,
     )
-    print(f"fleet spec : {spec.n_ues} UEs, seeds "
-          f"{spec.walk_seeds()[0]}..{spec.walk_seeds()[-1]}")
+    population = spec.population
+    seeds = population.walk_seeds()
+    print(f"fleet spec : {spec.n_ues} UEs, seeds {seeds[0]}..{seeds[-1]}")
     print()
 
     # ------------------------------------------------------------------
-    # 2. Partition into contiguous shards; each shard knows its global
-    #    UE range, so it can rebuild its slice of the fleet anywhere —
-    #    including in another process.
+    # 2. Partition into contiguous shards; a shard is a global UE range
+    #    of the population, so the population rebuilds its slice of the
+    #    fleet anywhere — including in another process.
     # ------------------------------------------------------------------
-    shards = spec.shard(4)
-    for shard in shards:
-        print(f"  shard [{shard.lo:2d}, {shard.hi:2d})  "
-              f"seeds {shard.walk_seeds()[0]}..{shard.walk_seeds()[-1]}  "
-              f"speeds {shard.ue_speeds()[:3]} ...")
+    shards = partition_fleet(spec.n_ues, 4)
+    for lo, hi in shards:
+        seeds = population.walk_seeds(lo, hi)
+        print(f"  shard [{lo:2d}, {hi:2d})  "
+              f"seeds {seeds[0]}..{seeds[-1]}  "
+              f"speeds {population.ue_speeds(lo, hi)[:3]} ...")
     print()
 
     # ------------------------------------------------------------------
@@ -64,7 +69,9 @@ def main() -> None:
     #    full histories) and merge.  The merge is exact — integer
     #    counters plus order-insensitive float reductions.
     # ------------------------------------------------------------------
-    merged = merge_fleet_metrics([shard.metrics() for shard in shards])
+    merged = merge_fleet_metrics(
+        [population.run_metrics(lo, hi) for lo, hi in shards]
+    )
     print(f"merged     : {merged.n_handovers} handovers, "
           f"{merged.n_ping_pongs} ping-pongs, "
           f"wrong-BS {merged.wrong_cell_fraction:.4f}")
@@ -73,7 +80,9 @@ def main() -> None:
     # 4. The unsharded reference: one BatchSimulator over the whole
     #    fleet, metrics computed post-hoc from the full log.
     # ------------------------------------------------------------------
-    unsharded = compute_fleet_metrics(spec.shard(1)[0].run())
+    unsharded = compute_fleet_metrics(
+        population.simulator().run(population.measure())
+    )
     print(f"unsharded  : {unsharded.n_handovers} handovers, "
           f"{unsharded.n_ping_pongs} ping-pongs, "
           f"wrong-BS {unsharded.wrong_cell_fraction:.4f}")

@@ -132,7 +132,7 @@ class KernelParams:
 
     Every field is a plain float so the bundle is hashable (JAX caches
     one compiled kernel per distinct params) and cheap to pickle along
-    with a :class:`~repro.sim.fleet.FleetShard`.
+    with a fleet task.
 
     Attributes
     ----------

@@ -1,9 +1,10 @@
 """Crash-safe checkpoint/resume for streaming fleet runs.
 
 :func:`run_fleet_checkpointed` drives any
-:class:`~repro.sim.fleet.FleetSpec` shard by shard through the
-epoch-tiled streaming engine, snapshotting resumable state into a
-checkpoint file at tile boundaries.  A run killed at *any* point — even
+:class:`~repro.sim.fleet.FleetSpec` shard by shard — each one
+:func:`~repro.sim.population.partition_fleet` range of its population —
+through the epoch-tiled streaming engine, snapshotting resumable state
+into a checkpoint file at tile boundaries.  A run killed at *any* point — even
 ``SIGKILL`` between checkpoints — resumes from the last snapshot and
 finishes **byte-identical** to the uninterrupted run, because every
 piece of state the epoch loop carries is captured exactly:
@@ -79,6 +80,7 @@ from typing import Optional, Union
 
 from ..sim.fleet import FleetSpec
 from ..sim.measurement import DEFAULT_TILE_EPOCHS
+from ..sim.population import partition_fleet
 from ..sim.metrics import (
     DEFAULT_OUTAGE_DBW,
     DEFAULT_WINDOW_KM,
@@ -212,7 +214,7 @@ def run_fleet_checkpointed(
     window = DEFAULT_WINDOW_KM if window_km is None else float(window_km)
     outage = DEFAULT_OUTAGE_DBW if outage_dbw is None else float(outage_dbw)
 
-    shards = spec.shard(n_shards)
+    shards = partition_fleet(spec.n_ues, n_shards)
     fingerprint = _fingerprint(spec, len(shards), window, outage, tile_epochs)
     path = checkpoint_path(checkpoint_dir)
 
@@ -243,7 +245,7 @@ def run_fleet_checkpointed(
     injector = (
         fault_plan.injector("checkpoint") if fault_plan is not None else None
     )
-    for idx, shard in enumerate(shards):
+    for idx, (lo, hi) in enumerate(shards):
         if idx in state["completed"]:
             continue
         resume = None
@@ -252,11 +254,11 @@ def run_fleet_checkpointed(
             resume = in_progress["snapshot"]
 
         stream = population.make_sampler().measure_batch_tiles(
-            population.traces(shard.lo, shard.hi),
+            population.traces(lo, hi),
             tile_epochs,
-            fading_profiles=population.fading_profiles(shard.lo, shard.hi),
+            fading_profiles=population.fading_profiles(lo, hi),
         )
-        sim = shard.simulator()
+        sim = population.simulator(lo, hi)
         boundaries = 0
 
         def on_tile_end(next_epoch, epoch_state):
@@ -292,7 +294,7 @@ def run_fleet_checkpointed(
             on_tile_end=on_tile_end,
         ).metrics.finalize()
         state["completed"][idx] = metrics.with_cohorts(
-            population.cohort_ids(shard.lo, shard.hi),
+            population.cohort_ids(lo, hi),
             population.cohort_names,
         )
         state["in_progress"] = None

@@ -10,7 +10,9 @@ Request messages (dicts with a ``"type"`` key):
 
 ``subscribe``
     ``{"type": "subscribe", "ue": 3, "speed_kmh": 30.0, "cohort":
-    "vehicular", "policy": {...}}`` — registers the UE; acked.
+    "vehicular", "policy": {...}}`` — registers the UE; acked.  A new
+    UE past :data:`MAX_WIRE_UES` registered UEs gets an ``error`` reply
+    and registers nothing; a known UE may always re-subscribe.
 ``report``
     a :class:`~repro.serve.protocol.Report` payload — **fire and
     forget**, no per-report ack (the hot path); verdict counters are
@@ -71,12 +73,24 @@ from .protocol import (
 )
 from .service import MAX_LISTENER_CAPACITY, DecisionService, check_capacity
 
-__all__ = ["ServeServer", "ServeClient", "DEADLINE_POLL_S"]
+__all__ = ["ServeServer", "ServeClient", "DEADLINE_POLL_S", "MAX_WIRE_UES"]
 
 logger = logging.getLogger("repro.serve")
 
 #: How often the deadline watchdog checks the current epoch's age.
 DEADLINE_POLL_S = 0.005
+
+#: The most UEs a server registers before a wire ``subscribe`` of a new
+#: id is refused.  An unsubscribe keeps the UE's engine row, so without
+#: a bound every fresh id grows the server by one row.  A registered UE
+#: measured about 410 bytes (480 with a cohort label and a policy, both
+#: kept per UE; more once a long CSSP lag widens every row), so the
+#: bound holds a server to about 41-48 MB of registrations.  It is a
+#: policy choice far above today's traffic: the ``serve_wire`` benchmark
+#: registers 300 fresh ids per repetition.  In process,
+#: :meth:`~repro.serve.service.DecisionService.subscribe` takes any
+#: number of UEs.
+MAX_WIRE_UES = 100_000
 
 
 class ServeServer:
@@ -191,8 +205,15 @@ class ServeServer:
                 self._submit(run)
                 run = []
                 if kind == "subscribe":
+                    ue = check_index("ue", message["ue"])
+                    engine = self.service.engine
+                    if not engine.knows(ue) and engine.n_ues >= MAX_WIRE_UES:
+                        raise ValueError(
+                            f"the server registers at most {MAX_WIRE_UES} "
+                            f"UEs (MAX_WIRE_UES); ue {ue} would be one more"
+                        )
                     self.service.subscribe(
-                        message["ue"],
+                        ue,
                         speed_kmh=message.get("speed_kmh", 0.0),
                         cohort=message.get("cohort"),
                         policy=message.get("policy"),

@@ -15,7 +15,6 @@ from .measurement import (
     MeasurementSeries,
     MeasurementTile,
     TiledBatchMeasurement,
-    auto_tile_epochs,
 )
 from .engine import HandoverEvent, SimulationResult, Simulator
 from .batch import BatchSimulationResult, BatchSimulator
@@ -42,12 +41,7 @@ from .executor import (
     default_workers,
     make_executor,
 )
-from .fleet import (
-    FleetShard,
-    FleetSpec,
-    partition_fleet,
-    run_fleet,
-)
+from .fleet import FleetSpec, partition_fleet, run_fleet
 from .distributed import (
     DistributedExecutionError,
     DistributedExecutor,
@@ -95,7 +89,6 @@ __all__ = [
     "BatchMeasurementSeries",
     "MeasurementTile",
     "TiledBatchMeasurement",
-    "auto_tile_epochs",
     "DEFAULT_TILE_EPOCHS",
     "Simulator",
     "SimulationResult",
@@ -128,7 +121,6 @@ __all__ = [
     "ProcessExecutor",
     "make_executor",
     "FleetSpec",
-    "FleetShard",
     "partition_fleet",
     "run_fleet",
     "DistributedExecutor",

@@ -371,8 +371,8 @@ class BatchSimulator:
         if isinstance(series, TiledBatchMeasurement):
             raise TypeError(
                 "run() materialises the full fleet log and requires a "
-                "BatchMeasurementSeries; drive a tile stream through "
-                "run_metrics() (or materialize() it first)"
+                "BatchMeasurementSeries (MeasurementSampler."
+                "measure_batch); drive a tile stream through run_metrics()"
             )
         recorder = _FleetLogRecorder(
             series, self._per_ue(self._speeds, series.n_ues)

@@ -7,8 +7,8 @@ contract over long-lived worker processes reached by TCP socket
 (``python -m repro worker --listen host:port``), so one
 :func:`~repro.sim.fleet.run_fleet` spans hosts.
 
-Correctness is inherited, not re-derived: a
-:class:`~repro.sim.fleet.FleetShard` is a self-contained picklable unit
+Correctness is inherited, not re-derived: a fleet task (a population
+and one ``[lo, hi)`` range of it) is a self-contained picklable unit
 seeded by *global* UE index, the :class:`~repro.sim.metrics.FleetMetrics`
 merge is exact and associative, and backend names (including ``"auto"``)
 resolve on the *executing* host — so the distributed run is
@@ -691,12 +691,16 @@ class _ApplicationError(Exception):
 
 
 def _describe_task(idx: int, item: object) -> str:
-    # a fleet task is (FleetShard, ...) — name its UE range outright
-    # rather than hoping the range survives repr truncation
+    # a fleet task is (population, (lo, hi), window, outage) — name its
+    # UE range outright rather than hoping it survives repr truncation
     parts = item if isinstance(item, tuple) else (item,)
     for part in parts:
-        lo, hi = getattr(part, "lo", None), getattr(part, "hi", None)
-        if isinstance(lo, int) and isinstance(hi, int):
+        if (
+            isinstance(part, tuple)
+            and len(part) == 2
+            and all(isinstance(v, int) for v in part)
+        ):
+            lo, hi = part
             return f"task {idx} (shard lo={lo}, hi={hi})"
     desc = repr(item)
     if len(desc) > 200:

@@ -10,7 +10,10 @@ the numbers the unsharded engine produces.
 Every fleet is a :class:`~repro.sim.population.PopulationSpec`: a
 :class:`FleetSpec` built from the homogeneous fields (the paper's one
 UE archetype) holds a single ``"default"`` cohort, and a shard is a
-``[lo, hi)`` slice of that population's global UE indices.
+``[lo, hi)`` range of that population's global UE indices
+(:func:`~repro.sim.population.partition_fleet`), run by
+:meth:`PopulationSpec.run_metrics
+<repro.sim.population.PopulationSpec.run_metrics>`.
 
 Sharding is *deterministic by construction*:
 
@@ -47,7 +50,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..core.system import FuzzyHandoverSystem
-from .batch import BatchSimulationResult, BatchSimulator
 from .config import (
     DEFAULT_BASE_SEED,
     DEFAULT_FADING_BASE_SEED,
@@ -55,7 +57,6 @@ from .config import (
     SimulationParameters,
 )
 from .executor import Executor, make_executor
-from .measurement import BatchMeasurementSeries
 from .metrics import (
     DEFAULT_OUTAGE_DBW,
     DEFAULT_WINDOW_KM,
@@ -66,7 +67,6 @@ from .population import PopulationSpec, partition_fleet, policy_system
 
 __all__ = [
     "FleetSpec",
-    "FleetShard",
     "partition_fleet",
     "run_fleet",
 ]
@@ -185,10 +185,6 @@ class FleetSpec:
         )
 
     # ------------------------------------------------------------------
-    def walk_seeds(self, lo: int = 0, hi: Optional[int] = None) -> list[int]:
-        """Walk seeds of UEs ``[lo, hi)`` (defaults: the whole fleet)."""
-        return self.population.walk_seeds(lo, hi)
-
     def ue_speeds(self, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
         """Speeds of UEs ``[lo, hi)`` from the population's cohort
         profiles, indexed by *global* UE index."""
@@ -199,98 +195,14 @@ class FleetSpec:
         inference backend included)."""
         return policy_system(None, self.params)
 
-    def shard(self, n_shards: int = 1) -> tuple["FleetShard", ...]:
-        """Split the fleet into contiguous per-worker shards."""
-        return tuple(
-            FleetShard(spec=self, lo=lo, hi=hi)
-            for lo, hi in partition_fleet(self.n_ues, n_shards)
-        )
 
-
-@dataclass(frozen=True)
-class FleetShard:
-    """UEs ``[lo, hi)`` of a :class:`FleetSpec` — a self-contained,
-    picklable unit of fleet work.
-
-    ``spec.shard(1)[0]`` is the whole (unsharded) fleet; any other
-    partition produces per-UE results bit-identical to it.
-    """
-
-    spec: FleetSpec
-    lo: int
-    hi: int
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.lo < self.hi <= self.spec.n_ues):
-            raise ValueError(
-                f"shard [{self.lo}, {self.hi}) out of range for "
-                f"{self.spec.n_ues} UEs"
-            )
-
-    @property
-    def n_ues(self) -> int:
-        return self.hi - self.lo
-
-    def walk_seeds(self) -> list[int]:
-        return self.spec.walk_seeds(self.lo, self.hi)
-
-    def ue_speeds(self) -> np.ndarray:
-        return self.spec.ue_speeds(self.lo, self.hi)
-
-    # ------------------------------------------------------------------
-    def measure(self) -> BatchMeasurementSeries:
-        """Generate and measure this shard's walks (grouped per-cohort
-        trace generation, per-UE fading profiles).
-
-        Per-UE measurements are bit-identical to the unsharded fleet's:
-        walks and fading streams are seeded by global UE index, and the
-        propagation kernel is element-wise per UE.
-        """
-        return self.spec.population.measure(self.lo, self.hi)
-
-    def simulator(
-        self, system: Optional[FuzzyHandoverSystem] = None
-    ) -> BatchSimulator:
-        """The batch engine for this shard's UEs: their speeds, each
-        under its cohort's policy — or every UE under ``system``."""
-        return self.spec.population.simulator(self.lo, self.hi, system)
-
-    def run(
-        self, system: Optional[FuzzyHandoverSystem] = None
-    ) -> BatchSimulationResult:
-        """Full simulation log of this shard (measure + simulate), each
-        UE under its cohort's policy (pass ``system`` to force one)."""
-        return self.simulator(system).run(self.measure())
-
-    def metrics(
-        self,
-        window_km: float = DEFAULT_WINDOW_KM,
-        system: Optional[FuzzyHandoverSystem] = None,
-        outage_dbw: float = DEFAULT_OUTAGE_DBW,
-    ) -> FleetMetrics:
-        """Streaming, cohort-labelled shard metrics — never
-        materialises the full log.
-
-        Vectorised passes over the shard, each UE under its cohort's
-        policy: one, or one per UE block on its own thread for a large
-        shard (:meth:`~repro.sim.population.PopulationSpec.
-        run_metrics`).  The measurement side follows the epoch-tile
-        policy (:func:`~repro.sim.measurement.auto_tile_epochs`), so
-        large shards stream their power cube tile by tile with
-        byte-identical metrics."""
-        return self.spec.population.run_metrics(
-            self.lo,
-            self.hi,
-            window_km=window_km,
-            outage_dbw=outage_dbw,
-            system=system,
-        )
-
-
-def _shard_metrics(task: tuple) -> FleetMetrics:
-    """Top-level worker (must be module-level to be picklable)."""
-    shard, window_km, outage_dbw = task
-    return shard.metrics(window_km, outage_dbw=outage_dbw)
+def _range_metrics(task: tuple) -> FleetMetrics:
+    """Top-level worker (must be module-level to be picklable): one
+    ``[lo, hi)`` range of a population."""
+    population, (lo, hi), window_km, outage_dbw = task
+    return population.run_metrics(
+        lo, hi, window_km=window_km, outage_dbw=outage_dbw
+    )
 
 
 def run_fleet(
@@ -314,10 +226,10 @@ def run_fleet(
     Pass ``executor`` to supply a pre-built backend instead of a worker
     count (the two are mutually exclusive), and ``outage_dbw`` to set
     the serving-power sensitivity below which an epoch counts as
-    outage.  The shards run on the kernels ``spec.params`` pins, and
-    each measures its UEs materialised or in epoch tiles by its own
-    size (:func:`~repro.sim.measurement.auto_tile_epochs`) — the same
-    metrics either way.
+    outage.  Each shard is one :func:`~repro.sim.population.
+    partition_fleet` range of ``spec.population``, run by
+    :meth:`~repro.sim.population.PopulationSpec.run_metrics` on the
+    kernels ``spec.params`` pins.
 
     ``hosts`` — ``"host:port"`` addresses of running ``repro worker``
     socket workers — runs the shards on the distributed backend
@@ -333,8 +245,8 @@ def run_fleet(
     instead of recompiling per task.
     """
     tasks = [
-        (shard, float(window_km), float(outage_dbw))
-        for shard in spec.shard(n_shards)
+        (spec.population, shard, float(window_km), float(outage_dbw))
+        for shard in partition_fleet(spec.n_ues, n_shards)
     ]
     if executor is None:
         executor = make_executor(max_workers, n_tasks=len(tasks), hosts=hosts)
@@ -342,4 +254,4 @@ def run_fleet(
         raise ValueError(
             "pass either executor or max_workers/hosts, not both"
         )
-    return merge_fleet_metrics(executor.map(_shard_metrics, tasks))
+    return merge_fleet_metrics(executor.map(_range_metrics, tasks))

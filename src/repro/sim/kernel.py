@@ -55,8 +55,12 @@ def speed_penalties(speed_kmh) -> np.ndarray:
 
     The one place a UE speed is validated: NaN or infinite speeds would
     turn the FLC's SSN input into NaN/-inf, and negative ones have no
-    penalty.
+    penalty.  Strings and booleans are refused rather than converted.
     """
+    raw = np.asarray(speed_kmh)
+    if raw.dtype.kind in "bSU":
+        got = repr(speed_kmh) if raw.ndim == 0 else f"dtype {raw.dtype}"
+        raise ValueError(f"speed_kmh must be a real number, got {got}")
     try:
         speeds = np.atleast_1d(np.asarray(speed_kmh, dtype=float))
     except OverflowError:

@@ -14,18 +14,15 @@ measure_batch_tiles` instead produces a :class:`TiledBatchMeasurement`
 still walking, a bounded chunk of rows per call, and continue the
 fleet's fading on demand, into one recycled ``(n_ues, tile_epochs,
 n_cells)`` buffer — byte-identical to the materialised path, padding
-included (pinned by the streaming test suite).  The one tile policy is
-:func:`auto_tile_epochs`: a fleet materialises while its power cube is
-small and streams :data:`DEFAULT_TILE_EPOCHS`-epoch tiles above
-:data:`AUTO_TILE_THRESHOLD` entries; each UE block of a fleet range
-decides it from the range's size and its own longest walk and measures
-its densified walks through :meth:`MeasurementSampler.measure_dense`.
+included (pinned by the streaming test suite).  Every fleet range
+streams :data:`DEFAULT_TILE_EPOCHS`-epoch tiles; the materialised
+:meth:`MeasurementSampler.measure_batch` serves full logs, recorded
+traces and the oracles.
 
 Every batch path fades through one
-:class:`~repro.radio.fading.FadingBank` over per-UE processes, so the
-materialised series, the tile stream and a checkpoint resume all draw
-the same values.  Batch fading needs one process per UE
-(``fading_rngs`` or ``fading_profiles``); a sampler's single shared
+:class:`~repro.radio.fading.FadingBank` over per-UE processes
+(``fading_profiles``), so the materialised series, the tile stream and
+a checkpoint resume all draw the same values; a sampler's single shared
 process is refused.
 """
 
@@ -33,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -48,22 +45,17 @@ __all__ = [
     "MeasurementSampler",
     "MeasurementTile",
     "TiledBatchMeasurement",
-    "auto_tile_epochs",
     "DEFAULT_TILE_EPOCHS",
 ]
 
 Cell = tuple[int, int]
 
-#: Tile size the auto heuristic streams with.  Small enough that the
-#: per-tile power buffer stays a fraction of the resident positions /
-#: distance arrays, large enough that per-tile Python overhead is noise.
+#: Tile size every fleet range streams with (read at call time, so a
+#: test may patch it to get tiles at a small size).  Small enough that
+#: the per-tile power buffer stays a fraction of the resident positions
+#: / distance arrays, large enough that per-tile Python overhead is
+#: noise.
 DEFAULT_TILE_EPOCHS = 16
-
-#: Auto heuristic cut-over: power cubes up to this many float64 entries
-#: (~32 MB) are cheaper to materialise than to stream.  Tests that need
-#: tiles at a small size patch it and :data:`DEFAULT_TILE_EPOCHS`
-#: (``0`` forces tiles, ``float("inf")`` the materialised path).
-AUTO_TILE_THRESHOLD = 4_000_000
 
 #: Live UE rows per pathloss call when a tile is filled: the kernel's
 #: output beside the recycled tile buffer stays one chunk, not a tile.
@@ -79,15 +71,6 @@ def _fading_bank(
         return None
     bank = FadingBank(profiles, n_cells)
     return bank if len(bank) else None
-
-
-def auto_tile_epochs(n_ues: int, max_epochs: int, n_cells: int) -> int:
-    """The auto policy's tile size for a workload: ``0`` (materialise)
-    when the full power cube is small, :data:`DEFAULT_TILE_EPOCHS`
-    otherwise."""
-    if n_ues * max_epochs * n_cells <= AUTO_TILE_THRESHOLD:
-        return 0
-    return min(DEFAULT_TILE_EPOCHS, max_epochs)
 
 
 @dataclass(frozen=True)
@@ -466,23 +449,6 @@ class TiledBatchMeasurement:
                 power_dbw=buf,
             )
 
-    def materialize(self) -> BatchMeasurementSeries:
-        """Assemble the full :class:`BatchMeasurementSeries` from the
-        tile stream (reference/debug path — reinstates the O(N·T·cells)
-        cube the stream exists to avoid)."""
-        power = np.empty(
-            (self.n_ues, self.max_epochs, self.layout.n_cells)
-        )
-        for t in self.tiles():
-            power[:, t.start : t.stop] = t.power_dbw
-        return BatchMeasurementSeries(
-            positions_km=self.positions_km,
-            distance_km=self.distance_km,
-            power_dbw=power,
-            lengths=self.lengths,
-            layout=self.layout,
-        )
-
     def __repr__(self) -> str:
         return (
             f"TiledBatchMeasurement(n_ues={self.n_ues}, "
@@ -505,9 +471,10 @@ class MeasurementSampler:
         Measurement-epoch spacing along the walk.
     fading:
         Optional shadowing process; one independent correlated process
-        per BS.  ``None`` gives noise-free measurements.  :meth:`measure`
-        draws from it directly; the batch paths take its sigma and
-        decorrelation for one process per UE (``fading_rngs``).
+        per BS.  ``None`` gives noise-free measurements.  Only
+        :meth:`measure` draws from it; the batch paths take one process
+        per UE (``fading_profiles``) and refuse a fading sampler without
+        them.
 
     The pathloss kernel is the propagation model's own pin
     (:meth:`~repro.radio.propagation.PropagationModel.with_backend`).
@@ -551,53 +518,26 @@ class MeasurementSampler:
     def measure_batch(
         self,
         batch: TraceBatch,
-        fading_rngs: Optional[
-            Sequence[Union[int, np.random.Generator, None]]
-        ] = None,
         fading_profiles: Optional[Sequence[Optional[ShadowFading]]] = None,
     ) -> BatchMeasurementSeries:
-        """Sample a whole fleet of traces in one vectorised pass.
+        """Sample a whole fleet of traces into the materialised series.
 
         The fleet is densified at once (exactly the scalar float ops),
         then *all* UEs' positions go through a single propagation kernel
         and every fading UE through one
-        :class:`~repro.radio.fading.FadingBank`.
+        :class:`~repro.radio.fading.FadingBank` over the whole horizon.
 
-        Parameters
-        ----------
-        batch:
-            The fleet's traces.
-        fading_rngs:
-            Per-UE fading seeds/generators, required when this sampler
-            carries a fading process: each UE gets an independent
-            :class:`ShadowFading` with the same ``sigma``/decorrelation,
-            so UE ``i``'s measurements are bit-identical to a scalar
-            :meth:`measure` with that rng.  The sampler's own process is
-            never drawn from here; without ``fading_rngs`` (or
-            ``fading_profiles``) a fading sampler is refused.
-        fading_profiles:
-            Optional per-UE fading *vector* (the heterogeneous-population
-            path): one self-contained :class:`ShadowFading` — or ``None``
-            for a noise-free UE — per trace.  Overrides the sampler's own
-            fading process entirely, so cohorts may mix sigmas and
-            decorrelation lengths within one batch.  Mutually exclusive
-            with ``fading_rngs``.
+        ``fading_profiles`` is the per-UE fading vector: one
+        self-contained :class:`ShadowFading` — or ``None`` for a
+        noise-free UE — per trace, so cohorts may mix sigmas and
+        decorrelation lengths within one batch.  UE ``i``'s
+        measurements are bit-identical to a scalar :meth:`measure` on a
+        sampler fading with ``fading_profiles[i]``.
         """
         dense = batch.densify(self.spacing_km)
-        return self._materialised(
-            dense,
-            self._fading_profiles_for(dense, fading_rngs, fading_profiles),
+        bank = _fading_bank(
+            self._profiles(dense, fading_profiles), self.layout.n_cells
         )
-
-    def _materialised(
-        self,
-        dense: TraceBatch,
-        profiles: Optional[list[Optional[ShadowFading]]],
-    ) -> BatchMeasurementSeries:
-        """The materialised series of an already-densified batch: one
-        pathloss call over the whole cube, then the fading bank over
-        the whole horizon."""
-        bank = _fading_bank(profiles, self.layout.n_cells)
         power = self.propagation.power_from_sites_batch(
             self.layout.bs_positions, dense.positions
         )
@@ -612,84 +552,23 @@ class MeasurementSampler:
             layout=self.layout,
         )
 
-    def _fading_profiles_for(
+    def measure_batch_tiles(
         self,
-        dense: TraceBatch,
-        fading_rngs,
-        fading_profiles,
-    ) -> Optional[list[Optional[ShadowFading]]]:
-        """Validate the fading arguments and normalise them into the
-        per-UE profile vector every batch path hands to its
-        :class:`~repro.radio.fading.FadingBank` (``None``: no UE fades).
-
-        ``fading_profiles`` is taken as given; ``fading_rngs`` become
-        one copy of the sampler's process per UE (construction draws
-        nothing).  A fading sampler without either is refused: its one
-        process would be shared by every UE, whose draws then depend on
-        the order UEs are visited in."""
-        if fading_rngs is not None and fading_profiles is not None:
-            raise ValueError(
-                "pass either fading_rngs or fading_profiles, not both"
-            )
-        if fading_rngs is None:
-            return self._given_profiles(
-                dense,
-                fading_profiles,
-                "fading_rngs (one seed or Generator per UE) or per-UE "
-                "fading_profiles",
-            )
-        # fail loudly rather than silently measuring noise-free
-        if not self._fades():
-            raise ValueError(
-                "fading_rngs given but this sampler has no fading "
-                "process to consume them"
-            )
-        if len(fading_rngs) != dense.n_traces:
-            raise ValueError(
-                f"{dense.n_traces} traces but {len(fading_rngs)} "
-                "fading rngs"
-            )
-        return [
-            ShadowFading(
-                sigma_db=self.fading.sigma_db,
-                decorrelation_km=self.fading.decorrelation_km,
-                rng=rng,
-            )
-            for rng in fading_rngs
-        ]
-
-    def _fades(self) -> bool:
-        return self.fading is not None and self.fading.sigma_db > 0.0
-
-    def _given_profiles(
-        self,
-        dense: TraceBatch,
-        fading_profiles: Optional[Sequence[Optional[ShadowFading]]],
-        wanted: str,
-    ) -> Optional[list[Optional[ShadowFading]]]:
-        """``fading_profiles`` checked against the batch; without them a
-        fading sampler is refused, naming ``wanted`` — the fading
-        arguments of the method that was called."""
-        if fading_profiles is not None:
-            if len(fading_profiles) != dense.n_traces:
-                raise ValueError(
-                    f"{dense.n_traces} traces but {len(fading_profiles)} "
-                    "fading profiles"
-                )
-            return list(fading_profiles)
-        if self._fades():
-            raise ValueError(
-                f"this sampler fades, so batch measurement needs {wanted}; "
-                "one process shared by every UE is not supported"
-            )
-        return None
-
-    def _tiled(
-        self,
-        dense: TraceBatch,
-        profiles: Optional[list[Optional[ShadowFading]]],
-        tile_epochs: int,
+        batch: TraceBatch,
+        tile_epochs: int = DEFAULT_TILE_EPOCHS,
+        fading_profiles: Optional[Sequence[Optional[ShadowFading]]] = None,
     ) -> TiledBatchMeasurement:
+        """The epoch-tiled streaming counterpart of :meth:`measure_batch`.
+
+        Mobility is densified once (positions and cumulative distances
+        stay resident); the power cube is generated in ``tile_epochs``
+        tiles (at least 1; at most the horizon) as the returned
+        :class:`TiledBatchMeasurement` is consumed — byte-identical per
+        UE to the materialised path, at O(N·tile_epochs·cells) peak
+        memory in the power term.  Fading takes the same per-UE
+        ``fading_profiles`` as :meth:`measure_batch`.
+        """
+        dense = batch.densify(self.spacing_km)
         return TiledBatchMeasurement(
             positions_km=dense.positions,
             distance_km=dense.cumulative_distances(),
@@ -697,55 +576,32 @@ class MeasurementSampler:
             layout=self.layout,
             propagation=self.propagation,
             tile_epochs=min(tile_epochs, dense.max_points),
-            fading_profiles=profiles,
+            fading_profiles=self._profiles(dense, fading_profiles),
         )
 
-    def measure_batch_tiles(
-        self,
-        batch: TraceBatch,
-        tile_epochs: int = DEFAULT_TILE_EPOCHS,
-        fading_rngs: Optional[
-            Sequence[Union[int, np.random.Generator, None]]
-        ] = None,
-        fading_profiles: Optional[Sequence[Optional[ShadowFading]]] = None,
-    ) -> TiledBatchMeasurement:
-        """The epoch-tiled streaming counterpart of :meth:`measure_batch`.
-
-        Mobility is densified once (positions and cumulative distances
-        stay resident); the power cube is generated in ``tile_epochs``
-        tiles (at least 1) as the returned
-        :class:`TiledBatchMeasurement` is consumed — byte-identical per
-        UE to the materialised path, at O(N·tile_epochs·cells) peak
-        memory in the power term.  Fading takes the same per-UE
-        arguments as :meth:`measure_batch`.
-        """
-        dense = batch.densify(self.spacing_km)
-        profiles = self._fading_profiles_for(
-            dense, fading_rngs, fading_profiles
-        )
-        return self._tiled(dense, profiles, tile_epochs)
-
-    def measure_dense(
+    def _profiles(
         self,
         dense: TraceBatch,
-        tile_epochs: int,
-        fading_profiles: Optional[Sequence[Optional[ShadowFading]]] = None,
-    ) -> Union[BatchMeasurementSeries, TiledBatchMeasurement]:
-        """Measure walks already densified at this sampler's spacing:
-        the materialised :class:`BatchMeasurementSeries` for
-        ``tile_epochs == 0``, else a :class:`TiledBatchMeasurement` of
-        ``tile_epochs``-epoch tiles (the two answers of
-        :func:`auto_tile_epochs`).  Both are accepted directly by
-        :meth:`repro.sim.batch.BatchSimulator.run_metrics` and produce
-        byte-identical metrics.  A fading sampler needs per-UE
-        ``fading_profiles``.
-        """
-        profiles = self._given_profiles(
-            dense, fading_profiles, "per-UE fading_profiles"
-        )
-        if tile_epochs == 0:
-            return self._materialised(dense, profiles)
-        return self._tiled(dense, profiles, tile_epochs)
+        fading_profiles: Optional[Sequence[Optional[ShadowFading]]],
+    ) -> Optional[list[Optional[ShadowFading]]]:
+        """``fading_profiles`` checked against the batch.  Without them
+        a fading sampler is refused: its one process would be shared by
+        every UE, whose draws then depend on the order UEs are visited
+        in."""
+        if fading_profiles is not None:
+            if len(fading_profiles) != dense.n_traces:
+                raise ValueError(
+                    f"{dense.n_traces} traces but {len(fading_profiles)} "
+                    "fading profiles"
+                )
+            return list(fading_profiles)
+        if self.fading is not None and self.fading.sigma_db > 0.0:
+            raise ValueError(
+                "this sampler fades, so batch measurement needs per-UE "
+                "fading_profiles; one process shared by every UE is not "
+                "supported"
+            )
+        return None
 
     def measure_points(self, points_km: np.ndarray) -> np.ndarray:
         """Power matrix for isolated points (no fading, no path order).

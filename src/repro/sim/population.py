@@ -29,7 +29,9 @@ is the single-cohort population :meth:`PopulationSpec.homogeneous`
 (walk seeds ``base_seed + i``, the speed cycle indexed by global
 position, fading streams ``fading_base_seed + i``); every
 :class:`~repro.sim.fleet.FleetSpec` runs through this layer, and a
-scalar-engine oracle in the test suite pins that seeding.
+scalar-engine oracle in the test suite pins that seeding.  A shard is a
+``[lo, hi)`` range of the population (:func:`partition_fleet`), run by
+:meth:`PopulationSpec.run_metrics`.
 
 Trace generation is grouped per cohort model (one
 ``generate_batch_seeded`` call per cohort where the model provides it),
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -67,11 +70,8 @@ from .config import (
     DEFAULT_FADING_BASE_SEED,
     SimulationParameters,
 )
-from .measurement import (
-    BatchMeasurementSeries,
-    MeasurementSampler,
-    auto_tile_epochs,
-)
+from . import measurement
+from .measurement import BatchMeasurementSeries, MeasurementSampler
 from .metrics import (
     DEFAULT_OUTAGE_DBW,
     DEFAULT_WINDOW_KM,
@@ -173,6 +173,15 @@ class PolicyConfig:
     cssp_lag: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("threshold", "potlc_gate_dbw"):
+            value = getattr(self, name)
+            # a string or a boolean is refused, not compared or coerced
+            if isinstance(value, (bool, np.bool_)) or not isinstance(
+                value, numbers.Real
+            ):
+                raise ValueError(
+                    f"{name} must be a real number, got {value!r}"
+                )
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(
                 f"threshold must be in (0, 1), got {self.threshold!r}"
@@ -618,17 +627,14 @@ class PopulationSpec:
         return policy_system(policy, self.params)
 
     def simulator(
-        self,
-        lo: int = 0,
-        hi: Optional[int] = None,
-        system: Optional[FuzzyHandoverSystem] = None,
+        self, lo: int = 0, hi: Optional[int] = None
     ) -> BatchSimulator:
         """The batch engine for UEs ``[lo, hi)``, each under its
-        cohort's policy (every UE under ``system`` when given)."""
+        cohort's policy."""
         return BatchSimulator(
-            system if system is not None else self.make_system(),
+            self.make_system(),
             speed_kmh=self.ue_speeds(lo, hi),
-            policies=self.ue_policies(lo, hi) if system is None else None,
+            policies=self.ue_policies(lo, hi),
         )
 
     def measure(
@@ -646,11 +652,9 @@ class PopulationSpec:
         hi: Optional[int] = None,
         window_km: float = DEFAULT_WINDOW_KM,
         outage_dbw: float = DEFAULT_OUTAGE_DBW,
-        system: Optional[FuzzyHandoverSystem] = None,
     ) -> FleetMetrics:
         """Streaming cohort-labelled metrics of UEs ``[lo, hi)``, every
-        UE under its cohort's policy (pass ``system`` to override every
-        cohort's policy).
+        UE under its cohort's policy.
 
         The range runs as contiguous UE blocks, ``min(threads, n //
         MIN_BLOCK_UES)`` of them (at least one), on the threads of
@@ -658,39 +662,35 @@ class PopulationSpec:
         :func:`~repro.fanout.thread_budget`).  A range whose pathloss or
         FLC kernel runs a thread pool of its own (numba) stays one
         block, and an ``"auto"`` pathloss kernel is resolved here, on
-        the caller.  Each block generates, densifies and measures its
-        own walks, materialised or tiled by
-        :func:`~repro.sim.measurement.auto_tile_epochs` of the range's
-        size and the block's longest walk (so the materialised blocks'
-        power cubes add up to at most what the range may hold), and
-        drives its own simulator.  Every UE is seeded by global index
-        and stepped on its own, so the blocks' metrics merge to exactly
-        the one-block bytes, as shards do.
+        the caller.  Each block generates and measures its own walks,
+        streamed in :data:`~repro.sim.measurement.DEFAULT_TILE_EPOCHS`
+        -epoch tiles (read at call time), and drives its own simulator.
+        Every UE is seeded by global index and stepped on its own, so
+        the blocks' metrics merge to exactly the one-block bytes, as
+        shards do.
         """
         lo, hi = self._range(lo, hi)
         if lo == hi:
             raise ValueError("cannot run an empty UE range")
         sampler = self.make_sampler()
+        tile_epochs = measurement.DEFAULT_TILE_EPOCHS
         n_blocks = max(
             1, min(fanout.thread_budget(), (hi - lo) // MIN_BLOCK_UES)
         )
-        if n_blocks > 1:
-            flc = system if system is not None else self.make_system()
-            if runs_own_threads(
-                sampler.propagation.backend
-            ) or flc_runs_own_threads(flc.resolved_flc_backend()):
-                n_blocks = 1
+        if n_blocks > 1 and (
+            runs_own_threads(sampler.propagation.backend)
+            or flc_runs_own_threads(self.make_system().resolved_flc_backend())
+        ):
+            n_blocks = 1
 
         def run_block(block: tuple[int, int]) -> FleetMetrics:
             b_lo, b_hi = block
-            dense = self.traces(b_lo, b_hi).densify(sampler.spacing_km)
-            tile_epochs = auto_tile_epochs(
-                hi - lo, dense.max_points, sampler.layout.n_cells
+            source = sampler.measure_batch_tiles(
+                self.traces(b_lo, b_hi),
+                tile_epochs,
+                fading_profiles=self.fading_profiles(b_lo, b_hi),
             )
-            source = sampler.measure_dense(
-                dense, tile_epochs, self.fading_profiles(b_lo, b_hi)
-            )
-            return self.simulator(b_lo, b_hi, system).run_metrics(
+            return self.simulator(b_lo, b_hi).run_metrics(
                 source, window_km=window_km, outage_dbw=outage_dbw
             )
 

@@ -13,7 +13,7 @@ sequence and policy), and the ``serve`` test suite pins it.
 
 Traces are recorded from a :class:`~repro.sim.fleet.FleetSpec` or a
 :class:`~repro.sim.population.PopulationSpec` via :meth:`FleetTrace.
-record` (the measurement pass is exactly ``FleetShard.measure()``, so a
+record` (the measurement pass is exactly ``PopulationSpec.measure()``, so a
 recorded trace equals the arrays an offline run would see, and carries
 the population's cohort labels — ``("default",)`` for a homogeneous
 fleet), or wrapped around an existing

@@ -237,7 +237,7 @@ class TestAutoProbe:
             fastest_backend(candidates=())
 
     def test_auto_threads_through_fleet_shard(self, monkeypatch):
-        # a FleetShard pinned to "auto" resolves on the executing host;
+        # a fleet shard pinned to "auto" resolves on the executing host;
         # pin the probe's answer so the assertion is backend-agnostic
         import repro.radio.backends as B
 

@@ -24,6 +24,7 @@ from repro.sim import (
     FleetSpec,
     PopulationSpec,
     SimulationParameters,
+    partition_fleet,
     run_fleet,
 )
 from repro.sim.population import POPULATION_MIXES
@@ -104,8 +105,8 @@ def test_urban_crash_then_resume_is_byte_identical(
     with pytest.raises(SimulatedCrash):
         run(spec, tmp_path, n_shards, fault_plan=CRASH_AT_SECOND_CHECKPOINT)
     in_progress = load_checkpoint(tmp_path)["in_progress"]
-    shard = spec.shard(n_shards)[in_progress["shard"]]
-    profiles = spec.population.fading_profiles(shard.lo, shard.hi)
+    lo, hi = partition_fleet(spec.n_ues, n_shards)[in_progress["shard"]]
+    profiles = spec.population.fading_profiles(lo, hi)
     fading_state = in_progress["snapshot"]["fading_state"]
     # one entry per UE of the shard, None exactly where it does not fade
     assert [entry is None for entry in fading_state] == [

@@ -4,9 +4,12 @@ A subscribe's CSSP lag widens every UE's CSSP history row to the
 longest lag so far, so a lag past :data:`MAX_CSSP_LAG` is refused by
 name before anything is registered or allocated.  A cohort label must
 be a string (or absent): the metrics sort the labels, and one label of
-another type would break every later ``metrics`` request.  Both
-refusals are a ``ValueError`` in process and an ``error`` reply on the
-wire, and the UEs that behave keep closing their epochs.
+another type would break every later ``metrics`` request.  The speed,
+threshold and POTLC gate must be real numbers: a string or a boolean
+is refused, not converted.  Every refusal is a ``ValueError`` in process
+and an ``error`` reply on the wire, and the UEs that behave keep
+closing their epochs.  Over the wire a server registers at most
+:data:`~repro.serve.server.MAX_WIRE_UES` UEs; in process any number.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.serve import DecisionService, Report, ServeClient, ServeServer
+from repro.serve import server as serve_server
 from repro.serve.engine import MAX_CSSP_LAG
 from repro.sim import PolicyConfig, SimulationParameters
 
@@ -33,6 +37,12 @@ REFUSED = {
     ),
     "int-cohort": ({"cohort": 7}, "cohort"),
     "list-cohort": ({"cohort": ["walkers"]}, "cohort"),
+    "string-speed": ({"speed_kmh": "12"}, "speed_kmh"),
+    "bool-speed": ({"speed_kmh": True}, "speed_kmh"),
+    "string-threshold": ({"policy": {"threshold": "0.5"}}, "threshold"),
+    "bool-threshold": ({"policy": {"threshold": True}}, "threshold"),
+    "string-gate": ({"policy": {"potlc_gate_dbw": "-85"}}, "potlc_gate_dbw"),
+    "bool-gate": ({"policy": {"potlc_gate_dbw": True}}, "potlc_gate_dbw"),
 }
 
 
@@ -124,3 +134,37 @@ def test_wire_refusal_is_an_error_reply_and_the_fleet_keeps_closing(case):
     assert stats["epochs_closed"] == 1
     assert metrics.cohort_names == ("walkers",)
     assert history_width(service) == 1
+
+
+def test_wire_registrations_stop_at_the_bound(monkeypatch):
+    """Past ``MAX_WIRE_UES`` registered UEs a wire subscribe of a new
+    id is refused by name and registers nothing; a known UE still
+    re-subscribes, and in process the service takes more."""
+    monkeypatch.setattr(serve_server, "MAX_WIRE_UES", 2)
+
+    async def run():
+        service = DecisionService()
+        server = ServeServer(service)
+        host, port = await server.start()
+        try:
+            client = await ServeClient(host, port).connect()
+            await client.subscribe(0)
+            await client.subscribe(1)
+            await client.unsubscribe(0)
+            assert (await client.subscribe(0))["type"] == "ok"
+            await client.close()
+            bad = await ServeClient(host, port).connect()
+            try:
+                with pytest.raises(ValueError, match="at most 2 UEs"):
+                    await bad.subscribe(2)
+            finally:
+                await bad.close()
+            return service
+        finally:
+            await server.stop()
+
+    service = asyncio.run(run())
+    assert not service.engine.knows(2)
+    assert service.engine.n_ues == 2
+    service.subscribe(2)
+    assert service.engine.n_ues == 3

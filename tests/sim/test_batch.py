@@ -208,18 +208,13 @@ class TestFleetMetrics:
 
 
 class TestBatchMeasurementFading:
-    def test_per_ue_fading_rngs_match_scalar(self):
+    def test_per_ue_fading_profiles_match_scalar(self):
         params = FAST.with_(shadow_sigma_db=4.0, shadow_decorrelation_km=0.1)
         traces = make_traces(params, 3)
         layout = params.make_layout()
-        batch_sampler = MeasurementSampler(
-            layout,
-            params.make_propagation(),
-            spacing_km=params.measurement_spacing_km,
-            fading=params.make_fading(rng=999),
-        )
-        series = batch_sampler.measure_batch(
-            TraceBatch.from_traces(traces), fading_rngs=[11, 12, 13]
+        series = make_sampler(params).measure_batch(
+            TraceBatch.from_traces(traces),
+            fading_profiles=[params.make_fading(rng=11 + i) for i in range(3)],
         )
         for i, trace in enumerate(traces):
             scalar_sampler = MeasurementSampler(
@@ -231,27 +226,6 @@ class TestBatchMeasurementFading:
             np.testing.assert_array_equal(
                 series.ue_series(i).power_dbw,
                 scalar_sampler.measure(trace).power_dbw,
-            )
-
-    def test_fading_rngs_without_fading_rejected(self):
-        traces = make_traces(FAST, 2)
-        with pytest.raises(ValueError, match="no fading"):
-            make_sampler(FAST).measure_batch(
-                TraceBatch.from_traces(traces), fading_rngs=[1, 2]
-            )
-
-    def test_fading_rngs_length_mismatch_rejected(self):
-        params = FAST.with_(shadow_sigma_db=4.0)
-        traces = make_traces(params, 3)
-        sampler = MeasurementSampler(
-            params.make_layout(),
-            params.make_propagation(),
-            spacing_km=params.measurement_spacing_km,
-            fading=params.make_fading(rng=0),
-        )
-        with pytest.raises(ValueError, match="fading rngs"):
-            sampler.measure_batch(
-                TraceBatch.from_traces(traces), fading_rngs=[1]
             )
 
 

@@ -31,7 +31,6 @@ from repro.sim import (
     PopulationSpec,
     SimulationParameters,
     UECohort,
-    measurement,
     named_population,
     population,
     run_fleet,
@@ -46,22 +45,6 @@ def blocks(k):
     """Split every range of at least ``k`` UEs into ``k`` blocks."""
     with mock.patch.object(population, "MIN_BLOCK_UES", 1), \
             mock.patch.object(fanout, "usable_cpus", lambda: k):
-        yield
-
-
-#: the measurement layer's size threshold and tile size: materialised,
-#: or 3-epoch tiles
-TILES = {"materialised": (float("inf"), 16), "tiled": (0, 3)}
-
-
-@contextmanager
-def tiles(name):
-    threshold, tile_epochs = TILES[name]
-    with mock.patch.multiple(
-        measurement,
-        AUTO_TILE_THRESHOLD=threshold,
-        DEFAULT_TILE_EPOCHS=tile_epochs,
-    ):
         yield
 
 
@@ -135,17 +118,15 @@ def pickled(spec, n_shards=1):
     return pickle.dumps(run_fleet(spec, n_shards=n_shards, max_workers=1))
 
 
-@pytest.mark.parametrize("tile_path", sorted(TILES))
 @pytest.mark.parametrize("fleet", sorted(SPECS))
-def test_every_split_pickles_as_the_unsplit_run(fleet, tile_path):
+def test_every_split_pickles_as_the_unsplit_run(fleet):
     spec = SPECS[fleet]()
-    with tiles(tile_path):
-        want = pickled(spec)
-        for k in (1, 2, 3, 8):
-            for n_shards in (1, 3):
-                with blocks(k):
-                    got = pickled(spec, n_shards)
-                assert got == want, (fleet, tile_path, k, n_shards)
+    want = pickled(spec)
+    for k in (1, 2, 3, 8):
+        for n_shards in (1, 3):
+            with blocks(k):
+                got = pickled(spec, n_shards)
+            assert got == want, (fleet, k, n_shards)
 
 
 def test_eight_blocks_at_a_one_microsecond_switch_interval():
@@ -232,7 +213,7 @@ def test_a_split_runs_at_most_one_thread_per_cpu(monkeypatch):
     monkeypatch.setattr(backends, "_BLOCK_POINTS", 16)
     before = threading.active_count()
     started = thread_starts(monkeypatch)
-    with blocks(4), tiles("materialised"):
+    with blocks(4):
         run_fleet(SPECS["lut"](), max_workers=1)
     assert len(started) == 3
     assert active and max(active) <= before + 3
@@ -243,8 +224,7 @@ def test_unsplit_range_keeps_the_all_cpu_kernel(monkeypatch):
     its kernel still fans out."""
     monkeypatch.setattr(backends, "_BLOCK_POINTS", 16)
     started = thread_starts(monkeypatch)
-    with mock.patch.object(fanout, "usable_cpus", lambda: 2), \
-            tiles("materialised"):
+    with mock.patch.object(fanout, "usable_cpus", lambda: 2):
         run_fleet(SPECS["lut"](), max_workers=1)
     assert started
     assert all(name.startswith("fan-out") for name in started)
@@ -255,9 +235,9 @@ def simulators(monkeypatch) -> list:
     built = []
     simulator = PopulationSpec.simulator
 
-    def counted(self, lo=0, hi=None, system=None):
+    def counted(self, lo=0, hi=None):
         built.append((lo, hi))
-        return simulator(self, lo, hi, system)
+        return simulator(self, lo, hi)
 
     monkeypatch.setattr(PopulationSpec, "simulator", counted)
     return built

@@ -1,8 +1,9 @@
 """Sharded fleet execution tests.
 
 The contract of :mod:`repro.sim.fleet`: splitting an N-UE fleet into
-any number of shards changes *where* the work runs, never *what* it
-computes — per-UE decision logs are bit-identical to the unsharded
+any number of shards — :func:`~repro.sim.population.partition_fleet`
+ranges of its population — changes *where* the work runs, never *what*
+it computes — per-UE decision logs are bit-identical to the unsharded
 :class:`~repro.sim.batch.BatchSimulator`, and the merged
 :class:`~repro.sim.metrics.FleetMetrics` equal the unsharded metrics
 exactly (integer counters and float aggregates alike).  The streaming
@@ -37,6 +38,20 @@ def make_spec(n_ues, pathloss_backend=None, flc_backend=None, **kwargs):
     # a low POTLC gate keeps the FLC busy so output aggregates are
     # exercised, not NaN
     return FleetSpec(n_ues=n_ues, n_walks=4, base_seed=500, **kwargs)
+
+
+def full_log(spec, lo=0, hi=None):
+    """The full simulation log of UEs ``[lo, hi)`` of ``spec``."""
+    population = spec.population
+    return population.simulator(lo, hi).run(population.measure(lo, hi))
+
+
+def range_metrics(spec, n_shards, **kwargs):
+    """Streaming metrics of each ``partition_fleet`` range of ``spec``."""
+    return [
+        spec.population.run_metrics(lo, hi, **kwargs)
+        for lo, hi in partition_fleet(spec.n_ues, n_shards)
+    ]
 
 
 def assert_metrics_identical(a, b):
@@ -104,17 +119,16 @@ class TestPartition:
 class TestSpec:
     def test_seeds_and_speeds_are_global(self):
         spec = make_spec(7)
-        shards = spec.shard(3)
-        seeds = [s for sh in shards for s in sh.walk_seeds()]
-        assert seeds == spec.walk_seeds()
-        speeds = np.concatenate([sh.ue_speeds() for sh in shards])
+        pop = spec.population
+        shards = partition_fleet(spec.n_ues, 3)
+        seeds = [s for lo, hi in shards for s in pop.walk_seeds(lo, hi)]
+        assert seeds == pop.walk_seeds()
+        speeds = np.concatenate([spec.ue_speeds(lo, hi) for lo, hi in shards])
         np.testing.assert_array_equal(speeds, spec.ue_speeds())
 
     def test_shard_range_validation(self):
-        from repro.sim import FleetShard
-
-        with pytest.raises(ValueError, match="out of range"):
-            FleetShard(spec=make_spec(3), lo=1, hi=5)
+        with pytest.raises(ValueError, match="out of bounds"):
+            make_spec(3).population.run_metrics(1, 5)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -133,17 +147,17 @@ class TestShardEquivalence:
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
     def test_bit_identical_to_unsharded(self, n_ues, n_shards):
         spec = make_spec(n_ues)
-        full = spec.shard(1)[0].run()
+        full = full_log(spec)
         expected = compute_fleet_metrics(full)
 
-        shards = spec.shard(n_shards)
+        shards = partition_fleet(spec.n_ues, n_shards)
         assert len(shards) == min(n_shards, n_ues)
 
         # per-UE handover sequences (and full logs) are bit-identical
-        for shard in shards:
-            res = shard.run()
-            for j in range(shard.n_ues):
-                g = shard.lo + j
+        for lo, hi in shards:
+            res = full_log(spec, lo, hi)
+            for j in range(hi - lo):
+                g = lo + j
                 a, b = res.ue_result(j), full.ue_result(g)
                 assert a.serving_history == b.serving_history
                 np.testing.assert_array_equal(a.outputs, b.outputs)
@@ -158,13 +172,13 @@ class TestShardEquivalence:
                 ]
 
         # merged streaming metrics equal the unsharded post-hoc metrics
-        merged = merge_fleet_metrics([sh.metrics() for sh in shards])
+        merged = merge_fleet_metrics(range_metrics(spec, n_shards))
         assert merged == expected
         assert_metrics_identical(merged, expected)
 
     def test_run_fleet_process_pool_identical(self):
         spec = make_spec(7)
-        expected = compute_fleet_metrics(spec.shard(1)[0].run())
+        expected = compute_fleet_metrics(full_log(spec))
         pooled = run_fleet(spec, n_shards=3, max_workers=2)
         assert pooled == expected
         assert_metrics_identical(pooled, expected)
@@ -182,26 +196,24 @@ class TestShardEquivalence:
             measurement_spacing_km=0.2, n_walks=4, shadow_sigma_db=4.0
         )
         spec = make_spec(6, params=params)
-        unsharded = spec.shard(1)[0].metrics()
-        merged = merge_fleet_metrics([s.metrics() for s in spec.shard(3)])
+        unsharded = spec.population.run_metrics()
+        merged = merge_fleet_metrics(range_metrics(spec, 3))
         assert_metrics_identical(merged, unsharded)
 
 
 class TestStreamingMetrics:
     def test_streaming_equals_posthoc_bitwise(self):
-        spec = make_spec(9)
-        shard = spec.shard(1)[0]
-        series = shard.measure()
-        sim = shard.simulator()
+        pop = make_spec(9).population
+        series = pop.measure()
+        sim = pop.simulator()
         assert_metrics_identical(
             sim.run_metrics(series), compute_fleet_metrics(sim.run(series))
         )
 
     def test_streaming_respects_window(self):
-        spec = make_spec(9)
-        shard = spec.shard(1)[0]
-        series = shard.measure()
-        sim = shard.simulator()
+        pop = make_spec(9).population
+        series = pop.measure()
+        sim = pop.simulator()
         assert_metrics_identical(
             sim.run_metrics(series, window_km=2.5),
             compute_fleet_metrics(sim.run(series), window_km=2.5),
@@ -229,8 +241,7 @@ class TestStreamingMetrics:
 
 class TestMerge:
     def test_merge_is_associative(self):
-        spec = make_spec(8)
-        parts = [s.metrics() for s in spec.shard(4)]
+        parts = range_metrics(make_spec(8), 4)
         left = merge_fleet_metrics(
             [merge_fleet_metrics(parts[:2]), merge_fleet_metrics(parts[2:])]
         )
@@ -238,14 +249,13 @@ class TestMerge:
         assert_metrics_identical(left, flat)
 
     def test_merge_method(self):
-        spec = make_spec(4)
-        a, b = (s.metrics() for s in spec.shard(2))
+        a, b = range_metrics(make_spec(4), 2)
         assert_metrics_identical(
             a.merge(b), merge_fleet_metrics([a, b])
         )
 
     def test_merge_single_is_identity(self):
-        m = make_spec(3).shard(1)[0].metrics()
+        m = make_spec(3).population.run_metrics()
         assert merge_fleet_metrics([m]) is m
 
     def test_merge_empty_rejected(self):
@@ -253,10 +263,13 @@ class TestMerge:
             merge_fleet_metrics([])
 
     def test_merge_mixed_windows_rejected(self):
-        a, b = make_spec(4).shard(2)
+        pop = make_spec(4).population
         with pytest.raises(ValueError, match="windows"):
             merge_fleet_metrics(
-                [a.metrics(window_km=0.5), b.metrics(window_km=2.0)]
+                [
+                    pop.run_metrics(0, 2, window_km=0.5),
+                    pop.run_metrics(2, 4, window_km=2.0),
+                ]
             )
 
 
@@ -285,8 +298,8 @@ class TestBackendEquivalence:
     def test_run_metrics_bit_identical_across_numpy_backends(self, n_ues):
         results = {}
         for backend in ("reference", "numpy"):
-            shard = make_spec(n_ues, pathloss_backend=backend).shard(1)[0]
-            results[backend] = shard.simulator().run_metrics(shard.measure())
+            pop = make_spec(n_ues, pathloss_backend=backend).population
+            results[backend] = pop.simulator().run_metrics(pop.measure())
         assert_metrics_identical(results["numpy"], results["reference"])
 
     def test_with_backend_threads_into_params(self):
@@ -396,6 +409,6 @@ class TestRunFleetValidation:
 
     def test_custom_executor(self):
         spec = make_spec(6)
-        expected = compute_fleet_metrics(spec.shard(1)[0].run())
+        expected = compute_fleet_metrics(full_log(spec))
         got = run_fleet(spec, n_shards=3, executor=SerialExecutor())
         assert_metrics_identical(got, expected)

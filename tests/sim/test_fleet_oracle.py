@@ -22,6 +22,7 @@ from repro.sim import (
     SimulationParameters,
     Simulator,
     compute_metrics,
+    partition_fleet,
     run_fleet,
 )
 
@@ -65,10 +66,11 @@ def scalar_run(spec: FleetSpec, i: int):
 @pytest.mark.parametrize("n_shards", [1, 3])
 def test_shard_logs_match_the_scalar_engine(sigma, n_shards):
     spec = make_spec(sigma)
-    for shard in spec.shard(n_shards):
-        result = shard.run()
-        for j in range(shard.n_ues):
-            want = scalar_run(spec, shard.lo + j)
+    pop = spec.population
+    for lo, hi in partition_fleet(spec.n_ues, n_shards):
+        result = pop.simulator(lo, hi).run(pop.measure(lo, hi))
+        for j in range(hi - lo):
+            want = scalar_run(spec, lo + j)
             got = result.ue_result(j)
             assert got.serving_history == want.serving_history
             np.testing.assert_array_equal(got.outputs, want.outputs)

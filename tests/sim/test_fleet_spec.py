@@ -14,6 +14,7 @@ from repro.sim import (
     PopulationSpec,
     SimulationParameters,
     named_population,
+    partition_fleet,
     run_fleet,
 )
 
@@ -36,7 +37,7 @@ class TestDefaultPopulation:
         assert pop.base_seed == 70 and pop.fading_base_seed == 80
         assert pop.params == FAST
         assert pop.cohorts[0].model == FAST.make_walk(3)
-        assert spec.walk_seeds() == [70, 71, 72, 73, 74]
+        assert pop.walk_seeds() == [70, 71, 72, 73, 74]
         assert list(spec.ue_speeds()) == [0.0, 40.0, 0.0, 40.0, 0.0]
 
     def test_the_spec_is_the_only_fleet_configuration(self):
@@ -61,8 +62,10 @@ class TestDefaultPopulation:
 class TestPopulationMustAgree:
     def test_from_population_reports_the_population_seeds(self):
         spec = FleetSpec.from_population(urban())
-        assert spec.walk_seeds() == list(range(9, 15))
-        assert spec.shard(2)[1].walk_seeds() == [12, 13, 14]
+        assert spec.base_seed == 9
+        assert spec.population.walk_seeds() == list(range(9, 15))
+        lo, hi = partition_fleet(spec.n_ues, 2)[1]
+        assert spec.population.walk_seeds(lo, hi) == [12, 13, 14]
 
     @pytest.mark.parametrize(
         "field,value", [("base_seed", 123), ("fading_base_seed", 5)]

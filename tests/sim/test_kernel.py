@@ -17,7 +17,7 @@ PARAMS = SimulationParameters(shadow_sigma_db=6.0, measurement_spacing_km=0.2)
 @pytest.fixture(scope="module")
 def series():
     spec = FleetSpec(n_ues=7, n_walks=3, base_seed=4242, params=PARAMS)
-    return spec.shard(1)[0].measure()
+    return spec.population.measure()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])

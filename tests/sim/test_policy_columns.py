@@ -7,8 +7,8 @@ decide exactly as it would in a fleet where every UE shares its policy.
 The oracle here is the plainest such fleet: for each distinct policy, a
 :class:`~repro.sim.batch.BatchSimulator` on that policy's own pipeline
 over the sub-series built by indexing ``population.measure()``'s arrays
-with that policy's UEs.  ``run_fleet`` (sharded, materialised or
-tiled, split into UE blocks on threads),
+with that policy's UEs.  ``run_fleet`` (sharded, split into UE blocks
+on threads),
 :func:`~repro.sim.tracefile.offline_reference_metrics` and an
 in-process service replay must all reproduce its per-UE arrays and the
 population's cohort labels.
@@ -38,7 +38,6 @@ from repro.sim import (
     PopulationSpec,
     SimulationParameters,
     UECohort,
-    measurement,
     offline_reference_metrics,
     record_fleet_trace,
     run_fleet,
@@ -127,44 +126,25 @@ def assert_matches(metrics, want: dict, population: PopulationSpec, path):
     )
 
 
-#: the measurement layer's size threshold and tile size: each shard
-#: materialises (inf), streams 2-epoch tiles (0) or decides by size
-SIZE_POLICIES = {
-    "materialised": (float("inf"), measurement.DEFAULT_TILE_EPOCHS),
-    "2-epoch tiles": (0, 2),
-    "by size": (
-        measurement.AUTO_TILE_THRESHOLD, measurement.DEFAULT_TILE_EPOCHS
-    ),
-}
-
-
 @settings(derandomize=True, max_examples=18, deadline=None)
 @given(
     population=populations(),
     n_shards=st.sampled_from((1, 3)),
-    tiles=st.sampled_from(sorted(SIZE_POLICIES)),
     blocks=st.sampled_from((1, 2, 3)),
 )
 def test_mixed_policies_match_each_policy_run_alone(
-    population, n_shards, tiles, blocks
+    population, n_shards, blocks
 ):
     want = alone(population)
-    threshold, tile_epochs = SIZE_POLICIES[tiles]
     # each shard's range runs as `blocks` UE blocks on threads
-    with mock.patch.multiple(
-        measurement,
-        AUTO_TILE_THRESHOLD=threshold,
-        DEFAULT_TILE_EPOCHS=tile_epochs,
-    ), mock.patch.object(sim_population, "MIN_BLOCK_UES", 1), \
+    with mock.patch.object(sim_population, "MIN_BLOCK_UES", 1), \
             mock.patch.object(fanout, "usable_cpus", lambda: blocks):
         fleet = run_fleet(
             FleetSpec.from_population(population),
             n_shards=n_shards,
             max_workers=1,
         )
-    assert_matches(
-        fleet, want, population, f"run_fleet, {tiles}, {blocks} blocks"
-    )
+    assert_matches(fleet, want, population, f"run_fleet, {blocks} blocks")
     trace = record_fleet_trace(population)
     assert_matches(
         offline_reference_metrics(trace), want, population, "offline"

@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 
 from repro.mobility import GaussMarkov, ManhattanGrid, RandomWalk
 from repro.sim import (
+    BatchSimulator,
     FleetSpec,
-    MeasurementSampler,
     PolicyConfig,
     PopulationSpec,
     SimulationParameters,
@@ -242,7 +242,8 @@ class TestExpansion:
 
 # --------------------------------------------------------------------
 # ISSUE-4 satellite: hypothesis property — the expansion is invariant
-# under shard(n) for n in {1, 2, 4} and under cohort-order permutation
+# under partition_fleet(n_ues, n) for n in {1, 2, 4} and under
+# cohort-order permutation
 # --------------------------------------------------------------------
 _MODELS = (
     walker(3),
@@ -367,8 +368,10 @@ class TestHomogeneousByteIdentity:
 
     def test_full_logs_byte_identical(self):
         plain, popspec = self.plain_and_population(n_ues=4)
-        a = plain.shard(1)[0].run()
-        b = popspec.shard(1)[0].run()
+        a, b = (
+            spec.population.simulator().run(spec.population.measure())
+            for spec in (plain, popspec)
+        )
         np.testing.assert_array_equal(a.serving_history, b.serving_history)
         np.testing.assert_array_equal(a.stages, b.stages)
         np.testing.assert_array_equal(a.outputs, b.outputs)
@@ -407,8 +410,8 @@ class TestHeterogeneousSharding:
     def unlabelled_metrics(n_ues):
         """Metrics straight from the batch engine, which knows no
         cohorts (every fleet shard labels its metrics)."""
-        shard = FleetSpec(n_ues=n_ues, n_walks=4, params=FAST).shard(1)[0]
-        return shard.simulator().run_metrics(shard.measure())
+        pop = FleetSpec(n_ues=n_ues, n_walks=4, params=FAST).population
+        return pop.simulator().run_metrics(pop.measure())
 
     def test_unlabelled_metrics_refuse_per_cohort(self):
         fleet = self.unlabelled_metrics(3)
@@ -417,7 +420,7 @@ class TestHeterogeneousSharding:
 
     def test_merge_rejects_mixed_labelling(self):
         pop = named_population("pedestrian", n_ues=4, params=FAST)
-        labelled = FleetSpec.from_population(pop).shard(1)[0].metrics()
+        labelled = pop.run_metrics()
         plain = self.unlabelled_metrics(3)
         with pytest.raises(ValueError, match="labelled"):
             merge_fleet_metrics([labelled, plain])
@@ -509,15 +512,14 @@ class TestPolicyGroups:
 
     def test_full_log_run_matches_metrics_for_mixed_policies(self):
         pop = self.two_policy_population()
-        shard = FleetSpec.from_population(pop).shard(1)[0]
-        full = compute_fleet_metrics(shard.run()).with_cohorts(
-            pop.cohort_ids(), pop.cohort_names
-        )
-        assert pickle.dumps(full) == pickle.dumps(shard.metrics())
+        full = compute_fleet_metrics(
+            pop.simulator().run(pop.measure())
+        ).with_cohorts(pop.cohort_ids(), pop.cohort_names)
+        assert pickle.dumps(full) == pickle.dumps(pop.run_metrics())
 
     def test_shard_simulator_runs_the_cohort_policy(self):
         """A one-cohort population's policy reaches every engine path,
-        the shard's own simulator included."""
+        the range's own simulator included."""
         pop = PopulationSpec(
             n_ues=4,
             cohorts=(
@@ -529,12 +531,16 @@ class TestPolicyGroups:
             ),
             params=FAST,
         )
-        shard = FleetSpec.from_population(pop).shard(1)[0]
-        streamed = shard.metrics()
-        direct = shard.simulator().run_metrics(shard.measure())
+        streamed = pop.run_metrics()
+        series = pop.measure()
+        direct = pop.simulator().run_metrics(series)
         assert_metrics_identical(direct, streamed)
-        assert_metrics_identical(compute_fleet_metrics(shard.run()), streamed)
-        paper = shard.simulator(pop.make_system()).run_metrics(shard.measure())
+        assert_metrics_identical(
+            compute_fleet_metrics(pop.simulator().run(series)), streamed
+        )
+        paper = BatchSimulator(
+            pop.make_system(), speed_kmh=pop.ue_speeds()
+        ).run_metrics(series)
         assert paper.n_handovers != streamed.n_handovers
 
 
@@ -581,26 +587,6 @@ class TestPerCohortFading:
 
 
 class TestMeasurementProfiles:
-    def test_profiles_and_rngs_mutually_exclusive(self):
-        params = SimulationParameters(
-            measurement_spacing_km=0.2, n_walks=3, shadow_sigma_db=4.0
-        )
-        spec = FleetSpec(n_ues=2, n_walks=3, params=params)
-        shard = spec.shard(1)[0]
-        batch = params.make_walk(3).generate_batch_seeded(shard.walk_seeds())
-        sampler = MeasurementSampler(
-            params.make_layout(),
-            params.make_propagation(),
-            spacing_km=params.measurement_spacing_km,
-            fading=params.make_fading(),
-        )
-        with pytest.raises(ValueError, match="not both"):
-            sampler.measure_batch(
-                batch,
-                fading_rngs=[1, 2],
-                fading_profiles=[None, None],
-            )
-
     def test_profile_length_mismatch_rejected(self):
         pop = make_population(n_ues=3)
         batch = pop.traces()

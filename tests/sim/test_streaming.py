@@ -1,14 +1,18 @@
 """Epoch-tiled streaming measurement: byte-identity and memory pins.
 
 The streaming contract in one file: it is a *memory* choice, never a
-physics one.  Every tile width, shard count and population mix must
-reproduce the materialised pipeline bit-for-bit (same RNG draw order
-per UE), and the streamed ``run_metrics`` pass must not allocate
-proportionally to the horizon.
+physics one.  Every fleet range streams its tiles, and every tile
+width, shard count and population mix must reproduce the materialised
+pipeline bit-for-bit (same RNG draw order per UE): the tile stream
+against :meth:`~repro.sim.measurement.MeasurementSampler.measure_batch`,
+and ``run_fleet`` against the full-log oracle.  The streamed
+``run_metrics`` pass must not allocate proportionally to the horizon.
 """
 
 import contextlib
+import pickle
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -24,12 +28,17 @@ from repro.sim import (
     MeasurementSampler,
     SimulationParameters,
     TiledBatchMeasurement,
-    auto_tile_epochs,
+    compute_fleet_metrics,
     named_population,
     run_fleet,
 )
 from repro.sim import measurement
-from repro.sim.population import PolicyConfig, PopulationSpec, UECohort
+from repro.sim.population import (
+    POPULATION_MIXES,
+    PolicyConfig,
+    PopulationSpec,
+    UECohort,
+)
 
 PER_UE_ARRAYS = (
     "handovers_per_ue",
@@ -62,19 +71,25 @@ def assert_identical(got, ref):
 
 
 @contextlib.contextmanager
-def tile_policy(k):
-    """Force the measurement layer's size policy: ``0`` materialises,
-    ``k >= 1`` streams ``k``-epoch tiles, ``None`` leaves it alone
-    (serial runs only: a worker process would not see the patch)."""
+def tile_size(k):
+    """Stream ``k``-epoch tiles on every fleet range; ``None`` keeps
+    :data:`DEFAULT_TILE_EPOCHS` (serial runs only: a worker process
+    would not see the patch)."""
     if k is None:
         yield
         return
-    threshold = float("inf") if k == 0 else 0
-    with mock.patch.object(measurement, "AUTO_TILE_THRESHOLD", threshold):
-        with mock.patch.object(
-            measurement, "DEFAULT_TILE_EPOCHS", k or DEFAULT_TILE_EPOCHS
-        ):
-            yield
+    with mock.patch.object(measurement, "DEFAULT_TILE_EPOCHS", k):
+        yield
+
+
+def full_log_oracle(population):
+    """The population's metrics through the full-log path: the batch
+    engine's complete log over the materialised series, reduced after
+    the fact and cohort-labelled as a fleet run labels them."""
+    log = population.simulator().run(population.measure())
+    return compute_fleet_metrics(log).with_cohorts(
+        population.cohort_ids(), population.cohort_names
+    )
 
 
 def make_sampler(params, with_fading=False):
@@ -84,6 +99,12 @@ def make_sampler(params, with_fading=False):
         spacing_km=params.measurement_spacing_km,
         fading=params.make_fading() if with_fading else None,
     )
+
+
+def fading_profiles(params, seeds):
+    """One shadowing process per UE under ``params``, seeded by
+    ``seeds``."""
+    return [params.make_fading(rng=seed) for seed in seeds]
 
 
 def make_batch(params, n, base_seed=100, uneven=False):
@@ -140,18 +161,6 @@ class TestShadowFadingStream:
 
 
 # ----------------------------------------------------------------------
-# the tile policy: the workload size decides
-# ----------------------------------------------------------------------
-class TestTilePolicy:
-    def test_auto_threshold(self):
-        # below the threshold: materialise; above: the default tile,
-        # clamped to the horizon
-        assert auto_tile_epochs(10, 20, 19) == 0
-        assert auto_tile_epochs(100_000, 200, 19) == DEFAULT_TILE_EPOCHS
-        assert auto_tile_epochs(1_000_000, 3, 19) == 3
-
-
-# ----------------------------------------------------------------------
 # the tiled measurement source
 # ----------------------------------------------------------------------
 class TestTiledMeasurement:
@@ -188,12 +197,15 @@ class TestTiledMeasurement:
         chunking shows in no byte, padding included."""
         params = self.FADING_PARAMS if fading else self.PARAMS
         batch = make_batch(params, 7, uneven=True)
-        rngs = [900 + i for i in range(7)] if fading else None
-        ref = make_sampler(params, with_fading=fading).measure_batch(
-            batch, fading_rngs=rngs
+        seeds = [900 + i for i in range(7)]
+        ref = make_sampler(params).measure_batch(
+            batch,
+            fading_profiles=fading_profiles(params, seeds) if fading else None,
         )
-        tiled = make_sampler(params, with_fading=fading).measure_batch_tiles(
-            batch, tile_epochs=4, fading_rngs=rngs
+        tiled = make_sampler(params).measure_batch_tiles(
+            batch,
+            tile_epochs=4,
+            fading_profiles=fading_profiles(params, seeds) if fading else None,
         )
         assert len(set(tiled.lengths.tolist())) > 1
         with mock.patch.object(measurement, "_ROWS_PER_CALL", rows):
@@ -203,44 +215,54 @@ class TestTiledMeasurement:
 
     @pytest.mark.parametrize("k", [1, 3, 64])
     def test_materialize_identity_with_fading(self, k):
-        rngs = [500 + i for i in range(5)]
-        batch = make_batch(self.FADING_PARAMS, 5, uneven=True)
-        ref = make_sampler(self.FADING_PARAMS, with_fading=True).measure_batch(
-            batch, fading_rngs=rngs
+        """The tile stream assembled into a cube is the materialised
+        series, every array of it."""
+        params = self.FADING_PARAMS
+        seeds = [500 + i for i in range(5)]
+        batch = make_batch(params, 5, uneven=True)
+        ref = make_sampler(params).measure_batch(
+            batch, fading_profiles=fading_profiles(params, seeds)
         )
-        tiled = make_sampler(
-            self.FADING_PARAMS, with_fading=True
-        ).measure_batch_tiles(batch, tile_epochs=k, fading_rngs=rngs)
-        got = tiled.materialize()
-        np.testing.assert_array_equal(got.power_dbw, ref.power_dbw)
-        np.testing.assert_array_equal(got.positions_km, ref.positions_km)
-        np.testing.assert_array_equal(got.distance_km, ref.distance_km)
-        np.testing.assert_array_equal(got.lengths, ref.lengths)
+        tiled = make_sampler(params).measure_batch_tiles(
+            batch,
+            tile_epochs=k,
+            fading_profiles=fading_profiles(params, seeds),
+        )
+        power = np.empty_like(ref.power_dbw)
+        for tile in tiled.tiles():
+            power[:, tile.start : tile.stop] = tile.power_dbw
+        np.testing.assert_array_equal(power, ref.power_dbw)
+        np.testing.assert_array_equal(tiled.positions_km, ref.positions_km)
+        np.testing.assert_array_equal(tiled.distance_km, ref.distance_km)
+        np.testing.assert_array_equal(tiled.lengths, ref.lengths)
 
     @pytest.mark.parametrize("k", [1, 3, 64])
     def test_run_metrics_identity_uneven_lengths(self, k):
-        rngs = [700 + i for i in range(7)]
-        batch = make_batch(self.FADING_PARAMS, 7, uneven=True)
-        sampler = make_sampler(self.FADING_PARAMS, with_fading=True)
-        system = FuzzyHandoverSystem(
-            cell_radius_km=self.FADING_PARAMS.cell_radius_km
-        )
+        params = self.FADING_PARAMS
+        seeds = [700 + i for i in range(7)]
+        batch = make_batch(params, 7, uneven=True)
+        sampler = make_sampler(params)
+        system = FuzzyHandoverSystem(cell_radius_km=params.cell_radius_km)
         speeds = np.arange(7, dtype=float) * 10.0
         ref = BatchSimulator(system, speed_kmh=speeds).run_metrics(
-            sampler.measure_batch(batch, fading_rngs=rngs)
+            sampler.measure_batch(
+                batch, fading_profiles=fading_profiles(params, seeds)
+            )
         )
-        tiled = make_sampler(
-            self.FADING_PARAMS, with_fading=True
-        ).measure_batch_tiles(batch, tile_epochs=k, fading_rngs=rngs)
+        tiled = sampler.measure_batch_tiles(
+            batch,
+            tile_epochs=k,
+            fading_profiles=fading_profiles(params, seeds),
+        )
         got = BatchSimulator(system, speed_kmh=speeds).run_metrics(tiled)
         assert_identical(got, ref)
 
     def test_fading_tiles_are_single_shot(self):
-        sampler = make_sampler(self.FADING_PARAMS, with_fading=True)
-        tiled = sampler.measure_batch_tiles(
-            make_batch(self.FADING_PARAMS, 3),
+        params = self.FADING_PARAMS
+        tiled = make_sampler(params).measure_batch_tiles(
+            make_batch(params, 3),
             tile_epochs=4,
-            fading_rngs=[1, 2, 3],
+            fading_profiles=fading_profiles(params, [1, 2, 3]),
         )
         for _ in tiled.tiles():
             pass
@@ -250,20 +272,13 @@ class TestTiledMeasurement:
     def test_shared_fading_process_not_tileable(self):
         sampler = make_sampler(self.FADING_PARAMS, with_fading=True)
         batch = make_batch(self.FADING_PARAMS, 4)
-        # no per-UE rngs/profiles: one process shared across UEs would
-        # make each UE's draws depend on the visiting order, so every
-        # batch path refuses it and names the missing argument
-        with pytest.raises(ValueError, match="fading_rngs"):
+        # no per-UE profiles: one process shared across UEs would make
+        # each UE's draws depend on the visiting order, so both batch
+        # paths refuse it and name the missing argument
+        with pytest.raises(ValueError, match="fading_profiles"):
             sampler.measure_batch_tiles(batch, tile_epochs=2)
-        with pytest.raises(ValueError, match="fading_rngs"):
+        with pytest.raises(ValueError, match="fading_profiles"):
             sampler.measure_batch(batch)
-        # measure_dense takes no fading_rngs, so it names only
-        # fading_profiles, materialised (0) or tiled alike
-        dense = batch.densify(sampler.spacing_km)
-        for k in (0, 2):
-            with pytest.raises(ValueError, match="fading_profiles") as err:
-                sampler.measure_dense(dense, k)
-            assert "fading_rngs" not in str(err.value)
 
     def test_zero_tile_epochs_rejected(self):
         sampler = make_sampler(self.PARAMS)
@@ -276,22 +291,81 @@ class TestTiledMeasurement:
 # ----------------------------------------------------------------------
 # fleet-level byte-identity matrix
 # ----------------------------------------------------------------------
+_URBAN = {c.name: c for c in POPULATION_MIXES["urban_mix"]}
+
+#: urban_mix with per-cohort fading and a vehicular policy override
+MIXED_POLICY_COHORTS = (
+    _URBAN["pedestrian"],
+    replace(
+        _URBAN["vehicular"],
+        shadow_sigma_db=8.0,
+        policy=PolicyConfig(threshold=0.75),
+    ),
+    replace(_URBAN["stationary"], shadow_sigma_db=4.0),
+)
+
+FADING_6DB = SimulationParameters(shadow_sigma_db=6.0)
+
+
+def homogeneous(n_ues):
+    """``repro fleet --ues N``'s fleet: the paper's walk, 10 legs."""
+    return FleetSpec(n_ues=n_ues, n_walks=10).population
+
+
+def urban_mix(n_ues):
+    return named_population("urban_mix", n_ues, FADING_6DB, base_seed=77)
+
+
+def mixed_policies(n_ues):
+    return PopulationSpec(
+        n_ues=n_ues,
+        cohorts=MIXED_POLICY_COHORTS,
+        params=FADING_6DB,
+        base_seed=88,
+        fading_base_seed=90_000,
+    )
+
+
+#: small and mid-sized ranges, whose power cubes (at most ~4M entries)
+#: would fit in memory whole, homogeneous and mixed
+ORACLE_FLEETS = {
+    "homogeneous 3": lambda: homogeneous(3),
+    "homogeneous 100": lambda: homogeneous(100),
+    "homogeneous 1000": lambda: homogeneous(1000),
+    "urban_mix 100": lambda: urban_mix(100),
+    "urban_mix 1000": lambda: urban_mix(1000),
+    "mixed policies 100": lambda: mixed_policies(100),
+    "mixed policies 1000": lambda: mixed_policies(1000),
+}
+
+
 @pytest.mark.streaming
 class TestStreamingFleetIdentity:
     PARAMS = SimulationParameters(
         n_walks=3, shadow_sigma_db=4.0, shadow_decorrelation_km=0.1
     )
 
+    @pytest.mark.parametrize("fleet", sorted(ORACLE_FLEETS))
+    def test_run_fleet_pickles_as_the_full_log_oracle(self, fleet):
+        """Every range streams 16-epoch tiles, the small ones included:
+        ``run_fleet`` at 1 and 3 shards pickles exactly as the full log
+        over the materialised series, reduced and cohort-labelled."""
+        population = ORACLE_FLEETS[fleet]()
+        want = pickle.dumps(full_log_oracle(population))
+        spec = FleetSpec.from_population(population)
+        for n_shards in (1, 3):
+            got = run_fleet(spec, n_shards=n_shards, max_workers=1)
+            assert pickle.dumps(got) == want, (fleet, n_shards)
+
     @pytest.mark.parametrize("n", [1, 7, 32])
     def test_tile_and_shard_matrix(self, n):
         spec = FleetSpec(
             n_ues=n, n_walks=3, base_seed=900, params=self.PARAMS
         )
-        with tile_policy(0):
-            ref = run_fleet(spec, n_shards=1)
+        ref = full_log_oracle(spec.population)
         for k in (1, 3, 64, None):
             for shards in (1, 4):
-                with tile_policy(k):
+                with tile_size(k):
                     got = run_fleet(spec, n_shards=shards, max_workers=1)
                 assert_identical(got, ref)
 
@@ -324,24 +398,22 @@ class TestStreamingFleetIdentity:
         pop = PopulationSpec(
             n_ues=15, cohorts=cohorts, params=params, base_seed=4000
         )
-        with tile_policy(0):
-            ref = pop.run_metrics()
+        ref = full_log_oracle(pop)
         for k in (1, 3, 64, None):
-            with tile_policy(k):
+            with tile_size(k):
                 assert_identical(pop.run_metrics(), ref)
         spec = FleetSpec.from_population(pop)
         for shards in (1, 4):
-            with tile_policy(3):
+            with tile_size(3):
                 got = run_fleet(spec, n_shards=shards, max_workers=1)
             assert_identical(got, ref)
 
-    def test_size_policy_streams_each_shard_in_tiles(self):
-        """Above the threshold every shard streams its own
-        ``DEFAULT_TILE_EPOCHS``-epoch tiles: one tile stream per shard,
-        the same metrics as the materialised run."""
+    def test_every_shard_streams_its_own_tiles(self):
+        """Whatever its size, every shard streams its own tiles of
+        ``DEFAULT_TILE_EPOCHS`` epochs, read when the range runs: one
+        tile stream per shard, the full-log oracle's metrics."""
         spec = FleetSpec(n_ues=8, n_walks=3, base_seed=900, params=self.PARAMS)
-        with tile_policy(0):
-            ref = run_fleet(spec)
+        ref = full_log_oracle(spec.population)
         streams = []
         real = TiledBatchMeasurement.__init__
 
@@ -349,10 +421,13 @@ class TestStreamingFleetIdentity:
             real(stream, *args, **kwargs)
             streams.append(stream.tile_epochs)
 
-        with tile_policy(3), mock.patch.object(
-            TiledBatchMeasurement, "__init__", spy
-        ):
+        with mock.patch.object(TiledBatchMeasurement, "__init__", spy):
             got = run_fleet(spec, n_shards=4, max_workers=1)
+            assert streams == [DEFAULT_TILE_EPOCHS] * 4
+            assert_identical(got, ref)
+            streams.clear()
+            with tile_size(3):
+                got = run_fleet(spec, n_shards=4, max_workers=1)
         assert streams == [3, 3, 3, 3]
         assert_identical(got, ref)
 
@@ -416,8 +491,8 @@ class TestMemoryGuardrail:
             return peak
 
         faded = peak(
-            make_sampler(params, with_fading=True),
-            fading_rngs=list(range(1200)),
+            make_sampler(params),
+            fading_profiles=fading_profiles(params, range(1200)),
         )
         plain = peak(make_sampler(params))
         assert faded <= 1.10 * plain, (
