@@ -11,9 +11,11 @@ footprint is O(N·tile·cells) in place of the materialized O(N·T·cells)
 power cube.
 
 ``test_x18_streaming_memory_and_runtime`` is the ISSUE-7 acceptance
-check, asserted at the full N = 20000 × T ≈ 200 workload: peak traced
-memory at least 4× below the materialized path, runtime no worse than
-1.05× — and byte-identical ``FleetMetrics`` at every size.
+check, asserted at the full N = 20000 × T ≈ 200 workload over 5
+alternating streamed/materialized pairs: peak traced memory at least 4×
+below the materialized path in every pair, median runtime ratio no
+worse than 1.05× — and byte-identical ``FleetMetrics`` at every size.
+Every pair's ratios are recorded in ``BENCH_x18.json``.
 ``test_x18_tile_identity`` pins ``run_fleet`` across 1-, 3- and
 64-epoch tiles against the materialized range at a size every CI run
 affords.  ``test_x18_scale_datapoint`` records the repo's first
@@ -58,6 +60,7 @@ SCALE_WALKS = int(os.environ.get("X18_SCALE_WALKS", "2"))
 N_ACCEPT = 20000        # the acceptance-criterion fleet size
 MEMORY_RATIO = 4.0      # materialized peak / streamed peak, at least
 RUNTIME_RATIO = 1.05    # streamed / materialized wall-clock, at most
+RUNTIME_PAIRS = 5       # streamed/materialized pairs; the median ratio counts
 FADING_UES = min(N, 2000)
 FADING_SPEEDUP = 4.0    # per-UE streams / fading bank wall-clock, at least
 FADING_REPEATS = 5      # bank/per-UE pass pairs; the median ratio counts
@@ -135,22 +138,40 @@ def test_x18_tile_identity():
 
 @pytest.mark.streaming
 def test_x18_streaming_memory_and_runtime():
-    """ISSUE-7 acceptance: >= 4x lower peak memory and <= 1.05x runtime
-    vs the materialized pipeline at N = 20000 x T ~ 200, byte-identical
-    metrics at every size."""
-    streamed, t_streamed, mem_streamed = run_measured(run_range, SPEC, TILE)
-    materialized, t_mat, mem_mat = run_measured(run_range, SPEC, 0)
+    """ISSUE-7 acceptance: >= 4x lower peak memory in every pair and a
+    median runtime ratio <= 1.05x vs the materialized pipeline at
+    N = 20000 x T ~ 200, byte-identical metrics at every size.
 
-    # streaming must never change the physics, whatever the fleet size
-    assert_identical_metrics(streamed, materialized)
-
-    mem_ratio = mem_mat / mem_streamed
-    time_ratio = t_streamed / t_mat
+    ``RUNTIME_PAIRS`` pairs, alternating which path runs first, so host
+    drift and warm-up land on both sides; one pair alone read 1.066x
+    and then 1.021x minutes apart on the same code."""
+    pairs = []
+    for k in range(RUNTIME_PAIRS):
+        order = (TILE, 0) if k % 2 == 0 else (0, TILE)
+        runs = {tile: run_measured(run_range, SPEC, tile) for tile in order}
+        streamed, t_streamed, mem_streamed = runs[TILE]
+        materialized, t_mat, mem_mat = runs[0]
+        # streaming must never change the physics, whatever the size
+        assert_identical_metrics(streamed, materialized)
+        pairs.append({
+            "streamed_first": order[0] == TILE,
+            "materialized_s": t_mat,
+            "streamed_s": t_streamed,
+            "runtime_ratio": t_streamed / t_mat,
+            "tracemalloc_peak_materialized": mem_mat,
+            "tracemalloc_peak_streamed": mem_streamed,
+            "memory_reduction": mem_mat / mem_streamed,
+        })
+    ratios = [p["runtime_ratio"] for p in pairs]
+    time_ratio = float(np.median(ratios))
+    mem_ratio = min(p["memory_reduction"] for p in pairs)
+    t_mat = float(np.median([p["materialized_s"] for p in pairs]))
+    t_streamed = float(np.median([p["streamed_s"] for p in pairs]))
     print(
-        f"\nx18: materialized {t_mat:.2f} s / {mem_mat / 2**20:.0f} MiB "
-        f"peak, streamed (tile={TILE}) {t_streamed:.2f} s / "
-        f"{mem_streamed / 2**20:.0f} MiB peak over {N} UEs "
-        f"-> {mem_ratio:.1f}x less memory, {time_ratio:.3f}x runtime"
+        f"\nx18: materialized {t_mat:.2f} s, streamed (tile={TILE}) "
+        f"{t_streamed:.2f} s (medians of {RUNTIME_PAIRS} pairs) over {N} "
+        f"UEs -> >= {mem_ratio:.1f}x less memory, {time_ratio:.3f}x "
+        f"runtime (pairs: {', '.join(f'{r:.3f}' for r in ratios)})"
     )
     # persist the record before any assert: the perf trajectory matters
     # most on exactly the runs where a pin fails
@@ -163,11 +184,16 @@ def test_x18_streaming_memory_and_runtime():
             "runtime_streamed_vs_materialized_ratio": time_ratio,
         },
         memory={
-            "tracemalloc_peak_materialized": mem_mat,
-            "tracemalloc_peak_streamed": mem_streamed,
+            "tracemalloc_peak_materialized": max(
+                p["tracemalloc_peak_materialized"] for p in pairs
+            ),
+            "tracemalloc_peak_streamed": max(
+                p["tracemalloc_peak_streamed"] for p in pairs
+            ),
         },
         walks=WALKS,
         tile_epochs=TILE,
+        runtime_pairs=pairs,
     )
     if N < N_ACCEPT:
         pytest.skip(
@@ -175,11 +201,13 @@ def test_x18_streaming_memory_and_runtime():
         )
     assert mem_ratio >= MEMORY_RATIO, (
         f"streamed peak memory only {mem_ratio:.2f}x below the "
-        f"materialized path (target {MEMORY_RATIO}x at N={N})"
+        f"materialized path in its worst pair (target {MEMORY_RATIO}x "
+        f"at N={N})"
     )
     assert time_ratio <= RUNTIME_RATIO, (
-        f"streamed runtime {time_ratio:.3f}x the materialized path "
-        f"(budget {RUNTIME_RATIO}x at N={N})"
+        f"streamed runtime {time_ratio:.3f}x the materialized path, "
+        f"median of {RUNTIME_PAIRS} pairs (budget {RUNTIME_RATIO}x at "
+        f"N={N})"
     )
 
 

@@ -29,6 +29,7 @@ import math
 import os
 import pickle
 import time
+from unittest import mock
 
 import pytest
 from conftest import write_bench_artifact
@@ -39,7 +40,7 @@ from repro.resilience import (
     SimulatedCrash,
     run_fleet_checkpointed,
 )
-from repro.sim import FleetSpec, SimulationParameters
+from repro.sim import FleetSpec, SimulationParameters, measurement
 
 N = int(os.environ.get("X20_FLEET_SIZE", "2000"))
 WALKS = int(os.environ.get("X20_WALKS", "5"))
@@ -57,14 +58,15 @@ def frozen(obj) -> bytes:
 
 
 def timed_run(directory, fault_plan=None):
+    """One checkpointed run in ``TILE``-epoch tiles (the runner streams
+    ``measurement.DEFAULT_TILE_EPOCHS`` and snapshots at every tile
+    boundary); ``None`` for a run the fault plan killed."""
     t0 = time.perf_counter()
     try:
-        result = run_fleet_checkpointed(
-            SPEC,
-            checkpoint_dir=directory,
-            tile_epochs=TILE,
-            fault_plan=fault_plan,
-        )
+        with mock.patch.object(measurement, "DEFAULT_TILE_EPOCHS", TILE):
+            result = run_fleet_checkpointed(
+                SPEC, checkpoint_dir=directory, fault_plan=fault_plan
+            )
     except SimulatedCrash:
         result = None
     return result, time.perf_counter() - t0

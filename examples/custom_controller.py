@@ -44,21 +44,22 @@ def main() -> None:
 
     class TwoInputAdapter(FuzzyHandoverSystem):
         """Adapter: feed the two-input FLC from the same observations
-        (CSSP computed but ignored by the controller).  The controller
-        goes in at construction, where the pipeline probes its call
-        shape."""
+        (CSSP computed but ignored by the controller)."""
 
         def __init__(self, **kwargs):
             super().__init__(flc=_Shim(build_two_input_flc()), **kwargs)
 
     class _Shim:
-        """Present the 2-input controller under the 3-input call shape."""
+        """Present the 2-input controller under the pipeline's one
+        controller call, ``evaluate_batch(inputs, backend=None)``."""
 
         def __init__(self, inner):
             self.inner = inner
 
-        def evaluate(self, CSSP, SSN, DMB):
-            return self.inner.evaluate(SSN=SSN, DMB=DMB)
+        def evaluate_batch(self, inputs, backend=None):
+            return self.inner.evaluate_batch(
+                {"SSN": inputs["SSN"], "DMB": inputs["DMB"]}, backend=backend
+            )
 
     print(f"{'scenario':<16} {'controller':<12} {'handovers':>9} "
           f"{'ping-pongs':>10}  serving sequence")

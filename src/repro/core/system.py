@@ -31,8 +31,6 @@ from typing import Optional, Protocol, runtime_checkable
 
 import numpy as np
 
-import inspect
-
 from ..fuzzy.compiled import kernel_error_bound, resolve_flc_backend
 from ..fuzzy.controller import FuzzyController
 from ..kernels import validate_backend_pin
@@ -48,25 +46,6 @@ __all__ = [
 ]
 
 Cell = tuple[int, int]
-
-
-def _accepts_backend_kwarg(fn) -> bool:
-    """True when a controller method explicitly declares a ``backend``
-    keyword — the registry-aware contract.  Duck-typed controllers
-    written against the pre-registry signatures (no such parameter, or
-    only ``**kwargs``, where ``backend`` would be mistaken for an input
-    variable) are called without it."""
-    if fn is None:
-        return False
-    try:
-        params = inspect.signature(fn).parameters
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return False
-    p = params.get("backend")
-    return p is not None and p.kind in (
-        inspect.Parameter.KEYWORD_ONLY,
-        inspect.Parameter.POSITIONAL_OR_KEYWORD,
-    )
 
 
 class Stage:
@@ -160,7 +139,9 @@ class FuzzyHandoverSystem:
     ----------
     flc:
         The fuzzy controller; defaults to the paper configuration
-        (:func:`~repro.core.flc.build_handover_flc`).
+        (:func:`~repro.core.flc.build_handover_flc`).  Any object with
+        ``evaluate_batch(inputs, backend=None)``, ``inputs`` mapping
+        ``CSSP``/``SSN``/``DMB`` to ``(N,)`` arrays, else a ``TypeError``.
     threshold:
         FLC output above which a handover is warranted (paper: 0.7).
     potlc_gate_dbw:
@@ -214,16 +195,12 @@ class FuzzyHandoverSystem:
             raise ValueError(f"cssp_lag must be >= 1, got {cssp_lag}")
         validate_backend_pin(flc_backend, field="flc_backend")
         self.flc = flc if flc is not None else build_handover_flc()
+        if not callable(getattr(self.flc, "evaluate_batch", None)):
+            raise TypeError(
+                "flc must have evaluate_batch(inputs, backend=None), got "
+                f"{type(self.flc).__name__}"
+            )
         self.flc_backend = flc_backend
-        # legacy duck-typed controllers predate the backend kwarg; probe
-        # both contract methods once so every evaluation path can keep
-        # calling them exactly as the pre-registry pipeline did
-        self._batch_takes_backend = _accepts_backend_kwarg(
-            getattr(self.flc, "evaluate_batch", None)
-        )
-        self._scalar_takes_backend = _accepts_backend_kwarg(
-            getattr(self.flc, "evaluate", None)
-        )
         self.threshold = float(threshold)
         self.potlc_gate_dbw = float(potlc_gate_dbw)
         self.prtlc_enabled = bool(prtlc_enabled)
@@ -314,25 +291,6 @@ class FuzzyHandoverSystem:
         )
 
     # ------------------------------------------------------------------
-    def evaluate_output(self, inputs: HandoverInputs) -> float:
-        """Raw FLC output for a prepared input triple (no pipeline)."""
-        if not self._scalar_takes_backend:
-            # duck-typed controller on the pre-registry contract
-            return self.flc.evaluate(**inputs.as_dict())
-        return self.flc.evaluate(
-            backend=self.flc_backend, **inputs.as_dict()
-        )
-
-    def evaluate_output_batch(
-        self, cssp_db: np.ndarray, ssn_db: np.ndarray, dmb: np.ndarray
-    ) -> np.ndarray:
-        """Vectorised raw FLC outputs (no pipeline) — the hot path for
-        the table generators and the X5 bench."""
-        inputs = {"CSSP": cssp_db, "SSN": ssn_db, "DMB": dmb}
-        if not self._batch_takes_backend:
-            return self.flc.evaluate_batch(inputs)
-        return self.flc.evaluate_batch(inputs, backend=self.flc_backend)
-
     def resolved_flc_backend(self) -> str:
         """The concrete FLC backend batch decisions run on: the system
         pin, else the controller's, else the name policy."""
@@ -359,22 +317,7 @@ class FuzzyHandoverSystem:
         handover/ping-pong counts) are provably identical to an
         all-reference run whenever the bound holds.  This is the path
         the scalar and batch simulators take.
-
-        Duck-typed controllers predating the registry contract (no
-        ``backend`` parameter, or scalar-only) are evaluated exactly as
-        the pre-registry pipeline did, with no backend routing.
         """
-        if not self._batch_takes_backend:
-            batch = getattr(self.flc, "evaluate_batch", None)
-            if batch is not None:
-                return batch({"CSSP": cssp_db, "SSN": ssn_db, "DMB": dmb})
-            return np.array(
-                [
-                    self.flc.evaluate(CSSP=float(c), SSN=float(s),
-                                      DMB=float(d))
-                    for c, s, d in zip(cssp_db, ssn_db, dmb)
-                ]
-            )
         # the name must resolve to a concrete backend here (the guard
         # band needs its error bound)
         name = self.resolved_flc_backend()

@@ -230,27 +230,6 @@ class TraceBatch:
         return cls(pos, lengths)
 
     @classmethod
-    def from_model(
-        cls, model: "MobilityModel", rng: np.random.Generator, n_traces: int
-    ) -> "TraceBatch":
-        """``n_traces`` independent walks from any mobility model.
-
-        Models that implement a native ``generate_batch`` (e.g.
-        :class:`~repro.mobility.random_walk.RandomWalk`) take their fully
-        vectorised path; everything else falls back to one spawned child
-        stream per trace, which keeps the batch reproducible from the
-        parent generator alone.
-        """
-        if n_traces < 1:
-            raise ValueError(f"n_traces must be >= 1, got {n_traces}")
-        native = getattr(model, "generate_batch", None)
-        if callable(native):
-            return native(rng, n_traces)
-        return cls.from_traces(
-            model.generate(child) for child in rng.spawn(n_traces)
-        )
-
-    @classmethod
     def concatenate(cls, batches: Iterable["TraceBatch"]) -> "TraceBatch":
         """Stack batches row-wise into one, in order.
 

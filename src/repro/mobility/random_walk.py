@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence, Union
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -97,19 +97,11 @@ class RandomWalk:
             )
 
     # ------------------------------------------------------------------
-    def _draw_steps(
-        self,
-        rng: np.random.Generator,
-        shape: Union[int, tuple[int, ...], None] = None,
-    ) -> np.ndarray:
-        """Truncated-Gaussian leg lengths, shape ``(n_walks,)`` by
-        default or any requested ``shape`` (the batch path draws a
-        ``(n_traces, n_walks)`` matrix from the same law)."""
-        if shape is None:
-            shape = self.n_walks
+    def _draw_steps(self, rng: np.random.Generator) -> np.ndarray:
+        """Truncated-Gaussian leg lengths, shape ``(n_walks,)``."""
         if self.step_sigma_km == 0.0:
-            return np.full(shape, self.mean_step_km)
-        out = rng.normal(self.mean_step_km, self.step_sigma_km, shape)
+            return np.full(self.n_walks, self.mean_step_km)
+        out = rng.normal(self.mean_step_km, self.step_sigma_km, self.n_walks)
         bad = out < self.min_step_km
         # resample the tail instead of clipping, to keep the law Gaussian
         # conditional on positivity
@@ -154,41 +146,6 @@ class RandomWalk:
     # ------------------------------------------------------------------
     # batch generation (the fleet-simulation hot path)
     # ------------------------------------------------------------------
-    def generate_batch(
-        self, rng: np.random.Generator, n_traces: int
-    ) -> TraceBatch:
-        """``n_traces`` walks drawn at once from one shared generator.
-
-        All leg lengths and headings are sampled as ``(n_traces,
-        n_walks)`` matrices — no per-walk Python loop.  The draw order
-        differs from ``n_traces`` scalar :meth:`generate` calls, so this
-        path is *not* stream-compatible with per-seed walks; use
-        :meth:`generate_batch_seeded` when the batch must reproduce
-        scalar runs bit-for-bit.
-        """
-        if not isinstance(rng, np.random.Generator):
-            raise TypeError(
-                "generate_batch() expects a numpy Generator; build one "
-                "with numpy.random.default_rng(seed)"
-            )
-        if n_traces < 1:
-            raise ValueError(f"n_traces must be >= 1, got {n_traces}")
-        shape = (n_traces, self.n_walks)
-        d = self._draw_steps(rng, shape)
-        if self.angle_law == "uniform":
-            theta = rng.uniform(0.0, 2.0 * math.pi, shape)
-        else:
-            # Gaussian persistence: θ_k = θ_{k-1} + σ·ε is a cumulative
-            # sum of innovations around a random initial heading.
-            theta = np.empty(shape)
-            theta[:, 0] = rng.uniform(0.0, 2.0 * math.pi, n_traces)
-            if self.n_walks > 1:
-                steps = rng.normal(
-                    0.0, self.angle_sigma_rad, (n_traces, self.n_walks - 1)
-                )
-                theta[:, 1:] = theta[:, :1] + np.cumsum(steps, axis=1)
-        return self._walk_batch(d, theta)
-
     def generate_batch_seeded(self, seeds: Sequence[int]) -> TraceBatch:
         """One walk per integer seed, each bit-identical to
         :meth:`generate_seeded` of that seed — the batch engine's
@@ -209,11 +166,7 @@ class RandomWalk:
             rng = np.random.default_rng(int(seed))
             d[i] = self._draw_steps(rng)
             theta[i] = self._draw_angles(rng)
-        return self._walk_batch(d, theta)
-
-    def _walk_batch(self, d: np.ndarray, theta: np.ndarray) -> TraceBatch:
-        """Eq. 1-2 over ``(n_traces, n_walks)`` leg lengths and headings:
-        the batch form of :meth:`generate`'s ``Trace.from_steps``."""
+        # Eq. 1-2: the batch form of generate()'s Trace.from_steps
         deltas = np.stack([d * np.cos(theta), d * np.sin(theta)], axis=2)
         start = np.asarray(self.start, dtype=float)
         pos = np.empty((d.shape[0], self.n_walks + 1, 2))

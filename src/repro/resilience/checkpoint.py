@@ -78,8 +78,8 @@ import tempfile
 from pathlib import Path
 from typing import Optional, Union
 
+from ..sim import measurement
 from ..sim.fleet import FleetSpec
-from ..sim.measurement import DEFAULT_TILE_EPOCHS
 from ..sim.population import partition_fleet
 from ..sim.metrics import (
     DEFAULT_OUTAGE_DBW,
@@ -180,37 +180,28 @@ def run_fleet_checkpointed(
     n_shards: int = 1,
     window_km: Optional[float] = None,
     outage_dbw: Optional[float] = None,
-    tile_epochs: int = DEFAULT_TILE_EPOCHS,
-    checkpoint_every_tiles: int = 1,
     fault_plan: Optional[FaultPlan] = None,
 ) -> FleetMetrics:
     """Run (or resume) a fleet with crash-safe checkpointing.
 
     Shards run serially in-process (checkpointing owns the execution
     order; distribute *or* checkpoint, not both), each streamed in
-    ``tile_epochs``-epoch tiles (at least 1) so there are tile
-    boundaries to snapshot at; the tile size is part of the workload's
-    fingerprint.  Call again with the same arguments after a crash and
-    the run continues from the last checkpoint; the merged
-    :class:`FleetMetrics` is byte-identical to the uninterrupted run and
-    to :func:`~repro.sim.fleet.run_fleet` over the same spec.
+    :data:`~repro.sim.measurement.DEFAULT_TILE_EPOCHS`-epoch tiles, read
+    when the run starts as every fleet range does, with a snapshot at
+    every tile boundary; the tile size is part of the fingerprint.  Call
+    again with the same arguments after a crash and the run continues
+    from the last checkpoint; the merged :class:`FleetMetrics` is
+    byte-identical to the uninterrupted run and to
+    :func:`~repro.sim.fleet.run_fleet` over the same spec.
 
     Each shard is one batch pass, every UE under its cohort's policy,
     so mixed-policy populations checkpoint like any other fleet.
 
-    ``checkpoint_every_tiles`` thins the write cadence (a snapshot every
-    m-th tile boundary).  ``fault_plan`` lets ``"checkpoint"``-scope
-    crash rules kill the run deterministically between writes (tests,
-    the X20 recovery bench).
+    ``fault_plan`` lets ``"checkpoint"``-scope crash rules kill the run
+    deterministically between writes (tests, the X20 recovery bench).
     """
     population = spec.population
-    if checkpoint_every_tiles < 1:
-        raise ValueError(
-            f"checkpoint_every_tiles must be >= 1, "
-            f"got {checkpoint_every_tiles}"
-        )
-    if tile_epochs < 1:
-        raise ValueError(f"tile_epochs must be >= 1, got {tile_epochs}")
+    tile_epochs = measurement.DEFAULT_TILE_EPOCHS
     window = DEFAULT_WINDOW_KM if window_km is None else float(window_km)
     outage = DEFAULT_OUTAGE_DBW if outage_dbw is None else float(outage_dbw)
 
@@ -259,13 +250,8 @@ def run_fleet_checkpointed(
             fading_profiles=population.fading_profiles(lo, hi),
         )
         sim = population.simulator(lo, hi)
-        boundaries = 0
 
         def on_tile_end(next_epoch, epoch_state):
-            nonlocal boundaries
-            boundaries += 1
-            if boundaries % checkpoint_every_tiles != 0:
-                return
             if injector is not None:
                 rule = injector.poll()
                 if rule is not None and rule.mode == "crash":

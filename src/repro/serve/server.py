@@ -11,7 +11,8 @@ Request messages (dicts with a ``"type"`` key):
 ``subscribe``
     ``{"type": "subscribe", "ue": 3, "speed_kmh": 30.0, "cohort":
     "vehicular", "policy": {...}}`` — registers the UE; acked.  A new
-    UE past :data:`MAX_WIRE_UES` registered UEs gets an ``error`` reply
+    UE past :data:`MAX_WIRE_UES` registered UEs, or a cohort label
+    longer than :data:`MAX_WIRE_COHORT_CHARS`, gets an ``error`` reply
     and registers nothing; a known UE may always re-subscribe.
 ``report``
     a :class:`~repro.serve.protocol.Report` payload — **fire and
@@ -73,7 +74,8 @@ from .protocol import (
 )
 from .service import MAX_LISTENER_CAPACITY, DecisionService, check_capacity
 
-__all__ = ["ServeServer", "ServeClient", "DEADLINE_POLL_S", "MAX_WIRE_UES"]
+__all__ = ["ServeServer", "ServeClient", "DEADLINE_POLL_S", "MAX_WIRE_UES",
+           "MAX_WIRE_COHORT_CHARS"]
 
 logger = logging.getLogger("repro.serve")
 
@@ -91,6 +93,14 @@ DEADLINE_POLL_S = 0.005
 #: :meth:`~repro.serve.service.DecisionService.subscribe` takes any
 #: number of UEs.
 MAX_WIRE_UES = 100_000
+
+#: The longest cohort label a wire ``subscribe`` may carry.  Every
+#: registered UE keeps its own decoded copy, 49 + ``n`` bytes for ``n``
+#: ASCII characters (CPython 3.11, tracemalloc over 4,000 wire
+#: subscribes): 113 bytes at the bound against 59 for ``stationary``,
+#: the longest label in the repo, so at most about 11 MB of labels at
+#: :data:`MAX_WIRE_UES`.  A policy choice; in process any string.
+MAX_WIRE_COHORT_CHARS = 64
 
 
 class ServeServer:
@@ -212,10 +222,18 @@ class ServeServer:
                             f"the server registers at most {MAX_WIRE_UES} "
                             f"UEs (MAX_WIRE_UES); ue {ue} would be one more"
                         )
+                    cohort = message.get("cohort")
+                    chars = len(cohort) if isinstance(cohort, str) else 0
+                    if chars > MAX_WIRE_COHORT_CHARS:
+                        raise ValueError(
+                            f"cohort labels are at most "
+                            f"{MAX_WIRE_COHORT_CHARS} characters on the "
+                            f"wire (MAX_WIRE_COHORT_CHARS), got {chars}"
+                        )
                     self.service.subscribe(
                         ue,
                         speed_kmh=message.get("speed_kmh", 0.0),
-                        cohort=message.get("cohort"),
+                        cohort=cohort,
                         policy=message.get("policy"),
                     )
                     reply = {"type": "ok"}

@@ -34,11 +34,7 @@ from ..core.inputs import HandoverInputs
 from ..core.system import Decision, FuzzyHandoverSystem, Stage
 from .engine import HandoverEvent, SimulationResult
 from .kernel import EpochState, speed_penalties, step
-from .metrics import (
-    DEFAULT_OUTAGE_DBW,
-    DEFAULT_WINDOW_KM,
-    compute_fleet_metrics,
-)
+from .metrics import DEFAULT_OUTAGE_DBW, DEFAULT_WINDOW_KM
 from .measurement import BatchMeasurementSeries, TiledBatchMeasurement
 
 __all__ = ["BatchSimulator", "BatchSimulationResult"]
@@ -204,19 +200,6 @@ class BatchSimulationResult:
         """Every UE's scalar-compatible result, in UE order."""
         for i in range(self.n_ues):
             yield self.ue_result(i)
-
-    def fleet_metrics(
-        self,
-        window_km: Optional[float] = None,
-        outage_dbw: Optional[float] = None,
-    ):
-        """Aggregate fleet quality metrics (see
-        :func:`repro.sim.metrics.compute_fleet_metrics`)."""
-        return compute_fleet_metrics(
-            self,
-            DEFAULT_WINDOW_KM if window_km is None else window_km,
-            DEFAULT_OUTAGE_DBW if outage_dbw is None else outage_dbw,
-        )
 
 
 class _FleetLogRecorder:

@@ -74,6 +74,7 @@ stay byte-identical through worker death and shard reissue.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import pickle
 import socket
@@ -358,7 +359,7 @@ class _TaskQueue:
         """Next ready task index, or ``None`` when the map is over."""
         with self._cond:
             while True:
-                if self.error is not None or self.all_done_locked():
+                if self.error is not None or all(self._completed):
                     return None
                 ready = [
                     i for i in self._pending
@@ -420,13 +421,6 @@ class _TaskQueue:
             return self._attempts[idx]
 
     # -- bookkeeping ---------------------------------------------------
-    def all_done_locked(self) -> bool:
-        return all(self._completed)
-
-    def all_done(self) -> bool:
-        with self._cond:
-            return self.all_done_locked()
-
     def remaining(self) -> list[int]:
         """Incomplete task indices, in task order."""
         with self._cond:
@@ -464,6 +458,9 @@ class DistributedExecutor(Executor):
         When *every* worker is unreachable/dead mid-map, finish the
         remaining tasks serially in the calling process instead of
         raising (default True).
+
+    A value the sockets or the retry loop cannot use is refused with a
+    ``ValueError`` naming the field.
     """
 
     def __init__(
@@ -480,19 +477,33 @@ class DistributedExecutor(Executor):
         serial_fallback: bool = True,
     ) -> None:
         self.addresses = parse_hosts(hosts)
-        if heartbeat_interval <= 0:
+        if heartbeat_timeout is None:
+            heartbeat_timeout = max(2.0, 8.0 * heartbeat_interval)
+        # a socket timeout of 0 is non-blocking and a negative one out of
+        # range: every worker thread would die and the map run serially
+        for field, value in (
+            ("heartbeat_interval", heartbeat_interval),
+            ("heartbeat_timeout", heartbeat_timeout),
+            ("connect_timeout", connect_timeout),
+        ):
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"{field} must be positive and finite, got {value}"
+                )
+        if task_timeout is not None and not task_timeout > 0:
             raise ValueError(
-                f"heartbeat_interval must be > 0, got {heartbeat_interval}"
+                f"task_timeout must be None or positive, got {task_timeout}"
             )
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+        for field, value in (
+            ("max_retries", max_retries),
+            ("backoff_base", backoff_base),
+            ("backoff_cap", backoff_cap),
+        ):
+            if not value >= 0:
+                raise ValueError(f"{field} must be >= 0, got {value}")
         self.task_timeout = task_timeout
         self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = (
-            max(2.0, 8.0 * heartbeat_interval)
-            if heartbeat_timeout is None
-            else heartbeat_timeout
-        )
+        self.heartbeat_timeout = heartbeat_timeout
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap

@@ -603,15 +603,6 @@ class MeasurementSampler:
             )
         return None
 
-    def measure_points(self, points_km: np.ndarray) -> np.ndarray:
-        """Power matrix for isolated points (no fading, no path order).
-
-        Used by the measurement-point experiments (Figs. 12/13) where
-        the paper evaluates specific boundary locations.
-        """
-        pts = np.atleast_2d(np.asarray(points_km, dtype=float))
-        return self.propagation.power_from_sites(self.layout.bs_positions, pts)
-
     def __repr__(self) -> str:
         return (
             f"MeasurementSampler(layout={self.layout!r}, "

@@ -211,9 +211,9 @@ class FleetMetrics:
 
     A ``FleetMetrics`` is *mergeable*: every aggregate derives from the
     per-UE reduction arrays it carries, so disjoint shards of one fleet
-    combine via :meth:`merge` into exactly the metrics the unsharded
-    fleet would produce.  The float aggregates are defined so the merge
-    is associative bit-for-bit: integer numerators where possible
+    combine via :func:`merge_fleet_metrics` into exactly the metrics the
+    unsharded fleet would produce.  The float aggregates are defined so
+    the merge is associative bit-for-bit: integer numerators where possible
     (wrong-cell, dwell), an exact ``math.fsum`` over per-UE output sums,
     and a max-of-maxes.  Build instances through :meth:`from_per_ue`.
     """
@@ -375,14 +375,6 @@ class FleetMetrics:
         return metrics.with_cohorts(
             payload["cohort_ids"], payload["cohort_names"]
         )
-
-    def merge(self, *others: "FleetMetrics") -> "FleetMetrics":
-        """Combine disjoint fleet shards (UE-order concatenation).
-
-        Associative and exact: merging any contiguous partition of a
-        fleet reproduces the unsharded metrics bit-for-bit.
-        """
-        return merge_fleet_metrics((self, *others))
 
     @property
     def ping_pong_rate(self) -> float:

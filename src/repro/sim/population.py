@@ -281,13 +281,10 @@ class UECohort:
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
             raise ValueError(f"cohort name must be a non-empty string, got {self.name!r}")
-        if not (
-            hasattr(self.model, "generate_seeded")
-            or hasattr(self.model, "generate")
-        ):
+        if not callable(getattr(self.model, "generate_seeded", None)):
             raise ValueError(
-                f"cohort {self.name!r} model must be a mobility model, "
-                f"got {type(self.model).__name__}"
+                f"cohort {self.name!r} model must be a mobility model "
+                f"with generate_seeded(seed), got {type(self.model).__name__}"
             )
         if (self.count is None) == (self.fraction is None):
             raise ValueError(
@@ -531,13 +528,9 @@ class PopulationSpec:
             model = cohort.model
             if hasattr(model, "generate_batch_seeded"):
                 batches.append(model.generate_batch_seeded(seeds))
-            elif hasattr(model, "generate_seeded"):
-                batches.append(TraceBatch.from_traces(
-                    model.generate_seeded(s) for s in seeds
-                ))
             else:
                 batches.append(TraceBatch.from_traces(
-                    model.generate(np.random.default_rng(s)) for s in seeds
+                    model.generate_seeded(s) for s in seeds
                 ))
         return TraceBatch.concatenate(batches)
 

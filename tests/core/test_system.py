@@ -11,7 +11,8 @@ from repro.core import (
     Observation,
     Stage,
 )
-from repro.core.inputs import HandoverInputs
+from repro.mobility import RandomWalk
+from repro.sim import SimulationParameters, run_trace
 
 
 def obs(
@@ -225,69 +226,94 @@ class TestConfiguration:
         d = eager.decide(obs(serving=-96.5, neighbor=-93.0, distance=0.85, step=1))
         assert d.handover  # 0.4 threshold fires where 0.7 would not
 
-    def test_evaluate_output_batch_matches_scalar(self):
+    def test_decision_outputs_batch_matches_scalar(self):
         sys_ = FuzzyHandoverSystem()
         cssp = np.array([-6.0, 0.0, 3.0])
         ssn = np.array([-85.0, -100.0, -115.0])
         dmb = np.array([1.0, 0.5, 0.2])
-        batch = sys_.evaluate_output_batch(cssp, ssn, dmb)
+        batch = sys_.decision_outputs_batch(cssp, ssn, dmb)
         for k in range(3):
             assert batch[k] == pytest.approx(
                 sys_.flc.evaluate(CSSP=cssp[k], SSN=ssn[k], DMB=dmb[k])
             )
 
-    def test_scalar_only_controller_shim_still_decides(self):
-        """A duck-typed controller exposing only evaluate() (the
-        pre-registry decide() contract) drives the pipeline unchanged —
-        the decision path falls back to sample-by-sample evaluation."""
+    def test_scalar_only_controller_is_refused(self):
+        """A controller with only ``evaluate`` is refused at
+        construction, naming ``flc``; the pipeline calls nothing but
+        ``evaluate_batch(inputs, backend=None)``."""
         real = FuzzyHandoverSystem()
 
         class Shim:
             def evaluate(self, CSSP, SSN, DMB):
                 return real.flc.evaluate(CSSP=CSSP, SSN=SSN, DMB=DMB)
 
-        shimmed = FuzzyHandoverSystem(flc=Shim())
-        cssp = np.array([-6.0, 0.0])
-        ssn = np.array([-85.0, -100.0])
-        dmb = np.array([1.0, 0.5])
-        np.testing.assert_array_equal(
-            shimmed.decision_outputs_batch(cssp, ssn, dmb),
-            real.decision_outputs_batch(cssp, ssn, dmb),
-        )
-        # ... and through the raw-output path (no backend= kwarg leaks
-        # into a shim that never learned it)
-        inputs = HandoverInputs(cssp_db=-6.0, ssn_db=-85.0, dmb=1.0)
-        assert shimmed.evaluate_output(inputs) == real.evaluate_output(inputs)
+        with pytest.raises(TypeError, match="flc"):
+            FuzzyHandoverSystem(flc=Shim())
+        with pytest.raises(TypeError, match="flc"):
+            FuzzyHandoverSystem(flc=object())
 
     def test_flc_backend_validation(self):
         with pytest.raises(ValueError, match="flc_backend"):
             FuzzyHandoverSystem(flc_backend="")
         assert "lut" in repr(FuzzyHandoverSystem(flc_backend="lut"))
 
-    def test_legacy_batch_contract_controller_still_works(self):
-        """A duck-typed controller with the pre-registry *batch*
-        signature — evaluate_batch(inputs), no backend parameter — runs
-        every pipeline path exactly as before the registry existed."""
-        real = FuzzyHandoverSystem()
 
-        class LegacyBatch:
-            def evaluate(self, **kwargs):
-                return real.flc.evaluate(**kwargs)
+class BatchOnly:
+    """A controller with nothing but the pipeline's one call, the shape
+    of ``examples/custom_controller.py``'s shim: it forwards the inputs
+    and the backend to the controller it wraps."""
 
-            def evaluate_batch(self, inputs):
-                return real.flc.evaluate_batch(inputs)
+    def __init__(self, inner):
+        self.inner = inner
 
-        legacy = FuzzyHandoverSystem(flc=LegacyBatch())
-        cssp = np.array([-6.0, 0.0])
-        ssn = np.array([-85.0, -100.0])
-        dmb = np.array([1.0, 0.5])
-        np.testing.assert_array_equal(
-            legacy.decision_outputs_batch(cssp, ssn, dmb),
-            real.decision_outputs_batch(cssp, ssn, dmb),
+    def evaluate_batch(self, inputs, backend=None):
+        return self.inner.evaluate_batch(
+            {name: inputs[name] for name in ("CSSP", "SSN", "DMB")},
+            backend=backend,
         )
-        np.testing.assert_array_equal(
-            legacy.evaluate_output_batch(cssp, ssn, dmb),
-            real.evaluate_output_batch(cssp, ssn, dmb),
+
+
+@pytest.mark.parametrize("backend", ["reference", "lut"])
+class TestSingleControllerContract:
+    """A controller that only has ``evaluate_batch(inputs, backend=None)``
+    decides as the controller it wraps, on every backend."""
+
+    def systems(self, backend):
+        real = FuzzyHandoverSystem(flc_backend=backend)
+        wrapped = FuzzyHandoverSystem(
+            flc=BatchOnly(real.flc), flc_backend=backend
         )
-        inputs = HandoverInputs(cssp_db=-6.0, ssn_db=-85.0, dmb=1.0)
-        assert legacy.evaluate_output(inputs) == real.evaluate_output(inputs)
+        return real, wrapped
+
+    def test_decision_outputs_batch(self, backend):
+        real, wrapped = self.systems(backend)
+        rng = np.random.default_rng(30)
+        cssp = rng.uniform(-10.0, 10.0, 4000)
+        ssn = rng.uniform(-120.0, -80.0, 4000)
+        dmb = rng.uniform(0.0, 1.5, 4000)
+        got = wrapped.decision_outputs_batch(cssp, ssn, dmb)
+        want = real.decision_outputs_batch(cssp, ssn, dmb)
+        np.testing.assert_array_equal(
+            got > real.threshold, want > real.threshold
+        )
+        if backend == "reference":
+            assert got.tobytes() == want.tobytes()
+
+    def test_decide(self, backend):
+        real, wrapped = self.systems(backend)
+        params = SimulationParameters()
+        walk = RandomWalk(n_walks=10)
+        n_decided = 0
+        for seed in range(6):
+            trace = walk.generate_seeded(seed)
+            got, _ = run_trace(params, wrapped, trace)
+            want, _ = run_trace(params, real, trace)
+            assert got.serving_history == want.serving_history
+            for a, b in zip(got.decisions, want.decisions, strict=True):
+                assert (a.handover, a.stage, a.target) == (
+                    b.handover, b.stage, b.target
+                )
+            n_decided += int(np.isfinite(want.outputs).sum())
+            if backend == "reference":
+                assert got.outputs.tobytes() == want.outputs.tobytes()
+        assert n_decided > 0  # the FLC ran, not only the POTLC gate

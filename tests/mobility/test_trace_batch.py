@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mobility import RandomWalk, RandomWaypoint, Trace, TraceBatch, base
+from repro.mobility import RandomWalk, Trace, TraceBatch, base
 from repro.sim import named_population
 
 
@@ -147,46 +147,23 @@ class TestGeneration:
 
     def test_generate_batch_shapes_and_start(self):
         walk = RandomWalk(n_walks=8, start=(1.0, -2.0))
-        batch = walk.generate_batch(np.random.default_rng(3), 10)
+        batch = walk.generate_batch_seeded(range(3, 13))
         assert batch.positions.shape == (10, 9, 2)
         assert (batch.lengths == 9).all()
         np.testing.assert_array_equal(
             batch.positions[:, 0], np.tile([1.0, -2.0], (10, 1))
         )
 
-    def test_generate_batch_reproducible(self):
-        walk = RandomWalk(n_walks=5)
-        a = walk.generate_batch(np.random.default_rng(42), 4)
-        b = walk.generate_batch(np.random.default_rng(42), 4)
-        np.testing.assert_array_equal(a.positions, b.positions)
-
     def test_generate_batch_step_law(self):
         walk = RandomWalk(n_walks=50, mean_step_km=0.6, step_sigma_km=0.2)
-        batch = walk.generate_batch(np.random.default_rng(0), 20)
+        batch = walk.generate_batch_seeded(range(20))
         for i in range(batch.n_traces):
             steps = batch.trace(i).step_lengths()
             assert (steps >= walk.min_step_km).all()
 
     def test_generate_batch_validation(self):
-        walk = RandomWalk()
-        with pytest.raises(TypeError):
-            walk.generate_batch(123, 4)  # seed instead of Generator
-        with pytest.raises(ValueError):
-            walk.generate_batch(np.random.default_rng(0), 0)
-
-    def test_from_model_native_path(self):
-        walk = RandomWalk(n_walks=4)
-        batch = TraceBatch.from_model(walk, np.random.default_rng(7), 6)
-        assert batch.n_traces == 6
-        assert (batch.lengths == 5).all()
-
-    def test_from_model_fallback_spawns_children(self):
-        model = RandomWaypoint(n_waypoints=4)
-        batch = TraceBatch.from_model(model, np.random.default_rng(7), 3)
-        assert batch.n_traces == 3
-        # reproducible from the parent generator alone
-        again = TraceBatch.from_model(model, np.random.default_rng(7), 3)
-        np.testing.assert_array_equal(batch.positions, again.positions)
+        with pytest.raises(ValueError, match="at least one seed"):
+            RandomWalk().generate_batch_seeded([])
 
 
 def assert_bit_identical(got, want):

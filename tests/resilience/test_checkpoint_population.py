@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.sim import (
     FleetSpec,
     PopulationSpec,
     SimulationParameters,
+    measurement,
     partition_fleet,
     run_fleet,
 )
@@ -76,13 +78,13 @@ def frozen(obj) -> bytes:
 
 
 def run(spec, directory, n_shards, fault_plan=None):
-    return run_fleet_checkpointed(
-        spec,
-        checkpoint_dir=directory,
-        n_shards=n_shards,
-        tile_epochs=TILE,
-        fault_plan=fault_plan,
-    )
+    with mock.patch.object(measurement, "DEFAULT_TILE_EPOCHS", TILE):
+        return run_fleet_checkpointed(
+            spec,
+            checkpoint_dir=directory,
+            n_shards=n_shards,
+            fault_plan=fault_plan,
+        )
 
 
 @pytest.mark.parametrize("n_shards", [1, 4])

@@ -16,6 +16,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -28,7 +29,7 @@ from repro.resilience import (
     load_checkpoint,
     run_fleet_checkpointed,
 )
-from repro.sim import FleetSpec, SimulationParameters, run_fleet
+from repro.sim import FleetSpec, SimulationParameters, measurement, run_fleet
 
 pytestmark = pytest.mark.resilience
 
@@ -53,14 +54,16 @@ CRASH_AT_SECOND_CHECKPOINT = FaultPlan(
 )
 
 
-def run(spec, directory, n_shards=1, fault_plan=None):
-    return run_fleet_checkpointed(
-        spec,
-        checkpoint_dir=directory,
-        n_shards=n_shards,
-        tile_epochs=TILE,
-        fault_plan=fault_plan,
-    )
+def run(spec, directory, n_shards=1, fault_plan=None, tile=TILE):
+    """A checkpointed run in ``tile``-epoch tiles, so with a snapshot
+    every ``tile`` epochs."""
+    with mock.patch.object(measurement, "DEFAULT_TILE_EPOCHS", tile):
+        return run_fleet_checkpointed(
+            spec,
+            checkpoint_dir=directory,
+            n_shards=n_shards,
+            fault_plan=fault_plan,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -152,6 +155,21 @@ def test_fingerprint_mismatch_raises(tmp_path):
         run(make_spec(5), tmp_path)
 
 
+def test_fingerprint_binds_the_tile_size(tmp_path):
+    """Snapshots fall on tile boundaries, so a run crashed with 4-epoch
+    tiles does not resume with 8-epoch ones."""
+    spec = make_spec(4)
+    with pytest.raises(SimulatedCrash):
+        run(spec, tmp_path, fault_plan=CRASH_AT_SECOND_CHECKPOINT, tile=4)
+    assert load_checkpoint(tmp_path)["in_progress"] is not None
+    with pytest.raises(CheckpointError, match="different workload"):
+        run(spec, tmp_path, tile=8)
+    # the crashed run still resumes at its own tile size
+    assert frozen(run(spec, tmp_path, tile=4)) == frozen(
+        run(spec, tmp_path / "ref", tile=8)
+    )
+
+
 def test_malformed_checkpoint_raises(tmp_path):
     checkpoint_path(tmp_path).write_bytes(b"not a pickle")
     with pytest.raises(CheckpointError, match="unreadable"):
@@ -160,11 +178,16 @@ def test_malformed_checkpoint_raises(tmp_path):
 
 @pytest.mark.parametrize("tile_epochs", [0, -1])
 def test_tile_size_below_one_is_refused(tmp_path, tile_epochs):
-    # the tile size sets where snapshots fall; there is no "auto" here
+    """The tile stream refuses a tile size below 1 by name, so a
+    checkpointed run under it stops before its first write."""
+    spec = make_spec(2)
+    population = spec.population
     with pytest.raises(ValueError, match="tile_epochs"):
-        run_fleet_checkpointed(
-            make_spec(2), checkpoint_dir=tmp_path, tile_epochs=tile_epochs
+        population.make_sampler().measure_batch_tiles(
+            population.traces(), tile_epochs
         )
+    with pytest.raises(ValueError, match="tile_epochs"):
+        run(spec, tmp_path, tile=tile_epochs)
     assert load_checkpoint(tmp_path) is None
 
 

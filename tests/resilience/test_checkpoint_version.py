@@ -5,6 +5,7 @@ file written with per-UE fading streams still resumes."""
 from __future__ import annotations
 
 import pickle
+from unittest import mock
 
 import pytest
 
@@ -19,9 +20,18 @@ from repro.resilience import (
     run_fleet_checkpointed,
 )
 from repro.radio.fading import ShadowFadingStream
-from repro.sim import FleetSpec, SimulationParameters
+from repro.sim import FleetSpec, SimulationParameters, measurement
 
 pytestmark = pytest.mark.resilience
+
+TILE = 4
+
+
+def run(spec, directory, fault_plan=None):
+    with mock.patch.object(measurement, "DEFAULT_TILE_EPOCHS", TILE):
+        return run_fleet_checkpointed(
+            spec, checkpoint_dir=directory, fault_plan=fault_plan
+        )
 
 
 def test_version_1_checkpoint_is_refused(tmp_path):
@@ -30,9 +40,7 @@ def test_version_1_checkpoint_is_refused(tmp_path):
         rules=(FaultRule(scope="checkpoint", mode="crash", after=2),)
     )
     with pytest.raises(SimulatedCrash):
-        run_fleet_checkpointed(
-            spec, checkpoint_dir=tmp_path, tile_epochs=4, fault_plan=crash
-        )
+        run(spec, tmp_path, fault_plan=crash)
     state = load_checkpoint(tmp_path)
     assert state["version"] == CHECKPOINT_VERSION == 2
     assert set(state["in_progress"]["snapshot"]) == {
@@ -52,7 +60,7 @@ def test_version_1_checkpoint_is_refused(tmp_path):
     checkpoint_path(tmp_path).write_bytes(pickle.dumps(state))
 
     with pytest.raises(CheckpointError, match="version 1, expected 2"):
-        run_fleet_checkpointed(spec, checkpoint_dir=tmp_path, tile_epochs=4)
+        run(spec, tmp_path)
 
 
 def per_ue_stream_fading_state(spec, tile_epochs, next_epoch):
@@ -94,23 +102,19 @@ def test_version_2_per_ue_stream_fading_state_resumes_identically(
             shadow_sigma_db=6.0, shadow_decorrelation_km=decorrelation_km
         ),
     )
-    reference = run_fleet_checkpointed(
-        spec, checkpoint_dir=tmp_path / "ref", tile_epochs=4
-    )
+    reference = run(spec, tmp_path / "ref")
     crashed = tmp_path / "crashed"
     crash = FaultPlan(
         rules=(FaultRule(scope="checkpoint", mode="crash", after=3),)
     )
     with pytest.raises(SimulatedCrash):
-        run_fleet_checkpointed(
-            spec, checkpoint_dir=crashed, tile_epochs=4, fault_plan=crash
-        )
+        run(spec, crashed, fault_plan=crash)
     state = load_checkpoint(crashed)
     assert state["version"] == CHECKPOINT_VERSION == 2
     snapshot = state["in_progress"]["snapshot"]
     assert snapshot["next_epoch"] == 8
 
-    legacy = per_ue_stream_fading_state(spec, 4, snapshot["next_epoch"])
+    legacy = per_ue_stream_fading_state(spec, TILE, snapshot["next_epoch"])
     # the bank writes the per-UE streams' layout, entry for entry ...
     assert len(snapshot["fading_state"]) == len(legacy)
     for got, want in zip(snapshot["fading_state"], legacy):
@@ -127,7 +131,5 @@ def test_version_2_per_ue_stream_fading_state_resumes_identically(
     # through the bank to the uninterrupted run's bytes
     snapshot["fading_state"] = legacy
     checkpoint_path(crashed).write_bytes(pickle.dumps(state))
-    resumed = run_fleet_checkpointed(
-        spec, checkpoint_dir=crashed, tile_epochs=4
-    )
+    resumed = run(spec, crashed)
     assert pickle.dumps(resumed) == pickle.dumps(reference)

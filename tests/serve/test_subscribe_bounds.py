@@ -9,7 +9,9 @@ threshold and POTLC gate must be real numbers: a string or a boolean
 is refused, not converted.  Every refusal is a ``ValueError`` in process
 and an ``error`` reply on the wire, and the UEs that behave keep
 closing their epochs.  Over the wire a server registers at most
-:data:`~repro.serve.server.MAX_WIRE_UES` UEs; in process any number.
+:data:`~repro.serve.server.MAX_WIRE_UES` UEs and takes cohort labels of
+at most :data:`~repro.serve.server.MAX_WIRE_COHORT_CHARS` characters;
+in process any number and any string.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import pytest
 from repro.serve import DecisionService, Report, ServeClient, ServeServer
 from repro.serve import server as serve_server
 from repro.serve.engine import MAX_CSSP_LAG
+from repro.serve.server import MAX_WIRE_COHORT_CHARS
 from repro.sim import PolicyConfig, SimulationParameters
 
 pytestmark = pytest.mark.serve
@@ -168,3 +171,59 @@ def test_wire_registrations_stop_at_the_bound(monkeypatch):
     assert service.engine.n_ues == 2
     service.subscribe(2)
     assert service.engine.n_ues == 3
+
+
+def subscribe_labelled(label):
+    """Over the wire: UE 0 subscribes as ``walkers``, then UE 1 under
+    ``label``; UE 0 then reports.  Returns the service, the error UE 1's
+    subscribe got (``None`` when accepted) and the wire metrics."""
+
+    async def run():
+        service = DecisionService()
+        server = ServeServer(service)
+        host, port = await server.start()
+        try:
+            good = await ServeClient(host, port).connect()
+            await good.subscribe(0, cohort="walkers")
+            other = await ServeClient(host, port).connect()
+            error = None
+            try:
+                await other.subscribe(1, cohort=label)
+            except ValueError as exc:
+                error = exc
+            finally:
+                await other.close()
+            await good.report(make_report(0))
+            metrics = await good.metrics()
+            await good.close()
+            return service, error, metrics
+        finally:
+            await server.stop()
+
+    return asyncio.run(run())
+
+
+def test_wire_cohort_label_past_the_bound_is_refused():
+    service, error, metrics = subscribe_labelled(
+        "x" * (MAX_WIRE_COHORT_CHARS + 1)
+    )
+    assert error is not None
+    assert "cohort" in str(error)
+    assert f"at most {MAX_WIRE_COHORT_CHARS} characters" in str(error)
+    assert not service.engine.knows(1)
+    assert service.stats.epochs_closed == 1
+    assert metrics.cohort_names == ("walkers",)
+    # in process the same label is taken
+    service.subscribe(1, cohort="x" * (MAX_WIRE_COHORT_CHARS + 1))
+    assert service.engine.knows(1)
+
+
+def test_wire_cohort_label_at_the_bound_is_accepted():
+    label = "x" * MAX_WIRE_COHORT_CHARS
+    service, error, _ = subscribe_labelled(label)
+    assert error is None
+    assert service.engine.knows(1)
+    # UE 1 has not reported, so epoch 0 waits for it; force it closed
+    assert service.stats.epochs_closed == 0
+    service.force_close()
+    assert service.metrics().cohort_names == ("walkers", label)

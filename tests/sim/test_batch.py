@@ -197,15 +197,6 @@ class TestFleetMetrics:
         assert fleet.ping_pong_rate <= 1.0
         assert fleet.mean_handovers_per_ue == fleet.n_handovers / 9
 
-    def test_result_convenience_method(self):
-        traces = make_traces(FAST, 4)
-        _, batch = run_both(FAST, traces, 0.0)
-        fleet = batch.fleet_metrics()
-        assert fleet.n_ues == 4
-        assert set(fleet.as_dict()) >= {
-            "n_handovers", "ping_pong_rate", "wrong_cell_fraction"
-        }
-
 
 class TestBatchMeasurementFading:
     def test_per_ue_fading_profiles_match_scalar(self):

@@ -162,6 +162,46 @@ class TestProtocol:
             WorkerServer(fault=rule)
 
 
+class TestExecutorConstruction:
+    """A timeout the sockets cannot use would kill every worker thread
+    on its first socket call and run the whole map serially; it is
+    refused at construction, naming the field."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("heartbeat_timeout", 0),
+            ("heartbeat_timeout", -1),
+            ("heartbeat_timeout", float("inf")),
+            ("heartbeat_timeout", float("nan")),
+            ("connect_timeout", 0),
+            ("connect_timeout", -1),
+            ("connect_timeout", float("inf")),
+            ("task_timeout", 0),
+            ("task_timeout", -0.5),
+            ("task_timeout", float("nan")),
+            ("backoff_base", -0.01),
+            ("backoff_cap", -1),
+            ("backoff_cap", float("nan")),
+        ],
+    )
+    def test_unusable_value_is_refused_by_name(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DistributedExecutor(["127.0.0.1:1"], **{field: value})
+
+    def test_usable_values_are_kept(self):
+        ex = DistributedExecutor(
+            ["127.0.0.1:1"], task_timeout=1.5, heartbeat_timeout=0.2,
+            connect_timeout=0.1, backoff_base=0.0, backoff_cap=0.0,
+        )
+        assert (ex.task_timeout, ex.heartbeat_timeout) == (1.5, 0.2)
+        assert ex.connect_timeout == 0.1 and ex.backoff_cap == 0.0
+        # the default heartbeat timeout is derived from the interval
+        assert DistributedExecutor(
+            ["127.0.0.1:1"], heartbeat_interval=1.0
+        ).heartbeat_timeout == 8.0
+
+
 # ----------------------------------------------------------------------
 # happy path
 # ----------------------------------------------------------------------

@@ -248,12 +248,6 @@ class TestMerge:
         flat = merge_fleet_metrics(parts)
         assert_metrics_identical(left, flat)
 
-    def test_merge_method(self):
-        a, b = range_metrics(make_spec(4), 2)
-        assert_metrics_identical(
-            a.merge(b), merge_fleet_metrics([a, b])
-        )
-
     def test_merge_single_is_identity(self):
         m = make_spec(3).population.run_metrics()
         assert merge_fleet_metrics([m]) is m

@@ -119,13 +119,6 @@ class TestSampler:
         ).measure(straight_trace())
         np.testing.assert_allclose(s1.power_dbw, s2.power_dbw)
 
-    def test_measure_points(self, stack):
-        _, layout, prop = stack
-        sampler = MeasurementSampler(layout, prop, spacing_km=0.1)
-        pts = np.array([[0.0, 0.0], [1.0, 0.0]])
-        out = sampler.measure_points(pts)
-        assert out.shape == (2, layout.n_cells)
-
     def test_spacing_validation(self, stack):
         _, layout, prop = stack
         with pytest.raises(ValueError):
