@@ -17,7 +17,14 @@ matrix in ``tests/radio/test_backends.py``.
 paper's 19-site layout at the same point count, on one thread against
 every usable CPU (5 interleaved pairs; ``taskset -c 0`` makes "every
 usable CPU" one): the bytes must be identical, and with at least two
-usable CPUs at N >= 2000 the all-CPU median must not be slower.
+usable CPUs at N >= 2000 the all-CPU median must not be slower.  The
+same rounds time a control, the kernel's fan-out over its point blocks
+running ``np.sin`` passes that hold no lock: the median verdict is
+given only when the control gained at least ``CONTROL_MIN_GAIN``
+(1.5x) on every usable CPU, since a smaller gain means the host did
+not give the process its CPUs then.  Otherwise the test skips with
+both ratios; a kernel that stops threading still fails, because its
+control shows the CPUs free.
 
 Environment knobs: ``X14_FLEET_SIZE`` (default 2000), ``X14_EPOCHS``
 (default 64, the per-UE measurement epochs), ``X14_REPEATS``
@@ -28,6 +35,7 @@ import contextlib
 import json
 import os
 import statistics
+import threading
 import time
 from unittest import mock
 
@@ -41,7 +49,7 @@ from conftest import (
 )
 
 from repro import fanout
-from repro.radio import available_backends, get_backend
+from repro.radio import available_backends, backends, get_backend
 from repro.sim import SimulationParameters
 
 N = int(os.environ.get("X14_FLEET_SIZE", "2000"))
@@ -59,6 +67,10 @@ POINTS = rng.uniform(-3.0, 3.0, size=(N * EPOCHS, 2))
 
 PAPER_SITES = SimulationParameters().make_layout().bs_positions  # 19
 THREAD_PAIRS = 5
+#: np.sin passes per point block of the control: about the kernel's time
+CONTROL_PASSES = 2
+#: the control's all-CPU gain below which the host's CPUs were not free
+CONTROL_MIN_GAIN = 1.5
 
 
 def time_kernel(name):
@@ -148,40 +160,76 @@ def update_artifact(key, record):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def run_numpy_kernel(label):
-    """``(output, seconds)`` of the numpy kernel over the 19-site
-    workload, on one thread or on every usable CPU."""
-    pin = (
+def cpu_pin(label):
+    return (
         mock.patch.object(fanout, "usable_cpus", lambda: 1)
         if label == "one_thread"
         else contextlib.nullcontext()
     )
+
+
+def run_numpy_kernel(label):
+    """``(output, seconds)`` of the numpy kernel over the 19-site
+    workload, on one thread or on every usable CPU."""
     kernel = get_backend("numpy")
-    with pin:
+    with cpu_pin(label):
         t0 = time.perf_counter()
         out = kernel(PAPER_SITES, POINTS, KPARAMS)
         return out, time.perf_counter() - t0
 
 
+def run_control(label):
+    """Seconds of the kernel's fan-out over its point blocks, each
+    block running ``CONTROL_PASSES`` in-place ``np.sin`` passes over a
+    per-thread scratch block (NumPy holds no lock in them), on one
+    thread or on every usable CPU."""
+    n_pts, block = POINTS.shape[0], backends._BLOCK_POINTS
+    scratch = threading.local()
+
+    def run(lo):
+        tmp = getattr(scratch, "tmp", None)
+        if tmp is None:
+            tmp = scratch.tmp = np.full(
+                (min(block, n_pts), PAPER_SITES.shape[0]), 0.5
+            )
+        for _ in range(CONTROL_PASSES):
+            np.sin(tmp, out=tmp)
+
+    with cpu_pin(label):
+        t0 = time.perf_counter()
+        fanout.fan_out(run, range(0, n_pts, block))
+        return time.perf_counter() - t0
+
+
 @pytest.mark.backend
 def test_x14_threads():
     """The numpy kernel on every usable CPU against one thread, 19
-    sites: identical bytes; not slower in the median with >= 2 CPUs."""
+    sites: identical bytes; not slower in the median with >= 2 CPUs
+    that the control shows free."""
     cpus = fanout.usable_cpus()
     single, _ = run_numpy_kernel("one_thread")
     identical = run_numpy_kernel("all_cpus")[0].tobytes() == single.tobytes()
     times = {"one_thread": [], "all_cpus": []}
+    control = {"one_thread": [], "all_cpus": []}
     for pair in range(THREAD_PAIRS):
         order = ["one_thread", "all_cpus"]
         for label in order if pair % 2 == 0 else order[::-1]:
             times[label].append(run_numpy_kernel(label)[1])
+            control[label].append(run_control(label))
     medians = {label: statistics.median(t) for label, t in times.items()}
     ratio = medians["one_thread"] / medians["all_cpus"]
+    control_medians = {
+        label: statistics.median(t) for label, t in control.items()
+    }
+    control_ratio = (
+        control_medians["one_thread"] / control_medians["all_cpus"]
+    )
     print(
         f"\nx14 threads: {POINTS.shape[0]:,} points x "
         f"{PAPER_SITES.shape[0]} sites, median one thread "
         f"{medians['one_thread'] * 1e3:.1f} ms, {cpus} CPUs "
-        f"{medians['all_cpus'] * 1e3:.1f} ms ({ratio:.2f}x)"
+        f"{medians['all_cpus'] * 1e3:.1f} ms ({ratio:.2f}x); "
+        f"control {control_ratio:.2f}x"
     )
     update_artifact(
         "threads",
@@ -193,6 +241,9 @@ def test_x14_threads():
             "timings_s": times,
             "median_s": medians,
             "speedup_all_cpus_vs_one_thread": ratio,
+            "control_timings_s": control,
+            "control_median_s": control_medians,
+            "control_speedup_all_cpus_vs_one_thread": control_ratio,
             "bytes_identical": identical,
         },
     )
@@ -201,6 +252,12 @@ def test_x14_threads():
         pytest.skip(
             f"median asserted with >= 2 usable CPUs at N >= {N_ACCEPT}; "
             f"ran {cpus} CPUs at N={N}"
+        )
+    if control_ratio < CONTROL_MIN_GAIN:
+        pytest.skip(
+            f"the {cpus} CPUs were not free: the control gained "
+            f"{control_ratio:.2f}x (< {CONTROL_MIN_GAIN}x), the kernel "
+            f"{ratio:.2f}x; no verdict"
         )
     assert medians["all_cpus"] <= medians["one_thread"], (
         f"numpy kernel on {cpus} CPUs took {medians['all_cpus'] * 1e3:.1f} "

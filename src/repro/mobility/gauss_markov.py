@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .base import Trace
+from ..seeding import seeded_generators
+from .base import Trace, TraceBatch
 
 __all__ = ["GaussMarkov"]
 
@@ -82,3 +84,41 @@ class GaussMarkov:
 
     def generate_seeded(self, seed: int) -> Trace:
         return self.generate(np.random.default_rng(seed))
+
+    def generate_batch_seeded(self, seeds: Sequence[int]) -> TraceBatch:
+        """One walk per integer seed, each bit-identical to
+        :meth:`generate_seeded` of that seed.
+
+        Each seed's generator (:func:`~repro.seeding.seeded_generators`)
+        fills its walk's ``(n_steps, 2)`` noise in one call: a generator
+        fills an array sequentially, so one call draws what
+        :meth:`generate`'s ``n_steps`` calls of size 2 draw, and
+        ``normal(0.0, 1.0)`` is ``0.0 + 1.0·z``, the bits of ``z + 0.0``.
+        The velocity recursion then runs over all walks at once with
+        :meth:`generate`'s operation order.
+        """
+        n = len(seeds)
+        if not n:
+            raise ValueError("generate_batch_seeded needs at least one seed")
+        w = np.empty((n, self.n_steps, 2))
+        for row, rng in zip(w, seeded_generators(seeds)):
+            rng.standard_normal(out=row)
+        w += 0.0
+        mean_v = self.mean_speed_km * np.array(
+            [math.cos(self.mean_heading_rad), math.sin(self.mean_heading_rad)]
+        )
+        a = self.alpha
+        noise_scale = math.sqrt(max(0.0, 1.0 - a * a)) * self.sigma_km
+        drift = (1.0 - a) * mean_v
+        w *= noise_scale
+        pos = np.empty((n, self.n_steps + 1, 2))
+        deltas = pos[:, 1:]
+        v = mean_v
+        for k in range(self.n_steps):
+            v = a * v + drift + w[:, k]
+            deltas[:, k] = v
+        start = np.asarray(self.start, dtype=float)
+        pos[:, 0] = start
+        np.cumsum(deltas, axis=1, out=deltas)
+        deltas += start
+        return TraceBatch(pos, np.full(n, self.n_steps + 1, dtype=np.intp))

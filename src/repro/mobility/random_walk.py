@@ -22,6 +22,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
+from ..seeding import seeded_generators
 from .base import Trace, TraceBatch
 
 __all__ = ["RandomWalk"]
@@ -151,19 +152,18 @@ class RandomWalk:
         :meth:`generate_seeded` of that seed — the batch engine's
         equivalence-preserving entry point.
 
-        Only the draws loop over seeds: each seed's own ``default_rng``
-        stream draws its leg lengths and headings exactly as
+        Only the draws loop over seeds: each seed's generator, built by
+        :func:`~repro.seeding.seeded_generators` with ``default_rng``'s
+        state, draws its leg lengths and headings exactly as
         :meth:`generate` does.  Eq. 1-2 then run once over the
         ``(len(seeds), n_walks)`` matrices, with the same element-wise
         operations as the scalar walk.
         """
-        seeds = list(seeds)
-        if not seeds:
+        if not len(seeds):
             raise ValueError("generate_batch_seeded needs at least one seed")
         d = np.empty((len(seeds), self.n_walks))
         theta = np.empty_like(d)
-        for i, seed in enumerate(seeds):
-            rng = np.random.default_rng(int(seed))
+        for i, rng in enumerate(seeded_generators(seeds)):
             d[i] = self._draw_steps(rng)
             theta[i] = self._draw_angles(rng)
         # Eq. 1-2: the batch form of generate()'s Trace.from_steps

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .base import Trace
+from ..seeding import seeded_generators
+from .base import Trace, TraceBatch
 
 __all__ = ["RandomWaypoint"]
 
@@ -55,18 +57,36 @@ class RandomWaypoint:
                     f"start {self.start} lies outside region {self.region_km}"
                 )
 
+    def _start(self) -> np.ndarray:
+        if self.start is None:
+            xmin, xmax, ymin, ymax = self.region_km
+            return np.array([0.5 * (xmin + xmax), 0.5 * (ymin + ymax)])
+        return np.asarray(self.start, dtype=float)
+
     def generate(self, rng: np.random.Generator) -> Trace:
         if not isinstance(rng, np.random.Generator):
             raise TypeError("generate() expects a numpy Generator")
         xmin, xmax, ymin, ymax = self.region_km
-        if self.start is None:
-            start = np.array([0.5 * (xmin + xmax), 0.5 * (ymin + ymax)])
-        else:
-            start = np.asarray(self.start, dtype=float)
         xs = rng.uniform(xmin, xmax, self.n_waypoints)
         ys = rng.uniform(ymin, ymax, self.n_waypoints)
-        pos = np.vstack([start[None, :], np.column_stack([xs, ys])])
+        pos = np.vstack([self._start()[None, :], np.column_stack([xs, ys])])
         return Trace(pos)
 
     def generate_seeded(self, seed: int) -> Trace:
         return self.generate(np.random.default_rng(seed))
+
+    def generate_batch_seeded(self, seeds: Sequence[int]) -> TraceBatch:
+        """One walk per integer seed, each bit-identical to
+        :meth:`generate_seeded` of that seed: each seed's generator
+        (:func:`~repro.seeding.seeded_generators`) makes
+        :meth:`generate`'s two ``uniform`` calls."""
+        n = len(seeds)
+        if not n:
+            raise ValueError("generate_batch_seeded needs at least one seed")
+        xmin, xmax, ymin, ymax = self.region_km
+        pos = np.empty((n, self.n_waypoints + 1, 2))
+        pos[:, 0] = self._start()
+        for row, rng in zip(pos, seeded_generators(seeds)):
+            row[1:, 0] = rng.uniform(xmin, xmax, self.n_waypoints)
+            row[1:, 1] = rng.uniform(ymin, ymax, self.n_waypoints)
+        return TraceBatch(pos, np.full(n, self.n_waypoints + 1, dtype=np.intp))

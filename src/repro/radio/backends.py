@@ -466,7 +466,7 @@ def _register_jax() -> None:
 
     def jax_kernel(
         bs: np.ndarray, pts: np.ndarray, params: KernelParams
-    ) -> np.ndarray:  # pragma: no cover - exercised in the optional CI leg
+    ) -> np.ndarray:  # pragma: no cover - no check runs it (no jax in CI)
         # the conformance contract is float64; JAX defaults to float32.
         # Flipping x64 is a process-wide setting, so it happens only
         # here — when the jax backend is actually *used* — never as an

@@ -49,7 +49,7 @@ SPEED_PENALTY_DB_PER_KMH = 0.2
 FADING_BLOCK_EPOCHS = 16
 
 #: Fading UEs one :class:`FadingBank` block covers: its scratch stays
-#: ``(FADING_BLOCK_EPOCHS, FADING_BLOCK_UES, n_sources)`` whatever the
+#: ``(FADING_BLOCK_UES, FADING_BLOCK_EPOCHS, n_sources)`` whatever the
 #: fleet size.  Draws are per UE, so the values do not depend on it.
 FADING_BLOCK_UES = 256
 
@@ -286,17 +286,22 @@ class FadingBank:
     call, tile by tile or resumed from :meth:`state_dict` gets the same
     values.
 
-    Only the ``Generator.normal`` draws loop over UEs, with the stream's
-    calls in the stream's order: a first AR(1) row ``normal(0, σ,
-    cells)`` followed by unit innovations, unit innovations on a
-    continuation, ``normal(0, σ, (t, cells))`` for i.i.d. fading.  Rho,
-    the innovation scale and the recursion then run once per block of
-    :data:`FADING_BLOCK_EPOCHS` epochs over up to :data:`FADING_BLOCK_UES`
-    fading UEs, looping over the block's epochs.  The AR(1) boundary row
-    ``(m, cells)``, boundary distance ``(m,)`` and started flag of the
-    ``m`` fading UEs are arrays.  Each UE must own its generator: two
-    UEs drawing from one would make the values depend on the draw order,
-    so the bank refuses a shared one.
+    Only the draws loop over UEs: one ``standard_normal(out=)`` call per
+    UE and block fills the UE's rows of a UE-major scratch with the
+    standard normals the stream's ``normal`` calls draw, in the stream's
+    order (a generator fills arrays sequentially, so one call draws what
+    the stream's one or two calls draw).  ``normal(0.0, s)`` is ``0.0 +
+    s·z``, so one array pass over the block gives its bits: ``σ·z + 0.0``
+    for i.i.d. fading and a process's first AR(1) row, ``z + 0.0`` for
+    unit innovations.  Rho, the innovation scale and the recursion then
+    run once per block of :data:`FADING_BLOCK_EPOCHS` epochs over up to
+    :data:`FADING_BLOCK_UES` fading UEs, looping over the block's epochs.
+    Each generator stops exactly at the window's end, so
+    :meth:`state_dict` reads the streams' own states.  The AR(1)
+    boundary row ``(m, cells)``, boundary distance ``(m,)`` and started
+    flag of the ``m`` fading UEs are arrays.  Each UE must own its
+    generator: two UEs drawing from one would make the values depend on
+    the draw order, so the bank refuses a shared one.
     """
 
     def __init__(
@@ -322,14 +327,13 @@ class FadingBank:
         #: UE index of each fading UE, ascending
         self.rows = np.array(members, dtype=np.intp)
         self._rngs = [profiles[i].rng for i in members]
-        self._normal = [rng.normal for rng in self._rngs]
+        self._fill = [rng.standard_normal for rng in self._rngs]
         self.sigma = np.array(
             [profiles[i].sigma_db for i in members], dtype=float
         )
         self.decorrelation = np.array(
             [profiles[i].decorrelation_km for i in members], dtype=float
         )
-        self._sigma = self.sigma.tolist()
         m = len(members)
         self.last = np.zeros((m, self.n_sources))
         self.last_distance = np.zeros(m)
@@ -439,47 +443,43 @@ class FadingBank:
     def _block(self, power, distance_km, b0, b1, sel, cnt, ar) -> None:
         """Fill epochs ``[b0, b1)`` of the bank members ``sel``, each on
         its walk for the first ``cnt`` epochs of the block.  The block
-        is epoch-major, ``(width, m, cells)``, so each epoch of the
-        recursion is one contiguous array."""
+        is UE-major, ``(m, width, cells)``, so each UE's draws fill one
+        contiguous run in one ``standard_normal`` call."""
         m, width, cells = sel.shape[0], b1 - b0, self.n_sources
-        normal, sigma = self._normal, self._sigma
+        fill = self._fill
         full = int(cnt.min()) == width
         # zeroed past each walk's end, so the recursion stays finite there
-        buf = (np.empty if full else np.zeros)((width, m, cells))
-        first = []
-        for k, (u, t, started) in enumerate(
-            zip(sel.tolist(), cnt.tolist(), self.started[sel].tolist())
-        ):
-            if not ar:
-                buf[:t, k] = normal[u](0.0, sigma[u], size=(t, cells))
-            elif started:
-                buf[:t, k] = normal[u](0.0, 1.0, size=(t, cells))
-            else:
-                buf[0, k] = normal[u](0.0, sigma[u], size=cells)
-                buf[1:t, k] = normal[u](0.0, 1.0, size=(t - 1, cells))
-                first.append(k)
+        z = (np.empty if full else np.zeros)((m, width, cells))
+        for k, (u, t) in enumerate(zip(sel.tolist(), cnt.tolist())):
+            fill[u](out=z[k, :t])
         if ar:
-            self._recurse(buf, distance_km, b0, b1, sel, cnt, first)
+            self._recurse(z, distance_km, b0, b1, sel, cnt)
+        else:
+            # normal(0.0, σ) is 0.0 + σ·z: σ·z + 0.0 has its bits, the
+            # sign of a zero included
+            np.multiply(z, self.sigma[sel, None, None], out=z)
+            np.add(z, 0.0, out=z)
         rows = self.rows[sel]
         lo = int(rows[0])
         contiguous = int(rows[-1]) - lo + 1 == m
         target = (
             power[lo : lo + m, b0:b1] if contiguous else power[rows, b0:b1]
         )
-        fade = buf.transpose(1, 0, 2)
         if full:
-            np.add(target, fade, out=target)
+            np.add(target, z, out=target)
         else:
             on_walk = cnt[:, None] > np.arange(width)
-            np.add(target, fade, out=target, where=on_walk[:, :, None])
+            np.add(target, z, out=target, where=on_walk[:, :, None])
         if not contiguous:
             power[rows, b0:b1] = target
 
-    def _recurse(self, buf, distance_km, b0, b1, sel, cnt, first) -> None:
-        """Turn the block's draws in ``buf`` into AR(1) samples in place
-        with the stream's float operations, one epoch of every UE at a
-        time, and carry each UE's boundary row and distance on.  The
-        UEs at positions ``first`` start their process here."""
+    def _recurse(self, z, distance_km, b0, b1, sel, cnt) -> None:
+        """Turn the block's standard normals in ``z`` into AR(1)
+        samples in place with the stream's float operations, one epoch
+        of every UE at a time, and carry each UE's boundary row and
+        distance on.  A UE not yet started takes its first row as its
+        process's first sample, ``normal(0.0, σ)``; every other row is
+        an innovation, ``normal(0.0, 1.0)``, the bits of ``z + 0.0``."""
         d = distance_km[self.rows[sel], b0:b1].T
         steps = np.empty(d.shape)
         np.subtract(d[0], self.last_distance[sel], out=steps[0])
@@ -487,14 +487,17 @@ class FadingBank:
         np.abs(steps, out=steps)
         rho = np.exp(-steps / self.decorrelation[sel])
         scale = self.sigma[sel] * np.sqrt(1.0 - rho * rho)
-        first_rows = buf[0, first]
+        first = np.flatnonzero(~self.started[sel])
+        first_rows = self.sigma[sel[first], None] * z[first, 0] + 0.0
+        np.add(z, 0.0, out=z)
+        buf = z.transpose(1, 0, 2)  # epoch-major view
         np.multiply(buf, scale[:, :, None], out=buf)
         prev = self.last[sel]
         tmp = np.empty_like(prev)
         for j in range(b1 - b0):
             np.multiply(prev, rho[j, :, None], out=tmp)
             np.add(tmp, buf[j], out=buf[j])
-            if j == 0 and first:
+            if j == 0 and first.size:
                 # a process's first sample is its σ-scaled draw itself
                 buf[0, first] = first_rows
             prev = buf[j]

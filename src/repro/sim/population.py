@@ -33,12 +33,16 @@ scalar-engine oracle in the test suite pins that seeding.  A shard is a
 ``[lo, hi)`` range of the population (:func:`partition_fleet`), run by
 :meth:`PopulationSpec.run_metrics`.
 
-Trace generation is grouped per cohort model (one
-``generate_batch_seeded`` call per cohort where the model provides it),
-and measurement/simulation stay fully batched across the whole mixed
-fleet: per-cohort handover policies ride into the batch engine as
-per-UE columns (:meth:`PopulationSpec.ue_policies`), so a mixed-policy
-range is one vectorised pass, like a homogeneous one.  A range of at
+Every per-UE stream of a range (walks, fading processes, speed draws)
+is seeded in one vectorised pass
+(:func:`~repro.seeding.seeded_generators`, the state of
+``default_rng(seed)``).  Trace generation is grouped per cohort: one
+``generate_batch_seeded`` call, which every built-in model has, or seed
+by seed for a custom model with ``generate_seeded`` only.  Measurement
+and simulation stay fully batched across the whole mixed fleet:
+per-cohort handover policies ride into the batch engine as per-UE
+columns (:meth:`PopulationSpec.ue_policies`), so a mixed-policy range
+is one vectorised pass, like a homogeneous one.  A range of at
 least twice :data:`MIN_BLOCK_UES` UEs runs as contiguous UE blocks, one
 per thread of the process's fan-out budget, on threads
 (:meth:`PopulationSpec.run_metrics`).
@@ -64,6 +68,7 @@ from ..mobility.manhattan import ManhattanGrid
 from ..mobility.random_walk import RandomWalk
 from ..radio.backends import runs_own_threads
 from ..radio.fading import ShadowFading
+from ..seeding import seeded_generators
 from .batch import BatchSimulator
 from .config import (
     DEFAULT_BASE_SEED,
@@ -91,9 +96,9 @@ __all__ = [
 
 #: Fewest UEs per block when :meth:`PopulationSpec.run_metrics` splits a
 #: range over threads, so with two usable CPUs a range splits from 4,000
-#: UEs on.  Two blocks gain 1.1-1.4x, not 2x: per-UE seeding (walk
-#: draws, fading streams) and the epoch loop's many small NumPy calls
-#: hold the GIL, and the cheaper the FLC kernel, the larger their share.
+#: UEs on.  Two blocks gain 1.1-1.4x, not 2x: per-UE draws (walk legs,
+#: fading blocks) and the epoch loop's many small NumPy calls hold the
+#: GIL, and the cheaper the FLC kernel, the larger their share.
 #: One block against two on 2 vCPUs, seconds per ``run_fleet``, medians
 #: of alternating pairs, one row per series (homogeneous fleets walk 10
 #: legs; ``urban_mix`` fades at 6 dB on the reference FLC):
@@ -242,10 +247,10 @@ class UECohort:
         name, which is what makes cohort-tuple permutations harmless.
     model:
         Mobility model generating one trace per UE.  Any object with
-        ``generate_seeded(seed)`` (all models in :mod:`repro.mobility`);
-        models providing ``generate_batch_seeded`` (e.g.
-        :class:`~repro.mobility.random_walk.RandomWalk`) are generated
-        in one grouped call per cohort.
+        ``generate_seeded(seed)``.  A model that also has
+        ``generate_batch_seeded(seeds)``, bit-identical seed by seed (all
+        models in :mod:`repro.mobility`), generates the cohort in one
+        bulk call; any other model is generated seed by seed.
     count / fraction:
         Cohort size — exactly one of the two.  ``count`` is absolute;
         ``fraction`` cohorts share the UEs left over after all ``count``
@@ -257,8 +262,9 @@ class UECohort:
         given.
     speed_range_kmh:
         Optional ``(low, high)`` uniform speed distribution; UE ``g``
-        draws from ``default_rng(speed_base_seed + g)`` so the draw is a
-        function of the global index alone.
+        draws from ``default_rng(speed_base_seed + g)`` (seeded in bulk,
+        with that state) so the draw is a function of the global index
+        alone.
     shadow_sigma_db / shadow_decorrelation_km:
         Optional per-cohort fading profile overriding the population's
         :class:`~repro.sim.config.SimulationParameters` values (``None``
@@ -561,11 +567,11 @@ class PopulationSpec:
                 else self.params.shadow_decorrelation_km
             )
             any_fading = True
-            for g in range(s_lo, s_hi):
-                profiles[g - lo] = self.params.make_fading(
-                    rng=self.fading_base_seed + g,
-                    sigma_db=sigma,
-                    decorrelation_km=decorr,
+            base = self.fading_base_seed
+            seeds = range(base + s_lo, base + s_hi)
+            for g, rng in enumerate(seeded_generators(seeds), s_lo - lo):
+                profiles[g] = self.params.make_fading(
+                    rng=rng, sigma_db=sigma, decorrelation_km=decorr
                 )
         return profiles if any_fading else None
 
@@ -723,8 +729,8 @@ def _range_speeds(
     read-only (every caller shares the array)."""
     speeds = np.array(
         [
-            np.random.default_rng(seed).uniform(low, high)
-            for seed in range(first_seed, last_seed)
+            rng.uniform(low, high)
+            for rng in seeded_generators(range(first_seed, last_seed))
         ]
     )
     speeds.flags.writeable = False

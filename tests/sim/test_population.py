@@ -15,27 +15,32 @@ The contract of :mod:`repro.sim.population`:
 
 import math
 import pickle
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mobility import GaussMarkov, ManhattanGrid, RandomWalk
+from repro.core import FuzzyHandoverSystem
+from repro.mobility import GaussMarkov, ManhattanGrid, RandomWalk, TraceBatch
 from repro.sim import (
     BatchSimulator,
     FleetSpec,
+    MeasurementSampler,
     PolicyConfig,
     PopulationSpec,
     SimulationParameters,
+    Simulator,
     UECohort,
     compute_fleet_metrics,
+    compute_metrics,
     merge_fleet_metrics,
     named_population,
     partition_fleet,
     run_fleet,
 )
+from repro.sim import population as population_mod
 from repro.sim.population import POPULATION_MIXES
 
 pytestmark = pytest.mark.population
@@ -219,13 +224,13 @@ class TestExpansion:
         )
         before = pickle.dumps(pop)
         built = []
-        real = np.random.default_rng
+        real = population_mod.seeded_generators
         monkeypatch.setattr(
-            np.random, "default_rng",
-            lambda seed=None: built.append(seed) or real(seed),
+            population_mod, "seeded_generators",
+            lambda seeds: built.extend(seeds) or real(seeds),
         )
         first = pop.ue_speeds()
-        assert len(built) == 6
+        assert built == list(range(987_654, 987_660))
         assert pop.ue_speeds().tobytes() == first.tobytes()
         assert len(built) == 6
         # the spec's pickle (the checkpoint fingerprint) stores nothing
@@ -584,6 +589,81 @@ class TestPerCohortFading:
         assert_metrics_identical(
             run_population(pop, 1), run_population(pop, 4)
         )
+
+
+@dataclass(frozen=True)
+class PerSeedOnly:
+    """A custom mobility model with ``generate_seeded`` only.  Every
+    built-in model generates in bulk, so only such a model takes
+    :meth:`PopulationSpec.traces`' per-seed path."""
+
+    inner: object
+
+    def generate_seeded(self, seed):
+        return self.inner.generate_seeded(seed)
+
+
+class TestPerSeedModel:
+    INNER = ManhattanGrid(n_legs=6, block_km=0.3, max_blocks=3)
+
+    def population(self, model):
+        return PopulationSpec(
+            n_ues=7,
+            cohorts=(
+                UECohort(
+                    name="custom", model=model, count=4,
+                    speeds_kmh=(0.0, 30.0), shadow_sigma_db=6.0,
+                    shadow_decorrelation_km=0.1,
+                ),
+                UECohort(
+                    name="walkers", model=walker(), count=3,
+                    speeds_kmh=(10.0,),
+                ),
+            ),
+            params=FAST,
+            base_seed=4242,
+            fading_base_seed=777,
+        )
+
+    def test_walks_match_per_seed_and_bulk_generation(self):
+        pop = self.population(PerSeedOnly(self.INNER))
+        assert not hasattr(PerSeedOnly, "generate_batch_seeded")
+        got = pop.traces()
+        per_seed = TraceBatch.concatenate([
+            TraceBatch.from_traces(
+                self.INNER.generate_seeded(4242 + g) for g in range(4)
+            ),
+            walker().generate_batch_seeded(range(4246, 4249)),
+        ])
+        assert got.positions.tobytes() == per_seed.positions.tobytes()
+        bulk = self.population(self.INNER).traces()
+        assert got.positions.tobytes() == bulk.positions.tobytes()
+        # a range straddling both cohorts: the same rows
+        part = pop.traces(1, 5)
+        assert part.positions.tobytes() == got.positions[1:5].tobytes()
+
+    def test_metrics_match_bulk_generation_and_the_scalar_engine(self):
+        pop = self.population(PerSeedOnly(self.INNER))
+        fleet = run_population(pop, n_shards=2)
+        bulk = run_population(self.population(self.INNER), n_shards=1)
+        assert pickle.dumps(fleet) == pickle.dumps(bulk)
+        params = pop.params
+        for g in range(4):
+            sampler = MeasurementSampler(
+                params.make_layout(),
+                params.make_propagation(),
+                spacing_km=params.measurement_spacing_km,
+                fading=params.make_fading(
+                    rng=777 + g, sigma_db=6.0, decorrelation_km=0.1
+                ),
+            )
+            result = Simulator(
+                FuzzyHandoverSystem(cell_radius_km=params.cell_radius_km),
+                speed_kmh=(0.0, 30.0)[g % 2],
+            ).run(sampler.measure(self.INNER.generate_seeded(4242 + g)))
+            want = compute_metrics(result)
+            assert int(fleet.handovers_per_ue[g]) == want.n_handovers, g
+            assert int(fleet.ping_pongs_per_ue[g]) == want.n_ping_pongs, g
 
 
 class TestMeasurementProfiles:
