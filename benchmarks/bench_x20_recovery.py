@@ -1,35 +1,33 @@
 """X20 — crash-recovery time of the checkpointed fleet runner.
 
 Times three runs of the same checkpointed workload
-(:func:`~repro.resilience.run_fleet_checkpointed`):
+(:func:`~repro.resilience.run_fleet_checkpointed`), a fleet in
+:data:`SHARDS` ranges:
 
-* **uninterrupted** — the baseline, checkpointing every tile;
+* **uninterrupted** — the baseline, writing one file per range;
 * **crashed** — the identical run killed by an injected
-  ``checkpoint``-scope crash at roughly the middle checkpoint (epoch
-  T/2);
-* **resume** — the run restarted on the crashed directory, finishing
-  from the last snapshot.
+  ``checkpoint``-scope crash before the middle range's write, after
+  that range has run;
+* **resume** — the run restarted on the crashed directory, loading the
+  written ranges and rerunning the others from their first epoch.
 
 Pins the recovery SLO: crashed + resume wall-clock at most
 ``X20_RECOVERY_RATIO`` (default 1.6) times the uninterrupted run — the
-price of dying halfway is bounded by the checkpoint cadence, not by
-recomputing the fleet — and re-asserts the resumed ``FleetMetrics``
-are byte-identical to the uninterrupted run at bench size.
+price of dying halfway is the range in flight, not the fleet — and
+re-asserts the resumed ``FleetMetrics`` are byte-identical to the
+uninterrupted run at bench size.
 
 Headline numbers land in ``BENCH_x20.json`` (same schema as X12–X19)
 **before** any assert.
 
 Environment knobs: ``X20_FLEET_SIZE`` (default 2000), ``X20_WALKS``
-(default 5), ``X20_TILE`` (default 8), ``X20_RECOVERY_RATIO``
-(default 1.6).  CI smoke runs a tiny fleet; the SLO pin asserts only
-at the full N = 2000.
+(default 5), ``X20_RECOVERY_RATIO`` (default 1.6).  CI smoke runs a
+tiny fleet; the SLO pin asserts only at the full N = 2000.
 """
 
-import math
 import os
 import pickle
 import time
-from unittest import mock
 
 import pytest
 from conftest import write_bench_artifact
@@ -38,15 +36,16 @@ from repro.resilience import (
     FaultPlan,
     FaultRule,
     SimulatedCrash,
+    checkpoint_ranges,
     run_fleet_checkpointed,
 )
-from repro.sim import FleetSpec, SimulationParameters, measurement
+from repro.sim import FleetSpec, SimulationParameters
 
 N = int(os.environ.get("X20_FLEET_SIZE", "2000"))
 WALKS = int(os.environ.get("X20_WALKS", "5"))
-TILE = int(os.environ.get("X20_TILE", "8"))
 RECOVERY_RATIO = float(os.environ.get("X20_RECOVERY_RATIO", "1.6"))
 N_ACCEPT = 2000         # the acceptance-criterion fleet size
+SHARDS = 4              # at N = 2000, one range would have no middle
 TIMER_SLACK_S = 0.25    # absolute allowance for scheduler noise
 
 PARAMS = SimulationParameters(shadow_sigma_db=6.0, n_walks=WALKS)
@@ -58,15 +57,15 @@ def frozen(obj) -> bytes:
 
 
 def timed_run(directory, fault_plan=None):
-    """One checkpointed run in ``TILE``-epoch tiles (the runner streams
-    ``measurement.DEFAULT_TILE_EPOCHS`` and snapshots at every tile
-    boundary); ``None`` for a run the fault plan killed."""
+    """One checkpointed run; ``None`` for a run the fault plan killed."""
     t0 = time.perf_counter()
     try:
-        with mock.patch.object(measurement, "DEFAULT_TILE_EPOCHS", TILE):
-            result = run_fleet_checkpointed(
-                SPEC, checkpoint_dir=directory, fault_plan=fault_plan
-            )
+        result = run_fleet_checkpointed(
+            SPEC,
+            checkpoint_dir=directory,
+            n_shards=SHARDS,
+            fault_plan=fault_plan,
+        )
     except SimulatedCrash:
         result = None
     return result, time.perf_counter() - t0
@@ -74,12 +73,11 @@ def timed_run(directory, fault_plan=None):
 
 @pytest.mark.resilience
 def test_x20_crash_recovery_time(tmp_path):
+    n_ranges = len(checkpoint_ranges(N, SHARDS))
     reference, t_full = timed_run(tmp_path / "uninterrupted")
 
-    # the crash lands at the middle checkpoint — epoch ~T/2
-    total_epochs = int(reference.epochs_per_ue.max())
-    n_checkpoints = math.ceil(total_epochs / TILE)
-    crash_at = max(1, n_checkpoints // 2)
+    # the crash lands before the middle range's write
+    crash_at = n_ranges // 2 + 1
     plan = FaultPlan(
         seed=20,
         rules=(
@@ -105,10 +103,8 @@ def test_x20_crash_recovery_time(tmp_path):
         },
         speedups={"recovery_overhead": overhead},
         walks=WALKS,
-        tile_epochs=TILE,
-        total_epochs=total_epochs,
-        crash_at_checkpoint=crash_at,
-        n_checkpoints=n_checkpoints,
+        n_ranges=n_ranges,
+        crash_before_write=crash_at,
         recovery_ratio_max=RECOVERY_RATIO,
         byte_identical=bool(frozen(resumed) == frozen(reference)),
     )

@@ -27,9 +27,10 @@ Commands
     (pedestrians/vehicles/stationary cohorts, see
     :data:`repro.sim.population.POPULATION_MIXES`) and adds a
     per-cohort metrics breakdown.  ``--checkpoint DIR`` runs
-    crash-safe (with or without ``--population``): resumable state is
-    snapshotted at epoch-tile boundaries and re-running the command
-    after a kill resumes byte-identical;
+    crash-safe (with or without ``--population``): each finished shard
+    of at most 2,000 UEs is written to its own file, and re-running the
+    command after a kill reruns only the unfinished shards and ends
+    byte-identical;
     ``--heartbeat-*``/``--max-retries``/``--no-serial-fallback`` tune
     the distributed executor's fault tolerance when ``--hosts`` is
     given.
@@ -187,14 +188,16 @@ def build_parser() -> argparse.ArgumentParser:
                               "dies instead of finishing the remaining "
                               "shards serially in-process")
     p_fleet.add_argument("--checkpoint", default=None, metavar="DIR",
-                         help="crash-safe mode: snapshot resumable "
-                              "state into DIR/fleet.ckpt at epoch-tile "
-                              "boundaries; re-running the same command "
-                              "after a kill (even SIGKILL) resumes "
-                              "from the last snapshot and produces "
-                              "byte-identical metrics (any fleet, "
-                              "--population mixes included; "
-                              "in-process execution only)")
+                         help="crash-safe mode: run the fleet in "
+                              "shards of at most 2,000 UEs (at least "
+                              "--shards of them) and write each "
+                              "finished shard's metrics to a file of "
+                              "its own in DIR; re-running the same "
+                              "command after a kill (even SIGKILL) "
+                              "reruns only the shards without a file "
+                              "and produces byte-identical metrics "
+                              "(any fleet, --population mixes "
+                              "included; in-process execution only)")
     p_fleet.add_argument("--metrics-out", default=None, metavar="PATH",
                          help="pickle the merged FleetMetrics to PATH "
                               "(exact-identity comparisons across "
@@ -559,6 +562,14 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "fleet":
+        for flag, count in (
+            ("--ues", args.ues),
+            ("--walks", args.walks),
+            ("--shards", args.shards),
+            ("--workers", args.workers),
+        ):
+            if count is not None and count < 1:
+                parser.error(f"{flag} must be >= 1, got {count}")
         if args.population and (
             args.walks is not None or args.speeds is not None
         ):
@@ -624,8 +635,8 @@ def main(argv: list[str] | None = None) -> int:
             if args.hosts is not None or args.workers is not None:
                 parser.error(
                     "--checkpoint runs shards serially in-process "
-                    "(checkpointing owns the execution order); drop "
-                    "--hosts/--workers"
+                    "(it writes each shard's file as the shard "
+                    "finishes); drop --hosts/--workers"
                 )
 
         hosts = None
@@ -651,15 +662,16 @@ def main(argv: list[str] | None = None) -> int:
             if args.no_serial_fallback:
                 tuning["serial_fallback"] = False
             executor = DistributedExecutor(hosts, **tuning)
-        n_shards = len(partition_fleet(args.ues, args.shards))
         t0 = time.perf_counter()
         if args.checkpoint is not None:
-            from .resilience import run_fleet_checkpointed
+            from .resilience import checkpoint_ranges, run_fleet_checkpointed
 
+            n_shards = len(checkpoint_ranges(args.ues, args.shards))
             fleet = run_fleet_checkpointed(
                 spec, checkpoint_dir=args.checkpoint, n_shards=args.shards
             )
         else:
+            n_shards = len(partition_fleet(args.ues, args.shards))
             fleet = run_fleet(
                 spec,
                 n_shards=args.shards,

@@ -166,7 +166,7 @@ class ShadowFading:
 
 
 class ShadowFadingStream:
-    """Tile-resumable view of :meth:`ShadowFading.sample_along` — the
+    """Chunk-by-chunk view of :meth:`ShadowFading.sample_along` — the
     per-UE oracle of :class:`FadingBank`, which batch measurement runs
     instead.
 
@@ -250,30 +250,6 @@ class ShadowFadingStream:
         self._last_distance_km = float(d[-1])
         return out
 
-    # -- checkpoint support --------------------------------------------
-    def state_dict(self) -> dict:
-        """Everything a resumed stream needs to continue the exact draw
-        sequence: the generator's bit state plus the carried AR(1)
-        boundary row/distance."""
-        return {
-            "rng_state": self.process.rng.bit_generator.state,
-            "last": None if self._last is None else self._last.copy(),
-            "last_distance_km": self._last_distance_km,
-            "started": self._started,
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot; subsequent
-        :meth:`sample_next` calls are byte-identical to the stream the
-        snapshot was taken from."""
-        self.process.rng.bit_generator.state = state["rng_state"]
-        last = state["last"]
-        self._last = None if last is None else np.asarray(
-            last, dtype=float
-        ).copy()
-        self._last_distance_km = float(state["last_distance_km"])
-        self._started = bool(state["started"])
-
 
 class FadingBank:
     """Shadow fading for a whole fleet, one epoch window at a time.
@@ -283,8 +259,7 @@ class FadingBank:
     no fading), and every :meth:`add_to` call adds to each fading UE the
     samples its stream's :meth:`~ShadowFadingStream.sample_next` would
     return for the same epochs, bit for bit — so a horizon filled in one
-    call, tile by tile or resumed from :meth:`state_dict` gets the same
-    values.
+    call or tile by tile gets the same values.
 
     Only the draws loop over UEs: one ``standard_normal(out=)`` call per
     UE and block fills the UE's rows of a UE-major scratch with the
@@ -296,9 +271,9 @@ class FadingBank:
     unit innovations.  Rho, the innovation scale and the recursion then
     run once per block of :data:`FADING_BLOCK_EPOCHS` epochs over up to
     :data:`FADING_BLOCK_UES` fading UEs, looping over the block's epochs.
-    Each generator stops exactly at the window's end, so
-    :meth:`state_dict` reads the streams' own states.  The AR(1)
-    boundary row ``(m, cells)``, boundary distance ``(m,)`` and started
+    Only the values are the contract: nothing reads a generator's state
+    between windows, so where each generator stops is the bank's own
+    business.  The AR(1) boundary row ``(m, cells)``, boundary distance ``(m,)`` and started
     flag of the ``m`` fading UEs are arrays.  Each UE must own its
     generator: two UEs drawing from one would make the values depend on
     the draw order, so the bank refuses a shared one.
@@ -326,8 +301,7 @@ class FadingBank:
         self.n_sources = int(n_sources)
         #: UE index of each fading UE, ascending
         self.rows = np.array(members, dtype=np.intp)
-        self._rngs = [profiles[i].rng for i in members]
-        self._fill = [rng.standard_normal for rng in self._rngs]
+        self._fill = [profiles[i].rng.standard_normal for i in members]
         self.sigma = np.array(
             [profiles[i].sigma_db for i in members], dtype=float
         )
@@ -343,73 +317,6 @@ class FadingBank:
     def __len__(self) -> int:
         """Number of fading UEs."""
         return self.rows.shape[0]
-
-    # -- checkpoint support --------------------------------------------
-    def state_dict(self) -> list[Optional[dict]]:
-        """Per UE, ``None`` for a UE that does not fade, else exactly
-        the :meth:`ShadowFadingStream.state_dict` its stream would
-        report at this point: generator bit state, AR(1) boundary row
-        (``None`` until the process started), boundary distance and
-        started flag.  i.i.d. processes carry no boundary and never
-        start."""
-        states: list[Optional[dict]] = [None] * self.n_ues
-        for k, i in enumerate(self.rows.tolist()):
-            started = bool(self.started[k])
-            states[i] = {
-                "rng_state": self._rngs[k].bit_generator.state,
-                "last": self.last[k].copy() if started else None,
-                "last_distance_km": float(self.last_distance[k]),
-                "started": started,
-            }
-        return states
-
-    def load_state_dict(self, states: Sequence[Optional[dict]]) -> None:
-        """Restore a :meth:`state_dict` snapshot (or the per-UE
-        ``ShadowFadingStream.state_dict()`` list it mirrors) taken over
-        the same UEs; every entry is checked before any is loaded, and
-        the first bad one is named."""
-        if len(states) != self.n_ues:
-            raise ValueError(
-                f"{self.n_ues} UEs but {len(states)} fading states"
-            )
-        member = {i: k for k, i in enumerate(self.rows.tolist())}
-        keys = {"rng_state", "last", "last_distance_km", "started"}
-        loaded = []
-        for i, state in enumerate(states):
-            k = member.get(i)
-            if k is None:
-                if state is not None:
-                    raise ValueError(
-                        f"fading state given for UE {i}, which does not fade"
-                    )
-                continue
-            if state is None or not keys <= state.keys():
-                raise ValueError(
-                    f"UE {i} fades but its fading state lacks "
-                    f"{sorted(keys - set(state or ()))}"
-                )
-            started = bool(state["started"])
-            last = state["last"]
-            if last is None:
-                if started and self._ar[k]:
-                    raise ValueError(
-                        f"UE {i} fading state is started but has no last row"
-                    )
-                last = np.zeros(self.n_sources)
-            last = np.asarray(last, dtype=float)
-            if last.shape != (self.n_sources,):
-                raise ValueError(
-                    f"UE {i} fading state has a last row of shape "
-                    f"{last.shape}, expected ({self.n_sources},) — the "
-                    "state belongs to a different layout"
-                )
-            distance = float(state["last_distance_km"])
-            loaded.append((k, state["rng_state"], last, distance, started))
-        for k, rng_state, last, distance, started in loaded:
-            self._rngs[k].bit_generator.state = rng_state
-            self.last[k] = last
-            self.last_distance[k] = distance
-            self.started[k] = started
 
     # ------------------------------------------------------------------
     def add_to(

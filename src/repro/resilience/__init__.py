@@ -8,8 +8,9 @@ Three pillars, one seed discipline:
   report silence, deadline jitter, clock skew, injected crashes) that
   replay identically everywhere they are injected;
 * :mod:`repro.resilience.checkpoint` — crash-safe checkpoint/resume
-  for streaming fleet runs (``repro fleet --checkpoint DIR``), with
-  byte-identical resumption after a kill at any point;
+  for fleet runs (``repro fleet --checkpoint DIR``): a ledger of
+  finished shards, one file each, so a run killed at any point reruns
+  only the shards without a file and ends byte-identical;
 * :mod:`repro.resilience.supervisor` — a self-healing
   :class:`~repro.serve.service.DecisionService` that restarts a crashed
   decision loop from the last epoch boundary.  Import
@@ -20,13 +21,14 @@ Three pillars, one seed discipline:
 """
 
 from .checkpoint import (
-    CHECKPOINT_FILENAME,
+    CHECKPOINT_SHARD_UES,
     CHECKPOINT_VERSION,
     CheckpointError,
     SimulatedCrash,
-    checkpoint_path,
+    checkpoint_ranges,
     load_checkpoint,
     run_fleet_checkpointed,
+    shard_path,
 )
 from .faults import (
     FAULT_SCOPES,
@@ -38,7 +40,7 @@ from .faults import (
     silence_filter,
 )
 __all__ = [
-    "CHECKPOINT_FILENAME",
+    "CHECKPOINT_SHARD_UES",
     "CHECKPOINT_VERSION",
     "CheckpointError",
     "FAULT_SCOPES",
@@ -46,11 +48,12 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "SimulatedCrash",
-    "checkpoint_path",
+    "checkpoint_ranges",
     "load_checkpoint",
     "make_clock",
     "misbehaving_client",
     "run_fleet_checkpointed",
+    "shard_path",
     "silence_filter",
 ]
 

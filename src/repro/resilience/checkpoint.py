@@ -1,106 +1,96 @@
-"""Crash-safe checkpoint/resume for streaming fleet runs.
+"""Crash-safe checkpoint/resume for fleet runs: a ledger of finished
+shards.
 
-:func:`run_fleet_checkpointed` drives any
-:class:`~repro.sim.fleet.FleetSpec` shard by shard — each one
-:func:`~repro.sim.population.partition_fleet` range of its population —
-through the epoch-tiled streaming engine, snapshotting resumable state
-into a checkpoint file at tile boundaries.  A run killed at *any* point — even
-``SIGKILL`` between checkpoints — resumes from the last snapshot and
-finishes **byte-identical** to the uninterrupted run, because every
-piece of state the epoch loop carries is captured exactly:
-
-* the kernel's :class:`~repro.sim.kernel.EpochState`: per UE the
-  serving cell, CSSP history window and length, local epoch, speed
-  penalty and the :class:`~repro.sim.metrics.FleetMetricsAccumulator`
-  counters (integer counters, float partial sums — restored
-  bit-for-bit, so the remaining epochs extend the same accumulation
-  sequence).  Each UE's policy columns are configuration, rebuilt from
-  the spec on resume, so one snapshot per shard covers a mixed-policy
-  shard too, and its ``hist`` width (the shard's longest CSSP lag)
-  comes out the same;
-* every fading UE's generator bit state and AR(1) boundary row in the
-  tile stream's :class:`~repro.radio.fading.FadingBank`, so resumed
-  fading continues the exact draw sequence;
-* the next tile-boundary epoch and the per-shard completion ledger
-  (finished shards store their final, cohort-labelled
-  :class:`FleetMetrics`).
-
-Checkpoint file format (``<dir>/fleet.ckpt``, an atomically replaced
-pickle)::
+:func:`run_fleet_checkpointed` splits a :class:`~repro.sim.fleet.
+FleetSpec`'s population into :func:`checkpoint_ranges`:
+:func:`~repro.sim.population.partition_fleet` ranges of at most
+:data:`CHECKPOINT_SHARD_UES` UEs, and at least as many as the caller's
+``n_shards``.  Each range runs through :meth:`PopulationSpec.run_metrics
+<repro.sim.population.PopulationSpec.run_metrics>`, the call every
+:func:`~repro.sim.fleet.run_fleet` shard makes, and its metrics are
+written to a file of its own, ``<dir>/shard-<lo>-<hi>.json``::
 
     {
-      "version":     2,
-      "fingerprint": sha256 of (spec, n_shards, window, outage, tile),
-      "n_shards":    int,
-      "completed":   {shard_index: FleetMetrics, ...},
-      "in_progress": None | {"shard": int, "snapshot": {
-                       "next_epoch":   int   (tile boundary),
-                       "state":        EpochState.state_dict(),
-                       "fading_state": None | [None | {
-                           "rng_state":        bit-generator state dict,
-                           "last":             None | (n_cells,) array,
-                           "last_distance_km": float,
-                           "started":          bool,
-                         }, ...]  (one entry per UE),
-                     }},
-      "result":      None | FleetMetrics (set once merged),
+      "version":     3,
+      "fingerprint": sha256 of (spec, ranges, window, outage),
+      "range":       [lo, hi],
+      "metrics":     FleetMetrics.to_payload(),
     }
 
-``fading_state`` is :meth:`FadingBank.state_dict
-<repro.radio.fading.FadingBank.state_dict>`: ``None`` for a UE that
-does not fade (a cohort at ``shadow_sigma_db=0``), else exactly what
-that UE's
-:meth:`ShadowFadingStream.state_dict
-<repro.radio.fading.ShadowFadingStream.state_dict>` holds, the layout
-version-2 files were first written in (one stream per UE), so those
-files resume unchanged.
+A resumed run loads the ranges whose files exist, reruns the others
+from their first epoch and merges in range order.  Every UE is seeded
+by its global index and the merge is exact, so the result is
+**byte-identical** to the uninterrupted run and to ``run_fleet`` over
+the same spec.  A crash loses at most the range in flight, 2,000 UEs.
 
-The fingerprint binds a checkpoint to one exact workload; resuming with
-a different spec, shard count, metrics window, or tile size raises
-:class:`CheckpointError` instead of silently merging foreign state, and
-so does a file of another format version (version 1 stored the loop's
-``serving``/``hist``/``hist_len`` and the accumulator's arrays apart).
+Crash model.  A shard file is written under a temporary name, fsynced,
+then renamed to its own name, which no earlier write used: no file is
+ever replaced.  Process death (``SIGKILL``, or :class:`SimulatedCrash`
+in process) keeps every renamed file, since the kernel holds it
+whatever the process does; a write it cuts short leaves only a
+temporary file, which no run reads.  Power loss may lose a rename,
+because the directory is not fsynced; that costs a rerun of the range,
+never a torn file, because the data was fsynced before the rename.
 
-Writes are atomic (tmp file + fsync + ``os.replace``), so the file is
-always either the previous or the next consistent snapshot — never a
-torn one.  A ``"checkpoint"``-scope ``"crash"`` rule in a
-:class:`~repro.resilience.faults.FaultPlan` raises
-:class:`SimulatedCrash` *before* the due write, which is exactly the
-kill-between-checkpoints window the resume tests exercise in-process.
+The fingerprint binds a shard file to one workload: the spec, the
+ranges, the ping-pong window and the outage threshold (not the tile
+size, which no result depends on).  Every ``shard-*.json`` file in the
+directory must belong to the run, so a file that is unreadable, of
+another format version or of another workload is refused with a
+:class:`CheckpointError` naming it, and so is a directory holding
+``fleet.ckpt``, the single-file format of versions 1 and 2 (mid-shard
+snapshots).  A ``"checkpoint"``-scope ``"crash"`` rule of a
+:class:`~repro.resilience.faults.FaultPlan` counts shard writes and
+raises :class:`SimulatedCrash` *before* the due one, after its range
+has run.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import json
 import os
 import pickle
+import re
 import tempfile
 from pathlib import Path
 from typing import Optional, Union
 
-from ..sim import measurement
+import numpy as np
+
 from ..sim.fleet import FleetSpec
-from ..sim.population import partition_fleet
 from ..sim.metrics import (
     DEFAULT_OUTAGE_DBW,
     DEFAULT_WINDOW_KM,
     FleetMetrics,
     merge_fleet_metrics,
 )
+from ..sim.population import partition_fleet
 from .faults import FaultPlan
 
 __all__ = [
-    "CHECKPOINT_FILENAME",
+    "CHECKPOINT_SHARD_UES",
     "CHECKPOINT_VERSION",
     "CheckpointError",
     "SimulatedCrash",
-    "checkpoint_path",
+    "checkpoint_ranges",
     "load_checkpoint",
     "run_fleet_checkpointed",
+    "shard_path",
 ]
 
-CHECKPOINT_VERSION = 2
-CHECKPOINT_FILENAME = "fleet.ckpt"
+CHECKPOINT_VERSION = 3
+
+#: Most UEs in one checkpointed range: the most work a crash can lose
+#: (a 2,000-UE range runs in about 0.2-0.35 s of one CPU).
+CHECKPOINT_SHARD_UES = 2000
+
+#: The single-file checkpoint of format versions 1 and 2.
+LEGACY_FILENAME = "fleet.ckpt"
+
+_SHARD_NAME = re.compile(r"shard-(\d+)-(\d+)\.json")
+_KEYS = ("version", "fingerprint", "range", "metrics")
 
 
 class CheckpointError(RuntimeError):
@@ -109,68 +99,148 @@ class CheckpointError(RuntimeError):
 
 class SimulatedCrash(RuntimeError):
     """Raised by a ``"checkpoint"``-scope crash rule: the in-process
-    stand-in for a kill between checkpoint writes."""
+    stand-in for a kill between shard writes."""
 
 
-def checkpoint_path(directory: Union[str, Path]) -> Path:
-    """The checkpoint file inside ``directory``."""
-    return Path(directory) / CHECKPOINT_FILENAME
-
-
-def _atomic_write(path: Path, state: dict) -> None:
-    """Write-then-rename so the file is never observed half-written,
-    fsyncing before the rename so a machine crash cannot leave a
-    renamed-but-empty file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=str(path.parent), prefix=path.name + ".", suffix=".tmp"
+def checkpoint_ranges(n_ues: int, n_shards: int = 1) -> list[tuple[int, int]]:
+    """The ``[lo, hi)`` ranges a checkpointed run of ``n_ues`` UEs
+    writes: at least ``n_shards``, none above
+    :data:`CHECKPOINT_SHARD_UES` UEs."""
+    return partition_fleet(
+        n_ues, max(n_shards, -(-n_ues // CHECKPOINT_SHARD_UES))
     )
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            pickle.dump(state, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
-def load_checkpoint(directory: Union[str, Path]) -> Optional[dict]:
-    """The checkpoint state in ``directory``, or ``None`` when absent."""
-    path = checkpoint_path(directory)
-    if not path.exists():
-        return None
-    try:
-        with path.open("rb") as fh:
-            state = pickle.load(fh)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError) as exc:
-        raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
-    if not isinstance(state, dict) or "version" not in state:
-        raise CheckpointError(f"malformed checkpoint {path}")
-    return state
+def shard_path(directory: Union[str, Path], lo: int, hi: int) -> Path:
+    """The file of range ``[lo, hi)`` inside ``directory``."""
+    return Path(directory) / f"shard-{lo}-{hi}.json"
 
 
-def _fingerprint(
-    spec: FleetSpec,
-    n_shards: int,
-    window_km: float,
-    outage_dbw: float,
-    tile_epochs: int,
-) -> str:
-    """Binds a checkpoint to one exact workload.  The spec, its
-    population and their mobility models are frozen dataclasses, so
-    their pickle is stable across processes of one interpreter
-    version — good enough to catch every accidental mismatch loudly."""
-    payload = pickle.dumps(
-        (spec, int(n_shards), float(window_km), float(outage_dbw),
-         int(tile_epochs)),
+def _ledger(spec, n_shards, window_km, outage_dbw):
+    """A run's ranges, window, outage threshold and fingerprint.  The
+    spec, its population and their mobility models are frozen
+    dataclasses, so their pickle is stable across processes of one
+    interpreter version."""
+    window = DEFAULT_WINDOW_KM if window_km is None else float(window_km)
+    outage = DEFAULT_OUTAGE_DBW if outage_dbw is None else float(outage_dbw)
+    ranges = checkpoint_ranges(spec.n_ues, n_shards)
+    blob = pickle.dumps(
+        (spec, tuple(ranges), window, outage),
         protocol=pickle.HIGHEST_PROTOCOL,
     )
-    return hashlib.sha256(payload).hexdigest()
+    return ranges, window, outage, hashlib.sha256(blob).hexdigest()
+
+
+def _read_shard(path, window, outage, fingerprint):
+    """``((lo, hi), metrics)`` of one shard file, checked against the
+    run."""
+
+    def refuse(why: str) -> CheckpointError:
+        return CheckpointError(f"checkpoint file {path} {why}")
+
+    match = _SHARD_NAME.fullmatch(path.name)
+    if match is None:
+        raise refuse("is not named shard-<lo>-<hi>.json")
+    lo, hi = int(match[1]), int(match[2])
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except OSError as exc:
+        raise refuse(f"is unreadable: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise refuse(f"is not UTF-8 text: {exc}") from exc
+    try:
+        record = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise refuse(f"is not JSON: {exc}") from exc
+    if not isinstance(record, dict):
+        raise refuse(f"holds a JSON {type(record).__name__}, not an object")
+    missing = [key for key in _KEYS if key not in record]
+    if missing:
+        raise refuse(f"lacks {', '.join(missing)}")
+    if record["version"] != CHECKPOINT_VERSION:
+        raise refuse(
+            f"has format version {record['version']!r}, "
+            f"expected {CHECKPOINT_VERSION}"
+        )
+    if record["fingerprint"] != fingerprint:
+        raise refuse(
+            "belongs to another workload (spec, ranges, window or "
+            "outage threshold differ)"
+        )
+    if record["range"] != [lo, hi]:
+        raise refuse(
+            f"holds range {record['range']!r} but is named for "
+            f"[{lo}, {hi}]"
+        )
+    try:
+        metrics = FleetMetrics.from_payload(record["metrics"])
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise refuse(f"holds malformed metrics: {exc!r}") from exc
+    shapes = {np.shape(a) for a in metrics.per_ue().values()}
+    if shapes != {(hi - lo,)}:
+        raise refuse(
+            f"holds per-UE arrays of shapes {sorted(shapes)}, not "
+            f"({hi - lo},)"
+        )
+    if (metrics.window_km, metrics.outage_dbw) != (window, outage):
+        raise refuse(
+            f"holds metrics for window {metrics.window_km} km and outage "
+            f"threshold {metrics.outage_dbw} dBW; this run uses "
+            f"{window} km and {outage} dBW"
+        )
+    return (lo, hi), metrics
+
+
+def _load(directory, window, outage, fingerprint):
+    """The finished ranges in ``directory``: ``{(lo, hi): metrics}``."""
+    directory = Path(directory)
+    legacy = directory / LEGACY_FILENAME
+    if legacy.exists():
+        raise CheckpointError(
+            f"checkpoint file {legacy} is a version-2 (or older) "
+            "checkpoint of mid-shard snapshots; format version "
+            f"{CHECKPOINT_VERSION} keeps one file per finished shard: "
+            "rerun in a new directory"
+        )
+    return dict(
+        _read_shard(path, window, outage, fingerprint)
+        for path in sorted(directory.glob("shard-*.json"))
+    )
+
+
+def load_checkpoint(
+    directory: Union[str, Path],
+    spec: FleetSpec,
+    *,
+    n_shards: int = 1,
+    window_km: Optional[float] = None,
+    outage_dbw: Optional[float] = None,
+) -> dict[tuple[int, int], FleetMetrics]:
+    """The finished ranges of the run :func:`run_fleet_checkpointed`
+    would make with these arguments, ``{(lo, hi): metrics}``; empty for
+    a missing or empty directory."""
+    _, window, outage, fingerprint = _ledger(
+        spec, n_shards, window_km, outage_dbw
+    )
+    return _load(directory, window, outage, fingerprint)
+
+
+def _write_new(path: Path, record: dict) -> None:
+    """Write ``record`` as JSON to ``path``, a name no file holds: a
+    temporary file, fsynced, then renamed."""
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            json.dump(record, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.rename(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def run_fleet_checkpointed(
@@ -182,113 +252,48 @@ def run_fleet_checkpointed(
     outage_dbw: Optional[float] = None,
     fault_plan: Optional[FaultPlan] = None,
 ) -> FleetMetrics:
-    """Run (or resume) a fleet with crash-safe checkpointing.
+    """Run (or resume) a fleet, writing each finished range to
+    ``checkpoint_dir``.
 
-    Shards run serially in-process (checkpointing owns the execution
-    order; distribute *or* checkpoint, not both), each streamed in
-    :data:`~repro.sim.measurement.DEFAULT_TILE_EPOCHS`-epoch tiles, read
-    when the run starts as every fleet range does, with a snapshot at
-    every tile boundary; the tile size is part of the fingerprint.  Call
-    again with the same arguments after a crash and the run continues
-    from the last checkpoint; the merged :class:`FleetMetrics` is
+    The ranges are :func:`checkpoint_ranges` ``(spec.n_ues,
+    n_shards)``; they run one after another in this process.  Call
+    again with the same arguments after a crash and the run reruns only
+    the ranges without a file; the merged :class:`FleetMetrics` is
     byte-identical to the uninterrupted run and to
     :func:`~repro.sim.fleet.run_fleet` over the same spec.
 
-    Each shard is one batch pass, every UE under its cohort's policy,
-    so mixed-policy populations checkpoint like any other fleet.
-
     ``fault_plan`` lets ``"checkpoint"``-scope crash rules kill the run
-    deterministically between writes (tests, the X20 recovery bench).
+    deterministically before a shard write (tests, the X20 recovery
+    bench).
     """
-    population = spec.population
-    tile_epochs = measurement.DEFAULT_TILE_EPOCHS
-    window = DEFAULT_WINDOW_KM if window_km is None else float(window_km)
-    outage = DEFAULT_OUTAGE_DBW if outage_dbw is None else float(outage_dbw)
-
-    shards = partition_fleet(spec.n_ues, n_shards)
-    fingerprint = _fingerprint(spec, len(shards), window, outage, tile_epochs)
-    path = checkpoint_path(checkpoint_dir)
-
-    state = load_checkpoint(checkpoint_dir)
-    if state is not None:
-        if state["version"] != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"checkpoint {path} has version {state['version']}, "
-                f"expected {CHECKPOINT_VERSION}"
-            )
-        if state["fingerprint"] != fingerprint:
-            raise CheckpointError(
-                f"checkpoint {path} belongs to a different workload "
-                "(spec/shards/window/outage/tile mismatch)"
-            )
-        if state.get("result") is not None:
-            return state["result"]
-    else:
-        state = {
-            "version": CHECKPOINT_VERSION,
-            "fingerprint": fingerprint,
-            "n_shards": len(shards),
-            "completed": {},
-            "in_progress": None,
-            "result": None,
-        }
-
+    ranges, window, outage, fingerprint = _ledger(
+        spec, n_shards, window_km, outage_dbw
+    )
+    directory = Path(checkpoint_dir)
+    done = _load(directory, window, outage, fingerprint)
     injector = (
         fault_plan.injector("checkpoint") if fault_plan is not None else None
     )
-    for idx, (lo, hi) in enumerate(shards):
-        if idx in state["completed"]:
+    directory.mkdir(parents=True, exist_ok=True)
+    for lo, hi in ranges:
+        if (lo, hi) in done:
             continue
-        resume = None
-        in_progress = state["in_progress"]
-        if in_progress is not None and in_progress["shard"] == idx:
-            resume = in_progress["snapshot"]
-
-        stream = population.make_sampler().measure_batch_tiles(
-            population.traces(lo, hi),
-            tile_epochs,
-            fading_profiles=population.fading_profiles(lo, hi),
+        metrics = spec.population.run_metrics(
+            lo, hi, window_km=window, outage_dbw=outage
         )
-        sim = population.simulator(lo, hi)
-
-        def on_tile_end(next_epoch, epoch_state):
-            if injector is not None:
-                rule = injector.poll()
-                if rule is not None and rule.mode == "crash":
-                    # crash *before* the due write: the on-disk state
-                    # stays one-or-more tiles behind, exactly the
-                    # SIGKILL-between-checkpoints window
-                    raise SimulatedCrash(
-                        f"fault plan killed shard {idx} before the "
-                        f"checkpoint at epoch {next_epoch}"
-                    )
-            state["in_progress"] = {
-                "shard": idx,
-                "snapshot": {
-                    "next_epoch": int(next_epoch),
-                    "state": epoch_state.state_dict(),
-                    "fading_state": stream.fading_state(),
-                },
-            }
-            _atomic_write(path, state)
-
-        metrics = sim.drive(
-            stream,
-            window_km=window,
-            outage_dbw=outage,
-            resume=resume,
-            on_tile_end=on_tile_end,
-        ).metrics.finalize()
-        state["completed"][idx] = metrics.with_cohorts(
-            population.cohort_ids(lo, hi),
-            population.cohort_names,
+        if injector is not None and injector.poll() is not None:
+            raise SimulatedCrash(
+                f"fault plan killed the run before the write of shard "
+                f"[{lo}, {hi})"
+            )
+        _write_new(
+            shard_path(directory, lo, hi),
+            {
+                "version": CHECKPOINT_VERSION,
+                "fingerprint": fingerprint,
+                "range": [lo, hi],
+                "metrics": metrics.to_payload(),
+            },
         )
-        state["in_progress"] = None
-        _atomic_write(path, state)
-
-    merged = merge_fleet_metrics(
-        [state["completed"][i] for i in range(len(shards))]
-    )
-    state["result"] = merged
-    _atomic_write(path, state)
-    return merged
+        done[(lo, hi)] = metrics
+    return merge_fleet_metrics(done[r] for r in ranges)

@@ -405,8 +405,6 @@ class BatchSimulator:
         window_km: float = DEFAULT_WINDOW_KM,
         outage_dbw: float = DEFAULT_OUTAGE_DBW,
         observer=None,
-        resume: Optional[dict] = None,
-        on_tile_end=None,
     ) -> EpochState:
         """The tile loop: one kernel :func:`~repro.sim.kernel.step` per
         epoch over the UEs whose walk is still running (``k <
@@ -417,14 +415,7 @@ class BatchSimulator:
         series is one full-width tile), so the per-UE state flows across
         tile boundaries and the streamed path is bit-identical to the
         materialised one.  ``observer`` receives the kernel's callbacks
-        alongside the state's accumulator.  For checkpointing (see
-        :mod:`repro.resilience.checkpoint`), ``on_tile_end(next_epoch,
-        state)`` runs after every completed tile with the live state
-        (snapshot it with ``state.state_dict()``), and ``resume``
-        restarts the drive from a tile boundary: a dict with
-        ``next_epoch``, the ``state`` snapshot and the tile stream's
-        ``fading_state``; the resumed drive is byte-identical to the
-        uninterrupted one.
+        alongside the state's accumulator.
         """
         n = source.n_ues
         if source.max_epochs == 0:
@@ -441,22 +432,8 @@ class BatchSimulator:
         if self.initial_cell is not None:
             state.serving[:] = layout.index_of(self.initial_cell)
 
-        if resume is not None:
-            if not isinstance(source, TiledBatchMeasurement):
-                raise TypeError(
-                    "resume requires a TiledBatchMeasurement (checkpoints "
-                    "are taken at tile boundaries)"
-                )
-            state.load_state_dict(resume["state"])
-            tiles = source.tiles(
-                start_epoch=int(resume["next_epoch"]),
-                fading_state=resume.get("fading_state"),
-            )
-        else:
-            tiles = source.tiles()
-
         lengths = source.lengths
-        for tile in tiles:
+        for tile in source.tiles():
             for j in range(tile.n_epochs):
                 rows = np.flatnonzero(tile.start + j < lengths)
                 # every UE active: step on views of the tile, no gather
@@ -469,8 +446,6 @@ class BatchSimulator:
                     tile.distance_km[sel, j],
                     observer,
                 )
-            if on_tile_end is not None:
-                on_tile_end(tile.stop, state)
         return state
 
     def __repr__(self) -> str:

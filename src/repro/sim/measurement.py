@@ -21,9 +21,8 @@ traces and the oracles.
 
 Every batch path fades through one
 :class:`~repro.radio.fading.FadingBank` over per-UE processes
-(``fading_profiles``), so the materialised series, the tile stream and
-a checkpoint resume all draw the same values; a sampler's single shared
-process is refused.
+(``fading_profiles``), so the materialised series and the tile stream
+draw the same values; a sampler's single shared process is refused.
 """
 
 from __future__ import annotations
@@ -354,7 +353,8 @@ class TiledBatchMeasurement:
     def __len__(self) -> int:
         return self.n_ues
 
-    def _claim(self) -> None:
+    def tiles(self) -> Iterator[MeasurementTile]:
+        """Generate the measurement tiles, in epoch order."""
         if self._consumed:
             raise RuntimeError(
                 "this tile stream's fading generators were already "
@@ -362,59 +362,9 @@ class TiledBatchMeasurement:
             )
         if self._bank is not None:
             self._consumed = True
+        return self._tiles()
 
-    # ------------------------------------------------------------------
-    def tiles(
-        self,
-        start_epoch: int = 0,
-        fading_state: Optional[list[Optional[dict]]] = None,
-    ) -> Iterator[MeasurementTile]:
-        """Generate the measurement tiles, in epoch order.
-
-        ``start_epoch`` (a multiple of ``tile_epochs``, or exactly
-        ``max_epochs`` for an already-finished stream) resumes tiling
-        mid-horizon — the checkpoint/resume path.  A resumed fading
-        stream needs ``fading_state``: the per-UE list a previous pass
-        captured via :meth:`fading_state` at that tile boundary; with
-        it, the resumed tiles are byte-identical to the uninterrupted
-        pass.
-        """
-        if start_epoch < 0 or start_epoch > self.max_epochs:
-            raise ValueError(
-                f"start_epoch must lie in [0, {self.max_epochs}], "
-                f"got {start_epoch}"
-            )
-        if start_epoch % self.tile_epochs != 0 and start_epoch != self.max_epochs:
-            raise ValueError(
-                f"start_epoch must be a tile boundary (multiple of "
-                f"{self.tile_epochs}), got {start_epoch}"
-            )
-        self._claim()
-        if fading_state is not None:
-            if self._bank is None:
-                raise ValueError(
-                    "fading_state given but this stream has no fading"
-                )
-            self._bank.load_state_dict(fading_state)
-        elif start_epoch > 0 and self._bank is not None:
-            raise ValueError(
-                "resuming a fading stream mid-horizon requires the "
-                "fading_state captured at that tile boundary"
-            )
-        return self._tiles(start_epoch)
-
-    def fading_state(self) -> Optional[list[Optional[dict]]]:
-        """The per-UE fading states at the current point of the
-        :meth:`tiles` pass (``None`` for a fading-free stream), in the
-        :meth:`~repro.radio.fading.ShadowFadingStream.state_dict` layout
-        (see :meth:`~repro.radio.fading.FadingBank.state_dict`).
-        Capture it at a tile boundary; pass it back through
-        :meth:`tiles` on a rebuilt stream to resume byte-identically."""
-        if self._bank is None:
-            return None
-        return self._bank.state_dict()
-
-    def _tiles(self, start_epoch: int) -> Iterator[MeasurementTile]:
+    def _tiles(self) -> Iterator[MeasurementTile]:
         n, t_max = self.n_ues, self.max_epochs
         tile = self.tile_epochs
         n_cells = self.layout.n_cells
@@ -424,7 +374,7 @@ class TiledBatchMeasurement:
         # one preallocated per-tile power buffer, recycled every tile
         # (the short tail tile is a view of its first epochs)
         power_buf = np.empty((n, min(tile, t_max), n_cells))
-        for lo in range(start_epoch, t_max, tile):
+        for lo in range(0, t_max, tile):
             hi = min(lo + tile, t_max)
             positions = self.positions_km[:, lo:hi]
             distance = self.distance_km[:, lo:hi]

@@ -215,7 +215,6 @@ def fleets(draw):
             distance[i, t:] = distance[i, t - 1]
     base = rng.normal(-100.0, 8.0, size=(n, t_max, CELLS))
     tile = draw(st.sampled_from([1, 2, 3, 16, t_max, t_max + 5]))
-    n_tiles = -(-t_max // tile)
     return {
         "kinds": kinds,
         "lengths": lengths,
@@ -223,16 +222,14 @@ def fleets(draw):
         "base": base,
         "seed": seed,
         "tile": tile,
-        "resume": draw(st.integers(0, n_tiles)),
     }
 
 
-def bank_tiles(bank, case, start=0):
-    """``(lo, tile bytes)`` of a bank pass over ``case``'s base power
-    from the tile boundary ``start`` on."""
+def bank_tiles(bank, case):
+    """``(lo, tile bytes)`` of a bank pass over ``case``'s base power."""
     base, distance, lengths = case["base"], case["distance"], case["lengths"]
     t_max, tile = base.shape[1], case["tile"]
-    for lo in range(start, t_max, tile):
+    for lo in range(0, t_max, tile):
         hi = min(lo + tile, t_max)
         out = base[:, lo:hi].copy()
         bank.add_to(out, distance[:, lo:hi], np.clip(lengths - lo, 0, hi - lo))
@@ -241,10 +238,10 @@ def bank_tiles(bank, case, start=0):
 
 class TestFadingBankDifferential:
     """The bank is a vectorised :class:`ShadowFadingStream` per UE: the
-    same bytes for every tile width, block length and block width, in
-    one shot as ``sample_along`` draws, and resumed from any tile
-    boundary.  This also pins, on the host that runs it, that ``np.exp``
-    over a whole block gives the bits it gives per UE."""
+    same bytes for every tile width, block length and block width, tile
+    by tile and in one shot as ``sample_along`` draws.  This also pins,
+    on the host that runs it, that ``np.exp`` over a whole block gives
+    the bits it gives per UE."""
 
     @settings(derandomize=True, max_examples=250, deadline=None)
     @given(
@@ -257,7 +254,6 @@ class TestFadingBankDifferential:
         base, distance, lengths = (
             case["base"], case["distance"], case["lengths"]
         )
-        t_max, tile = base.shape[1], case["tile"]
         with mock.patch.object(
             fading, "FADING_BLOCK_EPOCHS", block
         ), mock.patch.object(fading, "FADING_BLOCK_UES", block_ues):
@@ -267,7 +263,7 @@ class TestFadingBankDifferential:
                 ShadowFadingStream(p) if fades(p) else None
                 for p in make_profiles(kinds, seed)
             ]
-            tiles, boundary_states = [], [bank.state_dict()]
+            tiles = []
             for lo, got in bank_tiles(bank, case):
                 want = base[:, lo : lo + got.shape[1]].copy()
                 for i, stream in enumerate(streams):
@@ -278,12 +274,6 @@ class TestFadingBankDifferential:
                         )
                 assert got.tobytes() == want.tobytes(), f"tile at {lo}"
                 tiles.append((lo, got))
-                boundary_states.append(bank.state_dict())
-                # the exported state is the streams' own, key for key
-                for state, stream in zip(boundary_states[-1], streams):
-                    assert (state is None) == (stream is None)
-                    if stream is not None:
-                        assert_same_state(state, stream.state_dict())
 
             # one shot over the whole horizon against sample_along
             one_shot = base.copy()
@@ -299,81 +289,8 @@ class TestFadingBankDifferential:
             assert np.concatenate([t for _, t in tiles], axis=1).tobytes() \
                 == one_shot.tobytes()
 
-            # resume a fresh bank from the state captured at a boundary
-            start = min(case["resume"] * tile, t_max)
-            resumed = FadingBank(make_profiles(kinds, seed), CELLS)
-            resumed.load_state_dict(boundary_states[case["resume"]])
-            again = list(bank_tiles(resumed, case, start))
-            assert [lo for lo, _ in again] == [
-                lo for lo, _ in tiles if lo >= start
-            ]
-            for (_, got), (_, ref) in zip(
-                again, [t for t in tiles if t[0] >= start]
-            ):
-                assert got.tobytes() == ref.tobytes()
-
-
-def assert_same_state(got, want):
-    assert got.keys() == want.keys()
-    assert got["rng_state"] == want["rng_state"]
-    assert got["started"] == want["started"]
-    assert got["last_distance_km"] == want["last_distance_km"]
-    if want["last"] is None:
-        assert got["last"] is None
-    else:
-        assert got["last"].tobytes() == want["last"].tobytes()
-
 
 class TestFadingBankRefusals:
-    def _bank(self):
-        # UE 0 fades (AR(1)), UE 1 has no process, UE 2 fades (i.i.d.)
-        return FadingBank(
-            [
-                ShadowFading(4.0, 0.1, 1),
-                None,
-                ShadowFading(3.0, 0.0, 2),
-            ],
-            CELLS,
-        )
-
-    def _state(self):
-        bank = self._bank()
-        power = np.zeros((3, 4, CELLS))
-        bank.add_to(power, np.cumsum(np.full((3, 4), 0.05), axis=1),
-                    np.array([4, 4, 4]))
-        return bank.state_dict()
-
-    def test_state_for_a_non_fading_ue_refused(self):
-        states = self._state()
-        states[1] = dict(states[0])
-        with pytest.raises(ValueError, match="UE 1, which does not fade"):
-            self._bank().load_state_dict(states)
-
-    def test_last_row_of_wrong_length_refused(self):
-        states = self._state()
-        states[0]["last"] = np.zeros(CELLS + 2)
-        with pytest.raises(ValueError, match=r"UE 0 .*shape \(7,\)"):
-            self._bank().load_state_dict(states)
-
-    def test_refused_state_loads_nothing(self):
-        bank = self._bank()
-        before = bank.state_dict()
-        states = self._state()
-        states[2]["last"] = np.zeros(1)
-        with pytest.raises(ValueError, match="UE 2"):
-            bank.load_state_dict(states)
-        assert_same_state(bank.state_dict()[0], before[0])
-
-    def test_missing_state_for_a_fading_ue_refused(self):
-        states = self._state()
-        states[2] = None
-        with pytest.raises(ValueError, match="UE 2 fades"):
-            self._bank().load_state_dict(states)
-
-    def test_state_count_mismatch_refused(self):
-        with pytest.raises(ValueError, match="3 UEs but 2 fading states"):
-            self._bank().load_state_dict(self._state()[:2])
-
     def test_shared_generator_refused(self):
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError, match="UEs 0 and 2 share"):

@@ -1,135 +1,150 @@
-"""Checkpoint format versioning: a file of another format is refused
-with a :class:`CheckpointError` naming both versions, and a version-2
-file written with per-UE fading streams still resumes."""
+"""Checkpoint format version 3: one shard file per finished range, and
+a :class:`CheckpointError` naming every file a run cannot use."""
 
 from __future__ import annotations
 
+import json
 import pickle
-from unittest import mock
+import re
 
 import pytest
 
 from repro.resilience import (
+    CHECKPOINT_SHARD_UES,
     CHECKPOINT_VERSION,
     CheckpointError,
-    FaultPlan,
-    FaultRule,
-    SimulatedCrash,
-    checkpoint_path,
-    load_checkpoint,
+    checkpoint_ranges,
     run_fleet_checkpointed,
+    shard_path,
 )
-from repro.radio.fading import ShadowFadingStream
-from repro.sim import FleetSpec, SimulationParameters, measurement
+from repro.sim import FleetSpec, partition_fleet
 
 pytestmark = pytest.mark.resilience
 
-TILE = 4
+SPEC = FleetSpec(n_ues=8, n_walks=2, base_seed=1000)
+N_SHARDS = 2
 
 
-def run(spec, directory, fault_plan=None):
-    with mock.patch.object(measurement, "DEFAULT_TILE_EPOCHS", TILE):
-        return run_fleet_checkpointed(
-            spec, checkpoint_dir=directory, fault_plan=fault_plan
-        )
+def run(directory):
+    return run_fleet_checkpointed(
+        SPEC, checkpoint_dir=directory, n_shards=N_SHARDS
+    )
+
+
+def test_ranges_hold_at_most_checkpoint_shard_ues():
+    """``n_shards`` is a lower bound on the ranges, and no range holds
+    more than :data:`CHECKPOINT_SHARD_UES` UEs."""
+    assert CHECKPOINT_SHARD_UES == 2000
+    assert checkpoint_ranges(2000) == [(0, 2000)]
+    assert checkpoint_ranges(2001) == partition_fleet(2001, 2)
+    assert checkpoint_ranges(4500) == partition_fleet(4500, 3)
+    assert checkpoint_ranges(4500, 5) == partition_fleet(4500, 5)
+    assert checkpoint_ranges(10, 4) == partition_fleet(10, 4)
 
 
 def test_version_1_checkpoint_is_refused(tmp_path):
-    spec = FleetSpec(n_ues=4, n_walks=2, base_seed=1000)
-    crash = FaultPlan(
-        rules=(FaultRule(scope="checkpoint", mode="crash", after=2),)
-    )
-    with pytest.raises(SimulatedCrash):
-        run(spec, tmp_path, fault_plan=crash)
-    state = load_checkpoint(tmp_path)
-    assert state["version"] == CHECKPOINT_VERSION == 2
-    assert set(state["in_progress"]["snapshot"]) == {
-        "next_epoch", "state", "fading_state"
-    }
-
-    # the same workload's snapshot in the version-1 layout
-    snapshot = state["in_progress"]["snapshot"]
-    arrays = snapshot.pop("state")
-    snapshot.update(
-        serving=arrays["serving"],
-        hist=arrays["hist"],
-        hist_len=arrays["hist_len"],
-        consumer={},
-    )
-    state["version"] = 1
-    checkpoint_path(tmp_path).write_bytes(pickle.dumps(state))
-
-    with pytest.raises(CheckpointError, match="version 1, expected 2"):
-        run(spec, tmp_path)
+    """A version-1 ``fleet.ckpt`` (the loop's arrays stored apart) is
+    refused by name, as every single-file checkpoint is."""
+    legacy = tmp_path / "fleet.ckpt"
+    legacy.write_bytes(pickle.dumps({
+        "version": 1,
+        "fingerprint": "0" * 64,
+        "n_shards": 1,
+        "completed": {},
+        "in_progress": {"shard": 0, "snapshot": {
+            "next_epoch": 4, "serving": [0], "hist": [[0.0]],
+            "hist_len": [1], "consumer": {},
+        }},
+        "result": None,
+    }))
+    with pytest.raises(
+        CheckpointError, match=re.escape(f"{legacy} is a version-2 (or older)")
+    ):
+        run(tmp_path)
 
 
-def per_ue_stream_fading_state(spec, tile_epochs, next_epoch):
-    """The ``fading_state`` a version-2 checkpoint holds when one
-    :class:`ShadowFadingStream` per UE drew the tiles before
-    ``next_epoch`` — the layout checkpoints were written in before the
-    fading bank."""
-    population = spec.population
-    tiled = population.make_sampler().measure_batch_tiles(
-        population.traces(), tile_epochs
-    )
-    cells = tiled.layout.n_cells
-    streams = [
-        ShadowFadingStream(
-            spec.params.make_fading(rng=spec.fading_base_seed + g)
-        )
-        for g in range(spec.n_ues)
-    ]
-    for lo in range(0, next_epoch, tiled.tile_epochs):
-        hi = min(lo + tiled.tile_epochs, tiled.max_epochs)
-        for i, stream in enumerate(streams):
-            t = min(int(tiled.lengths[i]), hi) - lo
-            if t > 0:
-                stream.sample_next(
-                    tiled.distance_km[i, lo : lo + t], n_sources=cells
-                )
-    return [stream.state_dict() for stream in streams]
+@pytest.fixture(scope="module")
+def first_shard(tmp_path_factory):
+    """The file name and bytes of the first range of a finished run."""
+    directory = tmp_path_factory.mktemp("finished")
+    run(directory)
+    path = shard_path(directory, *checkpoint_ranges(SPEC.n_ues, N_SHARDS)[0])
+    return path.name, path.read_bytes()
 
 
-@pytest.mark.parametrize("decorrelation_km", [0.1, 0.0])
-def test_version_2_per_ue_stream_fading_state_resumes_identically(
-    tmp_path, decorrelation_km
+def edited(change):
+    def case(name, raw):
+        record = json.loads(raw)
+        change(record)
+        return name, json.dumps(record).encode()
+
+    return case
+
+
+def drop_one_handover(record):
+    record["metrics"]["per_ue"]["handovers"].pop()
+
+
+#: case -> (file name and bytes from the first shard's, refusal text)
+BAD_FILES = {
+    "empty": (lambda name, raw: (name, b""), "is not JSON"),
+    "truncated": (
+        lambda name, raw: (name, raw[: len(raw) // 2]), "is not JSON"
+    ),
+    "not-json": (lambda name, raw: (name, b"garbage\n"), "is not JSON"),
+    "not-utf8": (
+        lambda name, raw: (name, b"\xff\xfe{}"), "is not UTF-8 text"
+    ),
+    "non-object": (
+        lambda name, raw: (name, b"[0, 4]"), "holds a JSON list, not an"
+    ),
+    "missing-key": (
+        edited(lambda record: record.pop("fingerprint")),
+        "lacks fingerprint",
+    ),
+    "other-version": (
+        edited(lambda record: record.update(version=2)),
+        f"has format version 2, expected {CHECKPOINT_VERSION}",
+    ),
+    "other-fingerprint": (
+        edited(lambda record: record.update(fingerprint="0" * 64)),
+        "belongs to another workload",
+    ),
+    "range-not-name": (
+        edited(lambda record: record.update(range=[0, 3])),
+        "holds range [0, 3] but is named for [0, 4]",
+    ),
+    "per-ue-length": (
+        edited(drop_one_handover),
+        "holds per-UE arrays of shapes [(3,), (4,)], not (4,)",
+    ),
+    "other-window": (
+        edited(lambda record: record["metrics"].update(window_km=0.25)),
+        "for window 0.25 km",
+    ),
+    "other-outage": (
+        edited(lambda record: record["metrics"].update(outage_dbw=-100.0)),
+        "outage threshold -100.0 dBW",
+    ),
+    "fleet-ckpt": (
+        lambda name, raw: ("fleet.ckpt", b"garbage\n"),
+        "is a version-2 (or older) checkpoint",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FILES))
+def test_unusable_checkpoint_file_is_refused_by_name(
+    tmp_path, first_shard, case
 ):
-    spec = FleetSpec(
-        n_ues=7,
-        n_walks=2,
-        base_seed=1000,
-        params=SimulationParameters(
-            shadow_sigma_db=6.0, shadow_decorrelation_km=decorrelation_km
-        ),
+    make, refusal = BAD_FILES[case]
+    name, data = make(*first_shard)
+    (tmp_path / name).write_bytes(data)
+    with pytest.raises(CheckpointError) as excinfo:
+        run(tmp_path)
+    assert str(excinfo.value).startswith(
+        f"checkpoint file {tmp_path / name} "
     )
-    reference = run(spec, tmp_path / "ref")
-    crashed = tmp_path / "crashed"
-    crash = FaultPlan(
-        rules=(FaultRule(scope="checkpoint", mode="crash", after=3),)
-    )
-    with pytest.raises(SimulatedCrash):
-        run(spec, crashed, fault_plan=crash)
-    state = load_checkpoint(crashed)
-    assert state["version"] == CHECKPOINT_VERSION == 2
-    snapshot = state["in_progress"]["snapshot"]
-    assert snapshot["next_epoch"] == 8
-
-    legacy = per_ue_stream_fading_state(spec, TILE, snapshot["next_epoch"])
-    # the bank writes the per-UE streams' layout, entry for entry ...
-    assert len(snapshot["fading_state"]) == len(legacy)
-    for got, want in zip(snapshot["fading_state"], legacy):
-        assert got.keys() == want.keys()
-        assert got["rng_state"] == want["rng_state"]
-        assert got["started"] == want["started"]
-        assert got["last_distance_km"] == want["last_distance_km"]
-        if want["last"] is None:
-            assert got["last"] is None
-        else:
-            assert got["last"].tobytes() == want["last"].tobytes()
-
-    # ... and a checkpoint holding the streams' own states resumes
-    # through the bank to the uninterrupted run's bytes
-    snapshot["fading_state"] = legacy
-    checkpoint_path(crashed).write_bytes(pickle.dumps(state))
-    resumed = run(spec, crashed)
-    assert pickle.dumps(resumed) == pickle.dumps(reference)
+    assert refusal in str(excinfo.value)
+    # refused before any range ran: nothing was written
+    assert [p.name for p in tmp_path.iterdir()] == [name]

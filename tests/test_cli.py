@@ -102,9 +102,11 @@ class TestCommands:
         assert "6 UEs" in out
 
     def test_fleet_rejects_bad_workers(self, capsys):
-        with pytest.raises(ValueError, match="max_workers"):
+        with pytest.raises(SystemExit) as exc:
             main(["fleet", "--ues", "4", "--walks", "3",
                   "--shards", "2", "--workers", "0"])
+        assert exc.value.code == 2
+        assert "--workers must be >= 1, got 0" in capsys.readouterr().err
 
     def test_fleet_hosts_and_workers_mutually_exclusive(self, capsys):
         with pytest.raises(SystemExit):
@@ -326,6 +328,38 @@ FLEET_SPECS = {
         ),
     ),
 }
+
+
+class TestFleetCounts:
+    """A fleet count below 1 is a usage error that names its flag,
+    raised before any fleet is built."""
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["--shards", "0"], "--shards"),
+            (["--ues", "0"], "--ues"),
+            (["--ues", "-3"], "--ues"),
+            (["--ues", "-3", "--population", "urban_mix"], "--ues"),
+            (["--walks", "0"], "--walks"),
+            (["--workers", "0", "--shards", "2"], "--workers"),
+        ],
+    )
+    def test_count_below_one_is_a_usage_error(
+        self, argv, flag, capsys, monkeypatch
+    ):
+        import repro.__main__ as cli
+
+        def built(*args, **kwargs):
+            raise AssertionError("a fleet was built")
+
+        for name in ("SimulationParameters", "FleetSpec", "named_population"):
+            monkeypatch.setattr(cli, name, built)
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet", *argv])
+        assert exc.value.code == 2
+        value = argv[argv.index(flag) + 1]
+        assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err
 
 
 class TestFleetSpecPin:
