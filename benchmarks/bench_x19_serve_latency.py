@@ -17,6 +17,12 @@ TCP front-end drives, minus socket I/O), and pins:
   ``replay_in_process`` at each fleet size of the sweep; the N = 3000
   cost is at most ``FLAT_INGEST_RATIO`` times the N = 300 cost (the
   epoch scheduler's work per report must not grow with the fleet).
+  The timed replay makes each epoch's reports as views of the trace's
+  columns (dtypes and row shapes checked once per trace, finiteness
+  once per epoch, nothing per report), submits them (ingest, watermark,
+  epoch close, the batched FLC sweep and command fan-out) and
+  unsubscribes the UEs whose walks end; recording the trace and
+  subscribing the fleet are not timed.
 
 Headline numbers land in ``BENCH_x19.json`` (same schema as X12–X18:
 ``schema``/``n``/``timings_s``/``speedups``/``memory`` with

@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 import time
 
@@ -318,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "exclusive with --connect)")
     p_replay.add_argument("--rate", type=float, default=None, metavar="R",
                           help="pace the stream at about R reports/s "
-                               "(default: as fast as the socket "
-                               "drains)")
+                               "(R > 0; needs --spawn or --connect; "
+                               "default: as fast as the socket drains)")
     p_replay.add_argument("--verify", action="store_true",
                           help="re-run the trace through the offline "
                                "batch engine and exit non-zero unless "
@@ -400,6 +401,19 @@ def _cmd_replay(parser, args) -> int:
         parser.error("--connect and --spawn are mutually exclusive")
     if args.record == (args.trace is not None):
         parser.error("exactly one of --trace or --record is required")
+    for flag, count in (("--ues", args.ues), ("--walks", args.walks)):
+        if count < 1:
+            parser.error(f"{flag} must be >= 1, got {count}")
+    if args.rate is not None:
+        if not (math.isfinite(args.rate) and args.rate > 0):
+            parser.error(
+                f"--rate must be a finite number above 0, got {args.rate}"
+            )
+        if args.connect is None and not args.spawn:
+            parser.error(
+                "--rate paces a stream over a socket; it needs --spawn "
+                "or --connect"
+            )
 
     if args.record:
         params = SimulationParameters()
@@ -664,12 +678,19 @@ def main(argv: list[str] | None = None) -> int:
             executor = DistributedExecutor(hosts, **tuning)
         t0 = time.perf_counter()
         if args.checkpoint is not None:
-            from .resilience import checkpoint_ranges, run_fleet_checkpointed
+            from .resilience import (
+                CheckpointError,
+                checkpoint_ranges,
+                run_fleet_checkpointed,
+            )
 
             n_shards = len(checkpoint_ranges(args.ues, args.shards))
-            fleet = run_fleet_checkpointed(
-                spec, checkpoint_dir=args.checkpoint, n_shards=args.shards
-            )
+            try:
+                fleet = run_fleet_checkpointed(
+                    spec, checkpoint_dir=args.checkpoint, n_shards=args.shards
+                )
+            except CheckpointError as exc:
+                parser.error(str(exc))
         else:
             n_shards = len(partition_fleet(args.ues, args.shards))
             fleet = run_fleet(

@@ -138,6 +138,17 @@ def _real(name: str, value: object) -> float:
 _PLAIN_REALS = frozenset((float, int))
 
 
+def _check_row_shapes(position: tuple, power: tuple) -> None:
+    """Refuse a report's array shapes unless ``position_km`` is ``(2,)``
+    and ``power_dbw`` a non-empty vector."""
+    if position != (2,):
+        raise ValueError(f"position_km must be (2,), got {position}")
+    if len(power) != 1 or power[0] < 1:
+        raise ValueError(
+            f"power_dbw must be a non-empty 1-D vector, got shape {power}"
+        )
+
+
 def _real_array(name: str, value: object) -> np.ndarray:
     """``value`` as a float array; strings and booleans are refused, in
     an array's dtype as much as in a JSON list."""
@@ -191,15 +202,7 @@ class Report:
         object.__setattr__(
             self, "power_dbw", _real_array("power_dbw", self.power_dbw)
         )
-        if self.position_km.shape != (2,):
-            raise ValueError(
-                f"position_km must be (2,), got {self.position_km.shape}"
-            )
-        if self.power_dbw.ndim != 1 or self.power_dbw.shape[0] < 1:
-            raise ValueError(
-                f"power_dbw must be a non-empty 1-D vector, "
-                f"got shape {self.power_dbw.shape}"
-            )
+        _check_row_shapes(self.position_km.shape, self.power_dbw.shape)
         if not np.isfinite(self.position_km).all():
             raise ValueError("position_km must be finite")
         if not math.isfinite(self.distance_km):
@@ -320,13 +323,43 @@ def _validated_block(messages: Sequence[dict]) -> Optional[list[Report]]:
     )
     if not plain:
         return None
-    position = np.array(positions, dtype=float)
-    distance = np.array(distances, dtype=float)
-    power = np.array(powers, dtype=float)
+    return _finite_reports(
+        ues,
+        epochs,
+        np.array(positions, dtype=float),
+        np.array(distances, dtype=float),
+        np.array(powers, dtype=float),
+    )
+
+
+def _finite_reports(
+    ues: Sequence[int],
+    epochs: Iterable[int],
+    position: np.ndarray,
+    distance: np.ndarray,
+    power: np.ndarray,
+    rows: Optional[np.ndarray] = None,
+) -> Optional[list[Report]]:
+    """The reports of float64 column blocks, or ``None`` when a value
+    they report is not finite.
+
+    The blocks are ``position`` ``(n, 2)``, ``distance`` ``(n,)`` and
+    ``power`` ``(n, n_cells)``.  Report ``j`` is UE ``ues[j]`` at
+    ``epochs[j]``, from row ``rows[j]`` of each block (row ``j`` when
+    ``rows`` is ``None``); only those rows are checked.  Each report's
+    arrays are views of its rows, not copies.
+    """
+    if rows is None:
+        checked = position, power
+    else:
+        checked = position[rows], power[rows]
+        distance = distance[rows]
+        picked = rows.tolist()
+        position = map(position.__getitem__, picked)
+        power = map(power.__getitem__, picked)
     if not (
-        np.isfinite(position).all()
-        and np.isfinite(distance).all()
-        and np.isfinite(power).all()
+        np.isfinite(distance).all()
+        and all(np.isfinite(block).all() for block in checked)
     ):
         return None
     return list(map(

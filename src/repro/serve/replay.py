@@ -15,6 +15,7 @@ import asyncio
 import contextlib
 import dataclasses
 import time
+from itertools import repeat
 from typing import Iterator, Optional
 
 import numpy as np
@@ -23,7 +24,7 @@ from ..sim.distributed import parse_address
 from ..sim.metrics import FleetMetrics
 from ..sim.tracefile import FleetTrace
 from ..wire import local_endpoints
-from .protocol import Report
+from .protocol import Report, _check_row_shapes, _finite_reports, _real_array
 from .server import ServeClient
 from .service import DecisionService
 
@@ -43,22 +44,40 @@ def iter_epoch_reports(
 ) -> Iterator[tuple[int, list[Report]]]:
     """Yield ``(epoch, reports)`` per lockstep epoch — UE ``i`` reports
     epoch ``k`` iff ``k < lengths[i]``, matching the offline engine's
-    ``active`` mask."""
+    ``active`` mask.
+
+    Each report equals ``Report(ue=i, epoch=k,
+    position_km=positions_km[i, k], distance_km=float(distance_km[i, k]),
+    power_dbw=power_dbw[i, k])`` and keeps views of the trace's rows
+    (of its float64 conversion, for a trace of another dtype), but the
+    checks run on columns: dtypes and row shapes once per trace,
+    finiteness once per epoch over the walking UEs, never on padding
+    past a walk's end.  A failing epoch is built report by report, so
+    its first failing UE raises its ``Report``'s error after the
+    earlier epochs were yielded.
+    """
     lengths = np.asarray(trace.lengths)
+    if not (trace.max_epochs and (lengths > 0).any()):
+        return  # no UE reports: nothing to check
+    position = _real_array("position_km", trace.positions_km)
+    power = _real_array("power_dbw", trace.power_dbw)
+    _check_row_shapes(position.shape[2:], power.shape[2:])
+    distance = np.asarray(trace.distance_km, dtype=float)
     for k in range(trace.max_epochs):
-        reports = [
-            Report(
-                ue=i,
-                epoch=k,
-                position_km=trace.positions_km[i, k],
-                distance_km=float(trace.distance_km[i, k]),
-                power_dbw=trace.power_dbw[i, k],
-            )
-            for i in range(trace.n_ues)
-            if k < lengths[i]
-        ]
-        if reports:
-            yield k, reports
+        rows = np.flatnonzero(lengths > k)
+        if not rows.size:
+            continue
+        ues = rows.tolist()
+        reports = _finite_reports(
+            ues, repeat(k), position[:, k], distance[:, k], power[:, k], rows
+        )
+        if reports is None:
+            reports = [
+                Report(i, k, position[i, k], float(distance[i, k]),
+                       power[i, k])
+                for i in ues
+            ]
+        yield k, reports
 
 
 def service_for_trace(trace: FleetTrace, **kwargs) -> DecisionService:
@@ -88,13 +107,12 @@ def replay_in_process(
         service = service_for_trace(trace)
     lengths = np.asarray(trace.lengths)
     for k, reports in iter_epoch_reports(trace):
-        finished = [r.ue for r in reports if lengths[r.ue] == k + 1]
         for report in reports:
             service.submit(report)
         # NB: unsubscribing *after* the submits keeps this epoch's
         # watermark over the full reporting set
-        for ue in finished:
-            if k + 1 < trace.max_epochs:
+        if k + 1 < trace.max_epochs:
+            for ue in np.flatnonzero(lengths == k + 1).tolist():
                 service.unsubscribe(ue)
     # the last epoch's watermark fires on its own only if every UE was
     # still subscribed; flush whatever remains
@@ -132,7 +150,6 @@ async def replay_to_server(
         sent = 0
         t0 = time.monotonic()
         for k, reports in iter_epoch_reports(trace):
-            finished = [r.ue for r in reports if lengths[r.ue] == k + 1]
             for report in reports:
                 await client.report(report)
                 sent += 1
@@ -141,8 +158,8 @@ async def replay_to_server(
                     delay = target - time.monotonic()
                     if delay > 0:
                         await asyncio.sleep(delay)
-            for ue in finished:
-                if k + 1 < trace.max_epochs:
+            if k + 1 < trace.max_epochs:
+                for ue in np.flatnonzero(lengths == k + 1).tolist():
                     await client.unsubscribe(ue)
         # stats doubles as a flush barrier: requests are serial per
         # connection, so once it returns every report has been

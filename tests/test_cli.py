@@ -361,6 +361,64 @@ class TestFleetCounts:
         value = argv[argv.index(flag) + 1]
         assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name", ["fleet.ckpt", "shard-0-4.json", "shard-0-2.json"]
+    )
+    def test_unusable_checkpoint_is_one_usage_error(
+        self, name, tmp_path, capsys
+    ):
+        """A refused checkpoint file ends the command with one error line
+        that names it, and status 2."""
+        (tmp_path / name).write_text("garbage\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["fleet", "--ues", "4", "--walks", "2",
+                  "--checkpoint", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith(
+            f"repro: error: checkpoint file {tmp_path / name} "
+        )
+
+
+class TestReplayUsage:
+    """``repro replay`` refuses a bad count or rate as a usage error,
+    before a trace is recorded or a server spawned."""
+
+    @pytest.mark.parametrize(
+        "argv,text",
+        [
+            (["--ues", "0"], "--ues must be >= 1, got 0"),
+            (["--ues", "-2"], "--ues must be >= 1, got -2"),
+            (["--walks", "0"], "--walks must be >= 1, got 0"),
+            (["--rate", "0", "--spawn"],
+             "--rate must be a finite number above 0, got 0.0"),
+            (["--rate", "-5", "--spawn"],
+             "--rate must be a finite number above 0, got -5.0"),
+            (["--rate", "nan", "--spawn"],
+             "--rate must be a finite number above 0, got nan"),
+            (["--rate", "inf", "--connect", "127.0.0.1:1"],
+             "--rate must be a finite number above 0, got inf"),
+            (["--rate", "5"],
+             "--rate paces a stream over a socket; it needs --spawn or "
+             "--connect"),
+        ],
+    )
+    def test_usage_error(self, argv, text, capsys, monkeypatch):
+        import repro.serve
+        import repro.sim
+
+        def started(*args, **kwargs):
+            raise AssertionError("the replay started")
+
+        monkeypatch.setattr(repro.sim, "record_fleet_trace", started)
+        monkeypatch.setattr(repro.serve, "spawned_server", started)
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", "--record", *argv])
+        assert exc.value.code == 2
+        assert f"repro: error: {text}\n" in capsys.readouterr().err
+
 
 class TestFleetSpecPin:
     """``repro fleet`` builds one :class:`FleetSpec` and runs exactly it,
